@@ -19,7 +19,6 @@ from repro.core.costcluster import cost_clustering
 from repro.core.join import IndexedDataset, join
 from repro.core.square import square_clustering
 from repro.core.sweep import build_prediction_matrix
-from repro.core.sweep_reference import build_prediction_matrix_reference
 from repro.datasets import markov_dna, road_intersections
 from repro.datasets.landsat import landsat_like
 from repro.distance.dtw import dtw_distance
@@ -42,6 +41,7 @@ from repro.experiments.figures import (
 from repro.index.rstar import RStarTree, build_spatial_page_index
 from repro.kernels import dtw_batch, edit_batch, encode_strings, minkowski_pairs
 from repro.obs import NULL_RECORDER
+from tests.oracles.sweep_reference import build_prediction_matrix_reference
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -184,25 +184,27 @@ def test_refinement_kernel_speedup(record_json):
     assert edit_speedup >= 3.0
 
 
-# -- kernel backends (ISSUE 8) -----------------------------------------------------
+# -- wavefront kernels -----------------------------------------------------------------
 #
-# Every registered backend against the frozen numpy reference kernels,
-# on two workloads: *survivor-heavy* (perturbed pairs — what the DP
-# actually sees after LB_Keogh / frequency-distance filtering, where
-# most pairs run the full band) and *abandon-heavy* (distant pairs that
-# die within a few rows — recorded for honesty, not gated: a row is only
-# provably complete once ~band further anti-diagonals have been swept,
-# so on instant-abandon input the wavefront can trail the row kernel's
-# immediate exit).  Results
-# must be bitwise equal to numpy in every cell; the wavefront's
-# combined survivor-heavy speedup is the gated contract (>= 3x).
-# Quick mode keeps the full workload — shrinking the batch changes the
-# interpreter-overhead balance and makes the recorded ratios
-# incomparable with the committed full-run baseline.
+# The wavefront DTW/edit chunk kernels against the row-by-row oracle
+# they replaced (tests/oracles/kernels.py), called directly on two
+# workloads: *survivor-heavy* (perturbed pairs — what the DP actually
+# sees after LB_Keogh / frequency-distance filtering, where most pairs
+# run the full band) and *abandon-heavy* (distant pairs that die within
+# a few rows — recorded for honesty, not gated: a row is only provably
+# complete once ~band further anti-diagonals have been swept, so on
+# instant-abandon input the wavefront can trail the row kernel's
+# immediate exit).  Distances and abandon counts must be bitwise equal
+# to the oracle's; the wavefront's combined survivor-heavy speedup is
+# the gated contract (>= 3x).  Quick mode keeps the full workload —
+# shrinking the batch changes the interpreter-overhead balance and
+# makes the recorded ratios incomparable with the committed full-run
+# baseline.
 
 
-def test_kernel_backend_speedup(record_json):
-    from repro.kernels import registered_backends
+def test_wavefront_kernel_speedup(record_json):
+    from repro.kernels.wavefront import dtw_chunk_wavefront, edit_chunk_wavefront
+    from tests.oracles.kernels import _dtw_chunk, _edit_chunk
 
     rng = np.random.default_rng(8)
     pairs, w, band = 4_000, 64, 4
@@ -232,32 +234,23 @@ def test_kernel_backend_speedup(record_json):
     section = {"pairs": pairs, "window_length": w, "band": band,
                "dtw_epsilon": eps, "edit_threshold": limit}
     for workload, (b, rc) in workloads.items():
-        rows = {}
         base_dtw_s, base_dtw = _best_of(
-            lambda b=b: dtw_batch(a, b, band, max_dist=eps, backend="numpy"),
-            repeats=repeats,
+            lambda b=b: _dtw_chunk(a, b, band, eps), repeats=repeats
         )
         base_edit_s, base_edit = _best_of(
-            lambda rc=rc: edit_batch(lc, rc, limit, backend="numpy"),
-            repeats=repeats,
+            lambda rc=rc: _edit_chunk(lc, rc, limit), repeats=repeats
         )
-        rows["numpy"] = {"dtw_seconds": base_dtw_s, "edit_seconds": base_edit_s}
-        for name in registered_backends():
-            if name == "numpy":
-                continue
-            dtw_s, dtw_out = _best_of(
-                lambda b=b, name=name: dtw_batch(
-                    a, b, band, max_dist=eps, backend=name
-                ),
-                repeats=repeats,
-            )
-            edit_s, edit_out = _best_of(
-                lambda rc=rc, name=name: edit_batch(lc, rc, limit, backend=name),
-                repeats=repeats,
-            )
-            assert np.array_equal(dtw_out, base_dtw)
-            assert np.array_equal(edit_out, base_edit)
-            rows[name] = {
+        dtw_s, dtw_out = _best_of(
+            lambda b=b: dtw_chunk_wavefront(a, b, band, eps), repeats=repeats
+        )
+        edit_s, edit_out = _best_of(
+            lambda rc=rc: edit_chunk_wavefront(lc, rc, limit), repeats=repeats
+        )
+        for got, want in ((dtw_out, base_dtw), (edit_out, base_edit)):
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        section[workload] = {
+            "row_oracle": {"dtw_seconds": base_dtw_s, "edit_seconds": base_edit_s},
+            "wavefront": {
                 "dtw_seconds": dtw_s,
                 "edit_seconds": edit_s,
                 "dtw": {"speedup": base_dtw_s / dtw_s},
@@ -265,10 +258,10 @@ def test_kernel_backend_speedup(record_json):
                 "combined": {
                     "speedup": (base_dtw_s + base_edit_s) / (dtw_s + edit_s)
                 },
-            }
-        section[workload] = rows
+            },
+        }
 
-    record_json("kernel_backends", section)
+    record_json("wavefront_kernels", section)
     gated = section["survivor_heavy"]["wavefront"]["combined"]["speedup"]
     assert gated >= 3.0
 
@@ -319,7 +312,7 @@ def test_minkowski_gram_filter_speedup(record_json):
 #
 # The prediction-matrix build: the scalar reference pipeline (per-Rect
 # event sweep + Rect-list iterative filter, frozen in
-# ``repro.core.sweep_reference``) versus the struct-of-arrays block
+# ``tests/oracles/sweep_reference.py``) versus the struct-of-arrays block
 # sweep, on identical hierarchies.  Marks and stats must agree exactly;
 # the acceptance bar is a >= 5x speedup on the 64-page/16-dim workload.
 # Quick mode shrinks repeats, never the workload, so the recorded
@@ -588,16 +581,13 @@ def test_sharded_join_speedup(record_json):
 
 # -- sketch prefilter cascade (ISSUE 7) --------------------------------------------
 #
-# Exact mode only reorders each cluster's cascade (pairs and every
-# simulated counter bit-identical — pinned by
-# tests/core/test_prefilter_equivalence.py), so its wall-clock overhead
-# over prefilter=None must stay small.  Approximate mode unmarks cells
-# whose estimated collision mass is negligible; the headline gate is the
-# genome self join (192-symbol windows, d >= 16): >= 1.5x end to end at
-# measured recall >= the 0.99 target.  The landsat and spatial rows are
-# recorded honestly: their pages are index-localised, so the marginal
+# The approximate prefilter unmarks cells whose estimated collision
+# mass is negligible; the headline gate is the genome self join
+# (192-symbol windows, d >= 16): >= 1.5x end to end at measured recall
+# >= the 0.99 target.  The landsat and spatial rows are recorded
+# honestly: their pages are index-localised, so the marginal
 # (per-projection) sketches can rarely rule a cell out and the cascade
-# mostly pays its scoring cost for reordering alone.
+# mostly pays its scoring cost for nothing.
 
 
 def _prefilter_row(r, s, eps, buf, cost_model, cache, repeats):
@@ -613,16 +603,11 @@ def _prefilter_row(r, s, eps, buf, cost_model, cache, repeats):
     approx_config = PrefilterConfig(recall_target=0.99)
     run(approx_config)  # warm the matrix + sketch caches for every arm
     base_s, base = _best_of(lambda: run(None), repeats)
-    exact_s, exact = _best_of(lambda: run("exact"), repeats)
     approx_s, approx = _best_of(lambda: run(approx_config), repeats)
-    assert exact.pairs == base.pairs
-    assert exact.report.page_reads == base.report.page_reads
     recall = measured_recall(base, approx)
     info = approx.report.extra["prefilter"]
     return {
         "base_seconds": base_s,
-        "exact_seconds": exact_s,
-        "exact_overhead_pct": (exact_s - base_s) / base_s * 100.0,
         "approximate_seconds": approx_s,
         "speedup": base_s / approx_s,
         "recall_target": 0.99,
@@ -674,7 +659,6 @@ def test_prefilter_cascade(record_json, tmp_path):
         assert row["recall_measured"] >= 0.99
     # Headline perf gates on the genome config (d >= 16, execution-bound).
     assert genome_row["speedup"] >= (1.2 if QUICK else 1.5)
-    assert genome_row["exact_overhead_pct"] <= (10.0 if QUICK else 2.0)
 
 
 # -- observability overhead (ISSUE 4) ----------------------------------------------
@@ -878,7 +862,7 @@ def test_clustering_pipeline_speedup(record_json):
     ``square_clustering`` dispatches tiny-cluster workloads to a scalar
     sweep, so small-B SC must no longer regress below parity.
     """
-    from repro.core.clusters_reference import (
+    from tests.oracles.clusters_reference import (
         cost_clustering_reference,
         greedy_cluster_order_reference,
         square_clustering_reference,

@@ -170,17 +170,10 @@ def _add_join(subcommands) -> None:
                           "shared-memory page blocks (sc/rand-sc/cc methods); "
                           "results and simulated I/O are identical to serial")
     cmd.add_argument("--prefilter", default=None,
-                     choices=["exact", "approximate"],
-                     help="sketch prefilter cascade: 'exact' only reorders "
-                          "each cluster's page pairs by estimated yield "
-                          "(results bit-identical); 'approximate' also "
-                          "unmarks cells whose estimated collision mass is "
-                          "negligible, calibrated to --recall-target")
-    cmd.add_argument("--kernel-backend", default=None,
-                     help="refinement kernel substrate (numpy, wavefront, "
-                          "numba when installed); default: the "
-                          "REPRO_KERNEL_BACKEND env var, then 'wavefront'. "
-                          "All backends are bit-identical")
+                     choices=["approximate"],
+                     help="sketch prefilter cascade: unmark cells whose "
+                          "estimated collision mass is negligible, "
+                          "calibrated to --recall-target")
     cmd.add_argument("--recall-target", type=float, default=0.99,
                      help="approximate prefilter's calibration target: "
                           "estimated fraction of result pairs that must "
@@ -231,29 +224,20 @@ def _run_join(args) -> int:
     if args.prefilter is not None:
         from repro import PrefilterConfig
 
-        prefilter = PrefilterConfig(
-            mode=args.prefilter, recall_target=args.recall_target
-        )
+        prefilter = PrefilterConfig(recall_target=args.recall_target)
 
-    from repro.errors import ConfigError
-
-    try:
-        result = join(
-            left, right, args.epsilon,
-            method=args.method,
-            buffer_pages=args.buffer_pages,
-            seed=args.seed,
-            count_only=args.pairs_out is None,
-            recorder=recorder,
-            workers=args.workers,
-            shard_strategy=args.shard_strategy,
-            prefilter=prefilter,
-            kernel_backend=args.kernel_backend,
-            explain=args.explain_out is not None,
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = join(
+        left, right, args.epsilon,
+        method=args.method,
+        buffer_pages=args.buffer_pages,
+        seed=args.seed,
+        count_only=args.pairs_out is None,
+        recorder=recorder,
+        workers=args.workers,
+        shard_strategy=args.shard_strategy,
+        prefilter=prefilter,
+        explain=args.explain_out is not None,
+    )
     report = result.report
     print(f"{result.num_pairs} pairs within epsilon={args.epsilon}")
     info = report.extra.get("prefilter")

@@ -30,7 +30,7 @@ resulting ``(transfers, seeks)`` integers feed the same
 :meth:`CostModel.io_cost` expression the full scheduler uses, which keeps
 every float — and therefore every growth decision — bit-identical to the
 frozen reference
-(:func:`repro.core.clusters_reference.cost_clustering_reference`).
+(``cost_clustering_reference`` in ``tests/oracles/clusters_reference.py``).
 
 A plain callable ``page_set_cost`` is still accepted; it is evaluated on
 materialised page sets exactly like the reference (for custom cost models

@@ -121,12 +121,10 @@ def execute_clusters(
     run); by default one is created whenever the recorder records.
 
     ``batch_pairs`` sets the join granularity: ``None`` (default) joins
-    every marked pair of a cluster in one mega-batch cascade, ``1``
-    restores the classic per-page-pair path, and ``k > 1`` splits each
-    cluster's entry list into mega-batches of at most ``k`` pairs.  The
-    granularity never changes the result or the simulated accounting
-    (see the module docstring); joiners without cluster support silently
-    run per pair.
+    every marked pair of a cluster in one mega-batch cascade, and ``1``
+    restores the classic per-page-pair path.  The granularity never
+    changes the result or the simulated accounting (see the module
+    docstring); joiners without cluster support silently run per pair.
 
     ``workers > 1`` parallelises the joins across a *thread* pool (one
     task per cluster) without changing any simulated I/O count or the
@@ -152,8 +150,7 @@ def execute_clusters(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if batch_pairs is not None and batch_pairs < 1:
-        raise ValueError(f"batch_pairs must be >= 1 or None, got {batch_pairs}")
+    use_megabatch = _use_megabatch(page_pair_join, batch_pairs)
     pool.attach(r_dataset)
     pool.attach(s_dataset)
     outcome = ExecutionOutcome()
@@ -162,9 +159,6 @@ def execute_clusters(
     if auditor is None and recorder.enabled:
         auditor = LemmaAuditor(recorder)
     disk_stats = pool.disk.stats
-    use_megabatch = batch_pairs != 1 and getattr(
-        page_pair_join, "supports_megabatch", False
-    )
     if workers == 1:
         for index, cluster in enumerate(ordered_clusters):
             transfers_before = disk_stats.transfers
@@ -173,9 +167,8 @@ def execute_clusters(
                     _stage_cluster_pinned(
                         cluster, pool, r_id, s_id, outcome
                     )
-                    for chunk in _entry_chunks(cluster.entries, batch_pairs):
-                        for result in page_pair_join.join_cluster(chunk):
-                            outcome.absorb(result)
+                    for result in page_pair_join.join_cluster(cluster.entries):
+                        outcome.absorb(result)
                 else:
                     _stage_cluster_pages(cluster, pool, r_id, s_id, outcome)
                     for row, col in cluster.entries:
@@ -201,7 +194,6 @@ def execute_clusters(
             with recorder.span("execute.cluster"):
                 if use_megabatch:
                     _stage_cluster_pinned(cluster, pool, r_id, s_id, outcome)
-                    entries = list(cluster.entries)
                 else:
                     _stage_cluster_pages(cluster, pool, r_id, s_id, outcome)
                     # Fetch on the main thread, in entry order: the buffer/disk
@@ -222,9 +214,7 @@ def execute_clusters(
                 )
             if use_megabatch:
                 futures.append(
-                    executor.submit(
-                        _join_cluster_megabatch, page_pair_join, entries, batch_pairs
-                    )
+                    executor.submit(page_pair_join.join_cluster, cluster.entries)
                 )
             else:
                 futures.append(executor.submit(_join_cluster, page_pair_join, work))
@@ -274,8 +264,7 @@ def execute_clusters_sharded(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if batch_pairs is not None and batch_pairs < 1:
-        raise ValueError(f"batch_pairs must be >= 1 or None, got {batch_pairs}")
+    use_megabatch = _use_megabatch(page_pair_join, batch_pairs)
     from repro.core.sharding import (
         build_shard_task,
         resolve_start_method,
@@ -315,9 +304,6 @@ def execute_clusters_sharded(
     outcome = ExecutionOutcome()
     r_id = r_dataset.dataset_id
     s_id = s_dataset.dataset_id
-    use_megabatch = batch_pairs != 1 and getattr(
-        page_pair_join, "supports_megabatch", False
-    )
     if not ordered_clusters:
         _count_executor_totals(recorder, outcome, 0, use_megabatch)
         return outcome
@@ -438,14 +424,16 @@ def _count_executor_totals(
         recorder.count("executor.megabatch_clusters", num_clusters)
 
 
-def _entry_chunks(
-    entries: Sequence[Tuple[int, int]], batch_pairs: Optional[int]
-) -> List[List[Tuple[int, int]]]:
-    """Split a cluster's entries into mega-batches of ``batch_pairs``."""
-    items = list(entries)
-    if batch_pairs is None or batch_pairs >= len(items):
-        return [items]
-    return [items[i : i + batch_pairs] for i in range(0, len(items), batch_pairs)]
+def _use_megabatch(page_pair_join, batch_pairs: Optional[int]) -> bool:
+    """Validate ``batch_pairs``; True when clusters run the fused cascade."""
+    if batch_pairs not in (None, 1):
+        raise ValueError(
+            f"batch_pairs must be None (mega-batch) or 1 (per page pair), "
+            f"got {batch_pairs!r}"
+        )
+    return batch_pairs is None and getattr(
+        page_pair_join, "supports_megabatch", False
+    )
 
 
 def _stage_cluster_pages(
@@ -494,15 +482,3 @@ def _join_cluster(page_pair_join: PagePairJoin, work: _ClusterWork) -> List:
         page_pair_join(row, col, r_payload, s_payload)
         for row, col, r_payload, s_payload in work
     ]
-
-
-def _join_cluster_megabatch(
-    page_pair_join,
-    entries: List[Tuple[int, int]],
-    batch_pairs: Optional[int],
-) -> List:
-    """Worker body: fused cascade(s) over one cluster, entry order kept."""
-    results: List = []
-    for chunk in _entry_chunks(entries, batch_pairs):
-        results.extend(page_pair_join.join_cluster(chunk))
-    return results

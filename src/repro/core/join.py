@@ -54,7 +54,6 @@ from repro.core.executor import (
     execute_clusters_sharded,
 )
 from repro.core.joiners import make_numeric_joiner, make_text_joiner, text_dp_weight
-from repro.kernels.backends import resolve_backend
 from repro.core.pm_nlj import pm_nlj_join
 from repro.core.prediction import PredictionMatrix
 from repro.core.schedule import greedy_cluster_order
@@ -68,7 +67,7 @@ from repro.index.mrs import MRSIndex
 from repro.index.node import PageIndex
 from repro.index.rstar import build_spatial_page_index
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.sketch.cascade import PrefilteredJoiner, plan_prefilter
+from repro.sketch.cascade import plan_prefilter
 from repro.sketch.config import PrefilterConfig, resolve_prefilter
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
@@ -111,9 +110,11 @@ class IndexedDataset:
         """Point/spatial data under an L_p norm, indexed by an R*-tree.
 
         The tree's leaf order defines the on-disk layout (Section 5.1).
+        Raises ``ValueError`` on NaN or infinite coordinates.
         """
         page_index, reordered = build_spatial_page_index(
-            vectors, page_capacity, method=build_method
+            require_finite(vectors, "point coordinates"), page_capacity,
+            method=build_method,
         )
         paged = VectorPagedDataset(
             reordered, page_offsets=page_index.page_offsets, dataset_id=dataset_id
@@ -144,10 +145,11 @@ class IndexedDataset:
         time warping: page boxes are widened by the band envelope (so the
         prediction matrix stays complete for DTW) and window pairs are
         verified with an LB_Keogh filter plus the banded DP.  Both sides
-        of a join must use the same band.
+        of a join must use the same band.  Raises ``ValueError`` on NaN or
+        infinite values.
         """
         paged = SequencePagedDataset(
-            np.asarray(values, dtype=np.float64),
+            require_finite(values, "series values"),
             symbols_per_page=windows_per_page,
             window_length=window_length,
             dataset_id=dataset_id,
@@ -275,6 +277,18 @@ class JoinResult:
         return self.report.result_pairs
 
 
+def require_finite(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array; ``ValueError`` if any is NaN or ±inf.
+
+    One non-finite coordinate poisons the page boxes it lands in, and the
+    prediction matrix then silently drops every pair of those pages.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite (got NaN or infinity)")
+    return arr
+
+
 def join(
     r: IndexedDataset,
     s: IndexedDataset,
@@ -295,7 +309,6 @@ def join(
     batch_pairs: Optional[int] = None,
     shard_strategy=None,
     prefilter: "None | str | PrefilterConfig" = None,
-    kernel_backend=None,
     explain: bool = False,
     explain_meta: Optional[dict] = None,
 ) -> JoinResult:
@@ -342,16 +355,6 @@ def join(
         are bit-identical to the serial path.  Only ``sc``/``rand-sc``/
         ``cc`` shard; other methods ignore it.  See
         ``docs/execution_modes.md``.
-    kernel_backend:
-        The refinement-kernel substrate (see
-        :mod:`repro.kernels.backends`): a registered backend name
-        (``"numpy"``, ``"wavefront"``, optionally ``"numba"``), a
-        :class:`~repro.kernels.backends.KernelBackend` instance, or
-        ``None`` to fall back to the ``REPRO_KERNEL_BACKEND``
-        environment variable and then the default.  Every registered
-        backend is bit-identical on pairs, distances and counters, so
-        this only changes speed.  Unknown names raise
-        :class:`repro.errors.ConfigError` before any work starts.
     matrix_cache:
         Directory of the prediction-matrix cache.  When set, the matrix
         is loaded from the cache if a build keyed by (both datasets'
@@ -377,24 +380,20 @@ def join(
         Join granularity of cluster execution (``sc``/``rand-sc``/``cc``
         only).  ``None`` (the default) joins each cluster's marked page
         pairs in one mega-batch cascade; ``1`` restores the classic
-        per-page-pair path; ``k > 1`` caps a mega-batch at ``k`` pairs.
-        Results and simulated accounting are identical at every setting
-        (see :func:`repro.core.executor.execute_clusters`).
+        per-page-pair path; anything else raises ``ValueError``.  Results
+        and simulated accounting are identical at both settings (see
+        :func:`repro.core.executor.execute_clusters`).
     prefilter:
         The sketch-based prefilter cascade (``sc``/``rand-sc``/``cc``
         only; see :mod:`repro.sketch` and ``docs/architecture.md``).
-        ``None`` (default) is off.  ``"exact"`` (or
-        ``PrefilterConfig(mode="exact")``) scores every marked cell with
-        cheap per-page sketches and uses the scores only to reorder each
-        cluster's mega-batch cascade — the result and every simulated
-        counter are bit-identical to ``prefilter=None``.
-        ``"approximate"`` (or ``PrefilterConfig(recall_target=...)``)
-        additionally *unmarks* cells whose estimated collision mass
-        falls under a calibrated budget, shrinking the work matrix
-        before clustering; the measured recall contract is probabilistic
-        and reported through ``prefilter.*`` counters.  Sketches are
-        cached in ``matrix_cache`` (when set) alongside the prediction
-        matrix.
+        ``None`` (default) is off.  ``"approximate"`` (or a
+        ``PrefilterConfig(recall_target=...)``) scores every marked cell
+        with cheap per-page sketches and *unmarks* cells whose estimated
+        collision mass falls under a calibrated budget, shrinking the
+        work matrix before clustering; the measured recall contract is
+        probabilistic and reported through ``prefilter.*`` counters.
+        Sketches are cached in ``matrix_cache`` (when set) alongside the
+        prediction matrix.
     explain:
         When ``True``, assemble a :class:`~repro.obs.explain.JoinExplain`
         artifact — per-stage plan snapshots (matrix, prefilter, cluster
@@ -426,9 +425,6 @@ def join(
             f"prefilter requires a clustering method (sc, rand-sc, cc), "
             f"got method={method!r}"
         )
-    # Resolve eagerly: a typo'd backend (env var or kwarg) raises
-    # ConfigError here, before any pages are read.
-    backend = resolve_backend(kernel_backend)
 
     model = cost_model or DEFAULT_COST_MODEL
     rec = recorder if recorder is not None else NULL_RECORDER
@@ -461,9 +457,7 @@ def join(
         )
         if explain_meta:
             collector.set_meta(**explain_meta)
-    joiner = _make_joiner(
-        r, s, epsilon, model, self_join, not count_only, rec, backend
-    )
+    joiner = _make_joiner(r, s, epsilon, model, self_join, not count_only, rec)
 
     if method in ("ego", "bfrj", "ekdb", "zorder"):
         return _run_competitor(
@@ -493,11 +487,10 @@ def join(
     prefilter_info = None
     if pf_config is not None:
         # The cascade scores marked cells against cheap per-page
-        # sketches; approximate mode prunes the matrix before clustering
-        # so the savings compound through scheduling and execution.  No
-        # modeled CPU is charged for sketch work — the sketches are an
-        # engine-side accelerator outside the paper's cost model, and
-        # exact mode must leave every simulated figure untouched; the
+        # sketches and prunes the matrix before clustering, so the
+        # savings compound through scheduling and execution.  No modeled
+        # CPU is charged for sketch work — the sketches are an
+        # engine-side accelerator outside the paper's cost model; the
         # host cost shows up in ``stage_seconds["prefilter"]``.
         with rec.span("join.prefilter") as pf_span:
             plan = plan_prefilter(
@@ -506,19 +499,15 @@ def join(
             )
             if plan.num_unmarked:
                 matrix.unmark_many(plan.unmark_rows, plan.unmark_cols)
-            kept_rows, kept_cols, kept_scores = plan.kept_cells()
-            joiner = PrefilteredJoiner(
-                joiner, kept_rows, kept_cols, kept_scores, recorder=rec
-            )
         stage_seconds["prefilter"] = pf_span.duration
         prefilter_info = {
-            "mode": pf_config.mode,
+            "mode": "approximate",  # the only mode; kept for report readers
             "cells_scored": plan.num_cells,
             "cells_unmarked": plan.num_unmarked,
             "est_recall": plan.est_recall,
         }
         if collector is not None:
-            collector.snapshot_prefilter(plan, pf_config.mode)
+            collector.snapshot_prefilter(plan)
 
     preprocess_seconds = 0.0
     clusters: Optional[List[Cluster]] = None
@@ -648,19 +637,17 @@ def _build_or_load_matrix(
 
 
 def _make_joiner(r, s, epsilon, model, self_join, collect_pairs,
-                 recorder: Recorder = NULL_RECORDER, kernel_backend=None):
+                 recorder: Recorder = NULL_RECORDER):
     if r.kind == "text":
         assert r.features is not None and s.features is not None
         return make_text_joiner(
             r.paged, s.paged, r.features, s.features, epsilon, model, self_join,
             collect_pairs=collect_pairs, recorder=recorder,
-            kernel_backend=kernel_backend,
         )
     assert r.distance is not None
     return make_numeric_joiner(
         r.paged, s.paged, r.distance, epsilon, model, self_join,
         collect_pairs=collect_pairs, recorder=recorder,
-        kernel_backend=kernel_backend,
     )
 
 

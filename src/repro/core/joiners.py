@@ -35,7 +35,7 @@ import numpy as np
 from repro.costmodel import CostModel
 from repro.distance.dtw import DTWDistance
 from repro.distance.vector import MinkowskiDistance
-from repro.kernels.backends import resolve_backend
+from repro.kernels.backends import KERNELS
 from repro.kernels.dtw import dtw_batch
 from repro.kernels.edit import edit_batch
 from repro.kernels.minkowski import _BLOCK_CELL_BUDGET, minkowski_refine
@@ -285,7 +285,6 @@ class NumericPagePairJoiner(PagePairJoiner):
         self_join: bool,
         collect_pairs: bool = True,
         recorder: Recorder = NULL_RECORDER,
-        kernel_backend=None,
     ) -> None:
         self.r_dataset = r_dataset
         self.s_dataset = s_dataset
@@ -295,12 +294,9 @@ class NumericPagePairJoiner(PagePairJoiner):
         self.self_join = self_join
         self.collect_pairs = collect_pairs
         self.recorder = recorder
-        self.kernel_backend = resolve_backend(kernel_backend)
         # Third-party JoinDistance implementations may predate the recorder
-        # protocol (or the kernel-backend one); probe once at construction
-        # time, not per page pair.
+        # protocol; probe once at construction time, not per page pair.
         self._forward_recorder = _accepts_kw(distance.pairs_within, "recorder")
-        self._forward_backend = _accepts_kw(distance.pairs_within, "kernel_backend")
         # The fused cascade is specific to the built-in distance families;
         # anything else (or a dataset without columnar views) joins per pair.
         self.supports_megabatch = isinstance(
@@ -319,8 +315,6 @@ class NumericPagePairJoiner(PagePairJoiner):
             kwargs = {}
             if self._forward_recorder:
                 kwargs["recorder"] = recorder
-            if self._forward_backend:
-                kwargs["kernel_backend"] = self.kernel_backend
             local = self.distance.pairs_within(left, right, self.epsilon, **kwargs)
             comparisons = left.shape[0] * right.shape[0]
             cpu = self.cost_model.cpu_cost(comparisons, self.distance.comparison_weight)
@@ -343,11 +337,7 @@ class NumericPagePairJoiner(PagePairJoiner):
                 f"mega-batch cascade is not supported for {self.distance!r}"
             )
         recorder = self.recorder
-        with recorder.span(
-            "execute.megabatch",
-            entries=len(entries),
-            kernel_backend=self.kernel_backend.name,
-        ):
+        with recorder.span("execute.megabatch", entries=len(entries)):
             block = _ClusterBlock(
                 entries, self.r_dataset, self.s_dataset, self.self_join
             )
@@ -387,7 +377,7 @@ class NumericPagePairJoiner(PagePairJoiner):
             right_sq = np.einsum("jd,jd->j", right, right)
 
             def gram_filter(sl: slice, panel_j: np.ndarray) -> np.ndarray:
-                return self.kernel_backend.euclidean_gram_panel(
+                return KERNELS.euclidean_gram_panel(
                     left[sl], right[panel_j], left_sq[sl], right_sq[panel_j],
                     eps,
                 )
@@ -420,12 +410,11 @@ class NumericPagePairJoiner(PagePairJoiner):
         left = block.r_block.objects
         right = block.s_block.objects
         recorder = self.recorder
-        backend = self.kernel_backend
-        lowers, uppers = backend.batch_envelopes(right, band)
+        lowers, uppers = KERNELS.batch_envelopes(right, band)
 
         def keogh_filter(sl: slice, panel_j: np.ndarray) -> np.ndarray:
             return (
-                backend.lb_keogh_panel(left[sl], lowers[panel_j], uppers[panel_j])
+                KERNELS.lb_keogh_panel(left[sl], lowers[panel_j], uppers[panel_j])
                 <= eps
             )
 
@@ -439,8 +428,7 @@ class NumericPagePairJoiner(PagePairJoiner):
         if cand_i.shape[0] == 0:
             return cand_i, cand_j, rank, extra
         dists = dtw_batch(
-            left[cand_i], right[cand_j], band, max_dist=eps, recorder=recorder,
-            backend=backend,
+            left[cand_i], right[cand_j], band, max_dist=eps, recorder=recorder
         )
         keep = dists <= eps
         return cand_i[keep], cand_j[keep], rank[keep], extra
@@ -455,7 +443,6 @@ def make_numeric_joiner(
     self_join: bool,
     collect_pairs: bool = True,
     recorder: Recorder = NULL_RECORDER,
-    kernel_backend=None,
 ) -> NumericPagePairJoiner:
     """Joiner for vector pages (point, spatial, time-series windows)."""
     return NumericPagePairJoiner(
@@ -467,7 +454,6 @@ def make_numeric_joiner(
         self_join,
         collect_pairs=collect_pairs,
         recorder=recorder,
-        kernel_backend=kernel_backend,
     )
 
 
@@ -506,7 +492,6 @@ class TextPagePairJoiner(PagePairJoiner):
         self_join: bool,
         collect_pairs: bool = True,
         recorder: Recorder = NULL_RECORDER,
-        kernel_backend=None,
     ) -> None:
         self.r_dataset = r_dataset
         self.s_dataset = s_dataset
@@ -517,7 +502,6 @@ class TextPagePairJoiner(PagePairJoiner):
         self.self_join = self_join
         self.collect_pairs = collect_pairs
         self.recorder = recorder
-        self.kernel_backend = resolve_backend(kernel_backend)
         self.dp_weight = text_dp_weight(r_dataset.window_length, epsilon)
         self.limit = int(epsilon)
         self.w = r_dataset.window_length
@@ -576,7 +560,6 @@ class TextPagePairJoiner(PagePairJoiner):
                             self.windows_s[s_start + rej_b],
                             self.limit,
                             recorder=recorder,
-                            backend=self.kernel_backend,
                         )
                         survived = dists <= epsilon
                         for a, b in zip(
@@ -606,11 +589,7 @@ class TextPagePairJoiner(PagePairJoiner):
     def join_cluster(self, entries: Sequence[Entry]) -> List[JoinerResult]:
         recorder = self.recorder
         epsilon = self.epsilon
-        with recorder.span(
-            "execute.megabatch",
-            entries=len(entries),
-            kernel_backend=self.kernel_backend.name,
-        ):
+        with recorder.span("execute.megabatch", entries=len(entries)):
             block = _ClusterBlock(
                 entries, self.r_dataset, self.s_dataset, self.self_join
             )
@@ -681,7 +660,6 @@ class TextPagePairJoiner(PagePairJoiner):
                             W_right[cand_j[rej_idx]],
                             self.limit,
                             recorder=recorder,
-                            backend=self.kernel_backend,
                         )
                         survived[rej_idx] = dists <= epsilon
 
@@ -733,7 +711,6 @@ def make_text_joiner(
     self_join: bool,
     collect_pairs: bool = True,
     recorder: Recorder = NULL_RECORDER,
-    kernel_backend=None,
 ) -> TextPagePairJoiner:
     """Joiner for string windows: frequency filter, then banded DP."""
     return TextPagePairJoiner(
@@ -746,7 +723,6 @@ def make_text_joiner(
         self_join,
         collect_pairs=collect_pairs,
         recorder=recorder,
-        kernel_backend=kernel_backend,
     )
 
 

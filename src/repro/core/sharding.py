@@ -35,7 +35,6 @@ from repro.core.joiners import (
     TextPagePairJoiner,
 )
 from repro.obs.recorder import NULL_RECORDER, InMemoryRecorder
-from repro.sketch.cascade import PrefilteredJoiner
 from repro.storage.page import dataset_from_shm_spec, dataset_shm_spec
 from repro.storage.shm import ShmArena, ShmAttachments
 
@@ -109,24 +108,11 @@ def build_shard_task(
 
 def _joiner_recipe(joiner, arena: ShmArena) -> Dict[str, Any]:
     """The picklable recipe to rebuild a built-in joiner in a worker."""
-    if isinstance(joiner, PrefilteredJoiner):
-        # The wrapper's cell-score arrays ride the shared-memory arena
-        # like the text features do; the base joiner recurses.
-        return {
-            "kind": "prefiltered",
-            "base": _joiner_recipe(joiner.base, arena),
-            "cell_rows": arena.share(joiner.cell_rows),
-            "cell_cols": arena.share(joiner.cell_cols),
-            "cell_scores": arena.share(joiner.cell_scores),
-        }
     common = {
         "epsilon": joiner.epsilon,
         "cost_model": joiner.cost_model,
         "self_join": joiner.self_join,
         "collect_pairs": joiner.collect_pairs,
-        # Ship the backend by *name*: backend objects may hold compiled
-        # state, and workers re-resolve against their own registry.
-        "kernel_backend": joiner.kernel_backend.name,
     }
     if isinstance(joiner, NumericPagePairJoiner):
         return {"kind": "numeric", "distance": joiner.distance, **common}
@@ -146,8 +132,6 @@ def _joiner_recipe(joiner, arena: ShmArena) -> Dict[str, Any]:
 
 def shardable_joiner(joiner) -> bool:
     """Whether :func:`_joiner_recipe` can ship this joiner to workers."""
-    if isinstance(joiner, PrefilteredJoiner):
-        return shardable_joiner(joiner.base)
     return isinstance(joiner, (NumericPagePairJoiner, TextPagePairJoiner))
 
 
@@ -192,8 +176,6 @@ def run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
 def _run_shard_attached(
     task: Dict[str, Any], attachments: ShmAttachments
 ) -> Tuple[Dict[int, List[JoinerResult]], Optional[dict]]:
-    from repro.core.executor import _entry_chunks  # local: avoid cycle
-
     r_dataset = dataset_from_shm_spec(task["r_spec"], attachments.attach)
     s_dataset = (
         r_dataset
@@ -202,14 +184,11 @@ def _run_shard_attached(
     )
     recorder = InMemoryRecorder() if task["record"] else NULL_RECORDER
     joiner = _rebuild_joiner(task["joiner"], r_dataset, s_dataset, attachments, recorder)
-    batch_pairs = task["batch_pairs"]
-    use_megabatch = batch_pairs != 1 and joiner.supports_megabatch
+    use_megabatch = task["batch_pairs"] is None and joiner.supports_megabatch
     results: Dict[int, List[JoinerResult]] = {}
     for schedule_index, entries in task["clusters"]:
         if use_megabatch:
-            cluster_results: List[JoinerResult] = []
-            for chunk in _entry_chunks(entries, batch_pairs):
-                cluster_results.extend(joiner.join_cluster(chunk))
+            cluster_results = joiner.join_cluster(entries)
         else:
             cluster_results = [
                 joiner(
@@ -228,17 +207,6 @@ def _run_shard_attached(
 def _rebuild_joiner(
     recipe: Dict[str, Any], r_dataset, s_dataset, attachments: ShmAttachments, recorder
 ):
-    if recipe["kind"] == "prefiltered":
-        base = _rebuild_joiner(
-            recipe["base"], r_dataset, s_dataset, attachments, recorder
-        )
-        return PrefilteredJoiner(
-            base,
-            attachments.attach(recipe["cell_rows"]),
-            attachments.attach(recipe["cell_cols"]),
-            attachments.attach(recipe["cell_scores"]),
-            recorder=recorder,
-        )
     if recipe["kind"] == "numeric":
         return NumericPagePairJoiner(
             r_dataset,
@@ -249,7 +217,6 @@ def _rebuild_joiner(
             recipe["self_join"],
             collect_pairs=recipe["collect_pairs"],
             recorder=recorder,
-            kernel_backend=recipe["kernel_backend"],
         )
     return TextPagePairJoiner(
         r_dataset,
@@ -261,5 +228,4 @@ def _rebuild_joiner(
         recipe["self_join"],
         collect_pairs=recipe["collect_pairs"],
         recorder=recorder,
-        kernel_backend=recipe["kernel_backend"],
     )

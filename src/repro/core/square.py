@@ -23,7 +23,7 @@ column slices are array gathers, distinct-row accounting is a prefix
 ``cumsum`` over first occurrences, and membership tests are
 ``searchsorted`` probes.  It is decision- and counter-identical to the
 frozen scalar implementation
-(:func:`repro.core.clusters_reference.square_clustering_reference`),
+(``square_clustering_reference`` in ``tests/oracles/clusters_reference.py``),
 which the equivalence suite pins on random matrices.
 """
 
@@ -296,7 +296,7 @@ def _square_clustering_scalar(
     """The SC loop as plain-int sweeps over per-column dicts.
 
     Decision- and counter-identical to the vectorised CSR path (both
-    replay :func:`repro.core.clusters_reference.square_clustering_reference`);
+    replay the frozen ``square_clustering_reference``);
     faster when clusters are tiny because each column holds a handful of
     entries — dict probes beat numpy dispatch at that size.  Column maps
     are filled in ``(col, row)`` order and only ever deleted from, so

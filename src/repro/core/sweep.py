@@ -18,7 +18,7 @@ the surviving candidate block is reduced with one vectorised
 remaining-dimension overlap mask.  No per-box event queue, no per-pair
 ``intersects()`` calls.  The produced marks and every ``SweepStats``
 counter are identical to the original event sweep
-(``repro.core.sweep_reference``): ``endpoints_processed`` still counts
+(``tests/oracles/sweep_reference.py``): ``endpoints_processed`` still counts
 two endpoints per swept box and ``intersection_tests`` still counts
 exactly the pairs whose dimension-0 intervals overlap — the block sweep
 merely finds them by binary search instead of by queue replay.

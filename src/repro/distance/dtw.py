@@ -143,7 +143,6 @@ class DTWDistance:
         right: np.ndarray,
         epsilon: float,
         recorder: Recorder = NULL_RECORDER,
-        kernel_backend=None,
     ) -> List[Tuple[int, int]]:
         """Envelope-filtered exact DTW join of two window arrays.
 
@@ -152,8 +151,6 @@ class DTWDistance:
         window blocks at once.  Survivors go through the batched banded
         DP (:func:`repro.kernels.dtw.dtw_batch`) in one call with
         ``epsilon`` as the shared early-abandon threshold.
-        ``kernel_backend`` picks the DP substrate (see
-        :mod:`repro.kernels.backends`); every backend is bit-identical.
         """
         if epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
@@ -171,7 +168,7 @@ class DTWDistance:
             return []
         dists = dtw_batch(
             left_arr[cand_i], right_arr[cand_k], self.band, max_dist=epsilon,
-            recorder=recorder, backend=kernel_backend,
+            recorder=recorder,
         )
         keep = dists <= epsilon
         return list(zip(cand_i[keep].tolist(), cand_k[keep].tolist()))

@@ -96,7 +96,6 @@ class EditDistance:
         left: Sequence[str],
         right: Sequence[str],
         epsilon: float,
-        kernel_backend=None,
     ) -> List[Tuple[int, int]]:
         if epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
@@ -112,10 +111,7 @@ class EditDistance:
             cand_i, cand_j = np.divmod(
                 np.arange(len(left) * len(right)), len(right)
             )
-            dists = edit_batch(
-                left_codes[cand_i], right_codes[cand_j], limit,
-                backend=kernel_backend,
-            )
+            dists = edit_batch(left_codes[cand_i], right_codes[cand_j], limit)
             keep = dists <= epsilon
             return list(zip(cand_i[keep].tolist(), cand_j[keep].tolist()))
         pairs: List[Tuple[int, int]] = []

@@ -8,10 +8,10 @@ class ReproError(Exception):
 
 
 class ConfigError(ReproError):
-    """Invalid configuration — e.g. an unknown kernel backend name.
+    """Invalid configuration — e.g. appending to a PAA-feature series index.
 
-    Raised eagerly, before any work starts, so a typo'd environment
-    variable or CLI flag fails loudly instead of surfacing mid-join.
+    Raised eagerly, before any work starts, so a bad request fails loudly
+    instead of surfacing mid-join.
     """
 
 

@@ -21,24 +21,14 @@ Modules
 ``edit``
     Batched banded Levenshtein DP over byte-encoded window pairs.
 ``wavefront``
-    Anti-diagonal rewrites of the DTW/edit DPs — batch × diagonal
-    vectorisation, bit-identical to the row kernels.
+    Anti-diagonal DTW/edit DPs — batch × diagonal vectorisation, the
+    chunk kernels behind ``dtw_batch`` / ``edit_batch``.
 ``backends``
-    The pluggable backend registry (``numpy`` / ``wavefront`` /
-    optional ``numba``) selected via ``REPRO_KERNEL_BACKEND``,
-    ``join(..., kernel_backend=...)``, or ``--kernel-backend``.
+    :class:`KernelBackend`, the panel filters the mega-batch cascades
+    call.
 """
 
-from repro.kernels.backends import (
-    DEFAULT_KERNEL_BACKEND,
-    KERNEL_BACKEND_ENV,
-    KernelBackend,
-    get_backend,
-    numba_available,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-)
+from repro.kernels.backends import KernelBackend
 from repro.kernels.dtw import batch_envelopes, dtw_batch, lb_keogh_block
 from repro.kernels.edit import edit_batch, encode_strings
 from repro.kernels.minkowski import minkowski_pairs, minkowski_pairwise
@@ -52,11 +42,4 @@ __all__ = [
     "minkowski_pairs",
     "minkowski_pairwise",
     "KernelBackend",
-    "DEFAULT_KERNEL_BACKEND",
-    "KERNEL_BACKEND_ENV",
-    "register_backend",
-    "registered_backends",
-    "get_backend",
-    "resolve_backend",
-    "numba_available",
 ]

@@ -1,102 +1,38 @@
-"""Pluggable kernel backends for the batched DP refinement kernels.
+"""The panel kernels the joiners' mega-batch cascades call.
 
-The refinement hot path — banded DTW and banded edit distance over
-candidate pair blocks, plus the LB_Keogh / envelope / Gram panel
-filters — is routed through a *backend* object so the execution
-substrate is a configuration choice rather than a rewrite.  Three
-backends ship:
+A cluster's cascade runs its filters over *panels* — one left page's
+objects against the gathered objects of the page's marked col pages
+(see :class:`repro.core.joiners._ClusterBlock`).  :class:`KernelBackend`
+gives the three panel kernels one entry point each, which the joiners
+call through :data:`KERNELS` and the end-to-end benchmark's per-layer
+trace wraps by name:
 
-``numpy``
-    The frozen batch-front reference kernels (``repro.kernels.dtw`` /
-    ``repro.kernels.edit``).  This is the bit-identity oracle every
-    other backend is tested against.
-``wavefront``
-    Anti-diagonal sweeps (``repro.kernels.wavefront``) that vectorise
-    across batch × diagonal — same per-cell arithmetic in the same
-    order, so bit-identical results, counters, and early-abandon
-    decisions, with Python-level loop count O(w + band) instead of
-    O(w · band).  The default.
-``numba``
-    ``@njit``-compiled per-pair DP recurrences
-    (``repro.kernels._numba_backend``); registered only when numba is
-    importable (optional extra ``repro[numba]``).
+``batch_envelopes``
+    Keogh envelopes of a block of DTW windows.
+``lb_keogh_panel``
+    LB_Keogh of a left block against a gathered envelope panel.
+``euclidean_gram_panel``
+    The Gram-matrix ε-filter of a left block against a right panel.
 
-Selection precedence is ``env < kwarg < CLI``: the
-``REPRO_KERNEL_BACKEND`` environment variable supplies the default,
-``join(..., kernel_backend=...)`` overrides it, and the CLI flag
-``--kernel-backend`` simply feeds that kwarg.  Unknown or unavailable
-names raise :class:`repro.errors.ConfigError` eagerly, listing the
-registered backends.
-
-A new substrate (e.g. CuPy) plugs in by subclassing
-:class:`KernelBackend`, overriding the two chunk kernels (and
-optionally the panel hooks), and calling :func:`register_backend` —
-nothing upstream changes.
+The refinement DPs behind ``dtw_batch`` / ``edit_batch`` are the
+anti-diagonal kernels of :mod:`repro.kernels.wavefront`; their
+bit-identity oracle (the row-by-row DPs) lives with the tests.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.kernels import dtw as _dtw_mod
-from repro.kernels import edit as _edit_mod
 from repro.kernels import minkowski as _minkowski_mod
-from repro.kernels.wavefront import dtw_chunk_wavefront, edit_chunk_wavefront
 
-__all__ = [
-    "KernelBackend",
-    "NumpyKernelBackend",
-    "WavefrontKernelBackend",
-    "DEFAULT_KERNEL_BACKEND",
-    "KERNEL_BACKEND_ENV",
-    "register_backend",
-    "registered_backends",
-    "get_backend",
-    "resolve_backend",
-    "numba_available",
-]
-
-KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-DEFAULT_KERNEL_BACKEND = "wavefront"
-
-# Backends that are known but only register when their dependency
-# imports; the ConfigError message tells the user how to get them.
-_OPTIONAL_HINTS = {
-    "numba": "it requires the optional numba dependency (pip install 'repro[numba]')",
-    "cupy": "a CuPy backend is not bundled; see docs/architecture.md for the recipe",
-}
+__all__ = ["KernelBackend", "KERNELS"]
 
 
 class KernelBackend:
-    """One execution substrate for the refinement DP chunk kernels.
-
-    Subclasses must implement the two chunk kernels.  The panel hooks
-    (envelopes, LB_Keogh, Gram filter) default to the shared numpy
-    implementations — they are already single fused array operations,
-    and reusing them keeps the candidate *sets* (and therefore every
-    counter) trivially identical across backends; a GPU backend would
-    override them to keep data device-resident.
-    """
-
-    name = "abstract"
-
-    def dtw_chunk(
-        self, a: np.ndarray, b: np.ndarray, band: int, max_dist: Optional[float]
-    ) -> Tuple[np.ndarray, int]:
-        """Banded DTW of one aligned chunk -> (distances, abandoned)."""
-        raise NotImplementedError
-
-    def edit_chunk(
-        self, a: np.ndarray, b: np.ndarray, max_dist: int
-    ) -> Tuple[np.ndarray, int]:
-        """Banded edit distance of one aligned chunk -> (distances, abandoned)."""
-        raise NotImplementedError
-
-    # --- panel hooks (shared numpy implementations by default) ---
+    """The panel filters of the mega-batch cascades."""
 
     def batch_envelopes(
         self, windows: np.ndarray, band: int
@@ -120,95 +56,5 @@ class KernelBackend:
             left_rows, right_panel, left_sq, right_sq, epsilon
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<KernelBackend {self.name!r}>"
 
-
-class NumpyKernelBackend(KernelBackend):
-    """The frozen batch-front reference kernels — the bit-identity oracle."""
-
-    name = "numpy"
-
-    def dtw_chunk(self, a, b, band, max_dist):
-        return _dtw_mod._dtw_chunk(a, b, band, max_dist)
-
-    def edit_chunk(self, a, b, max_dist):
-        return _edit_mod._edit_chunk(a, b, max_dist)
-
-
-class WavefrontKernelBackend(KernelBackend):
-    """Anti-diagonal sweeps: O(w + band) Python iterations per chunk."""
-
-    name = "wavefront"
-
-    def dtw_chunk(self, a, b, band, max_dist):
-        return dtw_chunk_wavefront(a, b, band, max_dist)
-
-    def edit_chunk(self, a, b, max_dist):
-        return edit_chunk_wavefront(a, b, max_dist)
-
-
-_REGISTRY: Dict[str, KernelBackend] = {}
-
-
-def register_backend(backend: KernelBackend, *, overwrite: bool = False) -> KernelBackend:
-    """Add ``backend`` to the registry under ``backend.name``."""
-    if not overwrite and backend.name in _REGISTRY:
-        raise ConfigError(f"kernel backend {backend.name!r} is already registered")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def registered_backends() -> Tuple[str, ...]:
-    """Names of every registered backend, registration order."""
-    return tuple(_REGISTRY)
-
-
-def get_backend(name: str) -> KernelBackend:
-    """Look up a backend by name; unknown names raise :class:`ConfigError`."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        detail = ""
-        if name in _OPTIONAL_HINTS:
-            detail = f" ({_OPTIONAL_HINTS[name]})"
-        raise ConfigError(
-            f"unknown kernel backend {name!r}{detail}; registered backends: "
-            + ", ".join(sorted(_REGISTRY))
-        ) from None
-
-
-def resolve_backend(
-    choice: Union[None, str, KernelBackend] = None,
-) -> KernelBackend:
-    """Resolve a backend choice eagerly (precedence: env < caller).
-
-    ``None`` falls back to the ``REPRO_KERNEL_BACKEND`` environment
-    variable, then to :data:`DEFAULT_KERNEL_BACKEND`.  Strings are
-    looked up in the registry; :class:`KernelBackend` instances pass
-    through.  Unknown names raise :class:`ConfigError` immediately so a
-    typo fails before any pages are read.
-    """
-    if isinstance(choice, KernelBackend):
-        return choice
-    if choice is None:
-        choice = os.environ.get(KERNEL_BACKEND_ENV) or DEFAULT_KERNEL_BACKEND
-    return get_backend(str(choice))
-
-
-def numba_available() -> bool:
-    """True when the optional numba backend registered at import."""
-    return "numba" in _REGISTRY
-
-
-def _register_builtin_backends() -> None:
-    register_backend(NumpyKernelBackend())
-    register_backend(WavefrontKernelBackend())
-    try:
-        from repro.kernels import _numba_backend
-    except ImportError:
-        return
-    register_backend(_numba_backend.NumbaKernelBackend())
-
-
-_register_builtin_backends()
+KERNELS = KernelBackend()

@@ -1,12 +1,13 @@
 """Batched banded-DTW kernels: block envelopes, LB_Keogh, shared-abandon DP.
 
 The scalar reference ``repro.distance.dtw.dtw_distance`` is a Python
-double loop — ``w · (2·band + 1)`` interpreted steps *per pair*.  The
-batched DP below runs the same loop shape once for the whole candidate
-block: each DP cell update is one vectorised operation over every still-
-alive pair, so the interpreter cost is amortised over the block.  Pairs
-whose band row-minimum exceeds the shared threshold are retired from the
-block immediately (the batched form of early abandon).
+double loop — ``w · (2·band + 1)`` interpreted steps *per pair*.
+``dtw_batch`` runs the DP once for the whole candidate block, one
+anti-diagonal at a time across every still-alive pair
+(:mod:`repro.kernels.wavefront`), so the interpreter cost is amortised
+over the block.  Pairs whose band row-minimum exceeds the shared
+threshold are retired from the block (the batched form of early
+abandon).
 
 Bit-identity with the scalar DP holds because every cell performs the
 same float64 operations in the same order: ``gap² + min(prev[j],
@@ -20,6 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.kernels.wavefront import dtw_chunk_wavefront
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = ["batch_envelopes", "lb_keogh_block", "lb_keogh_panel", "dtw_batch"]
@@ -107,7 +109,6 @@ def dtw_batch(
     band: int,
     max_dist: float | None = None,
     recorder: Recorder = NULL_RECORDER,
-    backend=None,
 ) -> np.ndarray:
     """Banded DTW of ``K`` aligned window pairs: ``a[k]`` vs ``b[k]``.
 
@@ -115,17 +116,10 @@ def dtw_batch(
     page-pair case — every window of a sequence join has the same
     length).  Returns a ``(K,)`` float64 array bit-identical to calling
     :func:`repro.distance.dtw.dtw_distance` per pair, including the
-    ``max_dist + 1`` early-abandon sentinel.  ``backend`` selects the
-    chunk kernel substrate (a name, a
-    :class:`repro.kernels.backends.KernelBackend`, or ``None`` for the
-    environment/default selection); every registered backend is
-    bit-identical, so the choice never changes results or counters
-    other than the per-backend invocation counter.
+    ``max_dist + 1`` early-abandon sentinel.  Each chunk of
+    ``_CHUNK_PAIRS`` pairs runs the anti-diagonal DP of
+    :func:`repro.kernels.wavefront.dtw_chunk_wavefront`.
     """
-    # Imported lazily: backends.py imports this module for the oracle.
-    from repro.kernels.backends import resolve_backend
-
-    kb = resolve_backend(backend)
     a_arr = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b_arr = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if band < 0:
@@ -143,7 +137,7 @@ def dtw_batch(
     abandoned = 0
     for start in range(0, a_arr.shape[0], _CHUNK_PAIRS):
         stop = start + _CHUNK_PAIRS
-        out[start:stop], retired = kb.dtw_chunk(
+        out[start:stop], retired = dtw_chunk_wavefront(
             a_arr[start:stop], b_arr[start:stop], band, max_dist
         )
         abandoned += retired
@@ -151,49 +145,4 @@ def dtw_batch(
         recorder.count("kernel.dtw.invocations")
         recorder.count("kernel.dtw.pairs", int(a_arr.shape[0]))
         recorder.count("kernel.dtw.abandoned", abandoned)
-        recorder.count(f"kernel.backend.{kb.name}.dtw.invocations")
     return out
-
-
-def _dtw_chunk(
-    a: np.ndarray, b: np.ndarray, band: int, max_dist: float | None
-) -> Tuple[np.ndarray, int]:
-    """One chunk's distances plus how many pairs were retired early."""
-    k, w = a.shape
-    limit_sq = None if max_dist is None else float(max_dist) ** 2
-    out = np.empty(k)
-    abandoned = 0
-    alive = np.arange(k)
-    prev = np.full((k, w + 1), np.inf)
-    prev[:, 0] = 0.0
-    for i in range(1, w + 1):
-        cur = np.full((alive.shape[0], w + 1), np.inf)
-        j_lo = max(1, i - band)
-        j_hi = min(w, i + band)
-        ai = a[:, i - 1]
-        row_min = np.full(alive.shape[0], np.inf)
-        for j in range(j_lo, j_hi + 1):
-            gap = ai - b[:, j - 1]
-            best_prev = np.minimum(np.minimum(prev[:, j], prev[:, j - 1]), cur[:, j - 1])
-            cell = gap * gap + best_prev
-            cur[:, j] = cell
-            np.minimum(row_min, cell, out=row_min)
-        if limit_sq is not None:
-            dead = row_min > limit_sq
-            if dead.any():
-                dead_ids = alive[dead]
-                out[dead_ids] = float(max_dist) + 1.0
-                abandoned += int(dead_ids.size)
-                keep = ~dead
-                alive = alive[keep]
-                if alive.shape[0] == 0:
-                    return out, abandoned
-                cur = cur[keep]
-                a = a[keep]
-                b = b[keep]
-        prev = cur
-    result = np.sqrt(prev[:, w])
-    if max_dist is not None:
-        result = np.where(result > max_dist, float(max_dist) + 1.0, result)
-    out[alive] = result
-    return out, abandoned

@@ -1,8 +1,8 @@
 """Anti-diagonal (wavefront) banded DP kernels for DTW and edit distance.
 
-The batch-front reference kernels in :mod:`repro.kernels.dtw` and
-:mod:`repro.kernels.edit` vectorise across the candidate batch but still
-walk the DP matrix cell by cell — ``w · (2·band + 1)`` interpreted
+The row-by-row reference kernels (kept as the oracle in
+``tests/oracles/kernels.py``) vectorise across the candidate batch but
+still walk the DP matrix cell by cell — ``w · (2·band + 1)`` interpreted
 Python steps per chunk.  The kernels below sweep the same matrix along
 anti-diagonals ``d = i + j``: every cell on a diagonal depends only on
 the two previous diagonals (``up`` and ``left`` on ``d − 1``, ``diag``
@@ -69,7 +69,7 @@ def _diag_range(d: int, w: int, band: int) -> Tuple[int, int]:
 def dtw_chunk_wavefront(
     a: np.ndarray, b: np.ndarray, band: int, max_dist: float | None
 ) -> Tuple[np.ndarray, int]:
-    """Wavefront twin of ``repro.kernels.dtw._dtw_chunk`` — bit-identical."""
+    """Banded DTW of one aligned chunk -> (distances, abandoned)."""
     k, w = a.shape
     limit_sq = None if max_dist is None else float(max_dist) ** 2
     out = np.empty(k)
@@ -155,7 +155,7 @@ def dtw_chunk_wavefront(
 def edit_chunk_wavefront(
     a: np.ndarray, b: np.ndarray, max_dist: int
 ) -> Tuple[np.ndarray, int]:
-    """Wavefront twin of ``repro.kernels.edit._edit_chunk`` — bit-identical."""
+    """Banded edit distance of one aligned chunk -> (distances, abandoned)."""
     k, w = a.shape
     band = int(max_dist)
     big = np.int32(2 * w + 1)

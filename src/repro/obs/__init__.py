@@ -21,11 +21,9 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import DiskCostReplayer, fraction_to_ppm, seconds_to_us, signed_residual
 from repro.obs.recorder import (
-    BACKEND_VARIANT_COUNTER_PREFIXES,
     BATCHING_VARIANT_COUNTERS,
     EXPLAIN_VARIANT_COUNTER_PREFIXES,
     NULL_RECORDER,
-    PREFILTER_VARIANT_COUNTER_PREFIXES,
     SERVING_COUNTER_PREFIXES,
     SHARDING_VARIANT_COUNTER_PREFIXES,
     Histogram,
@@ -39,8 +37,6 @@ from repro.obs.recorder import (
 __all__ = [
     "BATCHING_VARIANT_COUNTERS",
     "SHARDING_VARIANT_COUNTER_PREFIXES",
-    "PREFILTER_VARIANT_COUNTER_PREFIXES",
-    "BACKEND_VARIANT_COUNTER_PREFIXES",
     "EXPLAIN_VARIANT_COUNTER_PREFIXES",
     "SERVING_COUNTER_PREFIXES",
     "Recorder",

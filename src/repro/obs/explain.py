@@ -353,11 +353,12 @@ class ExplainCollector:
             "predicted_cpu_seconds": predicted_cpu_seconds,
         }
 
-    def snapshot_prefilter(self, plan, mode: str) -> None:
+    def snapshot_prefilter(self, plan) -> None:
         total_mass = plan.total_mass
         unmarked_mass = plan.unmarked_mass
         self._plan["prefilter"] = {
-            "mode": mode,
+            # Schema v1 field; approximate is the only prefilter mode.
+            "mode": "approximate",
             "cells_scored": plan.num_cells,
             "cells_unmarked": plan.num_unmarked,
             "est_recall": plan.est_recall,

@@ -45,8 +45,6 @@ __all__ = [
     "NULL_RECORDER",
     "BATCHING_VARIANT_COUNTERS",
     "SHARDING_VARIANT_COUNTER_PREFIXES",
-    "PREFILTER_VARIANT_COUNTER_PREFIXES",
-    "BACKEND_VARIANT_COUNTER_PREFIXES",
     "EXPLAIN_VARIANT_COUNTER_PREFIXES",
     "SERVING_COUNTER_PREFIXES",
 ]
@@ -76,26 +74,6 @@ BATCHING_VARIANT_COUNTERS = frozenset(
 # serial and sharded paths must drop counters with these prefixes (and
 # the batching set) and require everything else to match exactly.
 SHARDING_VARIANT_COUNTER_PREFIXES = ("executor.shard",)
-
-# Counter-name prefixes that exist only with the sketch prefilter
-# enabled (``join(..., prefilter=...)`` — cell scoring, sketch-cache
-# traffic, cascade reordering).  Exact-mode equivalence checks against
-# ``prefilter=None`` must drop counters with these prefixes and require
-# everything else to match exactly.  Between serial and sharded runs of
-# the *same* prefilter setting these counters are NOT variant: worker
-# shards' ``prefilter.*`` sums equal the serial totals.
-PREFILTER_VARIANT_COUNTER_PREFIXES = ("prefilter.",)
-
-# Counter-name prefix for per-backend kernel attribution
-# (``kernel.backend.<name>.dtw.invocations`` etc., recorded by
-# ``dtw_batch``/``edit_batch`` alongside the backend-agnostic totals).
-# Invocation counts depend on batching granularity exactly like
-# :data:`BATCHING_VARIANT_COUNTERS`, and the backend *name* inside the
-# counter differs between runs pinned to different backends, so
-# equivalence checks across batching modes or backends must drop this
-# prefix.  Between serial and sharded runs of the *same* configuration
-# these counters are NOT variant: shard sums equal the serial totals.
-BACKEND_VARIANT_COUNTER_PREFIXES = ("kernel.backend.",)
 
 # Counter-name prefix that exists only with the EXPLAIN layer enabled
 # (``join(..., explain=True)`` — signed reconciliation residuals, see

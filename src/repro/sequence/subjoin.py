@@ -56,7 +56,6 @@ def subsequence_join(
     recorder: Optional[Recorder] = None,
     batch_pairs: Optional[int] = None,
     prefilter=None,
-    kernel_backend=None,
     explain: bool = False,
 ) -> SubsequenceJoinResult:
     """Find all window pairs of length ``window_length`` within ``epsilon``.
@@ -72,9 +71,9 @@ def subsequence_join(
     traces and metrics.  ``batch_pairs`` sets the cluster-execution
     granularity (``None`` = whole-cluster mega-batch, ``1`` = per page
     pair) without changing results or accounting.  ``prefilter``
-    forwards a sketch-cascade mode or :class:`repro.sketch.PrefilterConfig`
-    (``"exact"`` reorders only; ``"approximate"`` prunes under a recall
-    target — see :func:`repro.core.join.join`).  ``explain=True``
+    forwards ``"approximate"`` or a :class:`repro.sketch.PrefilterConfig`
+    (the sketch cascade prunes under a recall target — see
+    :func:`repro.core.join.join`).  ``explain=True``
     attaches the plan/reconciliation artifact as
     ``result.report.extra["explain"]`` (see
     :class:`repro.obs.explain.JoinExplain`).
@@ -106,7 +105,6 @@ def subsequence_join(
         recorder=recorder,
         batch_pairs=batch_pairs,
         prefilter=prefilter,
-        kernel_backend=kernel_backend,
         explain=explain,
     )
     return SubsequenceJoinResult(

@@ -45,7 +45,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.join import IndexedDataset
+from repro.core.join import IndexedDataset, require_finite
 from repro.core.prediction import PredictionMatrix
 from repro.core.sweep import SweepStats, marked_box_pairs
 from repro.distance.frequency import frequency_vectors_sliding
@@ -102,8 +102,11 @@ def append_to_dataset(
     suffix for text datasets, or a 1-d value suffix for series datasets.
     ``chain`` is the dataset's current fingerprint chain (it is copied,
     never mutated, so the old snapshot's provenance stays intact).
+    Numeric payloads with NaN or infinite values raise ``ValueError``.
     """
     _check_appendable(dataset)
+    if dataset.kind != "text":
+        payload = require_finite(payload, "appended values")
     if dataset.kind == "vector":
         return _append_vectors(dataset, chain, payload, page_capacity)
     return _append_sequence(dataset, chain, payload)

@@ -14,10 +14,8 @@ clustering:
    the prediction matrix, keyed by ``dataset_fingerprint`` plus the
    sketch parameters (:func:`repro.storage.persist.save_sketches`).
 2. :func:`plan_prefilter` scores every marked cell with an estimated
-   collision probability and either selects cells to *unmark*
-   (approximate mode, calibrated against ``recall_target``) or retains
-   the scores to reorder each cluster's cascade (exact mode) —
-   :mod:`repro.sketch.cascade`.
+   collision probability and selects cells to *unmark*, calibrated
+   against ``recall_target`` — :mod:`repro.sketch.cascade`.
 
 ``join(..., prefilter=...)`` is the user-facing entry point; see
 ``docs/architecture.md`` ("Prefilter cascade") for the estimation and
@@ -26,7 +24,6 @@ calibration details.
 
 from repro.sketch.config import PrefilterConfig, resolve_prefilter
 from repro.sketch.cascade import (
-    PrefilteredJoiner,
     PrefilterPlan,
     measured_recall,
     plan_prefilter,
@@ -42,7 +39,6 @@ __all__ = [
     "build_sketches",
     "sketch_params_fingerprint",
     "PrefilterPlan",
-    "PrefilteredJoiner",
     "plan_prefilter",
     "score_cells",
     "select_unmark",

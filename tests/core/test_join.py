@@ -27,6 +27,22 @@ class TestIndexedDatasetConstruction:
         assert ds.kind == "series"
         assert ds.distance is not None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, rng, bad):
+        points = rng.random((100, 3))
+        points[37, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            IndexedDataset.from_points(points, page_capacity=16)
+
+    @pytest.mark.parametrize("dtw_band", [None, 2])
+    def test_non_finite_series_rejected(self, rng, dtw_band):
+        values = rng.normal(size=200).cumsum()
+        values[120] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            IndexedDataset.from_time_series(
+                values, window_length=8, windows_per_page=16, dtw_band=dtw_band
+            )
+
     def test_paa_requires_euclidean(self, rng):
         with pytest.raises(ValueError):
             IndexedDataset.from_time_series(

@@ -12,11 +12,7 @@ import pytest
 
 from repro.core.join import IndexedDataset, join
 from repro.datasets import markov_dna
-from repro.obs import (
-    BACKEND_VARIANT_COUNTER_PREFIXES,
-    BATCHING_VARIANT_COUNTERS,
-    InMemoryRecorder,
-)
+from repro.obs import BATCHING_VARIANT_COUNTERS, InMemoryRecorder
 from repro.sequence.subjoin import subsequence_join
 
 
@@ -26,7 +22,6 @@ def _semantic_counters(recorder: InMemoryRecorder) -> dict:
         name: value
         for name, value in counters.items()
         if name not in BATCHING_VARIANT_COUNTERS
-        and not name.startswith(BACKEND_VARIANT_COUNTER_PREFIXES)
     }
 
 
@@ -122,13 +117,6 @@ class TestVectorEquivalence:
         _assert_identical(baseline, megabatch)
         # Self matches really are excluded, not merely equal on both paths.
         assert all(a < b for a, b in megabatch[0].pairs)
-
-    def test_intermediate_batch_sizes_match(self, vector_pair):
-        r, s = vector_pair
-        baseline = _run(r, s, 0.05, batch_pairs=1)
-        for batch_pairs in (2, 3, 7):
-            chunked = _run(r, s, 0.05, batch_pairs=batch_pairs)
-            _assert_identical(baseline, chunked)
 
     def test_count_only_cardinality_matches(self, vector_pair):
         r, s = vector_pair
@@ -237,8 +225,9 @@ class TestInvariantsUnderBatching:
 
     def test_batch_pairs_validation(self, vector_pair):
         r, s = vector_pair
-        with pytest.raises(ValueError, match="batch_pairs"):
-            join(r, s, 0.05, buffer_pages=10, batch_pairs=0)
+        for batch_pairs in (0, 2, 7):
+            with pytest.raises(ValueError, match="batch_pairs"):
+                join(r, s, 0.05, buffer_pages=10, batch_pairs=batch_pairs)
 
 
 class TestNonLruPolicies:

@@ -1,213 +1,44 @@
-"""Exact-mode prefilter equivalence: ``prefilter="exact"`` may only
-*reorder* each cluster's cascade, so a join with it must be
-observationally identical to ``prefilter=None`` — pairs (order
-included), every simulated cost field, every semantic counter — across
-joiner kinds, worker counts, and serial vs process-sharded execution.
-Only the ``prefilter.*`` counters (which exist solely with the
-prefilter on) and the batching/sharding kernel-shape counters may
-differ.
+"""The ``prefilter=`` argument: validation, forwarding and telemetry.
+
+The approximate cascade's recall contract is tested in
+``tests/sketch/test_prefilter_recall.py``; its serial and sharded runs
+are compared counter for counter in ``tests/obs/test_explain.py``.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.join import IndexedDataset, join
+from repro.core.join import join
 from repro.datasets import markov_dna
-from repro.obs import (
-    BACKEND_VARIANT_COUNTER_PREFIXES,
-    BATCHING_VARIANT_COUNTERS,
-    PREFILTER_VARIANT_COUNTER_PREFIXES,
-    SHARDING_VARIANT_COUNTER_PREFIXES,
-    InMemoryRecorder,
-)
+from repro.obs import InMemoryRecorder
 from repro.sketch.config import PrefilterConfig
 
 
-def _semantic_counters(recorder: InMemoryRecorder) -> dict:
-    counters = recorder.metrics_snapshot()["counters"]
-    return {
-        name: value
-        for name, value in counters.items()
-        if name not in BATCHING_VARIANT_COUNTERS
-        and not name.startswith(SHARDING_VARIANT_COUNTER_PREFIXES)
-        and not name.startswith(PREFILTER_VARIANT_COUNTER_PREFIXES)
-        and not name.startswith(BACKEND_VARIANT_COUNTER_PREFIXES)
-    }
-
-
-def _run(r, s, epsilon, *, prefilter, workers=1, shard_strategy=None, **kwargs):
+def _run(r, s, epsilon, *, prefilter, **kwargs):
     rec = InMemoryRecorder()
     result = join(
-        r, s, epsilon, method="sc", buffer_pages=10, workers=workers,
-        shard_strategy=shard_strategy, prefilter=prefilter, recorder=rec,
-        **kwargs,
+        r, s, epsilon, method="sc", buffer_pages=10, prefilter=prefilter,
+        recorder=rec, **kwargs,
     )
     return result, rec
-
-
-def _assert_identical(baseline, candidate):
-    """Bit-identical observable behaviour between two join runs."""
-    base_result, base_rec = baseline
-    cand_result, cand_rec = candidate
-    assert cand_result.pairs == base_result.pairs
-    br, cr = base_result.report, cand_result.report
-    assert cr.result_pairs == br.result_pairs
-    assert cr.comparisons == br.comparisons
-    assert cr.cpu_seconds == br.cpu_seconds
-    assert cr.io_seconds == br.io_seconds
-    assert cr.page_reads == br.page_reads
-    assert cr.seeks == br.seeks
-    assert cr.buffer_hits == br.buffer_hits
-    assert cr.extra["pages_reused"] == br.extra["pages_reused"]
-    assert _semantic_counters(cand_rec) == _semantic_counters(base_rec)
-
-
-@pytest.fixture(scope="module")
-def series_pair():
-    rng = np.random.default_rng(7)
-    walk = np.cumsum(rng.normal(size=600))
-    r = IndexedDataset.from_time_series(walk, window_length=16, windows_per_page=32)
-    s = IndexedDataset.from_time_series(
-        walk[100:500] + rng.normal(scale=0.05, size=400),
-        window_length=16,
-        windows_per_page=32,
-    )
-    return r, s
-
-
-@pytest.fixture(scope="module")
-def dtw_pair():
-    rng = np.random.default_rng(11)
-    walk = np.cumsum(rng.normal(size=500))
-    r = IndexedDataset.from_time_series(
-        walk, window_length=12, windows_per_page=24, dtw_band=2
-    )
-    s = IndexedDataset.from_time_series(
-        walk[50:450] + rng.normal(scale=0.05, size=400),
-        window_length=12,
-        windows_per_page=24,
-        dtw_band=2,
-    )
-    return r, s
-
-
-@pytest.fixture(scope="module")
-def text_pair():
-    r = IndexedDataset.from_string(
-        markov_dna(1200, seed=5), window_length=8, windows_per_page=24
-    )
-    s = IndexedDataset.from_string(
-        markov_dna(900, seed=6), window_length=8, windows_per_page=24
-    )
-    return r, s
-
-
-class TestExactModeIdentity:
-    """Every joiner kind × workers × serial/sharded, vs prefilter=None."""
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_vector_join(self, vector_pair, workers):
-        r, s = vector_pair
-        baseline = _run(r, s, 0.05, prefilter=None, workers=workers)
-        exact = _run(r, s, 0.05, prefilter="exact", workers=workers)
-        _assert_identical(baseline, exact)
-        assert baseline[0].num_pairs > 0
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_series_join(self, series_pair, workers):
-        r, s = series_pair
-        baseline = _run(r, s, 0.5, prefilter=None, workers=workers)
-        exact = _run(r, s, 0.5, prefilter="exact", workers=workers)
-        _assert_identical(baseline, exact)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_dtw_join(self, dtw_pair, workers):
-        r, s = dtw_pair
-        baseline = _run(r, s, 0.6, prefilter=None, workers=workers)
-        exact = _run(r, s, 0.6, prefilter="exact", workers=workers)
-        _assert_identical(baseline, exact)
-        assert baseline[0].num_pairs > 0
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_text_join(self, text_pair, workers):
-        r, s = text_pair
-        baseline = _run(r, s, 1.0, prefilter=None, workers=workers)
-        exact = _run(r, s, 1.0, prefilter="exact", workers=workers)
-        _assert_identical(baseline, exact)
-
-    @pytest.mark.parametrize("shard_strategy", ["affinity", "chunk"])
-    def test_sharded_vector_join(self, vector_pair, shard_strategy):
-        r, s = vector_pair
-        baseline = _run(r, s, 0.05, prefilter=None)
-        exact = _run(
-            r, s, 0.05, prefilter="exact", workers=2,
-            shard_strategy=shard_strategy,
-        )
-        _assert_identical(baseline, exact)
-
-    def test_sharded_text_join(self, text_pair):
-        r, s = text_pair
-        baseline = _run(r, s, 1.0, prefilter=None)
-        exact = _run(
-            r, s, 1.0, prefilter="exact", workers=2, shard_strategy="affinity"
-        )
-        _assert_identical(baseline, exact)
-
-    def test_self_join(self, vector_pair):
-        r, _ = vector_pair
-        baseline = _run(r, r, 0.03, prefilter=None)
-        exact = _run(r, r, 0.03, prefilter="exact")
-        _assert_identical(baseline, exact)
-        assert all(a < b for a, b in exact[0].pairs)
-
-    def test_per_pair_path_identity(self, vector_pair):
-        # batch_pairs=1 exercises the wrapper's __call__ delegation: the
-        # per-pair path must not be reordered (entry order drives buffer
-        # recency), so it stays identical by *not* touching the order.
-        r, s = vector_pair
-        baseline = _run(r, s, 0.05, prefilter=None, batch_pairs=1)
-        exact = _run(r, s, 0.05, prefilter="exact", batch_pairs=1)
-        _assert_identical(baseline, exact)
-
-    def test_exact_config_object(self, vector_pair):
-        r, s = vector_pair
-        baseline = _run(r, s, 0.05, prefilter=None)
-        exact = _run(
-            r, s, 0.05, prefilter=PrefilterConfig(mode="exact", num_hashes=4)
-        )
-        _assert_identical(baseline, exact)
-
-    def test_subsequence_join_forwards_prefilter(self):
-        from repro.sequence.subjoin import subsequence_join
-
-        dna = markov_dna(2500, seed=7)
-        kwargs = dict(
-            window_length=24, epsilon=1, method="sc",
-            buffer_pages=16, windows_per_page=32,
-        )
-        baseline = subsequence_join(dna, None, **kwargs)
-        exact = subsequence_join(dna, None, prefilter="exact", **kwargs)
-        assert sorted(exact.offsets) == sorted(baseline.offsets)
-        assert exact.report.page_reads == baseline.report.page_reads
-        assert exact.report.extra["prefilter"]["cells_unmarked"] == 0
-        approx = subsequence_join(
-            dna, None, prefilter=PrefilterConfig(recall_target=0.99), **kwargs
-        )
-        assert set(approx.offsets) <= set(baseline.offsets)
 
 
 class TestPrefilterValidation:
     def test_rejected_for_competitor_methods(self, vector_pair):
         r, s = vector_pair
         with pytest.raises(ValueError, match="prefilter"):
-            join(r, s, 0.05, method="nlj", buffer_pages=10, prefilter="exact")
+            join(r, s, 0.05, method="nlj", buffer_pages=10, prefilter="approximate")
 
     def test_rejected_for_unknown_mode(self, vector_pair):
         r, s = vector_pair
         with pytest.raises(ValueError, match="prefilter"):
             join(r, s, 0.05, buffer_pages=10, prefilter="fuzzy")
+
+    def test_exact_mode_was_removed(self, vector_pair):
+        r, s = vector_pair
+        with pytest.raises(ValueError, match="prefilter='exact' was removed"):
+            join(r, s, 0.05, buffer_pages=10, prefilter="exact")
 
     def test_rejected_for_wrong_type(self, vector_pair):
         r, s = vector_pair
@@ -218,19 +49,18 @@ class TestPrefilterValidation:
 class TestPrefilterTelemetry:
     def test_prefilter_counters_and_span_present(self, vector_pair):
         r, s = vector_pair
-        result, rec = _run(r, s, 0.05, prefilter="exact")
+        result, rec = _run(r, s, 0.05, prefilter="approximate")
         counters = rec.metrics_snapshot()["counters"]
-        assert counters["prefilter.cells_scored"] > 0
-        assert counters["prefilter.cells_unmarked"] == 0
+        info = result.report.extra["prefilter"]
+        assert counters["prefilter.cells_scored"] == info["cells_scored"] > 0
+        assert counters["prefilter.cells_unmarked"] == info["cells_unmarked"]
         assert counters["prefilter.sketch_builds"] == 2
         spans = [s.name for s in rec.spans]
         assert "join.prefilter" in spans
         stage_seconds = result.report.extra["stage_seconds"]
         assert stage_seconds["prefilter"] > 0.0
-        info = result.report.extra["prefilter"]
-        assert info["mode"] == "exact"
-        assert info["cells_unmarked"] == 0
-        assert info["est_recall"] == 1.0
+        assert info["mode"] == "approximate"
+        assert 0.0 < info["est_recall"] <= 1.0
 
     def test_no_prefilter_keys_without_prefilter(self, vector_pair):
         r, s = vector_pair
@@ -240,22 +70,18 @@ class TestPrefilterTelemetry:
         assert "prefilter" not in result.report.extra
         assert result.report.extra["stage_seconds"]["prefilter"] == 0.0
 
-    def test_sharded_reorder_counter_merges_to_serial_total(self, vector_pair):
-        # prefilter.* counters are NOT sharding-variant: each worker
-        # reports its shard's reordered clusters and the parent's merge
-        # must sum to the serial total.
-        r, s = vector_pair
-        _, serial_rec = _run(r, s, 0.05, prefilter="exact")
-        _, sharded_rec = _run(
-            r, s, 0.05, prefilter="exact", workers=2, shard_strategy="affinity"
+    def test_subsequence_join_forwards(self):
+        from repro.sequence.subjoin import subsequence_join
+
+        dna = markov_dna(2500, seed=7)
+        kwargs = dict(
+            window_length=24, epsilon=1, method="sc",
+            buffer_pages=16, windows_per_page=32,
         )
-        serial = serial_rec.metrics_snapshot()["counters"]
-        sharded = sharded_rec.metrics_snapshot()["counters"]
-        assert serial["prefilter.reordered_clusters"] > 0
-        assert (
-            sharded["prefilter.reordered_clusters"]
-            == serial["prefilter.reordered_clusters"]
+        baseline = subsequence_join(dna, None, **kwargs)
+        approx = subsequence_join(
+            dna, None, prefilter=PrefilterConfig(recall_target=0.99), **kwargs
         )
-        # Parent-side planning counters are unaffected by sharding too.
-        for name in ("prefilter.cells_scored", "prefilter.cells_unmarked"):
-            assert sharded[name] == serial[name]
+        assert "prefilter" not in baseline.report.extra
+        assert approx.report.extra["prefilter"]["cells_scored"] > 0
+        assert set(approx.offsets) <= set(baseline.offsets)

@@ -20,6 +20,15 @@ class TestRunMethods:
         counts = {run.num_pairs for run in runs.values()}
         assert len(counts) == 1
 
+    def test_prefilter_forwarded_to_clustering_methods_only(self, vector_pair):
+        r, s = vector_pair
+        runs = run_methods(
+            r, s, 0.05, ["nlj", "sc"], buffer_pages=10, prefilter="approximate"
+        )
+        assert "prefilter" not in runs["nlj"].report.extra
+        assert runs["sc"].report.extra["prefilter"]["cells_scored"] > 0
+        assert runs["sc"].num_pairs <= runs["nlj"].num_pairs
+
     def test_infeasible_method_reported_as_none(self, rng):
         from repro.core.join import IndexedDataset
 

@@ -8,6 +8,9 @@ The kernel layer's contract (ISSUE 1 tentpole) is that batching changes
 reference accepts.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,12 +28,24 @@ from repro.kernels import (
     encode_strings,
     minkowski_pairs,
     minkowski_pairwise,
-    registered_backends,
 )
+from tests.oracles.kernels import _dtw_chunk, _edit_chunk
 
-# Every registered backend must pass the bit-identity suite — numba
-# joins the list automatically when its optional dependency is present.
-BACKENDS = sorted(registered_backends())
+# The chunk kernels dtw_batch / edit_batch run: the shipped wavefront
+# DPs, and the row-by-row oracle they are checked against — so the
+# oracle stays pinned to the scalar distance functions too.
+CHUNK_KERNELS = ["numpy", "wavefront"]
+
+
+@contextmanager
+def chunk_kernels(name):
+    """Run ``dtw_batch`` / ``edit_batch`` on the named chunk kernels."""
+    if name == "wavefront":
+        yield
+        return
+    with mock.patch.object(kdtw, "dtw_chunk_wavefront", _dtw_chunk), \
+            mock.patch.object(kedit, "edit_chunk_wavefront", _edit_chunk):
+        yield
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -62,27 +77,29 @@ def dna_blocks(draw):
 
 
 class TestDtwBatch:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel", CHUNK_KERNELS)
     @given(window_pair_blocks(), st.integers(min_value=0, max_value=6))
     @settings(max_examples=60, deadline=None)
-    def test_unbounded_matches_scalar_bitwise(self, backend, block, band):
+    def test_unbounded_matches_scalar_bitwise(self, kernel, block, band):
         a, b = block
-        batched = dtw_batch(a, b, band, backend=backend)
+        with chunk_kernels(kernel):
+            batched = dtw_batch(a, b, band)
         scalar = np.array(
             [dtw_distance(a[k], b[k], band) for k in range(a.shape[0])]
         )
         assert np.array_equal(batched, scalar)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel", CHUNK_KERNELS)
     @given(
         window_pair_blocks(),
         st.integers(min_value=0, max_value=6),
         st.floats(min_value=0, max_value=30, allow_nan=False),
     )
     @settings(max_examples=60, deadline=None)
-    def test_early_abandon_matches_scalar_bitwise(self, backend, block, band, max_dist):
+    def test_early_abandon_matches_scalar_bitwise(self, kernel, block, band, max_dist):
         a, b = block
-        batched = dtw_batch(a, b, band, max_dist=max_dist, backend=backend)
+        with chunk_kernels(kernel):
+            batched = dtw_batch(a, b, band, max_dist=max_dist)
         scalar = np.array(
             [dtw_distance(a[k], b[k], band, max_dist=max_dist) for k in range(a.shape[0])]
         )
@@ -97,12 +114,13 @@ class TestDtwBatch:
         below = np.nextafter(true, 0.0)
         assert dtw_batch(a, b, 1, max_dist=below)[0] == below + 1.0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chunking_boundary(self, rng, monkeypatch, backend):
+    @pytest.mark.parametrize("kernel", CHUNK_KERNELS)
+    def test_chunking_boundary(self, rng, monkeypatch, kernel):
         monkeypatch.setattr(kdtw, "_CHUNK_PAIRS", 3)
         a = rng.normal(size=(10, 6))
         b = rng.normal(size=(10, 6))
-        chunked = dtw_batch(a, b, 2, max_dist=2.0, backend=backend)
+        with chunk_kernels(kernel):
+            chunked = dtw_batch(a, b, 2, max_dist=2.0)
         scalar = np.array([dtw_distance(a[k], b[k], 2, max_dist=2.0) for k in range(10)])
         assert np.array_equal(chunked, scalar)
 
@@ -127,14 +145,13 @@ class TestDtwBatch:
 
 
 class TestEditBatch:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel", CHUNK_KERNELS)
     @given(dna_blocks(), st.integers(min_value=0, max_value=8))
     @settings(max_examples=80, deadline=None)
-    def test_matches_scalar_bitwise(self, backend, block, limit):
+    def test_matches_scalar_bitwise(self, kernel, block, limit):
         left, right = block
-        batched = edit_batch(
-            encode_strings(left), encode_strings(right), limit, backend=backend
-        )
+        with chunk_kernels(kernel):
+            batched = edit_batch(encode_strings(left), encode_strings(right), limit)
         scalar = np.array(
             [edit_distance(s, t, max_dist=limit) for s, t in zip(left, right)]
         )
@@ -151,14 +168,13 @@ class TestEditBatch:
         other = encode_strings(["ACGT", "ACGA"])
         assert edit_batch(codes, other, 0).tolist() == [0.0, 1.0]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chunking_boundary(self, monkeypatch, backend):
+    @pytest.mark.parametrize("kernel", CHUNK_KERNELS)
+    def test_chunking_boundary(self, monkeypatch, kernel):
         monkeypatch.setattr(kedit, "_CHUNK_PAIRS", 2)
         left = ["ACGTAC", "TTTTTT", "ACGTTT", "GGGGGG", "ACGTAA"]
         right = ["ACGTAC", "TTTTAA", "TTTTTT", "GGGGCC", "AAGTAA"]
-        batched = edit_batch(
-            encode_strings(left), encode_strings(right), 3, backend=backend
-        )
+        with chunk_kernels(kernel):
+            batched = edit_batch(encode_strings(left), encode_strings(right), 3)
         scalar = np.array([edit_distance(s, t, max_dist=3) for s, t in zip(left, right)])
         assert np.array_equal(batched, scalar)
 

@@ -1,4 +1,4 @@
-"""Wavefront kernels vs the frozen numpy oracle — bitwise, always.
+"""Wavefront kernels vs the frozen row-kernel oracle — bitwise, always.
 
 The anti-diagonal sweep reorders *when* cells are computed, never which
 float64/int32 operations produce them, so ``dtw_chunk_wavefront`` /
@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.dtw import _dtw_chunk
-from repro.kernels.edit import _edit_chunk, encode_strings
+from repro.kernels.edit import encode_strings
 from repro.kernels.wavefront import dtw_chunk_wavefront, edit_chunk_wavefront
+from tests.oracles.kernels import _dtw_chunk, _edit_chunk
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 

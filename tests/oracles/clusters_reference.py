@@ -5,7 +5,7 @@ These are the pre-vectorisation implementations of SC (Section 7.1), CC
 verbatim.  They are **not** used by the join path — ``repro.core.square``,
 ``repro.core.costcluster`` and ``repro.core.schedule`` run the CSR
 work-matrix pipeline — but they serve two purposes (the same contract the
-block sweep has with ``repro.core.sweep_reference``):
+block sweep has with ``sweep_reference``):
 
 * the equivalence suite checks that the vectorised pipeline produces
   bit-identical cluster assignments, growth order, stats counters and

@@ -2,7 +2,7 @@
 
 The CSR work-matrix implementations of SC, CC and the sharing-graph
 scheduler must be *bit-identical* to the reference implementations in
-:mod:`repro.core.clusters_reference`: same cluster assignments in the
+``tests/oracles/clusters_reference.py``: same cluster assignments in the
 same growth order, same stats counters, same sharing-graph weights and
 same greedy schedules — on random matrices of varying shape, density,
 buffer size and aspect ratio, and on the degenerate single-row /
@@ -14,17 +14,17 @@ import numpy as np
 import pytest
 
 from repro.core.clusters import Cluster
-from repro.core.clusters_reference import (
-    cost_clustering_reference,
-    greedy_cluster_order_reference,
-    sharing_graph_reference,
-    square_clustering_reference,
-)
 from repro.core.costcluster import LinearDiskModelCost, cost_clustering
 from repro.core.prediction import PredictionMatrix
 from repro.core.schedule import greedy_cluster_order, schedule_savings, sharing_graph
 from repro.core.square import square_clustering
 from repro.costmodel import DEFAULT_COST_MODEL
+from tests.oracles.clusters_reference import (
+    cost_clustering_reference,
+    greedy_cluster_order_reference,
+    sharing_graph_reference,
+    square_clustering_reference,
+)
 
 
 def random_matrix(rng, num_rows, num_cols, density):

@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro.datasets import markov_dna
 from repro.obs import validate_explain
-from repro.serve.service import make_server
+from repro.serve.service import JoinService, make_server
 
 
 @pytest.fixture()
@@ -217,3 +217,39 @@ class TestErrorMapping:
             lease.release()
         assert status == 429
         assert "error" in body
+
+
+class TestNonFiniteInput:
+    """NaN in a register or append body is a 400 that changes nothing.
+
+    ``json.loads`` accepts the ``NaN`` literal, so the check has to sit
+    on the dataset paths, not in the JSON parser.
+    """
+
+    def test_register_and_append_with_nan_are_400(self):
+        service = JoinService()
+        points = np.random.default_rng(0).random((400, 2)).tolist()
+        body = json.loads(json.dumps({"id": "p", "kind": "vector", "vectors": points}))
+        body["vectors"][5][1] = float("nan")
+        status, error = service.dispatch("POST", "/datasets", body)
+        assert status == 400 and "finite" in error["error"]
+
+        body["vectors"][5][1] = 0.5
+        assert service.dispatch("POST", "/datasets", body)[0] == 201
+        pages = service.dispatch("GET", "/datasets/p", None)[1]["pages"]
+        append = json.loads('{"vectors": [[NaN, 0.5]]}')
+        status, error = service.dispatch("POST", "/datasets/p/pages", append)
+        assert status == 400 and "finite" in error["error"]
+        assert service.dispatch("GET", "/datasets/p", None)[1]["pages"] == pages
+        assert service.dispatch("GET", "/healthz", None)[0] == 200
+
+    def test_series_append_with_infinity_is_400(self):
+        service = JoinService()
+        values = np.random.default_rng(1).normal(size=300).cumsum().tolist()
+        body = {"id": "w", "kind": "series", "values": values, "window_length": 8,
+                "windows_per_page": 16}
+        assert service.dispatch("POST", "/datasets", body)[0] == 201
+        pages = service.dispatch("GET", "/datasets/w", None)[1]["pages"]
+        append = {"values": [1.0, float("inf"), 2.0]}
+        assert service.dispatch("POST", "/datasets/w/pages", append)[0] == 400
+        assert service.dispatch("GET", "/datasets/w", None)[1]["pages"] == pages

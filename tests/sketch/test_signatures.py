@@ -142,14 +142,12 @@ class TestParamsFingerprint:
         assert base != other
 
     def test_mode_and_calibration_do_not_change_key(self, vector_dataset):
-        # Calibration knobs (mode, recall target, margin, floor) do not
-        # affect the signatures, so they must share one cache entry.
+        # Calibration knobs (recall target, margin, floor) do not affect
+        # the signatures, so they must share one cache entry.
         base = sketch_params_fingerprint(vector_dataset, PrefilterConfig())
         same = sketch_params_fingerprint(
             vector_dataset,
-            PrefilterConfig(
-                mode="exact", recall_target=0.5, margin=0.1, cell_pair_floor=2.0
-            ),
+            PrefilterConfig(recall_target=0.5, margin=0.1, cell_pair_floor=2.0),
         )
         assert base == same
 
@@ -157,14 +155,12 @@ class TestParamsFingerprint:
 class TestPrefilterConfig:
     def test_defaults(self):
         config = PrefilterConfig()
-        assert config.mode == "approximate"
-        assert config.approximate
         assert config.recall_target == 0.99
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"mode": "fuzzy"},
+            {"recall_target": float("nan")},
             {"recall_target": 0.0},
             {"recall_target": 1.5},
             {"margin": 0.0},
@@ -183,11 +179,12 @@ class TestPrefilterConfig:
 
     def test_resolve(self):
         assert resolve_prefilter(None) is None
-        assert resolve_prefilter("exact").mode == "exact"
-        assert resolve_prefilter("approximate").approximate
+        assert resolve_prefilter("approximate") == PrefilterConfig()
         config = PrefilterConfig(recall_target=0.95)
         assert resolve_prefilter(config) is config
         with pytest.raises(ValueError):
             resolve_prefilter("fuzzy")
+        with pytest.raises(ValueError, match="removed"):
+            resolve_prefilter("exact")
         with pytest.raises(TypeError):
             resolve_prefilter(0.99)

@@ -137,34 +137,33 @@ class TestTraceOut:
         assert all(ev["ph"] in ("X", "i") for ev in trace["traceEvents"])
 
 
-class TestKernelBackendFlag:
+class TestPrefilterFlag:
     def _points(self, tmp_path):
         left = tmp_path / "l.npy"
         np.save(left, np.random.default_rng(9).random((200, 2)))
         return left
 
-    def test_named_backend_accepted(self, tmp_path, capsys):
+    def test_approximate_prefilter_reports_its_cells(self, tmp_path, capsys):
         left = self._points(tmp_path)
-        for backend in ("numpy", "wavefront"):
-            assert main([
-                "join", "points", str(left),
-                "--epsilon", "0.05", "--buffer", "8", "--page-capacity", "16",
-                "--kernel-backend", backend,
-            ]) == 0
-            assert "pairs within" in capsys.readouterr().out
-
-    def test_unknown_backend_fails_fast_with_listing(self, tmp_path, capsys):
-        left = self._points(tmp_path)
-        code = main([
+        assert main([
             "join", "points", str(left),
             "--epsilon", "0.05", "--buffer", "8", "--page-capacity", "16",
-            "--kernel-backend", "fortran",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "fortran" in err
-        assert "registered backends" in err
-        assert "wavefront" in err
+            "--prefilter", "approximate", "--recall-target", "0.99",
+        ]) == 0
+        assert "prefilter[approximate]: scored" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags", [["--prefilter", "exact"], ["--kernel-backend", "numpy"]]
+    )
+    def test_removed_options_are_rejected(self, tmp_path, flags):
+        left = self._points(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "join", "points", str(left),
+                "--epsilon", "0.05", "--buffer", "8", "--page-capacity", "16",
+                *flags,
+            ])
+        assert excinfo.value.code == 2
 
 
 class TestVersion:
