@@ -20,6 +20,13 @@ from repro.storage.disk import SimulatedDisk
 BUFFER = 12
 
 
+class _NoopJoiner:
+    """Joins nothing: the ablation measures reads only."""
+
+    def join_cluster(self, entries):
+        return [([], 0, 0, 0.0)] * len(entries)
+
+
 def _orders():
     r, s = lbeach_mcounty(0.25)
     matrix, _ = build_prediction_matrix(
@@ -38,8 +45,7 @@ def _orders():
 def _pages_read(r, s, ordered):
     disk = SimulatedDisk()
     pool = BufferPool(disk, BUFFER)
-    noop = lambda row, col, pr, ps: ([], 0, 0, 0.0)
-    outcome = execute_clusters(ordered, pool, r.paged, s.paged, noop)
+    outcome = execute_clusters(ordered, pool, r.paged, s.paged, _NoopJoiner())
     return outcome.pages_read, disk.stats.io_seconds
 
 

@@ -412,101 +412,6 @@ def test_parallel_cluster_execution(record_json):
     )
 
 
-# -- end-to-end join: mega-batch vs per-pair execution (ISSUE 5) -------------------
-#
-# Full join() wall clock on Figure-10/11-style configs, cluster-granular
-# mega-batch (the default) against the classic per-page-pair path
-# (batch_pairs=1).  Both paths produce bit-identical pairs and simulated
-# accounting — pinned by tests/core/test_megabatch_equivalence.py — so
-# the only difference the bench can see is wall clock.
-
-
-def _join_e2e_runs(r, s, epsilon, buffer_pages, workers, batch_pairs, repeats):
-    """Best-of-N wall clock and execution-stage seconds, plus one result."""
-    best_total, best_exec, result = float("inf"), float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = join(
-            r, s, epsilon, method="sc", buffer_pages=buffer_pages,
-            workers=workers, batch_pairs=batch_pairs,
-        )
-        best_total = min(best_total, time.perf_counter() - t0)
-        best_exec = min(
-            best_exec, result.report.extra["stage_seconds"]["execution"]
-        )
-    return best_total, best_exec, result
-
-
-def _join_e2e_row(r, s, epsilon, buffer_pages, workers, repeats):
-    per_s, per_exec, per = _join_e2e_runs(
-        r, s, epsilon, buffer_pages, workers, 1, repeats
-    )
-    mega_s, mega_exec, mega = _join_e2e_runs(
-        r, s, epsilon, buffer_pages, workers, None, repeats
-    )
-    assert mega.pairs == per.pairs
-    assert mega.report.page_reads == per.report.page_reads
-    assert mega.report.seeks == per.report.seeks
-    return {
-        "workers": workers,
-        "per_pair_seconds": per_s,
-        "megabatch_seconds": mega_s,
-        "speedup": per_s / mega_s,
-        "per_pair_exec_seconds": per_exec,
-        "megabatch_exec_seconds": mega_exec,
-        "exec_speedup": per_exec / mega_exec,
-        "result_pairs": mega.num_pairs,
-    }
-
-
-def test_join_e2e_speedup(record_json):
-    """Mega-batch vs per-pair full-join wall clock, Figure 10/11 style.
-
-    The spatial row is the Figure 10 shape (LBeach × MCounty stand-ins,
-    B preserving the paper's buffer-to-page ratio) at a reduced scale
-    with ε chosen for a comparable join density; the genome row is the
-    Figure 11 shape (HChr18 self join).  The spatial mega-batch win is
-    the headline gate; the genome join is frequency-filter-bound (equal
-    FLOPs on both paths), so its expected factor is smaller.
-    """
-    repeats = 1 if QUICK else 2
-    r, s = lbeach_mcounty(0.5, seed=0)
-    buffer_pages = buffers_from_fractions(
-        r.num_pages, [25 / PAPER_PAGES["lbeach"]], minimum=SPATIAL_BUFFER
-    )[0]
-    spatial_eps = 2 * SPATIAL_EPSILON
-    spatial = {
-        f"workers_{w}": _join_e2e_row(r, s, spatial_eps, buffer_pages, w, repeats)
-        for w in (1, 2)
-    }
-
-    genome = hchr18(0.005, seed=0)
-    genome_row = _join_e2e_row(
-        genome, genome, GENOME_EPSILON, GENOME_BUFFER, 1, repeats
-    )
-
-    record_json(
-        "join_e2e",
-        {
-            "spatial": {
-                "pages": [int(r.num_pages), int(s.num_pages)],
-                "buffer_pages": int(buffer_pages),
-                "epsilon": spatial_eps,
-                **spatial,
-            },
-            "genome": {
-                "pages": int(genome.num_pages),
-                "buffer_pages": int(GENOME_BUFFER),
-                "epsilon": GENOME_EPSILON,
-                "workers_1": genome_row,
-            },
-        },
-    )
-    assert spatial["workers_1"]["speedup"] >= (2.0 if QUICK else 3.0)
-    assert spatial["workers_2"]["speedup"] >= (1.5 if QUICK else 2.0)
-    assert genome_row["speedup"] >= (1.0 if QUICK else 1.2)
-
-
 # -- sharded process execution (ISSUE 6) -------------------------------------------
 #
 # Process-parallel sharded join vs serial, on the Figure-10/11-style

@@ -33,7 +33,6 @@ CHECKED_SECTIONS = (
     "minkowski_gram_filter",
     "matrix_build",
     "clustering",
-    "join_e2e",
     "observability",
     "wavefront_kernels",
 )

@@ -16,6 +16,8 @@ has no BFRJ points below 200 buffer pages.
 from __future__ import annotations
 
 import math
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from repro.core.executor import ExecutionOutcome
@@ -87,7 +89,8 @@ def bfrj_join(
                         next_level[(pair[0].node_id, pair[1].node_id)] = pair
         pairs = [next_level[key] for key in sorted(next_level)]
 
-    # Leaf phase: join the surviving page pairs in globally sorted order.
+    # Leaf phase: join the surviving page pairs in globally sorted order,
+    # one joiner call per R page after its pairs' fetches.
     leaf_pairs = sorted(
         {(a.page_no, b.page_no) for a, b in pairs}  # type: ignore[misc]
     )
@@ -101,10 +104,12 @@ def bfrj_join(
     pool.reserve(frames)
     try:
         r_id, s_id = r.paged.dataset_id, s.paged.dataset_id
-        for page_r, page_s in leaf_pairs:
-            r_payload = pool.fetch(r_id, page_r)
-            s_payload = pool.fetch(s_id, page_s)
-            outcome.absorb(joiner(page_r, page_s, r_payload, s_payload))
+        for _page_r, group in groupby(leaf_pairs, key=itemgetter(0)):
+            entries = list(group)
+            for page_r, page_s in entries:
+                pool.fetch(r_id, page_r)
+                pool.fetch(s_id, page_s)
+            outcome.absorb(joiner.join_cluster(entries))
     finally:
         pool.reserve(0)
 

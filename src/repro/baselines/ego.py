@@ -19,7 +19,7 @@ Two properties the paper exploits:
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ def _ego_reorderable(r, s, epsilon, pool, cost_model, self_join, collect_pairs):
 
     boxes_r = _page_boxes(ego_r)
     boxes_s = boxes_r if self_join else _page_boxes(ego_s)
-    lo0_s = np.asarray([box.lo[0] for box in boxes_s])
-    hi0_cummax_s = np.maximum.accumulate(np.asarray([box.hi[0] for box in boxes_s]))
+    hi_max_s, lo_min_s = _window_keys(boxes_s)
 
     assert r.distance is not None
     p_norm = r.distance.p
@@ -84,9 +83,7 @@ def _ego_reorderable(r, s, epsilon, pool, cost_model, self_join, collect_pairs):
             disk.read(ego_r.dataset_id, i)
             outer = ego_r.page_objects(i)
             outcome.pages_read += 1
-            j_start = int(np.searchsorted(hi0_cummax_s, float(box_i.lo[0]) - epsilon))
-            j_end = int(np.searchsorted(lo0_s, float(box_i.hi[0]) + epsilon, side="right"))
-            for j in range(j_start, j_end):
+            for j in _window(hi_max_s, lo_min_s, box_i, epsilon):
                 if self_join and j < i:
                     continue
                 if box_i.min_dist(boxes_s[j], p=p_norm) > epsilon:
@@ -172,27 +169,25 @@ def _ego_sequence(r, s, epsilon, pool, joiner, cost_model, self_join):
     # DTW series the boxes are already envelope-widened.
     p_norm = getattr(r.distance, "p", float("inf")) if r.kind == "series" else float("inf")
 
-    ego_order_r = _ego_page_order(boxes_r, cell)
+    ego_order_r = _ego_page_order(boxes_r, cell).tolist()
     # Candidate windows over the S pages sorted by their own EGO order.
-    ego_order_s = ego_order_r if self_join else _ego_page_order(boxes_s, cell)
-    lo0_s = np.asarray([boxes_s[k].lo[0] for k in ego_order_s])
-    hi0_cummax_s = np.maximum.accumulate(
-        np.asarray([boxes_s[k].hi[0] for k in ego_order_s])
-    )
+    ego_order_s = ego_order_r if self_join else _ego_page_order(boxes_s, cell).tolist()
+    hi_max_s, lo_min_s = _window_keys([boxes_s[k] for k in ego_order_s])
 
     for i in ego_order_r:
         box_i = boxes_r[i]
-        r_payload = pool.fetch(r.paged.dataset_id, i)
-        pos_start = int(np.searchsorted(hi0_cummax_s, float(box_i.lo[0]) - epsilon))
-        pos_end = int(np.searchsorted(lo0_s, float(box_i.hi[0]) + epsilon, side="right"))
-        for pos in range(pos_start, pos_end):
-            j = int(ego_order_s[pos])
+        pool.fetch(r.paged.dataset_id, i)
+        entries = []
+        for pos in _window(hi_max_s, lo_min_s, box_i, epsilon):
+            j = ego_order_s[pos]
             if self_join and j < i:
                 continue
             if box_i.min_dist(boxes_s[j], p=p_norm) > epsilon:
                 continue
-            s_payload = pool.fetch(s.paged.dataset_id, j)
-            outcome.absorb(joiner(i, j, r_payload, s_payload))
+            pool.fetch(s.paged.dataset_id, j)
+            entries.append((i, j))
+        if entries:
+            outcome.absorb(joiner.join_cluster(entries))
     outcome.pages_read = pool.disk.stats.transfers
     preprocess = cost_model.cpu_cost(
         _nlogn(len(boxes_r)) + (0 if self_join else _nlogn(len(boxes_s)))
@@ -207,6 +202,31 @@ def _ego_page_order(boxes: List[Rect], cell: float) -> np.ndarray:
 
 
 # -- shared helpers --------------------------------------------------------------
+
+
+def _window_keys(boxes: Sequence[Rect]) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted scan-window keys over pages in scan order: ``(hi_max, lo_min)``.
+
+    ``hi_max[k]`` is the largest ``hi[0]`` of pages ``0..k`` and
+    ``lo_min[k]`` the smallest ``lo[0]`` of pages ``k..``.  The scan order
+    sorts pages by grid cell, not by ``lo[0]`` or ``hi[0]``, so neither
+    bound is sorted along it; these two keys are, in any order.
+    """
+    lo = np.asarray([box.lo[0] for box in boxes])
+    hi = np.asarray([box.hi[0] for box in boxes])
+    return np.maximum.accumulate(hi), np.minimum.accumulate(lo[::-1])[::-1]
+
+
+def _window(hi_max: np.ndarray, lo_min: np.ndarray, box: Rect, epsilon: float) -> range:
+    """Scan positions of the pages that may lie within ``epsilon`` of ``box``.
+
+    Every page before the window ends left of ``box.lo[0] − ε`` and every
+    page after it starts right of ``box.hi[0] + ε``: their first-dimension
+    gap alone exceeds ``epsilon`` under any L_p norm.
+    """
+    start = int(np.searchsorted(hi_max, float(box.lo[0]) - epsilon))
+    end = int(np.searchsorted(lo_min, float(box.hi[0]) + epsilon, side="right"))
+    return range(start, end)
 
 
 def _sort_passes(num_pages: int, buffer_pages: int) -> int:

@@ -17,6 +17,8 @@ cannot match.
 from __future__ import annotations
 
 import math
+from itertools import groupby
+from operator import itemgetter
 
 from repro.core.executor import ExecutionOutcome
 from repro.core.prediction import PredictionMatrix
@@ -54,26 +56,25 @@ def block_nlj(
 
     # CPU: every object pair is compared.  Marked page pairs are actually
     # joined (and charge their exact filter + verification cost through
-    # the shared joiner); the rest — which by Theorem 1 cannot contain any
-    # result, and for sequence data cannot even pass the cheap frequency
-    # filter — charge one unit-weight comparison each.
+    # the shared joiner, one call per marked row); the rest — which by
+    # Theorem 1 cannot contain any result, and for sequence data cannot
+    # even pass the cheap frequency filter — charge one unit-weight
+    # comparison each.
     self_join = r.paged is s.paged
     if self_join:
         n = r.num_objects
         total_comparisons = n * (n + 1) // 2
     else:
         total_comparisons = r.num_objects * s.num_objects
-    joined_comparisons = 0
-    for row, col in matrix.entries():
-        payload_r = r.paged.page_objects(row)
-        payload_s = s.paged.page_objects(col)
-        pairs, count, comparisons, cpu = joiner(row, col, payload_r, payload_s)
-        outcome.pairs.extend(pairs)
-        outcome.num_pairs += count
-        outcome.cpu_seconds += cpu
-        joined_comparisons += comparisons
-        outcome.comparisons += len(payload_r) * len(payload_s)
-    unexamined = max(0, total_comparisons - outcome.comparisons)
+    examined = 0
+    for _row, group in groupby(matrix.entries(), key=itemgetter(0)):
+        entries = list(group)
+        outcome.absorb(joiner.join_cluster(entries))
+        examined += sum(
+            r.paged.object_count(row) * s.paged.object_count(col)
+            for row, col in entries
+        )
+    unexamined = max(0, total_comparisons - examined)
     outcome.comparisons = total_comparisons
     outcome.cpu_seconds += cost_model.cpu_cost(unexamined, 1.0)
     return outcome

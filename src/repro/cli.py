@@ -165,7 +165,7 @@ def _add_join(subcommands) -> None:
                      help="parallel workers for cluster execution; threads "
                           "unless --shard-strategy is given")
     cmd.add_argument("--shard-strategy", default=None,
-                     choices=["affinity", "chunk", "roundrobin"],
+                     choices=["affinity"],
                      help="partition clusters across worker *processes* over "
                           "shared-memory page blocks (sc/rand-sc/cc methods); "
                           "results and simulated I/O are identical to serial")

@@ -306,7 +306,6 @@ def join(
     workers: int = 1,
     matrix_cache: "str | Path | None" = None,
     recorder: Optional[Recorder] = None,
-    batch_pairs: Optional[int] = None,
     shard_strategy=None,
     prefilter: "None | str | PrefilterConfig" = None,
     explain: bool = False,
@@ -337,14 +336,14 @@ def join(
     workers:
         Parallelism width for cluster execution (``sc``/``rand-sc``/``cc``
         only; other methods ignore it).  Clusters are independent units
-        of work, so their page-pair joins run concurrently; simulated
+        of work, so their cascades run concurrently; simulated
         I/O counts and the result are identical to ``workers=1``.  With
         ``shard_strategy=None`` (default) this is a *thread* pool — the
         compatibility fallback; combine with ``shard_strategy`` for
         process-level parallelism.
     shard_strategy:
-        ``None`` (default) keeps the thread path.  A strategy name
-        (``"affinity"``, ``"chunk"``, ``"roundrobin"``) or a prepared
+        ``None`` (default) keeps the thread path.  ``"affinity"`` (the
+        planner's strategy) or a prepared
         :class:`~repro.core.planner.ShardPlan` switches cluster
         execution to the process-sharded executor
         (:func:`repro.core.executor.execute_clusters_sharded`): the
@@ -376,13 +375,6 @@ def join(
         refinement — appears as a named span, and the reported
         ``extra["stage_seconds"]`` values are exactly the top-level stage
         span durations.
-    batch_pairs:
-        Join granularity of cluster execution (``sc``/``rand-sc``/``cc``
-        only).  ``None`` (the default) joins each cluster's marked page
-        pairs in one mega-batch cascade; ``1`` restores the classic
-        per-page-pair path; anything else raises ``ValueError``.  Results
-        and simulated accounting are identical at both settings (see
-        :func:`repro.core.executor.execute_clusters`).
     prefilter:
         The sketch-based prefilter cascade (``sc``/``rand-sc``/``cc``
         only; see :mod:`repro.sketch` and ``docs/architecture.md``).
@@ -549,15 +541,13 @@ def join(
             if shard_strategy is not None:
                 outcome = execute_clusters_sharded(
                     ordered, pool, r.paged, s.paged, joiner, workers=workers,
-                    recorder=rec, batch_pairs=batch_pairs,
-                    shard_strategy=shard_strategy,
+                    recorder=rec, shard_strategy=shard_strategy,
                     auditor=explain_auditor, explain=collector,
                 )
             else:
                 outcome = execute_clusters(
                     ordered, pool, r.paged, s.paged, joiner, workers=workers,
-                    recorder=rec, batch_pairs=batch_pairs,
-                    auditor=explain_auditor,
+                    recorder=rec, auditor=explain_auditor,
                 )
         stage_seconds["execution"] = exec_span.duration
         clusters = ordered

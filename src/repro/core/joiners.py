@@ -1,33 +1,32 @@
 """Page-pair join kernels.
 
-A *joiner* receives a marked page pair's payloads, finds the actual
-joining object pairs, and reports comparison counts plus modeled CPU
+A *joiner* receives a set of marked page pairs, finds the actual joining
+object pairs of each, and reports comparison counts plus modeled CPU
 seconds.  All join methods share one joiner per dataset pair, which is
 what makes their result sets — and their CPU-join costs on identical page
 workloads — exactly comparable.
 
 Two kernels exist:
 
-* numeric — vector/window payloads joined by an L_p distance;
+* numeric — vector/window payloads joined by an L_p distance or banded DTW;
 * text — window strings pre-filtered by the frequency distance (the
   MRS-index object-level filter), then verified with banded edit distance.
   The expensive DP is only charged for pairs that survive the filter.
 
-Each joiner is callable with one page pair (the classic granularity) and
-additionally exposes :meth:`~PagePairJoiner.join_cluster`, the
-*mega-batch* granularity: every marked page pair of a staged cluster is
-concatenated into one candidate block over the datasets' columnar page
-views (:meth:`~repro.storage.page.PagedDataset.pages_view`), the whole
-block runs a single filter-and-refine cascade with a shared threshold,
-and results are scattered back to per-pair outputs that are bit-identical
-to calling the joiner per pair — pairs, counts, comparisons, modeled CPU
-and semantic counters included (only kernel *invocation* counts differ;
-see ``repro.obs.recorder.BATCHING_VARIANT_COUNTERS``).
+Every join method calls :meth:`~PagePairJoiner.join_cluster` with a set
+of marked page pairs — a scheduled cluster, or one outer page and its
+partners: the pairs are concatenated into one candidate block over the
+datasets' columnar page views
+(:meth:`~repro.storage.page.PagedDataset.pages_view`), the whole block
+runs a single filter-and-refine cascade with a shared threshold, and the
+results are scattered back to one result per page pair, in entry order.
+Each of those equals joining the page pair on its own — the frozen
+per-page-pair kernels in ``tests/oracles/joiners.py`` — bit for bit:
+pairs, counts, comparisons, modeled CPU and semantic counters included.
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,7 +94,7 @@ class _ClusterBlock:
         )
         self._rank = np.full((len(rows), len(cols)), -1, dtype=np.int64)
         self._rank[self.entry_row_idx, self.entry_col_idx] = np.arange(k)
-        # Per-entry object-pair counts — the per-pair path's `comparisons`.
+        # Per-entry object-pair counts — a numeric entry's `comparisons`.
         self.cells = (
             self.r_block.counts[self.entry_row_idx]
             * self.s_block.counts[self.entry_col_idx]
@@ -123,7 +122,7 @@ class _ClusterBlock:
         full ``left_slice × panel_j`` rectangle — cells of unmarked page
         pairs never appear, so filter work over panels is proportional
         to the marked region, while every elementwise pass stays a
-        contiguous broadcast (the per-pair kernels' access pattern).
+        contiguous broadcast over one left page.
         """
         r_starts = self.r_block.starts
         r_counts = self.r_block.counts
@@ -158,9 +157,9 @@ class _ClusterBlock:
         panel; ``None`` keeps every marked cell.  Surviving cells are
         emitted in stacked-row-major order — ascending stacked left row,
         then the row's marked col objects ascending — so within one
-        entry they run row-major, the per-pair kernels' enumeration
-        order, and ``_entry_sorted`` restores per-entry grouping
-        losslessly.
+        entry they run row-major, the order a single page pair
+        enumerates its cells in, and ``_entry_sorted`` restores per-entry
+        grouping losslessly.
         """
         i_parts: List[np.ndarray] = []
         j_parts: List[np.ndarray] = []
@@ -203,7 +202,7 @@ class _ClusterBlock:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Self-join diagonal filter: on row == col entries keep ``a < b``.
 
-        Global ids preserve local order within one page, so the per-pair
+        Global ids preserve local order within one page, so the page-local
         ``local_a < local_b`` test is exactly ``global_a < global_b``.
         """
         if not self.diag_entry.any():
@@ -226,7 +225,7 @@ def _scatter_results(
     """Group accepted global pairs by entry, preserving within-entry order.
 
     ``rank`` must be sorted (stable-grouped by entry); the caller
-    guarantees the within-entry order matches the per-pair path.
+    guarantees the within-entry order matches a single page pair's.
     """
     counts = np.bincount(rank, minlength=block.num_entries)
     bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
@@ -250,42 +249,42 @@ def _entry_sorted(
 
 
 class PagePairJoiner:
-    """Base page-pair joiner: callable per pair, optionally cluster-batchable.
-
-    ``supports_megabatch`` advertises whether :meth:`join_cluster` can run
-    the fused cascade; when ``False`` the executor falls back to per-pair
-    calls (plain-callable joiners behave the same by never defining it).
-    """
-
-    supports_megabatch = False
-
-    def __call__(self, row: int, col: int, r_payload, s_payload) -> JoinerResult:
-        raise NotImplementedError
+    """The joiner interface every join method and executor calls."""
 
     def join_cluster(self, entries: Sequence[Entry]) -> List[JoinerResult]:
-        """One fused cascade over a cluster's entries; per-entry results.
+        """One fused cascade over non-empty, distinct page pairs.
 
         Returns one :data:`JoinerResult` per entry, in entry order —
-        bit-identical to calling the joiner per pair with the staged
-        payloads.
+        bit-identical to joining each page pair on its own.
         """
         raise NotImplementedError
 
 
 class NumericPagePairJoiner(PagePairJoiner):
-    """Joiner for vector pages (point, spatial, time-series windows)."""
+    """Joiner for vector pages (point, spatial, time-series windows).
+
+    Raises ``ValueError`` for a distance other than
+    :class:`~repro.distance.vector.MinkowskiDistance` or
+    :class:`~repro.distance.dtw.DTWDistance` — the two families the
+    cascade has filters for.
+    """
 
     def __init__(
         self,
         r_dataset: PagedDataset,
         s_dataset: PagedDataset,
-        distance,
+        distance: "MinkowskiDistance | DTWDistance",
         epsilon: float,
         cost_model: CostModel,
         self_join: bool,
         collect_pairs: bool = True,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
+        if not isinstance(distance, (MinkowskiDistance, DTWDistance)):
+            raise ValueError(
+                "numeric joins need a MinkowskiDistance or DTWDistance, "
+                f"got {distance!r}"
+            )
         self.r_dataset = r_dataset
         self.s_dataset = s_dataset
         self.distance = distance
@@ -294,48 +293,8 @@ class NumericPagePairJoiner(PagePairJoiner):
         self.self_join = self_join
         self.collect_pairs = collect_pairs
         self.recorder = recorder
-        # Third-party JoinDistance implementations may predate the recorder
-        # protocol; probe once at construction time, not per page pair.
-        self._forward_recorder = _accepts_kw(distance.pairs_within, "recorder")
-        # The fused cascade is specific to the built-in distance families;
-        # anything else (or a dataset without columnar views) joins per pair.
-        self.supports_megabatch = isinstance(
-            distance, (MinkowskiDistance, DTWDistance)
-        ) and (
-            hasattr(r_dataset, "pages_view") and hasattr(s_dataset, "pages_view")
-        )
-
-    # -- per-pair granularity ------------------------------------------------
-
-    def __call__(self, row: int, col: int, r_payload, s_payload) -> JoinerResult:
-        recorder = self.recorder
-        left = np.asarray(r_payload)
-        right = np.asarray(s_payload)
-        with recorder.span("execute.refine"):
-            kwargs = {}
-            if self._forward_recorder:
-                kwargs["recorder"] = recorder
-            local = self.distance.pairs_within(left, right, self.epsilon, **kwargs)
-            comparisons = left.shape[0] * right.shape[0]
-            cpu = self.cost_model.cpu_cost(comparisons, self.distance.comparison_weight)
-            if self.self_join and row == col:
-                local = [(a, b) for a, b in local if a < b]
-        if recorder.enabled:
-            recorder.count("refine.page_pairs")
-            recorder.count("refine.comparisons", comparisons)
-            recorder.count("refine.pairs_found", len(local))
-        if self.collect_pairs:
-            pairs = _globalise(local, self.r_dataset, self.s_dataset, row, col)
-            return pairs, len(pairs), comparisons, cpu
-        return [], len(local), comparisons, cpu
-
-    # -- cluster granularity -------------------------------------------------
 
     def join_cluster(self, entries: Sequence[Entry]) -> List[JoinerResult]:
-        if not self.supports_megabatch:
-            raise NotImplementedError(
-                f"mega-batch cascade is not supported for {self.distance!r}"
-            )
         recorder = self.recorder
         with recorder.span("execute.megabatch", entries=len(entries)):
             block = _ClusterBlock(
@@ -437,7 +396,7 @@ class NumericPagePairJoiner(PagePairJoiner):
 def make_numeric_joiner(
     r_dataset: PagedDataset,
     s_dataset: PagedDataset,
-    distance: MinkowskiDistance,
+    distance: "MinkowskiDistance | DTWDistance",
     epsilon: float,
     cost_model: CostModel,
     self_join: bool,
@@ -457,14 +416,6 @@ def make_numeric_joiner(
     )
 
 
-def _accepts_kw(pairs_within: Callable, name: str) -> bool:
-    """True when a distance's ``pairs_within`` takes keyword ``name``."""
-    try:
-        return name in inspect.signature(pairs_within).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-
-
 def text_dp_weight(window_length: int, epsilon: float) -> float:
     """CPU weight of one banded edit-distance run at threshold ``epsilon``."""
     band = max(1, int(epsilon))
@@ -478,8 +429,6 @@ class TextPagePairJoiner(PagePairJoiner):
     by window offset; they live with the index (in memory), so consulting
     them costs CPU but no I/O.
     """
-
-    supports_megabatch = True
 
     def __init__(
         self,
@@ -505,86 +454,6 @@ class TextPagePairJoiner(PagePairJoiner):
         self.dp_weight = text_dp_weight(r_dataset.window_length, epsilon)
         self.limit = int(epsilon)
         self.w = r_dataset.window_length
-        self.windows_r = r_dataset.windows_matrix()
-        self.windows_s = (
-            self.windows_r if s_dataset is r_dataset else s_dataset.windows_matrix()
-        )
-
-    # -- per-pair granularity ------------------------------------------------
-
-    def __call__(self, row: int, col: int, r_payload, s_payload) -> JoinerResult:
-        recorder = self.recorder
-        r_windows: Sequence[str] = r_payload
-        s_windows: Sequence[str] = s_payload
-        epsilon = self.epsilon
-        with recorder.span("execute.refine"):
-            r_start, _ = self.r_dataset.window_range(row)
-            s_start, _ = self.s_dataset.window_range(col)
-            fr = self.r_features[r_start : r_start + len(r_windows)]
-            fs = self.s_features[s_start : s_start + len(s_windows)]
-
-            # Stage 1 — frequency-distance filter, vectorised: FD = max(sum
-            # of positive diffs, sum of negative diffs) <= edit distance.
-            diff = fs[None, :, :] - fr[:, None, :]
-            positive = np.clip(diff, 0.0, None).sum(axis=2)
-            negative = np.clip(-diff, 0.0, None).sum(axis=2)
-            fd = np.maximum(positive, negative)
-            cand_a, cand_b = np.nonzero(fd <= epsilon)
-            if self.self_join and row == col:
-                keep = cand_a < cand_b
-                cand_a, cand_b = cand_a[keep], cand_b[keep]
-
-            # Stage 2 — Hamming filter, vectorised over candidates.  Windows
-            # have equal length, so Hamming(a, b) >= ED(a, b): Hamming <= eps
-            # accepts outright.  The converse rejection holds at eps <= 1 (one
-            # edit between equal-length strings must be a substitution); above
-            # that, survivors fall through to the batched banded DP
-            # (one kernel call per page pair, shared abandon threshold).
-            local: List[Tuple[int, int]] = []
-            dp_runs = 0
-            if cand_a.size:
-                hamming = np.count_nonzero(
-                    self.windows_r[r_start + cand_a]
-                    != self.windows_s[s_start + cand_b],
-                    axis=1,
-                )
-                accepted = hamming <= epsilon
-                for a, b in zip(cand_a[accepted].tolist(), cand_b[accepted].tolist()):
-                    local.append((int(a), int(b)))
-                if self.limit >= 2:
-                    rej_a, rej_b = cand_a[~accepted], cand_b[~accepted]
-                    dp_runs = int(rej_a.size)
-                    if dp_runs:
-                        dists = edit_batch(
-                            self.windows_r[r_start + rej_a],
-                            self.windows_s[s_start + rej_b],
-                            self.limit,
-                            recorder=recorder,
-                        )
-                        survived = dists <= epsilon
-                        for a, b in zip(
-                            rej_a[survived].tolist(), rej_b[survived].tolist()
-                        ):
-                            local.append((int(a), int(b)))
-
-            cheap = len(r_windows) * len(s_windows)
-            cpu = (
-                self.cost_model.cpu_cost(cheap, 1.0)
-                + self.cost_model.cpu_cost(int(cand_a.size), float(self.w) / 8.0)
-                + self.cost_model.cpu_cost(dp_runs, self.dp_weight)
-            )
-        if recorder.enabled:
-            recorder.count("refine.page_pairs")
-            recorder.count("refine.comparisons", cheap + dp_runs)
-            recorder.count("refine.pairs_found", len(local))
-            recorder.count("text.fd_candidates", int(cand_a.size))
-            recorder.count("text.dp_runs", dp_runs)
-        if self.collect_pairs:
-            pairs = _globalise(local, self.r_dataset, self.s_dataset, row, col)
-            return pairs, len(pairs), cheap + dp_runs, cpu
-        return [], len(local), cheap + dp_runs, cpu
-
-    # -- cluster granularity -------------------------------------------------
 
     def join_cluster(self, entries: Sequence[Entry]) -> List[JoinerResult]:
         recorder = self.recorder
@@ -623,7 +492,7 @@ class TextPagePairJoiner(PagePairJoiner):
                     # window's counts sum to the window length, so the
                     # positive and negative parts of ``diff`` are equal
                     # and FD is exactly half the (even, integer) L1
-                    # distance — the same float64 value the per-pair
+                    # distance — the same float64 value the
                     # max-of-clipped-sums form produces.
                     out[:, lo:hi] = np.abs(diff).sum(axis=2) * 0.5 <= epsilon
                 return out
@@ -664,8 +533,8 @@ class TextPagePairJoiner(PagePairJoiner):
                         survived[rej_idx] = dists <= epsilon
 
             # Scatter: per entry, Hamming-accepted pairs first (candidate
-            # order), then DP survivors (rejected order) — the per-pair
-            # path's append order.
+            # order), then DP survivors (rejected order) — the order a
+            # single page pair appends them in.
             final_mask = accepted | survived
             idx = np.nonzero(final_mask)[0]
             # Order key: entry first, accepted-before-survived second,
@@ -725,24 +594,3 @@ def make_text_joiner(
         recorder=recorder,
     )
 
-
-def _globalise(
-    local: List[Tuple[int, int]],
-    r_dataset: PagedDataset,
-    s_dataset: PagedDataset,
-    row: int,
-    col: int,
-) -> List[Tuple[int, int]]:
-    """Map page-local index pairs to dataset-global id pairs.
-
-    Self-join filtering (diagonal ``a < b``) happens before this point;
-    off-diagonal marked entries are kept to the upper triangle by the
-    matrix, and contiguous page ranges guarantee ordered global ids.
-    """
-    return [
-        (
-            r_dataset.global_object_id(row, a),
-            s_dataset.global_object_id(col, b),
-        )
-        for a, b in local
-    ]

@@ -117,7 +117,7 @@ def plan_join(
 
 # -- shard planning ----------------------------------------------------------------
 
-SHARD_STRATEGIES = ("affinity", "chunk", "roundrobin")
+SHARD_STRATEGIES = ("affinity",)
 
 
 @dataclass(frozen=True)
@@ -182,21 +182,12 @@ def plan_shards(
 ) -> ShardPlan:
     """Split the scheduled clusters into at most ``workers`` shard sets.
 
-    Strategies:
-
-    ``"affinity"`` (default)
-        Longest-processing-time greedy on the exact per-cluster cell
-        counts, with a page-affinity tie-break: among shards whose load
-        is within slack of the minimum, the cluster goes to the one
-        sharing the most pages with it.  Balances refine work first,
-        duplication second.
-    ``"chunk"``
-        Contiguous schedule segments split at equal cost prefixes —
-        preserves the sharing-graph adjacency inside each shard (best
-        per-shard page reuse), at the mercy of cost skew along the
-        schedule.
-    ``"roundrobin"``
-        Schedule index modulo shard count — the no-information baseline.
+    The one strategy, ``"affinity"``, is a longest-processing-time greedy
+    on the exact per-cluster cell counts, with a page-affinity tie-break:
+    among shards whose load is within slack of the minimum, the cluster
+    goes to the one sharing the most pages with it.  It balances refine
+    work first, duplication second.  Other partitions reach the sharded
+    executor as hand-built :class:`ShardPlan` objects.
 
     Shards that would be empty are dropped, so ``num_shards`` can be
     less than ``workers`` when there are few clusters.
@@ -217,12 +208,7 @@ def plan_shards(
     ]
     if num == 0:
         return ShardPlan(strategy=strategy, shards=(), costs=(), duplicated_pages=0)
-    if strategy == "chunk":
-        assign = _chunk_assign(costs, k)
-    elif strategy == "roundrobin":
-        assign = [[i for i in range(num) if i % k == s] for s in range(k)]
-    else:
-        assign = _affinity_assign(costs, page_sets, k)
+    assign = _affinity_assign(costs, page_sets, k)
     members = tuple(
         tuple(sorted(shard)) for shard in assign if shard
     )
@@ -257,18 +243,6 @@ def _cluster_costs(
         entries = np.asarray(cluster.entries, dtype=np.int64).reshape(-1, 2)
         costs[i] = int((r_counts[entries[:, 0]] * s_counts[entries[:, 1]]).sum())
     return costs
-
-
-def _chunk_assign(costs: np.ndarray, k: int) -> List[List[int]]:
-    """Contiguous schedule segments with equal cost prefixes."""
-    prefix = np.cumsum(costs, dtype=np.float64)
-    total = float(prefix[-1])
-    bounds = [0]
-    for j in range(1, k):
-        cut = int(np.searchsorted(prefix, total * j / k, side="left")) + 1
-        bounds.append(max(cut, bounds[-1]))
-    bounds.append(len(costs))
-    return [list(range(bounds[j], bounds[j + 1])) for j in range(k)]
 
 
 def _affinity_assign(

@@ -15,7 +15,8 @@ only ever read pages that appear in a marked entry.
 
 from __future__ import annotations
 
-from repro.core.executor import ExecutionOutcome, PagePairJoin
+from repro.core.executor import ExecutionOutcome
+from repro.core.joiners import PagePairJoiner
 from repro.core.prediction import PredictionMatrix
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PagedDataset
@@ -28,9 +29,15 @@ def pm_nlj_join(
     pool: BufferPool,
     r_dataset: PagedDataset,
     s_dataset: PagedDataset,
-    page_pair_join: PagePairJoin,
+    joiner: PagePairJoiner,
 ) -> ExecutionOutcome:
-    """Join every marked page pair of ``matrix``; returns measurements."""
+    """Join every marked page pair of ``matrix``; returns measurements.
+
+    Each streamed page's marked entries are joined by one
+    :meth:`~repro.core.joiners.PagePairJoiner.join_cluster` call after its
+    partners' reads: the joiner reads objects through the page views, so
+    only the reads and fetches below move the simulated accounting.
+    """
     pool.attach(r_dataset)
     pool.attach(s_dataset)
     outcome = ExecutionOutcome()
@@ -42,16 +49,14 @@ def pm_nlj_join(
 
     if len(marked_cols) <= capacity - 1:
         _pinned_side_join(
-            matrix, pool, r_dataset, s_dataset, page_pair_join, outcome,
-            pin_cols=True,
+            matrix, pool, r_dataset, s_dataset, joiner, outcome, pin_cols=True
         )
     elif len(marked_rows) <= capacity - 1:
         _pinned_side_join(
-            matrix, pool, r_dataset, s_dataset, page_pair_join, outcome,
-            pin_cols=False,
+            matrix, pool, r_dataset, s_dataset, joiner, outcome, pin_cols=False
         )
     else:
-        _streaming_join(matrix, pool, r_dataset, s_dataset, page_pair_join, outcome)
+        _streaming_join(matrix, pool, r_dataset, s_dataset, joiner, outcome)
     return outcome
 
 
@@ -60,7 +65,7 @@ def _pinned_side_join(
     pool: BufferPool,
     r_dataset: PagedDataset,
     s_dataset: PagedDataset,
-    page_pair_join: PagePairJoin,
+    joiner: PagePairJoiner,
     outcome: ExecutionOutcome,
     pin_cols: bool,
 ) -> None:
@@ -76,11 +81,11 @@ def _pinned_side_join(
     if pin_cols:
         pinned_keys = [(s_id, col) for col in matrix.marked_cols()]
         stream_pages = matrix.marked_rows()
-        stream_dataset, stream_id = r_dataset, r_id
+        stream_id, pinned_id = r_id, s_id
     else:
         pinned_keys = [(r_id, row) for row in matrix.marked_rows()]
         stream_pages = matrix.marked_cols()
-        stream_dataset, stream_id = s_dataset, s_id
+        stream_id, pinned_id = s_id, r_id
 
     # A real pin scope, not just the docstring's promise: the side fits in
     # B − 1 frames by the caller's branch condition, streamed pages bypass
@@ -93,21 +98,15 @@ def _pinned_side_join(
         for page in stream_pages:
             if pool.contains(stream_id, page):
                 # Self join: the page arrived with the pinned side already.
-                stream_payload = pool.fetch(stream_id, page)
+                pool.fetch(stream_id, page)
                 outcome.pages_reused += 1
             else:
                 pool.disk.read(stream_id, page)
-                stream_payload = stream_dataset.page_objects(page)
                 outcome.pages_read += 1
             partners = matrix.row_cols(page) if pin_cols else matrix.col_rows(page)
             for partner in partners:
-                if pin_cols:
-                    row, col = page, partner
-                    r_payload, s_payload = stream_payload, pool.fetch(s_id, col)
-                else:
-                    row, col = partner, page
-                    r_payload, s_payload = pool.fetch(r_id, row), stream_payload
-                _join_entry(page_pair_join, row, col, r_payload, s_payload, outcome)
+                pool.fetch(pinned_id, partner)
+            outcome.absorb(joiner.join_cluster(_entries(page, partners, pin_cols)))
 
 
 def _streaming_join(
@@ -115,7 +114,7 @@ def _streaming_join(
     pool: BufferPool,
     r_dataset: PagedDataset,
     s_dataset: PagedDataset,
-    page_pair_join: PagePairJoin,
+    joiner: PagePairJoiner,
     outcome: ExecutionOutcome,
 ) -> None:
     """Neither side fits: stream the smaller-marked side's pages one by one.
@@ -132,38 +131,23 @@ def _streaming_join(
     disk = pool.disk
     outer_pages = matrix.marked_rows() if rows_outer else matrix.marked_cols()
     outer_id = r_id if rows_outer else s_id
-    outer_dataset = r_dataset if rows_outer else s_dataset
     inner_id = s_id if rows_outer else r_id
-    inner_dataset = s_dataset if rows_outer else r_dataset
 
     for page in outer_pages:
         disk.read(outer_id, page)
-        outer_payload = outer_dataset.page_objects(page)
         outcome.pages_read += 1
         partners = matrix.row_cols(page) if rows_outer else matrix.col_rows(page)
         for partner in partners:  # ascending: consecutive partners run sequentially
             if inner_id == outer_id and partner == page:
-                inner_payload = outer_payload
                 outcome.pages_reused += 1
             else:
                 disk.read(inner_id, partner)
-                inner_payload = inner_dataset.page_objects(partner)
                 outcome.pages_read += 1
-            if rows_outer:
-                row, col = page, partner
-                r_payload, s_payload = outer_payload, inner_payload
-            else:
-                row, col = partner, page
-                r_payload, s_payload = inner_payload, outer_payload
-            _join_entry(page_pair_join, row, col, r_payload, s_payload, outcome)
+        outcome.absorb(joiner.join_cluster(_entries(page, partners, rows_outer)))
 
 
-def _join_entry(
-    page_pair_join: PagePairJoin,
-    row: int,
-    col: int,
-    r_payload,
-    s_payload,
-    outcome: ExecutionOutcome,
-) -> None:
-    outcome.absorb(page_pair_join(row, col, r_payload, s_payload))
+def _entries(page: int, partners, page_is_row: bool):
+    """The marked ``(row, col)`` entries of one outer page, partner order."""
+    if page_is_row:
+        return [(page, partner) for partner in partners]
+    return [(partner, page) for partner in partners]

@@ -11,16 +11,16 @@ entry lists), and submits them to a process pool.  Each worker:
 2. rebuilds the page-pair joiner with its **own recorder** (an
    :class:`~repro.obs.recorder.InMemoryRecorder` when the parent
    records, the null recorder otherwise);
-3. runs the existing mega-batch cascade (or the per-pair path when
-   ``batch_pairs=1``) over each assigned cluster, reading objects
-   through the columnar page views — never through a buffer pool, which
-   is exactly why all simulated I/O accounting can stay in the parent;
+3. runs the joiner's cluster cascade over each assigned cluster, reading
+   objects through the columnar page views — never through a buffer
+   pool, which is exactly why all simulated I/O accounting can stay in
+   the parent;
 4. ships back plain-Python per-cluster joiner results plus the
    recorder's exported state for the parent's deterministic merge.
 
-Only the built-in joiners (:class:`~repro.core.joiners.NumericPagePairJoiner`
-with a Minkowski/DTW distance, :class:`~repro.core.joiners.TextPagePairJoiner`)
-have a picklable recipe; anything else must use the thread fallback.
+Only the built-in joiners (:class:`~repro.core.joiners.NumericPagePairJoiner`,
+:class:`~repro.core.joiners.TextPagePairJoiner`) have a picklable recipe;
+anything else must use the thread fallback.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ def build_shard_task(
     s_spec: Optional[dict],
     joiner,
     arena: ShmArena,
-    batch_pairs: Optional[int],
     record: bool,
 ) -> Dict[str, Any]:
     """One shard's picklable work order.
@@ -101,7 +100,6 @@ def build_shard_task(
         "r_spec": r_spec,
         "s_spec": s_spec,
         "joiner": _joiner_recipe(joiner, arena),
-        "batch_pairs": batch_pairs,
         "record": record,
     }
 
@@ -184,22 +182,10 @@ def _run_shard_attached(
     )
     recorder = InMemoryRecorder() if task["record"] else NULL_RECORDER
     joiner = _rebuild_joiner(task["joiner"], r_dataset, s_dataset, attachments, recorder)
-    use_megabatch = task["batch_pairs"] is None and joiner.supports_megabatch
-    results: Dict[int, List[JoinerResult]] = {}
-    for schedule_index, entries in task["clusters"]:
-        if use_megabatch:
-            cluster_results = joiner.join_cluster(entries)
-        else:
-            cluster_results = [
-                joiner(
-                    row,
-                    col,
-                    r_dataset.page_objects(row),
-                    s_dataset.page_objects(col),
-                )
-                for row, col in entries
-            ]
-        results[schedule_index] = cluster_results
+    results = {
+        schedule_index: joiner.join_cluster(entries)
+        for schedule_index, entries in task["clusters"]
+    }
     metrics = recorder.export_state() if task["record"] else None
     return results, metrics
 

@@ -21,7 +21,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import DiskCostReplayer, fraction_to_ppm, seconds_to_us, signed_residual
 from repro.obs.recorder import (
-    BATCHING_VARIANT_COUNTERS,
     EXPLAIN_VARIANT_COUNTER_PREFIXES,
     NULL_RECORDER,
     SERVING_COUNTER_PREFIXES,
@@ -35,7 +34,6 @@ from repro.obs.recorder import (
 )
 
 __all__ = [
-    "BATCHING_VARIANT_COUNTERS",
     "SHARDING_VARIANT_COUNTER_PREFIXES",
     "EXPLAIN_VARIANT_COUNTER_PREFIXES",
     "SERVING_COUNTER_PREFIXES",

@@ -178,7 +178,7 @@ def format_span_tree(recorder: InMemoryRecorder, max_depth: int = 6) -> str:
     """An aggregated text rendering of the recorded span forest.
 
     Sibling spans sharing a name are merged into one line (``×N`` with
-    summed duration) — a join executes thousands of ``execute.refine``
+    summed duration) — a join executes thousands of ``execute.cluster``
     spans and nobody wants to scroll through them individually.  Spans
     from worker threads have no parent and appear as extra roots.
     """

@@ -43,36 +43,17 @@ __all__ = [
     "InMemoryRecorder",
     "JsonlRecorder",
     "NULL_RECORDER",
-    "BATCHING_VARIANT_COUNTERS",
     "SHARDING_VARIANT_COUNTER_PREFIXES",
     "EXPLAIN_VARIANT_COUNTER_PREFIXES",
     "SERVING_COUNTER_PREFIXES",
 ]
 
-# Counters that measure *how* work was batched rather than *what* work
-# was done.  The cluster executor's mega-batch mode fuses every page
-# pair of a cluster into one filter-and-refine cascade (span
-# ``execute.megabatch``), so kernel-invocation counts collapse from one
-# per page pair to one per cluster while every semantic counter (pairs
-# tested/accepted, candidates, abandons, comparisons, I/O) stays
-# bit-identical to the per-pair path.  Equivalence checks between
-# batching modes must ignore exactly this set and nothing else.
-BATCHING_VARIANT_COUNTERS = frozenset(
-    {
-        "kernel.minkowski.invocations",
-        "kernel.dtw.invocations",
-        "kernel.edit.invocations",
-        "executor.megabatch_clusters",
-    }
-)
-
 # Counter-name prefixes that exist only under process-sharded execution
 # (per-shard I/O attribution and shard bookkeeping — see
-# ``repro.core.executor.execute_clusters_sharded``).  Like
-# :data:`BATCHING_VARIANT_COUNTERS` they describe *how* the work was
-# dispatched, never *what* was computed: equivalence checks between the
-# serial and sharded paths must drop counters with these prefixes (and
-# the batching set) and require everything else to match exactly.
+# ``repro.core.executor.execute_clusters_sharded``).  They describe *how*
+# the work was dispatched, never *what* was computed: equivalence checks
+# between the serial and sharded paths must drop counters with these
+# prefixes and require everything else to match exactly.
 SHARDING_VARIANT_COUNTER_PREFIXES = ("executor.shard",)
 
 # Counter-name prefix that exists only with the EXPLAIN layer enabled

@@ -54,7 +54,6 @@ def subsequence_join(
     seed: int = 0,
     workers: int = 1,
     recorder: Optional[Recorder] = None,
-    batch_pairs: Optional[int] = None,
     prefilter=None,
     explain: bool = False,
 ) -> SubsequenceJoinResult:
@@ -68,12 +67,9 @@ def subsequence_join(
     :func:`repro.core.join.join`); results and simulated I/O are
     identical to the serial run.  ``recorder`` forwards a
     :class:`repro.obs.Recorder` to the underlying page join for span
-    traces and metrics.  ``batch_pairs`` sets the cluster-execution
-    granularity (``None`` = whole-cluster mega-batch, ``1`` = per page
-    pair) without changing results or accounting.  ``prefilter``
-    forwards ``"approximate"`` or a :class:`repro.sketch.PrefilterConfig`
-    (the sketch cascade prunes under a recall target — see
-    :func:`repro.core.join.join`).  ``explain=True``
+    traces and metrics.  ``prefilter`` forwards ``"approximate"`` or a
+    :class:`repro.sketch.PrefilterConfig` (the sketch cascade prunes under
+    a recall target — see :func:`repro.core.join.join`).  ``explain=True``
     attaches the plan/reconciliation artifact as
     ``result.report.extra["explain"]`` (see
     :class:`repro.obs.explain.JoinExplain`).
@@ -103,7 +99,6 @@ def subsequence_join(
         seed=seed,
         workers=workers,
         recorder=recorder,
-        batch_pairs=batch_pairs,
         prefilter=prefilter,
         explain=explain,
     )

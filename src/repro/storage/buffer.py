@@ -190,7 +190,7 @@ class BufferPool:
         wanted = list(dict.fromkeys(pages))
         if len(wanted) > self.available:
             raise ValueError(
-                f"batch of {len(wanted)} pages exceeds available buffer of "
+                f"batch of {len(wanted)} pages exceeds the available buffer of "
                 f"{self.available} frames"
             )
         missing = []

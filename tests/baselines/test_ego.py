@@ -1,8 +1,12 @@
 """Unit tests for the EGO baseline."""
 
+import numpy as np
 import pytest
 
+from repro.baselines.ego import _window, _window_keys
 from repro.core.join import IndexedDataset, join
+from repro.datasets import markov_dna
+from repro.geometry import Rect
 
 
 class TestEgoVectors:
@@ -52,3 +56,32 @@ class TestEgoSequence:
         sc = join(dna_dataset, dna_dataset, 1, method="sc", buffer_pages=10,
                   cost_model=cost_model, count_only=True)
         assert ego.report.seeks > sc.report.seeks
+
+    def test_scan_window_reaches_every_partner_page(self):
+        """EGO order sorts pages by centre cell, so the pages' ``lo[0]``
+        are not sorted along it; the scan must still reach every page
+        within ε."""
+        ds = IndexedDataset.from_string(
+            markov_dna(2000, seed=0, repeat_share=0.1),
+            window_length=64, windows_per_page=64,
+        )
+        ego = join(ds, ds, 2, method="ego", buffer_pages=16)
+        sc = join(ds, ds, 2, method="sc", buffer_pages=16)
+        assert (639, 640) in ego.pairs
+        assert sorted(ego.pairs) == sorted(sc.pairs)
+
+
+class TestScanWindow:
+    def test_window_holds_every_page_within_epsilon(self, rng):
+        epsilon = 0.05
+        for _ in range(50):
+            lo = rng.random((30, 2))
+            boxes = [Rect(a, a + d) for a, d in zip(lo, rng.random((30, 2)) * 0.2)]
+            hi_max, lo_min = _window_keys(boxes)
+            probe = boxes[int(rng.integers(30))]
+            window = set(_window(hi_max, lo_min, probe, epsilon))
+            near = {
+                k for k, box in enumerate(boxes)
+                if box.min_dist(probe, p=np.inf) <= epsilon
+            }
+            assert near <= window

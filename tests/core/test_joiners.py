@@ -3,12 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.core.joiners import make_numeric_joiner, make_text_joiner, text_dp_weight
+from repro.core.joiners import (
+    NumericPagePairJoiner,
+    make_numeric_joiner,
+    make_text_joiner,
+    text_dp_weight,
+)
 from repro.costmodel import CostModel
 from repro.distance.edit import edit_distance
 from repro.distance.frequency import frequency_vectors_sliding
 from repro.distance.vector import EuclideanDistance
 from repro.storage.page import SequencePagedDataset, VectorPagedDataset
+
+
+def join_one(joiner, row, col):
+    """The joiner's result for a single page pair."""
+    (result,) = joiner.join_cluster([(row, col)])
+    return result
 
 
 @pytest.fixture
@@ -26,7 +37,7 @@ class TestNumericJoiner:
     def test_finds_exact_pairs(self, pair, model):
         r, s = pair
         joiner = make_numeric_joiner(r, s, EuclideanDistance(), 0.3, model, False)
-        pairs, count, comparisons, cpu = joiner(1, 2, r.page_objects(1), s.page_objects(2))
+        pairs, count, comparisons, cpu = join_one(joiner, 1, 2)
         assert count == len(pairs)
         assert comparisons == 25
         assert cpu == pytest.approx(25e-6)
@@ -37,14 +48,14 @@ class TestNumericJoiner:
     def test_global_ids_offset_by_page(self, pair, model):
         r, s = pair
         joiner = make_numeric_joiner(r, s, EuclideanDistance(), 10.0, model, False)
-        pairs, _count, _cmp, _cpu = joiner(2, 1, r.page_objects(2), s.page_objects(1))
+        pairs, _count, _cmp, _cpu = join_one(joiner, 2, 1)
         assert {gid_r for gid_r, _ in pairs} == set(range(10, 15))
         assert {gid_s for _, gid_s in pairs} == set(range(5, 10))
 
     def test_self_join_diagonal_strict_upper(self, pair, model):
         r, _ = pair
         joiner = make_numeric_joiner(r, r, EuclideanDistance(), 10.0, model, True)
-        pairs, count, _cmp, _cpu = joiner(0, 0, r.page_objects(0), r.page_objects(0))
+        pairs, count, _cmp, _cpu = join_one(joiner, 0, 0)
         assert count == 10  # C(5, 2) pairs, no self matches
         for a, b in pairs:
             assert a < b
@@ -54,9 +65,20 @@ class TestNumericJoiner:
         joiner = make_numeric_joiner(
             r, s, EuclideanDistance(), 10.0, model, False, collect_pairs=False
         )
-        pairs, count, _cmp, _cpu = joiner(0, 0, r.page_objects(0), s.page_objects(0))
+        pairs, count, _cmp, _cpu = join_one(joiner, 0, 0)
         assert pairs == []
         assert count == 25
+
+    def test_rejects_distance_without_a_cascade(self, pair, model):
+        class HammingLike:
+            comparison_weight = 1.0
+
+            def pairs_within(self, left, right, epsilon):
+                return []
+
+        r, s = pair
+        with pytest.raises(ValueError, match="MinkowskiDistance or DTWDistance"):
+            NumericPagePairJoiner(r, s, HammingLike(), 0.3, model, False)
 
 
 class TestTextJoiner:
@@ -74,9 +96,7 @@ class TestTextJoiner:
         epsilon = 1
         joiner = make_text_joiner(ds, ds, features, features, epsilon, model, False)
         for page_r, page_s in [(0, 5), (3, 3), (7, 20)]:
-            pairs, count, _cmp, _cpu = joiner(
-                page_r, page_s, ds.page_objects(page_r), ds.page_objects(page_s)
-            )
+            pairs, count, _cmp, _cpu = join_one(joiner, page_r, page_s)
             expected = set()
             r_start, r_stop = ds.window_range(page_r)
             s_start, s_stop = ds.window_range(page_s)
@@ -93,9 +113,7 @@ class TestTextJoiner:
         ds, features = dataset
         joiner = make_text_joiner(ds, ds, features, features, 2, model, False)
         page_r, page_s = 1, 9
-        pairs, _count, _cmp, _cpu = joiner(
-            page_r, page_s, ds.page_objects(page_r), ds.page_objects(page_s)
-        )
+        pairs, _count, _cmp, _cpu = join_one(joiner, page_r, page_s)
         text = ds.sequence
         expected = set()
         r_start, r_stop = ds.window_range(page_r)
@@ -109,7 +127,7 @@ class TestTextJoiner:
     def test_self_join_diagonal(self, dataset, model):
         ds, features = dataset
         joiner = make_text_joiner(ds, ds, features, features, 1, model, True)
-        pairs, _count, _cmp, _cpu = joiner(2, 2, ds.page_objects(2), ds.page_objects(2))
+        pairs, _count, _cmp, _cpu = join_one(joiner, 2, 2)
         for p, q in pairs:
             assert p < q
 

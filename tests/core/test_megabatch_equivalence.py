@@ -1,43 +1,230 @@
-"""Mega-batch vs per-pair equivalence: the cluster-granular execution
-engine must be observationally identical to the classic per-page-pair
-path — pairs (order included), every simulated cost, every semantic
-counter and every Lemma audit — with only the kernel invocation counts
-(``BATCHING_VARIANT_COUNTERS``) allowed to differ.
+"""Per-entry conformance of the fused cluster cascade.
+
+Every join method joins page pairs through
+:meth:`~repro.core.joiners.PagePairJoiner.join_cluster`.  For any set of
+distinct entries, diagonal ones included, ``join_cluster(entries)[k]``
+must equal the frozen per-page-pair oracle (``tests/oracles/joiners.py``)
+on ``(row_k, col_k)`` bit for bit — pairs in order, count, comparisons
+and modeled CPU — and one cascade must add the same semantic counters as
+the oracle run entry by entry.  Only kernel invocation counts differ:
+one per cascade instead of one per page pair.
+
+``TestSequenceEquivalence`` checks the same on whole joins: ``join()``
+with the cascade and ``join()`` with the oracle joining each marked page
+pair on its own, serial and threaded, give the same pairs in order,
+every simulated cost and the same semantic counters.
 """
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
+from repro.core.joiners import NumericPagePairJoiner, TextPagePairJoiner
 from repro.core.join import IndexedDataset, join
+from repro.costmodel import CostModel
 from repro.datasets import markov_dna
-from repro.obs import BATCHING_VARIANT_COUNTERS, InMemoryRecorder
-from repro.sequence.subjoin import subsequence_join
+from repro.distance.dtw import DTWDistance
+from repro.distance.vector import MinkowskiDistance
+from repro.obs import InMemoryRecorder
+from tests.oracles.joiners import PerPairJoiner, page_pair
+
+# The module, not the ``join`` function ``repro.core`` re-exports under
+# the same name.
+JOIN_MODULE = importlib.import_module("repro.core.join")
+
+MODEL = CostModel(cpu_compare_s=1e-6)
+INVOCATIONS = frozenset(
+    {
+        "kernel.minkowski.invocations",
+        "kernel.dtw.invocations",
+        "kernel.edit.invocations",
+    }
+)
 
 
 def _semantic_counters(recorder: InMemoryRecorder) -> dict:
     counters = recorder.metrics_snapshot()["counters"]
-    return {
-        name: value
-        for name, value in counters.items()
-        if name not in BATCHING_VARIANT_COUNTERS
-    }
+    return {name: v for name, v in counters.items() if name not in INVOCATIONS}
 
 
-def _run(r, s, epsilon, *, batch_pairs, method="sc", workers=1, **kwargs):
-    rec = InMemoryRecorder()
-    result = join(
-        r, s, epsilon, method=method, buffer_pages=10, workers=workers,
-        batch_pairs=batch_pairs, recorder=rec, **kwargs
+def _entry_sets(r, s, epsilon, self_join, seed, size=24):
+    """Random distinct entries: mostly near page pairs, some far, and on
+    self joins a few diagonal ones; three sets in random order."""
+    rng = np.random.default_rng(seed)
+    boxes_r, boxes_s = r.index.leaf_boxes, s.index.leaf_boxes
+    near, far = [], []
+    for row, box in enumerate(boxes_r):
+        for col, other in enumerate(boxes_s):
+            gap = box.min_dist(other, p=float("inf"))
+            (near if gap <= 2 * epsilon else far).append((row, col))
+    sets = []
+    for _ in range(3):
+        picks = [near[k] for k in rng.choice(len(near), min(size, len(near)), replace=False)]
+        picks += [far[k] for k in rng.choice(len(far), min(4, len(far)), replace=False)]
+        if self_join:
+            diagonal = rng.choice(r.num_pages, 3, replace=False)
+            picks += [(int(p), int(p)) for p in diagonal]
+        picks = list(dict.fromkeys((int(a), int(b)) for a, b in picks))
+        sets.append([picks[k] for k in rng.permutation(len(picks))])
+    return sets
+
+
+def _assert_conforms(make_joiner, entries):
+    fused_rec, oracle_rec = InMemoryRecorder(), InMemoryRecorder()
+    fused = make_joiner(fused_rec).join_cluster(entries)
+    oracle = make_joiner(oracle_rec)
+    expected = [page_pair(oracle, row, col) for row, col in entries]
+    assert len(fused) == len(entries)
+    for entry, got, want in zip(entries, fused, expected):
+        assert got[0] == want[0], entry  # pairs, in order
+        assert got[1:] == want[1:], entry  # count, comparisons, cpu
+    assert _semantic_counters(fused_rec) == _semantic_counters(oracle_rec)
+    return expected
+
+
+@pytest.fixture(scope="module")
+def points():
+    rng = np.random.default_rng(3)
+    centers = rng.random((6, 2))
+    r = centers[rng.integers(0, 6, 360)] + rng.normal(scale=0.06, size=(360, 2))
+    s = centers[rng.integers(0, 6, 260)] + rng.normal(scale=0.06, size=(260, 2))
+    return (
+        IndexedDataset.from_points(r, page_capacity=16),
+        IndexedDataset.from_points(s, page_capacity=16),
     )
+
+
+def _walk_pair(**kwargs):
+    rng = np.random.default_rng(11)
+    walk = np.cumsum(rng.normal(size=500))
+    r = IndexedDataset.from_time_series(
+        walk, window_length=12, windows_per_page=24, **kwargs
+    )
+    s = IndexedDataset.from_time_series(
+        walk[50:450] + rng.normal(scale=0.05, size=400),
+        window_length=12, windows_per_page=24, **kwargs,
+    )
+    return r, s
+
+
+@pytest.fixture(scope="module")
+def walks():
+    return _walk_pair()
+
+
+@pytest.fixture(scope="module")
+def dtw_walks():
+    return _walk_pair(dtw_band=2)
+
+
+@pytest.fixture(scope="module")
+def texts():
+    r = IndexedDataset.from_string(
+        markov_dna(1200, seed=5, repeat_share=0.1), window_length=8,
+        windows_per_page=24,
+    )
+    s = IndexedDataset.from_string(
+        markov_dna(900, seed=6), window_length=8, windows_per_page=24
+    )
+    return r, s
+
+
+def _sides(pair, join_kind):
+    r, s = pair
+    return (r, r) if join_kind == "self" else (r, s)
+
+
+class TestVectorConformance:
+    @pytest.mark.parametrize("p, epsilon", [(1.0, 0.05), (2.0, 0.04), (np.inf, 0.03)])
+    @pytest.mark.parametrize("join_kind", ["cross", "self"])
+    @pytest.mark.parametrize("collect_pairs", [True, False], ids=["pairs", "count_only"])
+    def test_minkowski(self, points, p, epsilon, join_kind, collect_pairs):
+        r, s = _sides(points, join_kind)
+        self_join = r is s
+
+        def make(recorder):
+            return NumericPagePairJoiner(
+                r.paged, s.paged, MinkowskiDistance(p), epsilon, MODEL,
+                self_join, collect_pairs=collect_pairs, recorder=recorder,
+            )
+
+        found = 0
+        for entries in _entry_sets(r, s, epsilon, self_join, seed=7):
+            found += sum(res[1] for res in _assert_conforms(make, entries))
+        assert found > 0, "calibration: the entry sets should hold results"
+
+
+class TestSequenceConformance:
+    @pytest.mark.parametrize(
+        "distance, data, epsilon",
+        [(MinkowskiDistance(2.0), "walks", 4.0), (DTWDistance(2), "dtw_walks", 0.6)],
+        ids=["l2", "dtw"],
+    )
+    @pytest.mark.parametrize("join_kind", ["cross", "self"])
+    @pytest.mark.parametrize("collect_pairs", [True, False], ids=["pairs", "count_only"])
+    def test_windows(self, request, distance, data, epsilon, join_kind, collect_pairs):
+        r, s = _sides(request.getfixturevalue(data), join_kind)
+        self_join = r is s
+
+        def make(recorder):
+            return NumericPagePairJoiner(
+                r.paged, s.paged, distance, epsilon, MODEL, self_join,
+                collect_pairs=collect_pairs, recorder=recorder,
+            )
+
+        found = 0
+        for entries in _entry_sets(r, s, epsilon, self_join, seed=5):
+            found += sum(res[1] for res in _assert_conforms(make, entries))
+        assert found > 0, "calibration: the entry sets should hold results"
+
+    @pytest.mark.parametrize("epsilon", [0, 1, 2])
+    @pytest.mark.parametrize("join_kind", ["cross", "self"])
+    @pytest.mark.parametrize("collect_pairs", [True, False], ids=["pairs", "count_only"])
+    def test_text(self, texts, epsilon, join_kind, collect_pairs):
+        # The three regimes: Hamming-only accept (0), Hamming accept and
+        # reject (1), and the banded DP behind the Hamming filter (2).
+        r, s = _sides(texts, join_kind)
+        self_join = r is s
+
+        def make(recorder):
+            return TextPagePairJoiner(
+                r.paged, s.paged, r.features, s.features, epsilon, MODEL,
+                self_join, collect_pairs=collect_pairs, recorder=recorder,
+            )
+
+        found = 0
+        for entries in _entry_sets(r, s, epsilon, self_join, seed=epsilon):
+            found += sum(res[1] for res in _assert_conforms(make, entries))
+        assert found > 0, "calibration: the entry sets should hold results"
+
+
+def _run_join(monkeypatch, r, s, epsilon, *, workers, per_pair):
+    """``join()``; with ``per_pair`` its joiner is the per-pair oracle."""
+    rec = InMemoryRecorder()
+    with monkeypatch.context() as patch:
+        if per_pair:
+            make = JOIN_MODULE._make_joiner
+            patch.setattr(
+                JOIN_MODULE, "_make_joiner",
+                lambda *args, **kwargs: PerPairJoiner(make(*args, **kwargs)),
+            )
+        result = join(
+            r, s, epsilon, buffer_pages=10, workers=workers, recorder=rec
+        )
     return result, rec
 
 
-def _assert_identical(baseline, candidate):
-    """Bit-identical observable behaviour between two join runs."""
-    base_result, base_rec = baseline
-    cand_result, cand_rec = candidate
+def _assert_identical(monkeypatch, r, s, epsilon, workers):
+    """The cascade join equals the per-pair oracle join bit for bit."""
+    base_result, base_rec = _run_join(
+        monkeypatch, r, s, epsilon, workers=workers, per_pair=True
+    )
+    cand_result, cand_rec = _run_join(
+        monkeypatch, r, s, epsilon, workers=workers, per_pair=False
+    )
     assert cand_result.pairs == base_result.pairs
     br, cr = base_result.report, cand_result.report
     assert cr.result_pairs == br.result_pairs
@@ -49,6 +236,7 @@ def _assert_identical(baseline, candidate):
     assert cr.buffer_hits == br.buffer_hits
     assert cr.extra["pages_reused"] == br.extra["pages_reused"]
     assert _semantic_counters(cand_rec) == _semantic_counters(base_rec)
+    return cand_result
 
 
 @pytest.fixture(scope="module")
@@ -64,181 +252,44 @@ def series_pair():
     return r, s
 
 
-@pytest.fixture(scope="module")
-def dtw_pair():
-    rng = np.random.default_rng(11)
-    walk = np.cumsum(rng.normal(size=500))
-    r = IndexedDataset.from_time_series(
-        walk, window_length=12, windows_per_page=24, dtw_band=2
-    )
-    s = IndexedDataset.from_time_series(
-        walk[50:450] + rng.normal(scale=0.05, size=400),
-        window_length=12,
-        windows_per_page=24,
-        dtw_band=2,
-    )
-    return r, s
-
-
-@pytest.fixture(scope="module")
-def text_pair():
-    r = IndexedDataset.from_string(
-        markov_dna(1200, seed=5), window_length=8, windows_per_page=24
-    )
-    s = IndexedDataset.from_string(
-        markov_dna(900, seed=6), window_length=8, windows_per_page=24
-    )
-    return r, s
-
-
-class TestVectorEquivalence:
-    @pytest.mark.parametrize("method", ["sc", "cc"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_euclidean_megabatch_matches_per_pair(self, vector_pair, method, workers):
-        r, s = vector_pair
-        baseline = _run(r, s, 0.05, batch_pairs=1, method=method, workers=workers)
-        megabatch = _run(r, s, 0.05, batch_pairs=None, method=method, workers=workers)
-        _assert_identical(baseline, megabatch)
-
-    def test_manhattan_megabatch_matches_per_pair(self, small_points, rng):
-        other = np.clip(
-            small_points[:200] + rng.normal(scale=0.02, size=(200, 2)), 0, 1
-        )
-        r = IndexedDataset.from_points(small_points, page_capacity=16, p=1.0)
-        s = IndexedDataset.from_points(other, page_capacity=16, p=1.0)
-        baseline = _run(r, s, 0.05, batch_pairs=1)
-        megabatch = _run(r, s, 0.05, batch_pairs=None)
-        _assert_identical(baseline, megabatch)
-
-    def test_self_join_diagonal_filter_survives_batching(self, vector_pair):
-        r, _ = vector_pair
-        baseline = _run(r, r, 0.03, batch_pairs=1)
-        megabatch = _run(r, r, 0.03, batch_pairs=None)
-        _assert_identical(baseline, megabatch)
-        # Self matches really are excluded, not merely equal on both paths.
-        assert all(a < b for a, b in megabatch[0].pairs)
-
-    def test_count_only_cardinality_matches(self, vector_pair):
-        r, s = vector_pair
-        baseline = _run(r, s, 0.05, batch_pairs=1, count_only=True)
-        megabatch = _run(r, s, 0.05, batch_pairs=None, count_only=True)
-        _assert_identical(baseline, megabatch)
-        assert megabatch[0].pairs == []
-        assert megabatch[0].num_pairs > 0
-
-
 class TestSequenceEquivalence:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_series_window_join_matches(self, series_pair, workers):
+    def test_series_window_join_matches(self, monkeypatch, series_pair, workers):
         r, s = series_pair
-        baseline = _run(r, s, 0.5, batch_pairs=1, workers=workers)
-        megabatch = _run(r, s, 0.5, batch_pairs=None, workers=workers)
-        _assert_identical(baseline, megabatch)
+        _assert_identical(monkeypatch, r, s, 0.5, workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_dtw_join_matches(self, dtw_pair, workers):
-        r, s = dtw_pair
-        baseline = _run(r, s, 0.6, batch_pairs=1, workers=workers)
-        megabatch = _run(r, s, 0.6, batch_pairs=None, workers=workers)
-        _assert_identical(baseline, megabatch)
-        assert baseline[0].num_pairs > 0
+    def test_dtw_join_matches(self, monkeypatch, dtw_walks, workers):
+        r, s = dtw_walks
+        result = _assert_identical(monkeypatch, r, s, 0.6, workers)
+        assert result.num_pairs > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0])
-    def test_text_join_matches(self, text_pair, workers, epsilon):
+    def test_text_join_matches(self, monkeypatch, texts, workers, epsilon):
         # epsilon spans the joiner's three regimes: Hamming-only accept
         # (0), Hamming accept/reject (1), and the DP fallback (2).
-        r, s = text_pair
-        baseline = _run(r, s, epsilon, batch_pairs=1, workers=workers)
-        megabatch = _run(r, s, epsilon, batch_pairs=None, workers=workers)
-        _assert_identical(baseline, megabatch)
-
-    def test_text_self_join_matches(self, dna_dataset):
-        baseline = _run(dna_dataset, dna_dataset, 1.0, batch_pairs=1)
-        megabatch = _run(dna_dataset, dna_dataset, 1.0, batch_pairs=None)
-        _assert_identical(baseline, megabatch)
-        assert all(a < b for a, b in megabatch[0].pairs)
-
-    def test_subsequence_join_batch_pairs_passthrough(self):
-        text = markov_dna(800, seed=9)
-        per_pair = subsequence_join(
-            text, None, window_length=6, epsilon=1.0,
-            buffer_pages=6, windows_per_page=16, batch_pairs=1,
-        )
-        fused = subsequence_join(
-            text, None, window_length=6, epsilon=1.0,
-            buffer_pages=6, windows_per_page=16,
-        )
-        assert fused.offsets == per_pair.offsets
-        assert fused.report.page_reads == per_pair.report.page_reads
-
-
-class TestInvariantsUnderBatching:
-    def test_lemma_audits_identical(self, vector_pair):
-        r, s = vector_pair
-        audits = []
-        for batch_pairs in (1, None):
-            _, rec = _run(r, s, 0.05, batch_pairs=batch_pairs)
-            counters = rec.metrics_snapshot()["counters"]
-            audits.append(
-                (
-                    counters["lemma.clusters_audited"],
-                    counters.get("lemma.violations", 0),
-                )
-            )
-        assert audits[0] == audits[1]
-        assert audits[0][1] == 0
-
-    def test_megabatch_marker_counters_present(self, vector_pair):
-        r, s = vector_pair
-        _, rec = _run(r, s, 0.05, batch_pairs=None)
-        counters = rec.metrics_snapshot()["counters"]
-        assert counters["executor.megabatch_clusters"] == counters["executor.clusters"]
-        assert counters["kernel.minkowski.invocations"] > 0
-        _, rec_pp = _run(r, s, 0.05, batch_pairs=1)
-        counters_pp = rec_pp.metrics_snapshot()["counters"]
-        assert "executor.megabatch_clusters" not in counters_pp
-        # Fewer kernel launches is the point of the mega-batch.
-        assert (
-            counters["kernel.minkowski.invocations"]
-            < counters_pp["kernel.minkowski.invocations"]
-        )
-
-    def test_plain_callable_joiner_falls_back(self, vector_pair, pool):
-        from repro.core.executor import execute_clusters
-        from repro.core.square import square_clustering
-        from repro.core.sweep import build_prediction_matrix
-
-        r, s = vector_pair
-        matrix, _ = build_prediction_matrix(
-            r.index.root, s.index.root, 0.05, r.num_pages, s.num_pages
-        )
-        clusters, _ = square_clustering(matrix, pool.capacity)
-        calls = []
-
-        def counting_joiner(row, col, r_payload, s_payload):
-            calls.append((row, col))
-            return [], 0, 0, 0.0
-
-        execute_clusters(clusters, pool, r.paged, s.paged, counting_joiner)
-        assert len(calls) == matrix.num_marked
-
-    def test_batch_pairs_validation(self, vector_pair):
-        r, s = vector_pair
-        for batch_pairs in (0, 2, 7):
-            with pytest.raises(ValueError, match="batch_pairs"):
-                join(r, s, 0.05, buffer_pages=10, batch_pairs=batch_pairs)
+        r, s = texts
+        _assert_identical(monkeypatch, r, s, epsilon, workers)
 
 
 class TestNonLruPolicies:
-    """FIFO/MRU victims may differ with pins; pins only ever avoid
-    re-reads, so results stay equal and physical reads never increase."""
+    """FIFO/MRU pick other victims than LRU, but each cluster's pages stay
+    pinned while it is staged: results equal the LRU run's and no cluster
+    reads more than its ``r + c`` pages (Lemma 2)."""
 
     @pytest.mark.parametrize("policy", ["fifo", "mru"])
     def test_results_equal_and_reads_bounded(self, vector_pair, policy):
         r, s = vector_pair
-        per_pair, _ = _run(r, s, 0.05, batch_pairs=1, buffer_policy=policy)
-        fused, _ = _run(r, s, 0.05, batch_pairs=None, buffer_policy=policy)
-        assert fused.pairs == per_pair.pairs
-        assert fused.report.comparisons == per_pair.report.comparisons
-        assert fused.report.page_reads <= per_pair.report.page_reads
+        lru = join(r, s, 0.05, buffer_pages=10)
+        rec = InMemoryRecorder()
+        other = join(
+            r, s, 0.05, buffer_pages=10, buffer_policy=policy, recorder=rec,
+            keep_details=True,
+        )
+        assert other.pairs == lru.pairs
+        assert other.report.comparisons == lru.report.comparisons
+        counters = rec.metrics_snapshot()["counters"]
+        assert counters["lemma.clusters_audited"] == len(other.clusters)
+        assert counters.get("lemma.violations", 0) == 0
+        assert other.report.page_reads <= sum(c.num_pages for c in other.clusters)

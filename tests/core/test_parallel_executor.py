@@ -18,8 +18,14 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.page import VectorPagedDataset
 
 
-def counting_joiner(row, col, r_payload, s_payload):
-    return [(row, col)], 1, len(r_payload) * len(s_payload), 0.001
+class CountingJoiner:
+    """Each entry yields itself as its one pair and charges 1 ms."""
+
+    def join_cluster(self, entries):
+        return [([entry], 1, 4, 0.001) for entry in entries]
+
+
+counting_joiner = CountingJoiner()
 
 
 @pytest.fixture

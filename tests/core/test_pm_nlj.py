@@ -20,8 +20,14 @@ def datasets():
     return r, s
 
 
-def counting_joiner(row, col, r_payload, s_payload):
-    return [(row, col)], 1, 1, 0.0
+class CountingJoiner:
+    """Each entry yields itself as its one pair."""
+
+    def join_cluster(self, entries):
+        return [([entry], 1, 1, 0.0) for entry in entries]
+
+
+counting_joiner = CountingJoiner()
 
 
 class TestPinnedBranch:

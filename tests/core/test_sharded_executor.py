@@ -16,13 +16,9 @@ import pytest
 from repro.core.clusters import Cluster
 from repro.core.executor import execute_clusters_sharded
 from repro.core.join import IndexedDataset, join
-from repro.core.planner import SHARD_STRATEGIES, ShardPlan
+from repro.core.planner import ShardPlan
 from repro.core.sharding import resolve_start_method
-from repro.obs import (
-    BATCHING_VARIANT_COUNTERS,
-    SHARDING_VARIANT_COUNTER_PREFIXES,
-    InMemoryRecorder,
-)
+from repro.obs import SHARDING_VARIANT_COUNTER_PREFIXES, InMemoryRecorder
 from repro.storage.buffer import BufferPool
 from repro.storage.shm import shm_available
 from repro.storage.page import VectorPagedDataset
@@ -46,13 +42,25 @@ def _report_counters(result):
 
 
 def _stable_counters(recorder):
-    """Recorder counters minus the documented per-variant extras."""
+    """Recorder counters minus the documented per-shard extras."""
     return {
         name: value
         for name, value in recorder.metrics_snapshot()["counters"].items()
-        if name not in BATCHING_VARIANT_COUNTERS
-        and not name.startswith(SHARDING_VARIANT_COUNTER_PREFIXES)
+        if not name.startswith(SHARDING_VARIANT_COUNTER_PREFIXES)
     }
+
+
+def _hand_plan(kind, num_clusters, shards):
+    """A partition the planner does not make, as a ``ShardPlan``:
+    contiguous schedule segments (``"chunk"``) or schedule index modulo
+    the shard count (``"roundrobin"``)."""
+    if kind == "chunk":
+        bounds = np.linspace(0, num_clusters, shards + 1).astype(int)
+        members = [range(bounds[k], bounds[k + 1]) for k in range(shards)]
+    else:
+        members = [range(k, num_clusters, shards) for k in range(shards)]
+    members = tuple(tuple(m) for m in members if len(m))
+    return ShardPlan(kind, members, tuple(0 for _ in members), 0)
 
 
 @pytest.fixture
@@ -79,14 +87,18 @@ class TestJoinSharded:
         assert sharded.pairs == serial.pairs  # list order included
         assert _report_counters(sharded) == _report_counters(serial)
 
-    @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
+    @pytest.mark.parametrize("strategy", ["affinity", "chunk", "roundrobin"])
     def test_text_self_join_all_strategies(self, strategy):
         rng = np.random.default_rng(7)
         text = "".join(rng.choice(list("ACGT"), size=1500))
         ds = IndexedDataset.from_string(
             text, window_length=12, windows_per_page=64, dataset_id="G"
         )
-        serial = join(ds, ds, 2, method="sc", buffer_pages=8, workers=1)
+        serial = join(
+            ds, ds, 2, method="sc", buffer_pages=8, workers=1, keep_details=True
+        )
+        if strategy != "affinity":
+            strategy = _hand_plan(strategy, len(serial.clusters), 2)
         sharded = join(
             ds, ds, 2, method="sc", buffer_pages=8,
             workers=2, shard_strategy=strategy,
@@ -99,21 +111,12 @@ class TestJoinSharded:
         ds = IndexedDataset.from_time_series(
             seq, window_length=12, windows_per_page=32, dtw_band=2, dataset_id="W"
         )
-        serial = join(ds, ds, 0.5, method="sc", buffer_pages=10, workers=1)
-        sharded = join(
-            ds, ds, 0.5, method="sc", buffer_pages=10,
-            workers=3, shard_strategy="roundrobin",
+        serial = join(
+            ds, ds, 0.5, method="sc", buffer_pages=10, workers=1, keep_details=True
         )
-        assert sharded.pairs == serial.pairs
-        assert _report_counters(sharded) == _report_counters(serial)
-
-    def test_per_pair_path(self, spatial):
-        """batch_pairs=1 exercises the non-megabatch worker branch."""
-        r, s = spatial
-        serial = join(r, s, 0.05, method="cc", buffer_pages=10, batch_pairs=1)
         sharded = join(
-            r, s, 0.05, method="cc", buffer_pages=10, batch_pairs=1,
-            workers=2, shard_strategy="affinity",
+            ds, ds, 0.5, method="sc", buffer_pages=10, workers=3,
+            shard_strategy=_hand_plan("roundrobin", len(serial.clusters), 3),
         )
         assert sharded.pairs == serial.pairs
         assert _report_counters(sharded) == _report_counters(serial)
@@ -152,7 +155,10 @@ class TestShardedTelemetry:
             workers=2, shard_strategy="affinity",
         )
         assert sharded.pairs == serial.pairs
-        assert _stable_counters(sharded_rec) == _stable_counters(serial_rec)
+        stable = _stable_counters(serial_rec)
+        assert _stable_counters(sharded_rec) == stable
+        # Kernel invocations are compared too: one cascade per cluster.
+        assert stable["kernel.minkowski.invocations"] == stable["executor.clusters"]
 
     def test_per_shard_io_sums_to_totals(self, spatial):
         r, s = spatial
@@ -203,15 +209,8 @@ class TestRandomPartitionsProperty:
         """Property: EVERY partition of the schedule merges to the serial
         pairs list — correctness cannot depend on the planner's choices."""
         r, s = spatial
-        serial = join(r, s, 0.05, method="sc", buffer_pages=10)
-        # Recover the schedule length from a planned run's shard counters.
-        probe = InMemoryRecorder()
-        join(
-            r, s, 0.05, method="sc", buffer_pages=10, recorder=probe,
-            workers=2, shard_strategy="chunk",
-        )
-        counters = probe.metrics_snapshot()["counters"]
-        num_clusters = counters["executor.clusters"]
+        serial = join(r, s, 0.05, method="sc", buffer_pages=10, keep_details=True)
+        num_clusters = len(serial.clusters)
         rng = np.random.default_rng(99)
         for trial in range(3):
             assignment = rng.integers(0, 3, size=num_clusters)
@@ -236,6 +235,7 @@ class TestRandomPartitionsProperty:
 
 class TestFailureModes:
     def test_plain_callable_joiner_rejected(self, cost_model):
+        """A custom joiner has no picklable recipe for the workers."""
         from repro.storage.disk import SimulatedDisk
 
         r = VectorPagedDataset(
@@ -247,19 +247,20 @@ class TestFailureModes:
             objects_per_page=2, dataset_id="S",
         )
 
-        def plain_joiner(row, col, r_payload, s_payload):
-            return [(row, col)], 1, 1, 0.0
+        class CustomJoiner:
+            def join_cluster(self, entries):
+                return [([entry], 1, 1, 0.0) for entry in entries]
 
         pool = BufferPool(SimulatedDisk(cost_model), 8)
         with pytest.raises(ValueError, match="cannot be shipped"):
             execute_clusters_sharded(
-                [Cluster(0, ((0, 0),))], pool, r, s, plain_joiner, workers=2
+                [Cluster(0, ((0, 0),))], pool, r, s, CustomJoiner(), workers=2
             )
 
     def test_rejects_bad_worker_count(self, spatial):
         r, s = spatial
         with pytest.raises(ValueError):
-            join(r, s, 0.05, buffer_pages=10, workers=0, shard_strategy="chunk")
+            join(r, s, 0.05, buffer_pages=10, workers=0, shard_strategy="affinity")
 
     def test_spawn_oversubscription_is_a_clear_error(self, monkeypatch):
         import multiprocessing as mp

@@ -15,6 +15,13 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 
 
+class NoopJoiner:
+    """Joins nothing: one empty result per entry."""
+
+    def join_cluster(self, entries):
+        return [([], 0, 0, 0.0)] * len(entries)
+
+
 class TestLossyPredictorIsObservable:
     def test_dropped_matrix_entry_loses_results(self, vector_pair):
         """A faulty (non-complete) predictor visibly changes the result —
@@ -73,9 +80,8 @@ class TestResourceViolationsRaise:
         disk = SimulatedDisk()
         pool = BufferPool(disk, 3)
         huge = Cluster(0, tuple((row, 0) for row in range(5)))
-        noop = lambda row, col, pr, ps: ([], 0, 0, 0.0)
-        with pytest.raises(ValueError, match="exceeds available buffer"):
-            execute_clusters([huge], pool, r.paged, s.paged, noop)
+        with pytest.raises(ValueError, match="exceeds the available buffer"):
+            execute_clusters([huge], pool, r.paged, s.paged, NoopJoiner())
 
     def test_bfrj_raises_not_thrashes(self, rng):
         r = IndexedDataset.from_points(rng.random((500, 2)), page_capacity=4)

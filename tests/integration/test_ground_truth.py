@@ -1,0 +1,107 @@
+"""Every join method against an absolute brute-force oracle.
+
+Each case is small enough to compare every object pair
+(``tests/oracles/brute_force.py``).  Every method must return exactly
+the oracle's pair set, no pair twice, and every id as a Python ``int``.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from repro.core.join import JOIN_METHODS, IndexedDataset, join
+from repro.datasets import markov_dna
+from tests.oracles.brute_force import dtw_pairs, edit_pairs, vector_pairs
+
+POINT_ONLY = ("ekdb", "zorder")
+SEQUENCE_METHODS = [m for m in JOIN_METHODS if m not in POINT_ONLY]
+
+
+def _clustered(rng, n, dim=2):
+    centers = rng.random((5, dim))
+    return centers[rng.integers(0, 5, n)] + rng.normal(scale=0.05, size=(n, dim))
+
+
+def _vector_case(r_pts, s_pts, epsilon, p, self_join, capacity=16, buffer_pages=10):
+    r = IndexedDataset.from_points(r_pts, page_capacity=capacity, p=p)
+    s = r if self_join else IndexedDataset.from_points(s_pts, page_capacity=capacity, p=p)
+    truth = vector_pairs(r.paged.vectors, s.paged.vectors, epsilon, p, self_join)
+    return r, s, epsilon, buffer_pages, truth
+
+
+def _text_case(text, window, epsilon, per_page, buffer_pages):
+    ds = IndexedDataset.from_string(text, window_length=window, windows_per_page=per_page)
+    windows = sliding_window_view(np.frombuffer(text.encode("ascii"), np.uint8), window)
+    return ds, ds, epsilon, buffer_pages, edit_pairs(windows, windows, epsilon, True)
+
+
+@lru_cache(maxsize=None)
+def case(name):
+    """``(r, s, epsilon, buffer_pages, oracle pairs)`` of one input."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "l2-cross":
+        return _vector_case(_clustered(rng, 220), _clustered(rng, 160), 0.04, 2.0, False)
+    if name == "l2-self":
+        return _vector_case(_clustered(rng, 200), None, 0.04, 2.0, True)
+    if name == "l1-cross":
+        return _vector_case(_clustered(rng, 220), _clustered(rng, 160), 0.05, 1.0, False)
+    if name == "linf-cross":
+        return _vector_case(_clustered(rng, 220), _clustered(rng, 160), 0.03, np.inf, False)
+    if name == "l2-eps0-duplicates":
+        grid = np.round(rng.random((150, 2)) * 8) / 8  # many exact duplicates
+        return _vector_case(grid, np.concatenate([grid[::3], rng.random((40, 2))]),
+                            0.0, 2.0, False)
+    if name == "l2-single-page":
+        return _vector_case(_clustered(rng, 12), _clustered(rng, 150), 0.06, 2.0, False)
+    if name == "dtw-cross":
+        walk = np.cumsum(rng.normal(size=260))
+        other = walk[40:230] + rng.normal(scale=0.05, size=190)
+        band, window, epsilon = 2, 10, 0.8
+        r, s = (
+            IndexedDataset.from_time_series(v, window_length=window,
+                                            windows_per_page=16, dtw_band=band)
+            for v in (walk, other)
+        )
+        truth = dtw_pairs(sliding_window_view(walk, window),
+                          sliding_window_view(other, window), epsilon, band, False)
+        return r, s, epsilon, 10, truth
+    if name == "text-self-eps1":
+        return _text_case(markov_dna(700, seed=2, repeat_share=0.1), 12, 1, 32, 10)
+    if name == "text-self-eps2":
+        return _text_case(markov_dna(700, seed=2, repeat_share=0.1), 12, 2, 32, 10)
+    if name == "text-ego-window":
+        # EGO's scan order is not sorted by page lo[0] here; the window
+        # once ended before the page holding pair (639, 640).
+        return _text_case(markov_dna(2000, seed=0, repeat_share=0.1), 64, 2, 64, 16)
+    raise KeyError(name)
+
+
+VECTOR_CASES = ["l2-cross", "l2-self", "l1-cross", "linf-cross",
+                "l2-eps0-duplicates", "l2-single-page"]
+SEQUENCE_CASES = ["dtw-cross", "text-self-eps1", "text-self-eps2", "text-ego-window"]
+CASES = [(c, m) for c in VECTOR_CASES for m in JOIN_METHODS] + [
+    (c, m) for c in SEQUENCE_CASES for m in SEQUENCE_METHODS
+]
+
+
+@pytest.mark.parametrize("name, method", CASES)
+def test_matches_brute_force(name, method):
+    r, s, epsilon, buffer_pages, truth = case(name)
+    assert truth, "calibration: the oracle should find pairs"
+    pairs = join(r, s, epsilon, method=method, buffer_pages=buffer_pages).pairs
+    assert all(type(a) is int and type(b) is int for a, b in pairs)
+    assert len(set(pairs)) == len(pairs), "a pair was reported twice"
+    assert set(pairs) == truth
+
+
+def test_single_page_case_has_one_page():
+    r, _s, *_ = case("l2-single-page")
+    assert r.num_pages == 1
+
+
+def test_ego_case_holds_the_once_missed_pair():
+    assert (639, 640) in case("text-ego-window")[4]

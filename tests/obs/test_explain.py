@@ -29,7 +29,6 @@ from repro.experiments.figures import (
     lbeach_mcounty,
 )
 from repro.obs import (
-    BATCHING_VARIANT_COUNTERS,
     SHARDING_VARIANT_COUNTER_PREFIXES,
     EXPLAIN_SCHEMA_VERSION,
     InMemoryRecorder,
@@ -252,8 +251,7 @@ class TestExplainSharded:
         return {
             name: value
             for name, value in recorder.metrics_snapshot()["counters"].items()
-            if name not in BATCHING_VARIANT_COUNTERS
-            and not name.startswith(SHARDING_VARIANT_COUNTER_PREFIXES)
+            if not name.startswith(SHARDING_VARIANT_COUNTER_PREFIXES)
         }
 
     def test_counters_match_serial(self, spatial):

@@ -27,22 +27,13 @@ class TestStageSpans:
         rec = InMemoryRecorder()
         join(r, s, 0.05, method="sc", buffer_pages=10, recorder=rec)
         names = {sp.name for sp in rec.spans}
-        # Every pipeline stage appears as a named span; the default
-        # execution granularity joins whole clusters per cascade.
+        # Every pipeline stage appears as a named span; execution joins
+        # whole clusters per cascade.
         assert {
             "join.matrix", "matrix.sweep", "matrix.filter",
             "join.clustering", "join.scheduling", "join.execution",
             "execute.cluster", "execute.megabatch",
         } <= names
-
-    def test_per_pair_granularity_emits_refine_spans(self, vector_pair):
-        r, s = vector_pair
-        rec = InMemoryRecorder()
-        join(r, s, 0.05, method="sc", buffer_pages=10, batch_pairs=1,
-             recorder=rec)
-        names = {sp.name for sp in rec.spans}
-        assert "execute.refine" in names
-        assert "execute.megabatch" not in names
 
     def test_stage_seconds_equal_span_durations(self, vector_pair):
         r, s = vector_pair

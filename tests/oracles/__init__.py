@@ -2,5 +2,7 @@
 
 ``clusters_reference`` and ``sweep_reference`` are the scalar SC/CC,
 sharing-graph and prediction-matrix pipelines; ``kernels`` holds the
-row-by-row DTW/edit DPs.  Nothing under ``src/`` imports them.
+row-by-row DTW/edit DPs; ``joiners`` holds the per-page-pair joiners;
+``brute_force`` computes O(n²) ground-truth pair sets.  Nothing under
+``src/`` imports them.
 """

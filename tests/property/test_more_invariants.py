@@ -45,6 +45,11 @@ def matrices_with_buffer(draw):
 # -- pm-NLJ prediction == simulation ---------------------------------------------
 
 
+class _NoopJoiner:
+    def join_cluster(self, entries):
+        return [([], 0, 0, 0.0)] * len(entries)
+
+
 @given(matrices_with_buffer())
 @settings(max_examples=60, deadline=None)
 def test_pm_nlj_prediction_matches_simulation(case):
@@ -57,8 +62,7 @@ def test_pm_nlj_prediction_matches_simulation(case):
     )
     disk = SimulatedDisk()
     pool = BufferPool(disk, buffer_pages)
-    noop = lambda row, col, pr, ps: ([], 0, 0, 0.0)
-    pm_nlj_join(matrix, pool, r_ds, s_ds, noop)
+    pm_nlj_join(matrix, pool, r_ds, s_ds, _NoopJoiner())
     predicted = predict_pm_nlj_reads(matrix, buffer_pages)
     assert predicted.page_reads == disk.stats.transfers
 

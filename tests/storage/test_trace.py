@@ -3,6 +3,11 @@
 from repro.storage.trace import AccessTrace
 
 
+class _NoopJoiner:
+    def join_cluster(self, entries):
+        return [([], 0, 0, 0.0)] * len(entries)
+
+
 class TestAccessTrace:
     def test_records_reads(self, disk):
         disk.place("a", 10)
@@ -143,8 +148,7 @@ class TestTraceValidatesSchedules:
         disk = SimulatedDisk()
         trace = AccessTrace.attach(disk)
         pool = BufferPool(disk, 10)
-        noop = lambda row, col, pr, ps: ([], 0, 0, 0.0)
-        execute_clusters(ordered, pool, r.paged, s.paged, noop)
+        execute_clusters(ordered, pool, r.paged, s.paged, _NoopJoiner())
         summary = trace.summary()
         assert summary.total_reads > 0
         assert summary.mean_run_length > 1.0  # batched, not random
