@@ -289,6 +289,33 @@ def require_finite(values, what: str) -> np.ndarray:
     return arr
 
 
+def require_same_shape(r: IndexedDataset, s: IndexedDataset) -> None:
+    """``ValueError`` unless ``r`` and ``s`` hold objects of one shape.
+
+    The kinds must match, and so must the vector dimension, the window
+    length and, for text, the alphabet.  The distance kernels compare
+    objects coordinate by coordinate, and the text filter's
+    ``FD = L1/2`` identity needs equal window lengths on both sides.
+    """
+    if r.kind != s.kind:
+        raise ValueError(f"cannot join datasets of kinds {r.kind!r} and {s.kind!r}")
+    if r.kind == "vector":
+        if r.paged.dim != s.paged.dim:
+            raise ValueError(
+                f"cannot join vectors of dimension {r.paged.dim} and {s.paged.dim}"
+            )
+        return
+    if r.paged.window_length != s.paged.window_length:
+        raise ValueError(
+            f"cannot join windows of length {r.paged.window_length} and "
+            f"{s.paged.window_length}"
+        )
+    if r.kind == "text" and r.alphabet != s.alphabet:
+        raise ValueError(
+            f"cannot join text over alphabets {r.alphabet!r} and {s.alphabet!r}"
+        )
+
+
 def join(
     r: IndexedDataset,
     s: IndexedDataset,
@@ -314,7 +341,10 @@ def join(
     """Join two indexed datasets: all object pairs within ``epsilon``.
 
     Pass the same object twice for a self join (the result is then the set
-    of unordered pairs with distinct ids).
+    of unordered pairs with distinct ids).  Raises ``ValueError`` before
+    any work for an unknown method, a negative or NaN ``epsilon`` (or an
+    infinite one on text), or sides that :func:`require_same_shape`
+    rejects.
 
     Parameters of note
     ------------------
@@ -407,10 +437,12 @@ def join(
     """
     if method not in JOIN_METHODS:
         raise ValueError(f"unknown join method {method!r}; expected one of {JOIN_METHODS}")
-    if epsilon < 0:
+    if np.isnan(epsilon) or epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    if r.kind != s.kind:
-        raise ValueError(f"cannot join datasets of kinds {r.kind!r} and {s.kind!r}")
+    require_same_shape(r, s)
+    if r.kind == "text" and np.isinf(epsilon):
+        # The banded edit-distance DP takes int(epsilon) as its band.
+        raise ValueError(f"text joins need a finite epsilon, got {epsilon}")
     pf_config = resolve_prefilter(prefilter)
     if pf_config is not None and method not in ("sc", "rand-sc", "cc"):
         raise ValueError(

@@ -35,7 +35,7 @@ from repro.costmodel import CostModel
 from repro.distance.dtw import DTWDistance
 from repro.distance.vector import MinkowskiDistance
 from repro.kernels.backends import KERNELS
-from repro.kernels.dtw import dtw_batch
+from repro.kernels.dtw import dtw_batch, envelope_centres
 from repro.kernels.edit import edit_batch
 from repro.kernels.minkowski import _BLOCK_CELL_BUDGET, minkowski_refine
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -44,6 +44,8 @@ from repro.storage.page import PageBlock, PagedDataset, SequencePagedDataset
 __all__ = [
     "make_numeric_joiner",
     "make_text_joiner",
+    "make_keogh_filter",
+    "make_fd_filter",
     "text_dp_weight",
     "NumericPagePairJoiner",
     "TextPagePairJoiner",
@@ -56,10 +58,8 @@ JoinerResult = Tuple[List[Tuple[int, int]], int, int, float]
 
 Entry = Tuple[int, int]
 
-# The FD filter's (rows, chunk, alphabet) temporary is traversed three
-# times per chunk; a tighter budget than _BLOCK_CELL_BUDGET keeps it
-# cache-resident for the alphabet-sized last axis.
-_FD_CELL_BUDGET = 1 << 20
+# ``(left_slice, panel_j) -> bool decisions``, see _ClusterBlock.filtered_cells.
+PanelFilter = Callable[[slice, np.ndarray], np.ndarray]
 
 
 class _ClusterBlock:
@@ -146,9 +146,7 @@ class _ClusterBlock:
 
     def filtered_cells(
         self,
-        panel_filter: Optional[
-            Callable[[slice, np.ndarray], np.ndarray]
-        ] = None,
+        panel_filter: Optional[PanelFilter] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked ``(cand_i, cand_j, rank)`` of marked cells, filtered.
 
@@ -246,6 +244,89 @@ def _entry_sorted(
     """Stable sort by entry rank — groups rows per entry, keeps their order."""
     order = np.argsort(rank, kind="stable")
     return (rank[order],) + tuple(col[order] for col in columns)
+
+
+def make_keogh_filter(
+    left: np.ndarray, right: np.ndarray, band: int, epsilon: float
+) -> PanelFilter:
+    """Panel filter deciding ``LB_Keogh(left[i], envelope(right[j])) <= ε``.
+
+    Two stages per panel.  One Gram product tests the centre–radius
+    bound ``‖q − c_j‖ ≤ ε + ‖r_j‖``, which every cell with
+    ``LB_Keogh ≤ ε`` passes (:func:`repro.kernels.dtw.envelope_centres`
+    has the proof and the rounding margin); then LB_Keogh runs on the
+    panel columns where at least one row passed — or on every column
+    when the squared norms overflow.  The decisions equal
+    ``lb_keogh_panel(...) <= ε`` over the whole panel, cell for cell.
+    Envelopes, centres and norms are computed once, for every stacked
+    right window.
+    """
+    lowers, uppers = KERNELS.batch_envelopes(right, band)
+    centres, radii = envelope_centres(lowers, uppers)
+    reach = epsilon + radii
+    # Squared norms near the top of the float range (window values past
+    # ~1e150) overflow the Gram form into inf − inf; LB_Keogh, which
+    # squares only gaps, then runs on every column.
+    with np.errstate(over="ignore"):
+        left_sq = np.einsum("iw,iw->i", left, left)
+        centre_sq = np.einsum("jw,jw->j", centres, centres)
+        bounded = np.isfinite(
+            4.0 * (left_sq.max(initial=0.0) + centre_sq.max(initial=0.0))
+        )
+
+    def keogh_filter(sl: slice, panel_j: np.ndarray) -> np.ndarray:
+        rows = left[sl]
+        if bounded:
+            near = KERNELS.euclidean_gram_panel(
+                rows, centres[panel_j], left_sq[sl], centre_sq[panel_j],
+                reach[panel_j],
+            )
+            cols = np.flatnonzero(near.any(axis=0))
+        else:
+            cols = np.arange(panel_j.shape[0])
+        out = np.zeros((rows.shape[0], panel_j.shape[0]), dtype=bool)
+        if cols.size:
+            pc = panel_j[cols]
+            out[:, cols] = (
+                KERNELS.lb_keogh_panel(rows, lowers[pc], uppers[pc]) <= epsilon
+            )
+        return out
+
+    return keogh_filter
+
+
+def make_fd_filter(
+    left_features: np.ndarray,
+    right_features: np.ndarray,
+    epsilon: float,
+    window_length: int,
+) -> PanelFilter:
+    """Panel filter deciding ``FD(left[i], right[j]) <= ε`` in integers.
+
+    Frequency vectors are exact symbol counts, and every window's counts
+    sum to ``window_length`` on both sides, so FD is exactly half their
+    L1 distance — an integer of at most ``2·window_length`` — and
+    ``FD ≤ ε ⇔ L1 ≤ ⌊2ε⌋``.  Each panel sums ``|fr_a − fs_a|`` one letter
+    at a time, a 2-D integer broadcast per letter, in the narrowest of
+    int16/int32 that holds ``2·window_length``.  For such counts the
+    decisions equal the float form ``0.5·Σ_a |fs_a − fr_a| <= ε`` exactly.
+    """
+    limit = int(np.floor(min(2.0 * epsilon, 2.0 * window_length)))
+    dtype = np.int16 if 2 * window_length <= np.iinfo(np.int16).max else np.int32
+    left_counts = np.ascontiguousarray(left_features.T, dtype=dtype)
+    right_counts = np.ascontiguousarray(right_features.T, dtype=dtype)
+
+    def fd_filter(sl: slice, panel_j: np.ndarray) -> np.ndarray:
+        rows = left_counts[:, sl]
+        cols = right_counts[:, panel_j]
+        l1 = np.zeros((rows.shape[1], cols.shape[1]), dtype=dtype)
+        for fr_a, fs_a in zip(rows, cols):
+            diff = np.subtract.outer(fr_a, fs_a)
+            np.abs(diff, out=diff)
+            l1 += diff
+        return l1 <= limit
+
+    return fd_filter
 
 
 class PagePairJoiner:
@@ -363,21 +444,15 @@ class NumericPagePairJoiner(PagePairJoiner):
         return cand_i[keep], cand_j[keep], rank[keep], extra
 
     def _dtw_cascade(self, block: _ClusterBlock):
-        """One envelope + gathered LB_Keogh, one shared-abandon DP per cluster."""
+        """Bounded LB_Keogh panels, then one shared-abandon DP per cluster."""
         eps = self.epsilon
         band = self.distance.band
         left = block.r_block.objects
         right = block.s_block.objects
         recorder = self.recorder
-        lowers, uppers = KERNELS.batch_envelopes(right, band)
-
-        def keogh_filter(sl: slice, panel_j: np.ndarray) -> np.ndarray:
-            return (
-                KERNELS.lb_keogh_panel(left[sl], lowers[panel_j], uppers[panel_j])
-                <= eps
-            )
-
-        cand_i, cand_j, rank = block.filtered_cells(keogh_filter)
+        cand_i, cand_j, rank = block.filtered_cells(
+            make_keogh_filter(left, right, band, eps)
+        )
         extra: List[Tuple[str, int]] = []
         if recorder.enabled:
             extra = [
@@ -470,34 +545,10 @@ class TextPagePairJoiner(PagePairJoiner):
             fr = self.r_features[g_left]
             fs = self.s_features[g_right]
 
-            # Stage 1 — frequency-distance filter over the marked panels
-            # only, each panel chunked along its columns to bound the
-            # (rows, chunk, A) temporary.
-            alpha = max(1, fs.shape[1])
-
-            def fd_filter(sl: slice, panel_j: np.ndarray) -> np.ndarray:
-                fr_rows = fr[sl]
-                fs_panel = fs[panel_j]
-                out = np.empty(
-                    (fr_rows.shape[0], fs_panel.shape[0]), dtype=bool
-                )
-                chunk_cols = max(
-                    1,
-                    _FD_CELL_BUDGET // max(1, fr_rows.shape[0] * alpha),
-                )
-                for lo in range(0, fs_panel.shape[0], chunk_cols):
-                    hi = lo + chunk_cols
-                    diff = fs_panel[lo:hi][None, :, :] - fr_rows[:, None, :]
-                    # Frequency vectors are exact integer counts and every
-                    # window's counts sum to the window length, so the
-                    # positive and negative parts of ``diff`` are equal
-                    # and FD is exactly half the (even, integer) L1
-                    # distance — the same float64 value the
-                    # max-of-clipped-sums form produces.
-                    out[:, lo:hi] = np.abs(diff).sum(axis=2) * 0.5 <= epsilon
-                return out
-
-            cand_i, cand_j, rank = block.filtered_cells(fd_filter)
+            # Stage 1 — frequency-distance filter over the marked panels.
+            cand_i, cand_j, rank = block.filtered_cells(
+                make_fd_filter(fr, fs, epsilon, self.w)
+            )
             cand_i, cand_j, rank = block.drop_diagonal(cand_i, cand_j, rank)
             rank, cand_i, cand_j = _entry_sorted(rank, cand_i, cand_j)
             fd_per_entry = np.bincount(rank, minlength=n_entries)

@@ -60,6 +60,8 @@ def frequency_vectors_sliding(
     Computed incrementally (slide one symbol: one count down, one up), so
     the whole sequence costs O(len(s)) instead of O(len(s) * window).
     Returns an ``(len(s) - window_length + 1, |alphabet|)`` array.
+    Symbols outside the alphabet are rejected, as in
+    :func:`frequency_vector`.
     """
     if window_length <= 0:
         raise ValueError(f"window_length must be positive, got {window_length}")
@@ -68,7 +70,12 @@ def frequency_vectors_sliding(
             f"sequence of length {len(s)} is shorter than window_length {window_length}"
         )
     index = _symbol_index(alphabet)
-    codes = np.fromiter((index[ch] for ch in s), dtype=np.int64, count=len(s))
+    try:
+        codes = np.fromiter((index[ch] for ch in s), dtype=np.int64, count=len(s))
+    except KeyError as exc:
+        raise ValueError(
+            f"symbol {exc.args[0]!r} is not in alphabet {alphabet!r}"
+        ) from None
     num_windows = len(s) - window_length + 1
     out = np.zeros((num_windows, len(alphabet)), dtype=np.float64)
     # One-hot cumulative counts: counts of symbol a in s[:i] for every i.

@@ -12,7 +12,17 @@ trace wraps by name:
 ``lb_keogh_panel``
     LB_Keogh of a left block against a gathered envelope panel.
 ``euclidean_gram_panel``
-    The Gram-matrix ε-filter of a left block against a right panel.
+    The Gram-matrix ε-filter of a left block against a right panel,
+    with one threshold or one per panel column.
+
+The DTW cascade (:func:`repro.core.joiners.make_keogh_filter`) calls
+two of them per panel: ``euclidean_gram_panel`` against the envelope
+centres with per-column thresholds ``ε + ‖r_j‖`` — a conservative
+centre–radius bound on LB_Keogh, derived next to
+:func:`repro.kernels.dtw.envelope_centres` — and then
+``lb_keogh_panel`` on the columns where some row passed it.  The text
+cascade's frequency-distance filter needs no panel kernel: it is exact
+integer arithmetic (:func:`repro.core.joiners.make_fd_filter`).
 
 The refinement DPs behind ``dtw_batch`` / ``edit_batch`` are the
 anti-diagonal kernels of :mod:`repro.kernels.wavefront`; their

@@ -13,6 +13,17 @@ Bit-identity with the scalar DP holds because every cell performs the
 same float64 operations in the same order: ``gap² + min(prev[j],
 prev[j−1], cur[j−1])``, a final ``sqrt``, and the ``max_dist + 1``
 sentinel on abandon.
+
+Ahead of the DP, the join cascade filters window pairs in two stages.
+LB_Keogh needs a ``(rows, cols, w)`` gap tensor per panel; most cells
+fail it by a wide margin, so a cheaper bound runs first.  With envelope
+centre ``c = (L + U)/2`` and radius ``r = (U − L)/2``, Minkowski's
+inequality gives ``LB_Keogh(q) ≥ ‖q − c‖₂ − ‖r‖₂`` (see
+:func:`envelope_centres`), and ``‖q − c‖₂ ≤ ε + ‖r‖₂`` is one Gram
+product per panel — the L2 join's
+:func:`repro.kernels.minkowski.euclidean_gram_panel` with a per-column
+threshold.  :func:`lb_keogh_panel` then runs only on the panel columns
+where some row passes that bound.
 """
 
 from __future__ import annotations
@@ -24,7 +35,13 @@ import numpy as np
 from repro.kernels.wavefront import dtw_chunk_wavefront
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
-__all__ = ["batch_envelopes", "lb_keogh_block", "lb_keogh_panel", "dtw_batch"]
+__all__ = [
+    "batch_envelopes",
+    "envelope_centres",
+    "lb_keogh_block",
+    "lb_keogh_panel",
+    "dtw_batch",
+]
 
 # DP state is (pairs, w+1) float64 per buffer; 4096 pairs at w = 512 is
 # ~16 MiB of working set — safely inside cache-friendly territory.
@@ -48,6 +65,48 @@ def batch_envelopes(windows: np.ndarray, band: int) -> Tuple[np.ndarray, np.ndar
     padded = np.pad(arr, ((0, 0), (band, band)), mode="edge")
     view = np.lib.stride_tricks.sliding_window_view(padded, 2 * band + 1, axis=1)
     return view.min(axis=2), view.max(axis=2)
+
+
+# The centre–radius bound.  Per coordinate the Keogh gap of q against
+# (L, U) is g_i = max(L_i − q_i, q_i − U_i, 0) = max(|q_i − c_i| − r_i, 0),
+# so |q_i − c_i| ≤ g_i + r_i, and Minkowski's inequality gives
+# ‖q − c‖ ≤ ‖g‖ + ‖r‖ = LB_Keogh(q) + ‖r‖.  Every window with
+# LB_Keogh ≤ ε therefore has ‖q‖² + ‖c‖² − 2 q·c ≤ (ε + ‖r‖)².
+#
+# Rounding margin.  The Gram stage keeps a cell when the computed
+# ‖q‖² + ‖c‖² − 2 q·c is ≤ (ε + ‖r‖)² + 2⁻³⁰·(‖q‖² + ‖c‖²), the same
+# _GRAM_SLACK margin as the L2 filter; it must keep every cell whose
+# *computed* LB_Keogh is ≤ ε.  With u = 2⁻⁵³ and B = ‖q‖² + ‖c‖², to
+# first order in u:
+#   (a) the computed Gram value is within 2(w + 2)·u·B of ‖q − c‖²
+#       (the error _GRAM_SLACK already absorbs);
+#   (b) the rounded centre moves ‖q − c‖² by at most 3u·B;
+#   (c) the computed LB_Keogh, ‖r‖ and (ε + ‖r‖)² are each within a
+#       relative (2w + 10)·u of their exact values, so a cell whose
+#       computed LB_Keogh is ≤ ε has an exact ‖q − c‖² that exceeds
+#       the computed threshold by at most (4w + 19)·u·(ε + ‖r‖)²;
+#   (d) that only matters near the threshold, where
+#       ‖q − c‖ ≥ (ε + ‖r‖)/2 and hence (ε + ‖r‖)² ≤ 4‖q − c‖² ≤ 8B —
+#       a cell below half the threshold passes with room to spare.
+# The total, under (34w + 160)·u·B, stays below 2⁻³⁰·B for windows up
+# to ~2·10⁵ samples.  Without the margin, windows built at the bound's
+# equality case (q = c ± (r + t·r/‖r‖), ε = t nudged by ulps) are
+# wrongly rejected in roughly half of the cases.
+
+
+def envelope_centres(
+    lowers: np.ndarray, uppers: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Centres ``(L + U)/2`` and radius norms ``‖(U − L)/2‖₂`` of envelopes.
+
+    One row each per envelope row.  ``LB_Keogh(q) ≤ ε`` implies
+    ``‖q − centre‖₂ ≤ ε + radius``, the bound the cascade tests with one
+    Gram product per panel ahead of :func:`lb_keogh_panel`.
+    """
+    centres = 0.5 * (lowers + uppers)
+    half_widths = 0.5 * (uppers - lowers)
+    radii = np.sqrt(np.einsum("jw,jw->j", half_widths, half_widths))
+    return centres, radii
 
 
 def lb_keogh_block(
@@ -82,12 +141,14 @@ def lb_keogh_panel(
 
     The mega-batch form of :func:`lb_keogh_block`: ``left_rows`` is one
     left page's windows and ``lowers``/``uppers`` the gathered envelopes
-    of the page's marked col pages' windows, so the gap tensor covers
-    the marked region only.  The panel is chunked along its columns to
-    keep the ``(rows, chunk, w)`` temporary cell-budgeted.  Per cell the
-    float64 operations (and the contiguous-axis pairwise summation)
-    match :func:`lb_keogh_block` exactly, so the bounds are
-    bit-identical.
+    of the right windows that passed the centre–radius bound, so the
+    gap tensor covers those columns only.  The panel is chunked along
+    its columns to keep the ``(rows, chunk, w)`` temporary
+    cell-budgeted.  Per cell the squared gaps equal
+    :func:`lb_keogh_block`'s — ``max(L − q, q − U, 0)`` is its nested
+    maximum regrouped, and any signed zero squares to ``+0`` — and run
+    through the same contiguous-axis pairwise summation, so the bounds
+    are bit-identical.
     """
     left_arr = np.atleast_2d(np.asarray(left_rows, dtype=np.float64))
     w = max(1, left_arr.shape[1])
@@ -95,11 +156,12 @@ def lb_keogh_panel(
     chunk_cols = max(1, _LB_CELL_BUDGET // max(1, left_arr.shape[0] * w))
     for lo in range(0, lowers.shape[0], chunk_cols):
         hi = lo + chunk_cols
-        gap = np.maximum(
-            np.maximum(lowers[lo:hi][None, :, :] - left_arr[:, None, :], 0.0),
-            np.maximum(left_arr[:, None, :] - uppers[lo:hi][None, :, :], 0.0),
-        )
-        out[:, lo:hi] = np.sqrt(np.sum(gap * gap, axis=2))
+        # Two (rows, chunk, w) temporaries, the gap updated in place.
+        gap = lowers[lo:hi][None, :, :] - left_arr[:, None, :]
+        np.maximum(gap, left_arr[:, None, :] - uppers[lo:hi][None, :, :], out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        np.multiply(gap, gap, out=gap)
+        out[:, lo:hi] = np.sqrt(np.sum(gap, axis=2))
     return out
 
 

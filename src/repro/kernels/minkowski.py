@@ -166,7 +166,7 @@ def euclidean_gram_panel(
     right_panel: np.ndarray,
     left_sq: np.ndarray,
     right_sq: np.ndarray,
-    epsilon: float,
+    epsilon: "float | np.ndarray",
 ) -> np.ndarray:
     """Gram-prefilter decisions for a left block × gathered right panel.
 
@@ -179,15 +179,21 @@ def euclidean_gram_panel(
     contiguous broadcast performing :func:`minkowski_pairs`'s Gram-stage
     float64 operations in the same order, so decisions agree up to the
     rounding margin the slack already absorbs.
+
+    ``epsilon`` is one threshold for the whole panel or one per panel
+    column (the DTW cascade's centre–radius bound passes ``ε + ‖r_j‖``,
+    see :func:`repro.kernels.dtw.envelope_centres`).
     """
     out = np.empty((left_rows.shape[0], right_panel.shape[0]), dtype=bool)
     chunk_cols = max(1, _BLOCK_CELL_BUDGET // max(1, left_rows.shape[0]))
     eps_sq = epsilon * epsilon
+    per_column = isinstance(eps_sq, np.ndarray) and eps_sq.ndim > 0
     for lo in range(0, right_panel.shape[0], chunk_cols):
         hi = lo + chunk_cols
         base = left_sq[:, None] + right_sq[lo:hi][None, :]
         gram_sq = base - 2.0 * (left_rows @ right_panel[lo:hi].T)
-        out[:, lo:hi] = gram_sq <= eps_sq + _GRAM_SLACK * base
+        limit = eps_sq[lo:hi] if per_column else eps_sq
+        out[:, lo:hi] = gram_sq <= limit + _GRAM_SLACK * base
     return out
 
 

@@ -72,6 +72,54 @@ class TestJoinValidation:
         with pytest.raises(ValueError, match="kinds"):
             join(r, dna_dataset, 0.1)
 
+    @pytest.mark.parametrize("self_join", [False, True])
+    def test_nan_epsilon(self, vector_pair, dna_dataset, self_join):
+        r, s = vector_pair
+        for left, right in ((r, r if self_join else s), (dna_dataset, dna_dataset)):
+            with pytest.raises(ValueError, match="epsilon must be non-negative, got nan"):
+                join(left, right, float("nan"))
+
+    def test_infinite_epsilon_on_text(self, vector_pair, dna_dataset):
+        with pytest.raises(ValueError, match="finite epsilon, got inf"):
+            join(dna_dataset, dna_dataset, float("inf"))
+        r, s = vector_pair
+        assert join(r, s, float("inf")).report.result_pairs == r.num_objects * s.num_objects
+
+    def test_vector_dimension_mismatch(self, rng):
+        r = IndexedDataset.from_points(rng.random((60, 2)), page_capacity=16)
+        s = IndexedDataset.from_points(rng.random((60, 3)), page_capacity=16)
+        for method in JOIN_METHODS:
+            with pytest.raises(ValueError, match="dimension 2 and 3"):
+                join(r, s, 0.1, method=method)
+
+    def test_text_window_length_mismatch(self):
+        text = "ACGTTGCA" * 40
+        r = IndexedDataset.from_string(text, window_length=8, windows_per_page=16)
+        s = IndexedDataset.from_string(text, window_length=6, windows_per_page=16)
+        with pytest.raises(ValueError, match="length 8 and 6"):
+            join(r, s, 1)
+
+    def test_dtw_window_length_mismatch(self, rng):
+        values = rng.normal(size=300).cumsum()
+        r, s = (
+            IndexedDataset.from_time_series(values, window_length=w,
+                                            windows_per_page=16, dtw_band=2)
+            for w in (16, 8)
+        )
+        with pytest.raises(ValueError, match="length 16 and 8"):
+            join(r, s, 1.0)
+
+    def test_alphabet_mismatch(self):
+        r = IndexedDataset.from_string("ACGT" * 40, window_length=8, windows_per_page=16)
+        s = IndexedDataset.from_string("ACGT" * 40, window_length=8, windows_per_page=16,
+                                       alphabet="TGCA")
+        with pytest.raises(ValueError, match="alphabets 'ACGT' and 'TGCA'"):
+            join(r, s, 1)
+
+    def test_symbol_outside_alphabet(self):
+        with pytest.raises(ValueError, match="symbol 'N' is not in alphabet 'ACGT'"):
+            IndexedDataset.from_string("ACGTN" * 20, window_length=8, windows_per_page=16)
+
 
 class TestJoinBehaviour:
     def test_matches_brute_force(self, rng):

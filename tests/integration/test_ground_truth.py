@@ -39,6 +39,18 @@ def _text_case(text, window, epsilon, per_page, buffer_pages):
     return ds, ds, epsilon, buffer_pages, edit_pairs(windows, windows, epsilon, True)
 
 
+def _dtw_case(values, other, window, band, epsilon):
+    """A DTW cross join, or a self join when ``other`` is ``None``."""
+    r = IndexedDataset.from_time_series(values, window_length=window,
+                                        windows_per_page=16, dtw_band=band)
+    s = r if other is None else IndexedDataset.from_time_series(
+        other, window_length=window, windows_per_page=16, dtw_band=band)
+    truth = dtw_pairs(sliding_window_view(values, window),
+                      sliding_window_view(values if other is None else other, window),
+                      epsilon, band, other is None)
+    return r, s, epsilon, 10, truth
+
+
 @lru_cache(maxsize=None)
 def case(name):
     """``(r, s, epsilon, buffer_pages, oracle pairs)`` of one input."""
@@ -57,22 +69,28 @@ def case(name):
                             0.0, 2.0, False)
     if name == "l2-single-page":
         return _vector_case(_clustered(rng, 12), _clustered(rng, 150), 0.06, 2.0, False)
-    if name == "dtw-cross":
+    if name in ("dtw-cross", "dtw-band0-cross", "dtw-wide-band-cross"):
+        # Band 0: no warping, the envelope is the window itself, and the
+        # centre–radius bound is the Euclidean distance.  A band past the
+        # window length spans the whole window.
+        band = {"dtw-cross": 2, "dtw-band0-cross": 0, "dtw-wide-band-cross": 13}[name]
         walk = np.cumsum(rng.normal(size=260))
         other = walk[40:230] + rng.normal(scale=0.05, size=190)
-        band, window, epsilon = 2, 10, 0.8
-        r, s = (
-            IndexedDataset.from_time_series(v, window_length=window,
-                                            windows_per_page=16, dtw_band=band)
-            for v in (walk, other)
-        )
-        truth = dtw_pairs(sliding_window_view(walk, window),
-                          sliding_window_view(other, window), epsilon, band, False)
-        return r, s, epsilon, 10, truth
+        return _dtw_case(walk, other, 10, band, 0.8)
+    if name == "dtw-constant-self-eps0":
+        # Every window identical: zero envelope radius at ε = 0.
+        return _dtw_case(np.full(150, 3.25), None, 8, 2, 0.0)
+    if name == "text-self-eps0":
+        return _text_case(markov_dna(700, seed=2, repeat_share=0.1), 12, 0, 32, 10)
     if name == "text-self-eps1":
         return _text_case(markov_dna(700, seed=2, repeat_share=0.1), 12, 1, 32, 10)
+    if name == "text-self-eps1.5":
+        # Non-integer ε: the frequency filter keeps L1 ≤ ⌊2ε⌋ = 3.
+        return _text_case(markov_dna(700, seed=2, repeat_share=0.1), 12, 1.5, 32, 10)
     if name == "text-self-eps2":
         return _text_case(markov_dna(700, seed=2, repeat_share=0.1), 12, 2, 32, 10)
+    if name == "text-one-symbol-self":
+        return _text_case("G" * 300, 10, 1, 32, 10)
     if name == "text-ego-window":
         # EGO's scan order is not sorted by page lo[0] here; the window
         # once ended before the page holding pair (639, 640).
@@ -82,7 +100,10 @@ def case(name):
 
 VECTOR_CASES = ["l2-cross", "l2-self", "l1-cross", "linf-cross",
                 "l2-eps0-duplicates", "l2-single-page"]
-SEQUENCE_CASES = ["dtw-cross", "text-self-eps1", "text-self-eps2", "text-ego-window"]
+SEQUENCE_CASES = ["dtw-cross", "dtw-band0-cross", "dtw-wide-band-cross",
+                  "dtw-constant-self-eps0", "text-self-eps0", "text-self-eps1",
+                  "text-self-eps1.5", "text-self-eps2", "text-one-symbol-self",
+                  "text-ego-window"]
 CASES = [(c, m) for c in VECTOR_CASES for m in JOIN_METHODS] + [
     (c, m) for c in SEQUENCE_CASES for m in SEQUENCE_METHODS
 ]

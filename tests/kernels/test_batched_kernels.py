@@ -18,18 +18,24 @@ from hypothesis import strategies as st
 
 import repro.kernels.dtw as kdtw
 import repro.kernels.edit as kedit
+from repro.core.joiners import make_fd_filter, make_keogh_filter
 from repro.distance.dtw import DTWDistance, dtw_distance, envelope
 from repro.distance.edit import EditDistance, edit_distance
+from repro.distance.frequency import frequency_distance
 from repro.distance.vector import MinkowskiDistance
 from repro.kernels import (
     batch_envelopes,
     dtw_batch,
     edit_batch,
     encode_strings,
+    lb_keogh_block,
     minkowski_pairs,
     minkowski_pairwise,
 )
-from tests.oracles.kernels import _dtw_chunk, _edit_chunk
+from repro.kernels.backends import KernelBackend
+from repro.kernels.dtw import envelope_centres, lb_keogh_panel
+from repro.kernels.minkowski import euclidean_gram_panel
+from tests.oracles.kernels import _dtw_chunk, _edit_chunk, fd_filter_float
 
 # The chunk kernels dtw_batch / edit_batch run: the shipped wavefront
 # DPs, and the row-by-row oracle they are checked against — so the
@@ -286,3 +292,195 @@ class TestAdaptersRouteThroughKernels:
             if edit_distance(s, t, max_dist=1) <= 1
         }
         assert pairs == expected
+
+
+def _nudge(value, ulps):
+    """``value`` moved by ``ulps`` representable doubles, not below zero."""
+    direction = np.inf if ulps > 0 else 0.0
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, direction)
+    return float(value)
+
+
+@st.composite
+def keogh_boundary_panels(draw):
+    """Left windows on the centre–radius bound's equality case, plus others.
+
+    For each right window's envelope (centre ``c``, radius ``r``) one
+    left window is ``q = c ± (r + t·r/‖r‖)`` — or ``c + t·d`` for a unit
+    ``d`` when ``r = 0`` — where ``LB_Keogh(q) = t`` and
+    ``‖q − c‖ = ‖r‖ + t`` both hold with equality.  ε is one such
+    window's computed LB_Keogh moved by a few ulps either way.
+    """
+    w = draw(st.integers(min_value=1, max_value=130))
+    band = draw(st.sampled_from([0, 1, w // 2, w + draw(st.integers(0, 3))]))
+    level = draw(st.floats(min_value=1e-3, max_value=1e4))
+    step = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]))  # 0: constant windows
+    n_right = draw(st.integers(min_value=1, max_value=5))
+    n_other = draw(st.integers(min_value=0, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def walks(n):
+        return level * (1.0 + step * rng.normal(size=(n, w)).cumsum(axis=1))
+
+    right = walks(n_right)
+    lowers, uppers = batch_envelopes(right, band)
+    centres, radii = envelope_centres(lowers, uppers)
+    t = level * max(step, 1e-3) * draw(st.floats(min_value=0.0, max_value=3.0))
+    on_bound = []
+    for c, lo, hi, norm in zip(centres, lowers, uppers, radii):
+        if norm > 0:
+            half = 0.5 * (hi - lo)
+            offset = half + t * half / norm
+        else:
+            direction = rng.normal(size=w)
+            offset = t * direction / np.linalg.norm(direction)
+        on_bound.append(c + rng.choice([-1.0, 1.0], size=w) * offset)
+    left = np.vstack(on_bound + [walks(n_other)])
+    target = draw(st.integers(min_value=0, max_value=n_right - 1))
+    exact = lb_keogh_block(left[target : target + 1], lowers, uppers)[0, target]
+    epsilon = _nudge(exact, draw(st.integers(min_value=-3, max_value=3)))
+    return left, right, band, epsilon
+
+
+class TestKeoghPanelFilter:
+    """The bounded LB_Keogh filter decides exactly as full LB_Keogh does."""
+
+    @given(keogh_boundary_panels())
+    @settings(max_examples=300, deadline=None)
+    def test_decisions_equal_lb_keogh(self, panel):
+        left, right, band, epsilon = panel
+        lowers, uppers = batch_envelopes(right, band)
+        exact = lb_keogh_block(left, lowers, uppers)
+        keogh_filter = make_keogh_filter(left, right, band, epsilon)
+        decisions = keogh_filter(slice(0, left.shape[0]), np.arange(right.shape[0]))
+        assert np.array_equal(decisions, exact <= epsilon)
+
+    @given(keogh_boundary_panels())
+    @settings(max_examples=60, deadline=None)
+    def test_panel_bounds_bitwise_equal_block(self, panel):
+        left, right, band, _ = panel
+        lowers, uppers = batch_envelopes(right, band)
+        assert np.array_equal(
+            lb_keogh_panel(left, lowers, uppers), lb_keogh_block(left, lowers, uppers)
+        )
+
+    @pytest.mark.parametrize("scale", [1e150, 1e152, 1e153])
+    def test_values_past_the_gram_range(self, rng, scale):
+        """Where squared norms overflow, decisions still equal LB_Keogh's."""
+        right = (10.0 + rng.normal(size=(30, 10)).cumsum(axis=1)) * scale
+        left = right[:12] + rng.normal(scale=0.05, size=(12, 10)) * scale
+        lowers, uppers = batch_envelopes(right, 2)
+        with np.errstate(over="ignore"):  # far pairs' LB_Keogh is inf
+            exact = lb_keogh_block(left, lowers, uppers)
+            epsilon = float(np.median(exact))
+            keogh_filter = make_keogh_filter(left, right, 2, epsilon)
+            decisions = keogh_filter(slice(0, 12), np.arange(30))
+        assert decisions.any()
+        assert np.array_equal(decisions, exact <= epsilon)
+
+    def test_lb_keogh_skips_columns_the_bound_rejects(self, rng, monkeypatch):
+        widths = []
+        original = KernelBackend.lb_keogh_panel
+
+        def counting(self, left_rows, lowers, uppers):
+            widths.append(lowers.shape[0])
+            return original(self, left_rows, lowers, uppers)
+
+        monkeypatch.setattr(KernelBackend, "lb_keogh_panel", counting)
+        right = rng.normal(size=(40, 32)).cumsum(axis=1)
+        far = make_keogh_filter(right[:8] + 50.0, right, 2, 1.0)
+        assert not far(slice(0, 8), np.arange(40)).any()
+        assert widths == []
+        near = make_keogh_filter(right[5:6], right, 2, 1.0)
+        assert near(slice(0, 1), np.arange(40))[0, 5]
+        assert len(widths) == 1 and 1 <= widths[0] < 40
+
+    def test_per_column_threshold_matches_scalar(self, rng):
+        left = rng.normal(size=(7, 5))
+        right = rng.normal(size=(300, 5))
+        left_sq = np.einsum("id,id->i", left, left)
+        right_sq = np.einsum("jd,jd->j", right, right)
+        scalar = euclidean_gram_panel(left, right, left_sq, right_sq, 2.0)
+        per_column = euclidean_gram_panel(left, right, left_sq, right_sq, np.full(300, 2.0))
+        assert np.array_equal(scalar, per_column)
+        thresholds = rng.random(300) * 4
+        varied = euclidean_gram_panel(left, right, left_sq, right_sq, thresholds)
+        for j in range(0, 300, 37):
+            column = euclidean_gram_panel(
+                left, right[j : j + 1], left_sq, right_sq[j : j + 1], thresholds[j]
+            )
+            assert np.array_equal(varied[:, j], column[:, 0])
+
+
+def _at_l1(counts, units, rng):
+    """A count vector with the same sum at L1 distance exactly ``2·units``.
+
+    ``units`` counts leave the most frequent letters and land on the
+    others; no letter both gives and receives, so nothing cancels.
+    """
+    order = np.argsort(-counts, kind="stable")
+    donors = order[: int(np.searchsorted(np.cumsum(counts[order]), units)) + 1]
+    receivers = np.setdiff1d(np.arange(counts.size), donors)
+    out = counts.copy()
+    left = units
+    for a in donors:
+        take = min(out[a], left)
+        out[a] -= take
+        left -= take
+    np.add.at(out, rng.choice(receivers, size=units), 1)
+    return out
+
+
+@st.composite
+def fd_boundary_panels(draw):
+    """Count vectors at L1 distance 2⌊ε⌋ − 2, 2⌊ε⌋ and 2⌊ε⌋ + 2, plus others.
+
+    For an integer ε these are exactly 2ε and 2ε ± 2; for ε = k + ½ they
+    are the even L1 values either side of 2ε.
+    """
+    alphabet = draw(st.sampled_from([4, 20]))
+    w = draw(st.sampled_from([8, 31, 192, 20000]))  # 20000: past int16
+    epsilon = draw(st.sampled_from([0, 0.5, 1, 1.5, 2, 3]))
+    n_left = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    probs = rng.dirichlet(np.ones(alphabet))
+    left = rng.multinomial(w, probs, size=n_left)
+    right = [rng.multinomial(w, probs)]
+    for row in left:
+        for units in (int(epsilon) - 1, int(epsilon), int(epsilon) + 1):
+            if units >= 0:
+                near = _at_l1(row, units, rng)
+                assert np.abs(near - row).sum() == 2 * units
+                right.append(near)
+    order = rng.permutation(len(right))
+    return left.astype(float), np.asarray(right, dtype=float)[order], epsilon, w
+
+
+class TestFdPanelFilter:
+    """The integer FD filter decides exactly as the float form did."""
+
+    @given(fd_boundary_panels())
+    @settings(max_examples=200, deadline=None)
+    def test_decisions_equal_float_form(self, panel):
+        left, right, epsilon, w = panel
+        fd_filter = make_fd_filter(left, right, epsilon, w)
+        decisions = fd_filter(slice(0, left.shape[0]), np.arange(right.shape[0]))
+        assert np.array_equal(decisions, fd_filter_float(left, right, epsilon))
+        fd = np.array([[frequency_distance(a, b) for b in right] for a in left])
+        assert np.array_equal(decisions, fd <= epsilon)
+
+    @pytest.mark.parametrize("epsilon", [8, 9.5, 1e300, float("inf")])
+    def test_epsilon_past_window_keeps_everything(self, rng, epsilon):
+        left = rng.multinomial(8, np.ones(4) / 4, size=5).astype(float)
+        right = rng.multinomial(8, np.ones(4) / 4, size=9).astype(float)
+        decisions = make_fd_filter(left, right, epsilon, 8)(slice(0, 5), np.arange(9))
+        assert decisions.all()
+        assert np.array_equal(decisions, fd_filter_float(left, right, epsilon))
+
+    def test_panel_rows_and_columns_select_windows(self, rng):
+        left = rng.multinomial(12, np.ones(4) / 4, size=10).astype(float)
+        right = rng.multinomial(12, np.ones(4) / 4, size=30).astype(float)
+        cols = np.array([3, 4, 5, 17, 29])
+        decisions = make_fd_filter(left, right, 2, 12)(slice(2, 6), cols)
+        assert np.array_equal(decisions, fd_filter_float(left[2:6], right[cols], 2))

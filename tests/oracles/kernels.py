@@ -8,6 +8,10 @@ the same loop shape as the scalar ``dtw_distance`` / ``edit_distance``.
 The wavefront kernels must reproduce their distances and abandon counts
 bit for bit (``tests/kernels/test_wavefront_properties.py``), and the
 micro-bench times the wavefront kernels against them.
+
+:func:`fd_filter_float` is the text cascade's frequency-distance filter
+in the float form it had before the integer kernel
+(:func:`repro.core.joiners.make_fd_filter`) replaced it.
 """
 
 from __future__ import annotations
@@ -109,3 +113,16 @@ def _edit_chunk(a: np.ndarray, b: np.ndarray, max_dist: int) -> Tuple[np.ndarray
     result[result > max_dist] = sentinel
     out[alive] = result
     return out, abandoned
+
+
+def fd_filter_float(
+    left_features: np.ndarray, right_features: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """Frequency-distance filter decisions in float64, cell by cell.
+
+    The form the text cascade evaluated before its integer kernel: half
+    the L1 distance of the count vectors (FD, for counts with equal
+    sums), reduced over a ``(rows, cols, alphabet)`` difference tensor.
+    """
+    diff = right_features[None, :, :] - left_features[:, None, :]
+    return np.abs(diff).sum(axis=2) * 0.5 <= epsilon

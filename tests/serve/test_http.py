@@ -253,3 +253,59 @@ class TestNonFiniteInput:
         append = {"values": [1.0, float("inf"), 2.0]}
         assert service.dispatch("POST", "/datasets/w/pages", append)[0] == 400
         assert service.dispatch("GET", "/datasets/w", None)[1]["pages"] == pages
+
+
+class TestUnjoinableInput:
+    """Input ``join()`` cannot answer is a 400 that names it and changes nothing.
+
+    Symbols outside the alphabet used to surface as ``KeyError`` (404),
+    and mismatched window lengths or a NaN ε as numpy's broadcast error
+    or a silently empty result.
+    """
+
+    def test_symbol_outside_alphabet_is_400(self):
+        service = JoinService()
+        body = {"id": "g", "kind": "text", "text": "ACGTN" * 40, "window_length": 8}
+        status, error = service.dispatch("POST", "/datasets", body)
+        assert status == 400 and "'N' is not in alphabet" in error["error"]
+
+        body["text"] = markov_dna(400, seed=1)
+        assert service.dispatch("POST", "/datasets", body)[0] == 201
+        pages = service.dispatch("GET", "/datasets/g", None)[1]["pages"]
+        status, error = service.dispatch("POST", "/datasets/g/pages", {"suffix": "ACGN"})
+        assert status == 400 and "'N' is not in alphabet" in error["error"]
+        assert service.dispatch("GET", "/datasets/g", None)[1]["pages"] == pages
+        assert service.dispatch("GET", "/healthz", None)[0] == 200
+
+    def test_unequal_window_lengths_are_400(self):
+        service = JoinService()
+        text = markov_dna(600, seed=2)
+        for name, window in (("w8", 8), ("w6", 6)):
+            body = {"id": name, "kind": "text", "text": text, "window_length": window,
+                    "windows_per_page": 32}
+            assert service.dispatch("POST", "/datasets", body)[0] == 201
+        status, error = service.dispatch(
+            "POST", "/join", {"r": "w8", "s": "w6", "epsilon": 1}
+        )
+        assert status == 400 and "length 8 and 6" in error["error"]
+        assert service.dispatch("GET", "/healthz", None)[0] == 200
+
+    def test_nan_epsilon_is_400(self):
+        service = JoinService()
+        points = np.random.default_rng(3).random((100, 2)).tolist()
+        body = {"id": "p", "kind": "vector", "vectors": points, "page_capacity": 16}
+        assert service.dispatch("POST", "/datasets", body)[0] == 201
+        request = json.loads('{"r": "p", "epsilon": NaN}')
+        status, error = service.dispatch("POST", "/join", request)
+        assert status == 400 and "nan" in error["error"]
+        assert service.dispatch("GET", "/healthz", None)[0] == 200
+
+    def test_infinite_epsilon_on_text_is_400(self):
+        service = JoinService()
+        body = {"id": "g", "kind": "text", "text": markov_dna(400, seed=1),
+                "window_length": 8}
+        assert service.dispatch("POST", "/datasets", body)[0] == 201
+        request = json.loads('{"r": "g", "epsilon": Infinity}')
+        status, error = service.dispatch("POST", "/join", request)
+        assert status == 400 and "finite epsilon" in error["error"]
+        assert service.dispatch("GET", "/healthz", None)[0] == 200
