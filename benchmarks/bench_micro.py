@@ -56,12 +56,6 @@ def _best_of(fn, repeats=2):
     return best, value
 
 
-def test_rstar_bulk_load(benchmark):
-    points = road_intersections(20_000, seed=0)
-    tree = benchmark(RStarTree.bulk_load_points, points, 64)
-    assert len(tree) == 20_000
-
-
 def test_rstar_insertion(benchmark):
     points = road_intersections(2_000, seed=0)
 

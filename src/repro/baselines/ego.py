@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.executor import ExecutionOutcome
 from repro.costmodel import CostModel
 from repro.geometry import Rect
+from repro.index._grouping import page_boxes
 from repro.storage.buffer import BufferPool
 from repro.storage.page import VectorPagedDataset
 
@@ -58,21 +59,13 @@ def _ego_reorderable(r, s, epsilon, pool, cost_model, self_join, collect_pairs):
     disk = pool.disk
     cell = epsilon if epsilon > 0 else 1.0
 
-    ego_r, order_r = _build_sorted_copy(r, cell, pool, "ego-r")
+    order_r = _grid_order(r.paged.vectors, cell)
+    ego_r, boxes_r, passes = _sorted_copy(r, order_r, pool, "ego-r")
     if self_join:
-        ego_s, order_s = ego_r, order_r
+        ego_s, boxes_s, order_s = ego_r, boxes_r, order_r
     else:
-        ego_s, order_s = _build_sorted_copy(s, cell, pool, "ego-s")
-
-    # External-sort charge: read + write the file once per merge pass.
-    passes = _sort_passes(r.num_pages, pool.capacity)
-    disk.charge_stream(2 * r.num_pages * passes, 2 * passes)
-    if not self_join:
-        passes_s = _sort_passes(s.num_pages, pool.capacity)
-        disk.charge_stream(2 * s.num_pages * passes_s, 2 * passes_s)
-
-    boxes_r = _page_boxes(ego_r)
-    boxes_s = boxes_r if self_join else _page_boxes(ego_s)
+        order_s = _grid_order(s.paged.vectors, cell)
+        ego_s, boxes_s, _ = _sorted_copy(s, order_s, pool, "ego-s")
     hi_max_s, lo_min_s = _window_keys(boxes_s)
 
     assert r.distance is not None
@@ -108,10 +101,22 @@ def _ego_reorderable(r, s, epsilon, pool, cost_model, self_join, collect_pairs):
     return outcome, preprocess, {"ego_sort_passes": passes}
 
 
-def _build_sorted_copy(dataset, cell, pool, tag):
-    vectors = dataset.paged.vectors
+def _grid_order(vectors: np.ndarray, cell: float) -> np.ndarray:
+    """Row order of ``vectors`` by the lexicographic order of their ε-grid cells."""
     cells = np.floor(vectors / cell).astype(np.int64)
-    order = np.lexsort(tuple(cells[:, dim] for dim in reversed(range(cells.shape[1]))))
+    return np.lexsort(tuple(cells[:, dim] for dim in reversed(range(cells.shape[1]))))
+
+
+def _sorted_copy(dataset, order, pool, tag) -> Tuple[VectorPagedDataset, List[Rect], int]:
+    """``dataset`` re-sorted into ``order`` by an external sort.
+
+    Returns the sorted copy (attached to ``pool``, with the original's
+    average page fill), its page boxes and the sort's merge passes.  Each
+    pass reads and writes the whole file once, as one stream each, and
+    that is charged to the pool's disk.  Z-order shares this with EGO;
+    the two differ only in the sort order.
+    """
+    vectors = dataset.paged.vectors
     per_page = math.ceil(vectors.shape[0] / dataset.num_pages)
     copy = VectorPagedDataset(
         vectors[order],
@@ -119,14 +124,9 @@ def _build_sorted_copy(dataset, cell, pool, tag):
         dataset_id=f"{dataset.paged.dataset_id}-{tag}",
     )
     pool.attach(copy)
-    return copy, order
-
-
-def _page_boxes(dataset: VectorPagedDataset) -> List[Rect]:
-    return [
-        Rect.from_points(dataset.page_objects(page))
-        for page in range(dataset.num_pages)
-    ]
+    passes = _sort_passes(dataset.num_pages, pool.capacity)
+    pool.disk.charge_stream(2 * dataset.num_pages * passes, 2 * passes)
+    return copy, page_boxes(copy.vectors, copy.page_offsets[:-1]).to_rects(), passes
 
 
 def _join_sorted_pages(

@@ -16,16 +16,14 @@ work (Section 2.1); not part of its evaluation.  Point data only.
 
 from __future__ import annotations
 
-import math
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from repro.baselines.ego import _join_sorted_pages, _nlogn, _sorted_copy
 from repro.core.executor import ExecutionOutcome
 from repro.costmodel import CostModel
-from repro.geometry import Rect
 from repro.storage.buffer import BufferPool
-from repro.storage.page import VectorPagedDataset
 
 __all__ = ["zorder_join", "morton_codes"]
 
@@ -72,24 +70,13 @@ def zorder_join(
     disk = pool.disk
     cell = epsilon if epsilon > 0 else 1.0
 
-    z_r, order_r = _sorted_copy(r, cell, pool, "z-r")
+    order_r = _zorder(r.paged.vectors, cell)
+    z_r, boxes_r, passes = _sorted_copy(r, order_r, pool, "z-r")
     if self_join:
-        z_s, order_s = z_r, order_r
+        z_s, boxes_s, order_s = z_r, boxes_r, order_r
     else:
-        z_s, order_s = _sorted_copy(s, cell, pool, "z-s")
-
-    # External re-sort charge (read + write per pass), as for EGO.
-    passes = _sort_passes(r.num_pages, pool.capacity)
-    disk.charge_stream(2 * r.num_pages * passes, 2 * passes)
-    if not self_join:
-        disk.charge_stream(2 * s.num_pages * _sort_passes(s.num_pages, pool.capacity), 2)
-
-    boxes_r = [Rect.from_points(z_r.page_objects(p)) for p in range(z_r.num_pages)]
-    boxes_s = (
-        boxes_r
-        if self_join
-        else [Rect.from_points(z_s.page_objects(p)) for p in range(z_s.num_pages)]
-    )
+        order_s = _zorder(s.paged.vectors, cell)
+        z_s, boxes_s, _ = _sorted_copy(s, order_s, pool, "z-s")
     assert r.distance is not None
     distance = r.distance
     box_tests = 0
@@ -105,7 +92,7 @@ def zorder_join(
                 if box_i.min_dist(boxes_s[j], p=distance.p) > epsilon:
                     continue
                 inner = pool.fetch(z_s.dataset_id, j)
-                _join_pages(
+                _join_sorted_pages(
                     distance, epsilon, cost_model, outcome,
                     outer, inner, z_r, z_s, order_r, order_s, i, j,
                     self_join, collect_pairs,
@@ -121,47 +108,6 @@ def zorder_join(
     return outcome, preprocess, {"zorder_sort_passes": passes, "zorder_box_tests": box_tests}
 
 
-def _sorted_copy(dataset, cell, pool, tag):
-    vectors = dataset.paged.vectors
-    order = np.argsort(morton_codes(vectors, cell), kind="stable")
-    per_page = math.ceil(vectors.shape[0] / dataset.num_pages)
-    copy = VectorPagedDataset(
-        vectors[order],
-        objects_per_page=per_page,
-        dataset_id=f"{dataset.paged.dataset_id}-{tag}",
-    )
-    pool.attach(copy)
-    return copy, order
-
-
-def _join_pages(
-    distance, epsilon, cost_model, outcome,
-    outer, inner, z_r, z_s, order_r, order_s, i, j,
-    self_join, collect_pairs,
-):
-    local = distance.pairs_within(outer, inner, epsilon)
-    comparisons = len(outer) * len(inner)
-    outcome.comparisons += comparisons
-    outcome.cpu_seconds += cost_model.cpu_cost(comparisons, distance.comparison_weight)
-    if self_join and i == j:
-        local = [(a, b) for a, b in local if a < b]
-    for a, b in local:
-        gid_r = int(order_r[z_r.global_object_id(i, a)])
-        gid_s = int(order_s[z_s.global_object_id(j, b)])
-        if self_join and gid_r > gid_s:
-            gid_r, gid_s = gid_s, gid_r
-        outcome.num_pairs += 1
-        if collect_pairs:
-            outcome.pairs.append((gid_r, gid_s))
-
-
-def _sort_passes(num_pages: int, buffer_pages: int) -> int:
-    if num_pages <= buffer_pages:
-        return 1
-    fan_in = max(2, buffer_pages - 1)
-    runs = math.ceil(num_pages / buffer_pages)
-    return 1 + max(1, math.ceil(math.log(runs, fan_in)))
-
-
-def _nlogn(n: int) -> float:
-    return n * math.log2(max(n, 2))
+def _zorder(vectors: np.ndarray, cell: float) -> np.ndarray:
+    """Row order of ``vectors`` along the Morton curve of their ε-grid cells."""
+    return np.argsort(morton_codes(vectors, cell), kind="stable")

@@ -203,7 +203,7 @@ class IndexedDataset:
         )
         if mrs_base_window is None:
             mrs = MRSIndex(paged, alphabet=alphabet, fanout=fanout)
-            index = mrs.to_page_index()
+            index, features = mrs.to_page_index(), mrs.features
         else:
             if mrs_base_window < 1 or window_length % mrs_base_window != 0:
                 raise ValueError(
@@ -227,11 +227,11 @@ class IndexedDataset:
                 order=np.arange(paged.num_windows, dtype=np.int64),
                 page_offsets=None,
             )
-        # The object-level filter always uses exact window-length
-        # frequency vectors (cheap to compute, tight to filter with).
-        from repro.distance.frequency import frequency_vectors_sliding
+            # The object-level filter always uses exact window-length
+            # frequency vectors (cheap to compute, tight to filter with).
+            from repro.distance.frequency import frequency_vectors_sliding
 
-        features = frequency_vectors_sliding(text, window_length, alphabet)
+            features = frequency_vectors_sliding(text, window_length, alphabet)
         return cls(
             kind="text",
             paged=paged,

@@ -11,7 +11,12 @@ Per Table 1 of the paper:
 
 All three expose the same :class:`~repro.index.node.IndexNode` hierarchy
 whose leaves carry page numbers — the hierarchical plane sweep
-(:mod:`repro.core.sweep`) consumes only that interface.
+(:mod:`repro.core.sweep`) consumes only that interface.  Each builds it
+the same way, from arrays: one routine boxes every contiguous page
+(``page_boxes``) and one packer stacks those boxes into the hierarchy
+(``build_contiguous_hierarchy``), both in :mod:`repro.index._grouping`.
+The R*-tree's insertion path (``build_method="rstar"``) is the one
+exception: it mirrors the tree that insertion grew.
 """
 
 from repro.index.mr import MRIndex

@@ -25,8 +25,8 @@ from typing import List
 import numpy as np
 
 from repro.geometry import Rect
-from repro.index._grouping import build_contiguous_hierarchy
-from repro.index.node import IndexNode, PageIndex
+from repro.index._grouping import build_contiguous_hierarchy, page_boxes
+from repro.index.node import PageIndex
 from repro.storage.page import SequencePagedDataset
 
 __all__ = ["MRIndex"]
@@ -64,17 +64,30 @@ class MRIndex:
         self.paa_segments = paa_segments
         self.dtw_band = dtw_band
         self._features = self._compute_features()
-        self.leaf_boxes = self._compute_leaf_boxes()
-        if dtw_band is not None:
-            # Widen each page box by the Sakoe-Chiba band envelope so the
-            # sweep's L∞ box test lower-bounds banded DTW (see
-            # repro.distance.dtw.envelope_box for the soundness argument).
-            from repro.distance.dtw import envelope_box
-
-            self.leaf_boxes = [
-                envelope_box(box, dtw_band) for box in self.leaf_boxes
-            ]
+        self.leaf_boxes = self.window_boxes(
+            self._features, dataset.symbols_per_page, dtw_band
+        )
         self.root = build_contiguous_hierarchy(self.leaf_boxes, fanout)
+
+    @staticmethod
+    def window_boxes(
+        features: np.ndarray, windows_per_page: int, dtw_band: int | None = None
+    ) -> List[Rect]:
+        """Leaf boxes of consecutive pages of ``windows_per_page`` windows.
+
+        ``features`` holds one row per window, starting at a page
+        boundary.  With ``dtw_band`` set, each box is widened by the
+        Sakoe-Chiba band envelope so the sweep's L∞ box test lower-bounds
+        banded DTW (see :func:`repro.distance.dtw.envelope_box` for the
+        soundness argument).  Appends box a series' changed tail here too.
+        """
+        starts = np.arange(0, len(features), windows_per_page)
+        boxes = page_boxes(features, starts).to_rects()
+        if dtw_band is None:
+            return boxes
+        from repro.distance.dtw import envelope_box
+
+        return [envelope_box(box, dtw_band) for box in boxes]
 
     # -- feature computation -------------------------------------------------
 
@@ -95,14 +108,6 @@ class MRIndex:
         ]
         scale = math.sqrt(w / f)
         return np.stack(segments, axis=1) * scale
-
-    def _compute_leaf_boxes(self) -> List[Rect]:
-        boxes: List[Rect] = []
-        for page_no in range(self.dataset.num_pages):
-            start, stop = self.dataset.window_range(page_no)
-            page_features = self._features[start:stop]
-            boxes.append(Rect(page_features.min(axis=0), page_features.max(axis=0)))
-        return boxes
 
     # -- the PageIndex interface ------------------------------------------------
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.distance.frequency import DNA_ALPHABET, frequency_vectors_sliding
 from repro.geometry import Rect
-from repro.index._grouping import build_contiguous_hierarchy
+from repro.index._grouping import build_contiguous_hierarchy, page_boxes
 from repro.index.node import PageIndex
 from repro.storage.page import SequencePagedDataset
 
@@ -45,16 +45,9 @@ class MRSIndex:
         self._features = frequency_vectors_sliding(
             dataset.sequence, dataset.window_length, alphabet
         )
-        self.leaf_boxes = self._compute_leaf_boxes()
+        starts = np.arange(0, dataset.num_windows, dataset.symbols_per_page)
+        self.leaf_boxes = page_boxes(self._features, starts).to_rects()
         self.root = build_contiguous_hierarchy(self.leaf_boxes, fanout)
-
-    def _compute_leaf_boxes(self) -> List[Rect]:
-        boxes: List[Rect] = []
-        for page_no in range(self.dataset.num_pages):
-            start, stop = self.dataset.window_range(page_no)
-            page_features = self._features[start:stop]
-            boxes.append(Rect(page_features.min(axis=0), page_features.max(axis=0)))
-        return boxes
 
     def to_page_index(self) -> PageIndex:
         """The hierarchy in the common :class:`PageIndex` form (identity order)."""

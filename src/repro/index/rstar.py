@@ -3,16 +3,20 @@
 Implements the Beckmann et al. R*-tree insertion path — ChooseSubtree with
 overlap-minimising leaf choice, forced reinsertion (30 % of entries, once
 per level per insert), and the topological split (axis by minimum margin
-sum, index by minimum overlap) — plus a Sort-Tile-Recursive bulk loader for
-large datasets.
+sum, index by minimum overlap) — plus a Sort-Tile-Recursive order for
+packing large static datasets.
 
 The join paper assumes "the datasets are indexed prior to join operation"
 and that "the data objects are sorted so that the contents of each leaf
 level MBR appear contiguously on disk" (Section 5.1).
-:func:`build_spatial_page_index` performs exactly that: it builds the tree,
-walks its leaves left-to-right, emits the permutation that makes each
-leaf's objects contiguous, and returns the MBR hierarchy with leaf → page
-numbering.
+:func:`build_spatial_page_index` performs exactly that and returns the
+permutation that makes each leaf's objects contiguous plus the MBR
+hierarchy with leaf → page numbering.  Its default STR build never
+materialises a tree of objects: it orders the points, boxes each run of
+``page_capacity`` consecutive points as one page, and packs those boxes
+``page_capacity`` at a time per level — the packed R-tree an STR bulk load
+produces, built from arrays by the same two routines every other index
+uses (:mod:`repro.index._grouping`).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.geometry import Rect, union_all
+from repro.index._grouping import build_contiguous_hierarchy, page_boxes
 from repro.index.node import IndexNode, PageIndex, assign_bfs_ids
 
 __all__ = ["RStarTree", "build_spatial_page_index"]
@@ -187,39 +192,6 @@ class RStarTree:
     def validate(self) -> None:
         """Check tree invariants; raises ``AssertionError`` on breakage."""
         self._validate_node(self._root, is_root=True)
-
-    # -- STR bulk loading -----------------------------------------------------
-
-    @classmethod
-    def bulk_load_points(
-        cls,
-        points: np.ndarray,
-        max_entries: int = 64,
-        min_fill: float = 0.4,
-    ) -> "RStarTree":
-        """Build a packed tree over ``(n, d)`` points with Sort-Tile-Recursive.
-
-        Produces full leaves (except the last per tile) and near-square leaf
-        MBRs — the standard way to pre-build an index over a static dataset,
-        far faster than one-at-a-time insertion.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError(f"points must be a non-empty (n, d) array, got shape {pts.shape}")
-        tree = cls(max_entries=max_entries, min_fill=min_fill)
-        order = _str_order(pts, max_entries)
-        leaves: List[_Node] = []
-        for start in range(0, len(order), max_entries):
-            chunk = order[start : start + max_entries]
-            leaf = _Node(is_leaf=True)
-            leaf.items = [
-                _Entry(Rect.from_point(pts[idx]), int(idx)) for idx in chunk
-            ]
-            leaf.recompute_box()
-            leaves.append(leaf)
-        tree._root = _pack_upward(leaves, max_entries)
-        tree._size = pts.shape[0]
-        return tree
 
     # -- insertion internals ----------------------------------------------------
 
@@ -490,21 +462,6 @@ def _str_order(points: np.ndarray, leaf_capacity: int) -> np.ndarray:
     return recurse(np.arange(n, dtype=np.int64))
 
 
-def _pack_upward(nodes: List[_Node], max_entries: int) -> _Node:
-    """Pack a node list into parents until a single root remains."""
-    while len(nodes) > 1:
-        parents: List[_Node] = []
-        for start in range(0, len(nodes), max_entries):
-            parent = _Node(is_leaf=False)
-            parent.items = nodes[start : start + max_entries]
-            for child in parent.items:
-                child.parent = parent
-            parent.recompute_box()
-            parents.append(parent)
-        nodes = parents
-    return nodes[0]
-
-
 def leaf_entry_ids(leaf: _Node) -> List[int]:
     """Data indices stored in a leaf (test/doctest helper)."""
     return [entry.data_index for entry in leaf.items]
@@ -524,8 +481,9 @@ def build_spatial_page_index(
     page_capacity:
         Objects per page = R*-tree leaf capacity.
     method:
-        ``"str"`` (bulk load; default) or ``"rstar"`` (one-by-one R*
-        insertion — slower, exercises the full insert path).
+        ``"str"`` (packed Sort-Tile-Recursive build; default) or
+        ``"rstar"`` (one-by-one R* insertion — slower, exercises the full
+        insert path).
 
     Returns
     -------
@@ -535,13 +493,28 @@ def build_spatial_page_index(
         array and its MBR is ``page_index.leaf_boxes[i]``.
     """
     pts = np.asarray(vectors, dtype=np.float64)
-    if method == "str":
-        tree = RStarTree.bulk_load_points(pts, max_entries=page_capacity)
-    elif method == "rstar":
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError(f"points must be a non-empty (n, d) array, got shape {pts.shape}")
+    if page_capacity < 4:
+        raise ValueError(f"page_capacity must be at least 4, got {page_capacity}")
+    if method == "rstar":
         tree = RStarTree(max_entries=page_capacity)
         for i in range(pts.shape[0]):
             tree.insert_point(pts[i], i)
-    else:
+        page_index = tree.to_page_index()
+        return page_index, pts[page_index.order]
+    if method != "str":
         raise ValueError(f"unknown index build method {method!r} (use 'str' or 'rstar')")
-    page_index = tree.to_page_index()
-    return page_index, pts[page_index.order]
+    order = _str_order(pts, page_capacity)
+    reordered = pts[order]
+    # _str_order splits only on capacity boundaries: every page is full
+    # except the last.
+    offsets = np.append(np.arange(0, len(order), page_capacity), len(order))
+    leaf_boxes = page_boxes(reordered, offsets[:-1]).to_rects()
+    page_index = PageIndex(
+        root=build_contiguous_hierarchy(leaf_boxes, page_capacity),
+        leaf_boxes=leaf_boxes,
+        order=order,
+        page_offsets=offsets,
+    )
+    return page_index, reordered

@@ -41,17 +41,19 @@ replay — appends to those raise :class:`~repro.errors.ConfigError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.join import IndexedDataset, require_finite
 from repro.core.prediction import PredictionMatrix
 from repro.core.sweep import SweepStats, marked_box_pairs
+from repro.distance.dtw import DTWDistance
 from repro.distance.frequency import frequency_vectors_sliding
 from repro.errors import ConfigError
-from repro.geometry import Rect
-from repro.index._grouping import build_contiguous_hierarchy
+from repro.index._grouping import build_contiguous_hierarchy, page_boxes
+from repro.index.mr import MRIndex
+from repro.index.mrs import MRSIndex
 from repro.index.node import PageIndex
 from repro.storage.persist import FingerprintChain
 from repro.storage.page import SequencePagedDataset, VectorPagedDataset
@@ -133,18 +135,15 @@ def _append_vectors(
     paged = dataset.paged
     assert isinstance(paged, VectorPagedDataset)
     if page_capacity is None:
-        page_capacity = max(
-            paged.object_count(p) for p in range(paged.num_pages)
-        )
+        page_capacity = int(np.diff(paged.page_offsets).max())
     paged2 = paged.with_appended(vectors, page_capacity)
     old_pages = paged.num_pages
     new_pages = np.arange(old_pages, paged2.num_pages, dtype=np.int64)
     offsets = paged2.page_offsets
-    data = paged2.vectors
-    leaf_boxes = list(dataset.index.leaf_boxes)
-    for p in new_pages:
-        rows = data[offsets[p] : offsets[p + 1]]
-        leaf_boxes.append(Rect(rows.min(axis=0), rows.max(axis=0)))
+    first_new = offsets[old_pages]
+    leaf_boxes = list(dataset.index.leaf_boxes) + page_boxes(
+        paged2.vectors[first_new:], offsets[old_pages:-1] - first_new
+    ).to_rects()
     root = build_contiguous_hierarchy(leaf_boxes, _HIERARCHY_FANOUT)
     order = np.concatenate(
         [
@@ -193,25 +192,27 @@ def _append_sequence(
     # A pre-existing page is dirty iff its owned window range changed —
     # window ownership is by start offset, so only the old last page
     # (whose range was clipped by the old window count) qualifies.
-    dirty = [
-        p
-        for p in range(old_pages)
-        if paged2.window_range(p) != paged.window_range(p)
-    ]
-    dirty_pages = np.asarray(dirty, dtype=np.int64)
+    last = old_pages - 1
+    dirty = paged2.window_range(last) != paged.window_range(last)
+    dirty_pages = np.asarray([last] if dirty else [], dtype=np.int64)
+    # The changed pages are the dirty one and the new ones: a tail.
+    first_changed = last if dirty else old_pages
+    tail = slice(first_changed * paged2.symbols_per_page, None)
 
     if dataset.kind == "text":
         features2 = _extend_text_features(dataset, paged2, old_windows)
-        boxes_of = _text_boxes(features2, paged2)
+        tail_features = features2[tail]
+        tail_boxes = page_boxes(
+            tail_features,
+            np.arange(0, len(tail_features), paged2.symbols_per_page),
+        ).to_rects()
     else:
         features2 = None
-        boxes_of = _series_boxes(dataset, paged2)
+        tail_boxes = MRIndex.window_boxes(
+            paged2.windows_matrix()[tail], paged2.symbols_per_page, _dtw_band(dataset)
+        )
 
-    changed = np.concatenate([dirty_pages, new_pages])
-    leaf_boxes: List[Rect] = list(dataset.index.leaf_boxes)
-    leaf_boxes.extend([None] * len(new_pages))  # type: ignore[list-item]
-    for p in changed:
-        leaf_boxes[p] = boxes_of(int(p))
+    leaf_boxes = list(dataset.index.leaf_boxes[:first_changed]) + tail_boxes
     root = build_contiguous_hierarchy(leaf_boxes, _HIERARCHY_FANOUT)
     index = PageIndex(
         root=root,
@@ -227,7 +228,6 @@ def _append_sequence(
         features=features2,
         alphabet=dataset.alphabet,
     )
-    first_changed = int(changed.min()) if len(changed) else old_pages
     chain2 = chain.copy()
     chain2.truncate(first_changed)
     for p in range(first_changed, paged2.num_pages):
@@ -263,32 +263,10 @@ def _extend_text_features(
     return np.vstack([dataset.features, new_rows])
 
 
-def _text_boxes(features2: np.ndarray, paged2: SequencePagedDataset):
-    def boxes_of(p: int) -> Rect:
-        ws, we = paged2.window_range(p)
-        page_features = features2[ws:we]
-        return Rect(page_features.min(axis=0), page_features.max(axis=0))
-
-    return boxes_of
-
-
-def _series_boxes(dataset: IndexedDataset, paged2: SequencePagedDataset):
-    from repro.distance.dtw import DTWDistance, envelope_box
-
-    windows = paged2.windows_matrix()
-    band = (
-        dataset.distance.band
-        if isinstance(dataset.distance, DTWDistance)
-        else None
-    )
-
-    def boxes_of(p: int) -> Rect:
-        ws, we = paged2.window_range(p)
-        page_windows = windows[ws:we]
-        box = Rect(page_windows.min(axis=0), page_windows.max(axis=0))
-        return box if band is None else envelope_box(box, band)
-
-    return boxes_of
+def _dtw_band(dataset: IndexedDataset) -> Optional[int]:
+    if isinstance(dataset.distance, DTWDistance):
+        return dataset.distance.band
+    return None
 
 
 def _finish_delta(
@@ -357,45 +335,34 @@ def rebuild_dataset(dataset: IndexedDataset) -> IndexedDataset:
     """A from-scratch snapshot over ``dataset``'s final page layout.
 
     The equivalence baseline for append tests and the rebuild arm of the
-    serving benchmark: leaf boxes recomputed page by page from the paged
-    payload (band envelopes included), features recomputed from the full
-    sequence, hierarchy regrown — everything the incremental path patched,
-    rebuilt the slow way.  Page layout is taken as given, so the result
-    is directly comparable (same page numbering, same mark space).
+    serving benchmark: every leaf box recomputed from the paged payload,
+    features recomputed from the full sequence, hierarchy regrown —
+    everything the incremental path patched, rebuilt the slow way.
+    Sequences are re-indexed by :class:`~repro.index.mr.MRIndex` (band
+    envelopes included) or :class:`~repro.index.mrs.MRSIndex` on the
+    final paged dataset.  Page layout is taken as given, so the result is
+    directly comparable (same page numbering, same mark space).
     """
     _check_appendable(dataset)
     paged = dataset.paged
-    if dataset.kind == "vector":
-        assert isinstance(paged, VectorPagedDataset)
-        offsets = paged.page_offsets
-        data = paged.vectors
-        leaf_boxes = [
-            Rect(
-                data[offsets[p] : offsets[p + 1]].min(axis=0),
-                data[offsets[p] : offsets[p + 1]].max(axis=0),
-            )
-            for p in range(paged.num_pages)
-        ]
-        features = None
-    else:
+    if dataset.kind == "text":
         assert isinstance(paged, SequencePagedDataset)
-        if dataset.kind == "text":
-            features = frequency_vectors_sliding(
-                paged.sequence, paged.window_length, dataset.alphabet
-            )
-            boxes_of = _text_boxes(features, paged)
-        else:
-            features = None
-            boxes_of = _series_boxes(dataset, paged)
-        leaf_boxes = [boxes_of(p) for p in range(paged.num_pages)]
-        offsets = None
-    root = build_contiguous_hierarchy(leaf_boxes, _HIERARCHY_FANOUT)
-    index = PageIndex(
-        root=root,
-        leaf_boxes=leaf_boxes,
-        order=np.arange(paged.num_objects, dtype=np.int64),
-        page_offsets=offsets,
-    )
+        mrs = MRSIndex(paged, alphabet=dataset.alphabet, fanout=_HIERARCHY_FANOUT)
+        index, features = mrs.to_page_index(), mrs.features
+    elif dataset.kind == "series":
+        assert isinstance(paged, SequencePagedDataset)
+        mr = MRIndex(paged, fanout=_HIERARCHY_FANOUT, dtw_band=_dtw_band(dataset))
+        index, features = mr.to_page_index(), None
+    else:
+        assert isinstance(paged, VectorPagedDataset)
+        leaf_boxes = page_boxes(paged.vectors, paged.page_offsets[:-1]).to_rects()
+        index = PageIndex(
+            root=build_contiguous_hierarchy(leaf_boxes, _HIERARCHY_FANOUT),
+            leaf_boxes=leaf_boxes,
+            order=np.arange(paged.num_objects, dtype=np.int64),
+            page_offsets=paged.page_offsets,
+        )
+        features = None
     return IndexedDataset(
         kind=dataset.kind,
         paged=paged,

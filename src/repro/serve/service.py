@@ -27,6 +27,7 @@ request (the session is built for exactly that concurrency).
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 import threading
@@ -45,6 +46,14 @@ __all__ = ["JoinService", "make_server", "serve"]
 
 _DATASET_PATH = re.compile(r"^/datasets/([^/]+)$")
 _PAGES_PATH = re.compile(r"^/datasets/([^/]+)/pages$")
+
+
+# A join request names its datasets and ε plus any of the session's named
+# join parameters — nothing else reaches join().
+_JOIN_FIELDS = frozenset(
+    {"r", "s"}
+    | set(inspect.signature(JoinSession.join).parameters) - {"self", "r_id", "s_id"}
+)
 
 
 def _required(body: Dict[str, Any], key: str, types) -> Any:
@@ -143,6 +152,12 @@ class JoinService:
     def join(
         self, body: Dict[str, Any], subsequence: bool = False
     ) -> Tuple[int, Dict[str, Any]]:
+        unknown = sorted(set(body) - _JOIN_FIELDS)
+        if unknown:
+            raise ValueError(
+                f"unknown join field(s) {', '.join(map(repr, unknown))}; "
+                f"accepted: {', '.join(sorted(_JOIN_FIELDS))}"
+            )
         kwargs = dict(body)
         r_id = _required(kwargs, "r", str)
         s_id = str(kwargs.pop("s", r_id))

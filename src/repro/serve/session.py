@@ -377,7 +377,6 @@ class JoinSession:
         explain: bool = False,
         request_id: Optional[str] = None,
         memoize: bool = True,
-        **join_kwargs,
     ) -> Dict[str, Any]:
         """Run one join against the resident snapshots.
 
@@ -390,15 +389,17 @@ class JoinSession:
         ``memoize=False`` opts the request out of the result memo (both
         lookup and fill) — it always executes, which is what
         latency-measuring clients and the concurrency bench want.
+
+        The named parameters are the whole request surface: how a join
+        executes (worker processes, the matrix cache, buffer policy) is
+        the daemon's setting, never a request's.
         """
         frames = buffer_pages or self.request_buffer_pages
         req = request_id or uuid.uuid4().hex[:12]
         started = time.perf_counter()
         # Repeat-request fast path: identical shapes replay the memoised
         # warm payload without admission, leases, or any join work.
-        memoizable = (
-            memoize and not explain and prefilter is None and not join_kwargs
-        )
+        memoizable = memoize and not explain and prefilter is None
         if memoizable:
             with self._mutate:
                 probe_r = self._entry(r_id)
@@ -483,7 +484,6 @@ class JoinSession:
                 count_only=count_only,
                 explain=explain,
                 explain_meta=explain_meta,
-                **join_kwargs,
             )
         finally:
             ticket.release()

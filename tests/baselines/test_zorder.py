@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.baselines.ego import _sort_passes
 from repro.baselines.zorder import morton_codes
 from repro.core.join import IndexedDataset, join
+from repro.obs.recorder import InMemoryRecorder
 
 
 class TestMortonCodes:
@@ -48,6 +50,21 @@ class TestZorderJoin:
                       cost_model=cost_model, count_only=True)
         assert result.report.page_reads >= 2 * (r.num_pages + s.num_pages)
         assert result.report.extra["zorder_box_tests"] > 0
+
+    @pytest.mark.parametrize("method", ["zorder", "ego"])
+    def test_sort_charges_both_sides_passes(self, method):
+        rng = np.random.default_rng(0)
+        r = IndexedDataset.from_points(rng.random((400, 2)), page_capacity=8)
+        s = IndexedDataset.from_points(rng.random((900, 2)), page_capacity=8)
+        assert (r.num_pages, s.num_pages) == (50, 113)
+        # Six buffer pages sort either file in three merge passes; each
+        # pass streams the file in and out once.
+        passes_r, passes_s = _sort_passes(50, 6), _sort_passes(113, 6)
+        assert (passes_r, passes_s) == (3, 3)
+        recorder = InMemoryRecorder()
+        join(r, s, 0.02, method=method, buffer_pages=6, count_only=True,
+             recorder=recorder)
+        assert recorder.counters["disk.stream_seeks"] == 2 * passes_r + 2 * passes_s
 
     def test_rejects_sequence_data(self, dna_dataset):
         with pytest.raises(ValueError, match="point data"):

@@ -1,9 +1,16 @@
-"""Unit tests for the contiguous hierarchy builder."""
+"""Unit tests for the shared page-box routine and hierarchy builder."""
 
+import numpy as np
 import pytest
 
+from repro.datasets import markov_dna
+from repro.distance.dtw import envelope_box
+from repro.distance.frequency import frequency_vector
 from repro.geometry import Rect
-from repro.index._grouping import build_contiguous_hierarchy
+from repro.index._grouping import build_contiguous_hierarchy, page_boxes
+from repro.index.mr import MRIndex
+from repro.index.mrs import MRSIndex
+from repro.storage.page import SequencePagedDataset
 
 
 def boxes(n):
@@ -49,6 +56,56 @@ class TestBuildContiguousHierarchy:
             build_contiguous_hierarchy([], fanout=4)
         with pytest.raises(ValueError):
             build_contiguous_hierarchy(boxes(4), fanout=1)
+
+
+def assert_same_box(box, lo, hi):
+    assert np.array_equal(box.lo, lo) and np.array_equal(box.hi, hi)
+
+
+class TestPageBoxes:
+    def test_each_box_is_its_pages_min_max(self, rng):
+        rows = rng.normal(size=(103, 5))
+        starts = np.array([0, 1, 2, 10, 50, 102])
+        boxes = page_boxes(rows, starts)
+        assert len(boxes) == len(starts)
+        ends = list(starts[1:]) + [len(rows)]
+        for k, (start, end) in enumerate(zip(starts, ends)):
+            assert_same_box(
+                boxes.rect(k), rows[start:end].min(axis=0), rows[start:end].max(axis=0)
+            )
+
+    def test_strided_window_view(self, rng):
+        seq = rng.normal(size=60)
+        windows = np.lib.stride_tricks.sliding_window_view(seq, 7)
+        boxes = page_boxes(windows, np.arange(0, len(windows), 9))
+        assert_same_box(boxes.rect(5), windows[45:54].min(axis=0), windows[45:54].max(axis=0))
+
+
+class TestIndexLeafBoxes:
+    """MR and MRS leaf boxes are their pages' exact min/max (DTW: widened)."""
+
+    @pytest.mark.parametrize("band", [None, 0, 3])
+    def test_mr_raw(self, rng, band):
+        seq = rng.normal(size=517).cumsum()
+        dataset = SequencePagedDataset(seq, symbols_per_page=20, window_length=8)
+        index = MRIndex(dataset, dtw_band=band)
+        assert len(index.leaf_boxes) == dataset.num_pages
+        for page_no, box in enumerate(index.leaf_boxes):
+            windows = dataset.page_objects(page_no)
+            expected = Rect(windows.min(axis=0), windows.max(axis=0))
+            if band is not None:
+                expected = envelope_box(expected, band)
+            assert_same_box(box, expected.lo, expected.hi)
+
+    def test_mrs(self):
+        dataset = SequencePagedDataset(
+            markov_dna(1111, seed=2), symbols_per_page=32, window_length=10
+        )
+        index = MRSIndex(dataset)
+        assert len(index.leaf_boxes) == dataset.num_pages
+        for page_no, box in enumerate(index.leaf_boxes):
+            vectors = np.stack([frequency_vector(w) for w in dataset.page_objects(page_no)])
+            assert_same_box(box, vectors.min(axis=0), vectors.max(axis=0))
 
 
 def _all_nodes(root):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.sweep import build_prediction_matrix, marked_box_pairs
 from repro.geometry import Rect
 from repro.index.rstar import RStarTree, build_spatial_page_index
 
@@ -60,29 +63,100 @@ class TestInsertion:
 
 
 class TestBulkLoad:
+    """The default STR build of :func:`build_spatial_page_index`."""
+
     def test_all_entries_present(self, rng):
         pts = rng.random((500, 2))
-        tree = RStarTree.bulk_load_points(pts, max_entries=16)
-        assert len(tree) == 500
-        assert collect_ids(tree) == list(range(500))
+        page_index, reordered = build_spatial_page_index(pts, 16, method="str")
+        assert sorted(page_index.order.tolist()) == list(range(500))
+        assert np.array_equal(reordered, pts[page_index.order])
 
     def test_leaves_nearly_full(self, rng):
-        pts = rng.random((512, 2))
-        tree = RStarTree.bulk_load_points(pts, max_entries=16)
-        sizes = [len(leaf.items) for leaf in tree.leaf_nodes()]
-        assert max(sizes) <= 16
-        assert sum(sizes) == 512
-        # STR packs tightly: the average leaf is close to capacity.
-        assert sum(sizes) / len(sizes) >= 12
+        # STR packs tightly: every page is full except the last.
+        pts = rng.random((503, 2))
+        page_index, _ = build_spatial_page_index(pts, 16, method="str")
+        sizes = np.diff(page_index.page_offsets)
+        assert page_index.num_pages == 32
+        assert np.all(sizes[:-1] == 16)
+        assert sizes[-1] == 503 - 31 * 16
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            RStarTree.bulk_load_points(np.empty((0, 2)))
+        with pytest.raises(ValueError, match="non-empty"):
+            build_spatial_page_index(np.empty((0, 2)), 16, method="str")
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3, 4)])
+    def test_rejects_non_2d(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            build_spatial_page_index(np.zeros(shape), 16, method="str")
+
+    @pytest.mark.parametrize("method", ["str", "rstar"])
+    def test_rejects_tiny_page_capacity(self, rng, method):
+        with pytest.raises(ValueError, match="page_capacity"):
+            build_spatial_page_index(rng.random((20, 2)), 3, method=method)
 
     def test_high_dimensional(self, rng):
         pts = rng.random((300, 20))
-        tree = RStarTree.bulk_load_points(pts, max_entries=32)
-        assert collect_ids(tree) == list(range(300))
+        page_index, reordered = build_spatial_page_index(pts, 32, method="str")
+        assert sorted(page_index.order.tolist()) == list(range(300))
+        assert page_index.leaf_bounds().dim == 20
+        assert np.array_equal(page_index.leaf_bounds().lo[0], reordered[:32].min(axis=0))
+
+
+class TestStrBuildProperties:
+    """Every STR tree is the packed hierarchy over exact page boxes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 5000),
+        d=st.integers(1, 8),
+        capacity=st.integers(4, 80),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.booleans(),
+        epsilon=st.floats(0.0, 0.05),
+    )
+    def test_packed_hierarchy_over_exact_page_boxes(
+        self, n, d, capacity, seed, grid, epsilon
+    ):
+        pts = np.random.default_rng(seed).random((n, d))
+        if grid:
+            pts = np.floor(pts * 4)  # duplicate coordinates and touching boxes
+        page_index, reordered = build_spatial_page_index(pts, capacity)
+        assert np.array_equal(np.sort(page_index.order), np.arange(n))
+        assert np.array_equal(reordered, pts[page_index.order])
+        offsets = page_index.page_offsets
+        assert offsets.tolist() == list(range(0, n, capacity)) + [n]
+        for page_no, box in enumerate(page_index.leaf_boxes):
+            rows = reordered[offsets[page_no] : offsets[page_no + 1]]
+            assert np.array_equal(box.lo, rows.min(axis=0))
+            assert np.array_equal(box.hi, rows.max(axis=0))
+
+        root = page_index.root
+        root.validate()
+        bfs, queue = [], [root]
+        while queue:
+            node = queue.pop(0)
+            bfs.append(node)
+            queue.extend(node.children)
+            if node.is_leaf:
+                assert node.box is page_index.leaf_boxes[node.page_no]
+                continue
+            assert len(node.children) <= capacity
+            pages = [leaf.page_no for leaf in node.iter_leaves()]
+            assert pages == list(range(pages[0], pages[0] + len(pages)))
+            child_lo = np.stack([child.box.lo for child in node.children])
+            child_hi = np.stack([child.box.hi for child in node.children])
+            assert np.array_equal(node.box.lo, child_lo.min(axis=0))
+            assert np.array_equal(node.box.hi, child_hi.max(axis=0))
+        assert [node.node_id for node in bfs] == list(range(len(bfs)))
+        assert [leaf.page_no for leaf in root.iter_leaves()] == list(
+            range(page_index.num_pages)
+        )
+
+        num_pages = page_index.num_pages
+        matrix, _ = build_prediction_matrix(root, root, epsilon, num_pages, num_pages)
+        bounds = page_index.leaf_bounds()
+        rows, cols = marked_box_pairs(bounds, bounds, epsilon)
+        assert set(matrix.entries()) == set(zip(rows.tolist(), cols.tolist()))
 
 
 class TestPageIndexExtraction:

@@ -7,20 +7,24 @@ from repro.geometry import Rect
 from repro.index.rstar import RStarTree
 
 
-@pytest.fixture
-def tree_and_points(rng):
-    points = rng.random((400, 2))
-    tree = RStarTree.bulk_load_points(points, max_entries=16)
-    return tree, points
+def _inserted(points, max_entries):
+    tree = RStarTree(max_entries=max_entries)
+    for k in range(points.shape[0]):
+        tree.insert_point(points[k], k)
+    return tree
+
+
+@pytest.fixture(scope="module")
+def tree_and_points():
+    # Built once: 400 insertions take about a second, and no test mutates it.
+    points = np.random.default_rng(12345).random((400, 2))
+    return _inserted(points, 16), points
 
 
 @pytest.fixture
 def inserted_tree_and_points(rng):
     points = rng.random((150, 2))
-    tree = RStarTree(max_entries=8)
-    for k in range(points.shape[0]):
-        tree.insert_point(points[k], k)
-    return tree, points
+    return _inserted(points, 8), points
 
 
 class TestRangeSearch:
@@ -62,7 +66,7 @@ class TestNearestNeighbours:
 
     def test_k_exceeds_size(self, rng):
         points = rng.random((5, 2))
-        tree = RStarTree.bulk_load_points(points, max_entries=4)
+        tree = _inserted(points, 4)
         assert sorted(tree.nearest_neighbours([0.5, 0.5], k=50)) == [0, 1, 2, 3, 4]
 
     def test_nearest_of_exact_point(self, tree_and_points):

@@ -219,6 +219,56 @@ class TestErrorMapping:
         assert "error" in body
 
 
+class TestUnknownJoinFields:
+    """A join body may carry only the session's named join parameters.
+
+    Anything else used to reach ``join()``: ``workers`` forked worker
+    processes inside the daemon, ``matrix_cache`` collided with the
+    session's own store, and typos surfaced as Python ``TypeError`` text.
+    """
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"workers": 8, "shard_strategy": "affinity"},
+            {"matrix_cache": "/tmp/x"},
+            {"typo_field": 1},
+            {"buffer_policy": "mru", "keep_details": True, "seed": 3},
+        ],
+        ids=["workers", "matrix_cache", "typo", "engine_knobs"],
+    )
+    def test_is_400_naming_the_fields_before_admission(self, server, extra):
+        body = {
+            "id": "g", "kind": "text", "text": markov_dna(1200, seed=8),
+            "window_length": 48,
+        }
+        assert _call(server, "POST", "/datasets", body)[0] == 201
+        for path in ("/join", "/subsequence_join"):
+            status, error = _call(server, "POST", path, {"r": "g", "epsilon": 1, **extra})
+            assert status == 400
+            assert "unknown join field" in error["error"]
+            for field in extra:
+                assert repr(field) in error["error"]
+        status, health = _call(server, "GET", "/healthz")
+        assert status == 200
+        assert health["pool"]["admitted_total"] == 0
+        assert health["pool"]["leased_frames"] == 0
+
+    def test_named_parameters_are_accepted(self, server):
+        body = {
+            "id": "g", "kind": "text", "text": markov_dna(1200, seed=8),
+            "window_length": 48,
+        }
+        assert _call(server, "POST", "/datasets", body)[0] == 201
+        status, joined = _call(server, "POST", "/join", {
+            "r": "g", "s": "g", "epsilon": 1, "method": "cc", "buffer_pages": 12,
+            "max_filter_rounds": 3, "count_only": True, "include_pairs": False,
+            "explain": False, "request_id": "abc", "memoize": False,
+        })
+        assert status == 200
+        assert joined["request_id"] == "abc" and joined["method"] == "cc"
+
+
 class TestNonFiniteInput:
     """NaN in a register or append body is a 400 that changes nothing.
 

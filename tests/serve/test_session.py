@@ -6,7 +6,10 @@ import pytest
 from repro.core.join import IndexedDataset
 from repro.core.sweep import build_prediction_matrix
 from repro.datasets import markov_dna
+from repro.distance.dtw import envelope_box
+from repro.distance.frequency import frequency_vector
 from repro.errors import ConfigError
+from repro.geometry import Rect
 from repro.serve import JoinSession
 from repro.serve.incremental import append_to_dataset, rebuild_dataset
 from repro.storage.persist import FingerprintChain, matrix_cache_key
@@ -294,6 +297,34 @@ class TestAppendDeltas:
         append_to_dataset(dataset, chain, markov_dna(300, seed=5))
         assert dataset.num_pages == before_pages
         assert chain.hexdigest() == before_fp
+
+    @pytest.mark.parametrize("kind", ["vector", "text", "series", "dtw"])
+    def test_appended_leaf_boxes_are_page_min_max(self, kind):
+        rng = np.random.default_rng(8)
+        if kind == "vector":
+            dataset = IndexedDataset.from_points(rng.random((300, 3)), page_capacity=32)
+            payload = rng.random((75, 3))
+        elif kind == "text":
+            dataset = _text_dataset(length=2000)
+            payload = markov_dna(300, seed=5)
+        else:
+            dataset = IndexedDataset.from_time_series(
+                rng.normal(size=400).cumsum(), window_length=16, windows_per_page=32,
+                dtw_band=3 if kind == "dtw" else None,
+            )
+            payload = rng.normal(size=130).cumsum()
+        delta = append_to_dataset(dataset, FingerprintChain.from_dataset(dataset), payload)
+        snapshot = delta.dataset
+        assert len(snapshot.index.leaf_boxes) == snapshot.num_pages
+        for page_no, box in enumerate(snapshot.index.leaf_boxes):
+            objects = snapshot.paged.page_objects(page_no)
+            if kind == "text":
+                objects = np.stack([frequency_vector(window) for window in objects])
+            expected = Rect(objects.min(axis=0), objects.max(axis=0))
+            if kind == "dtw":
+                expected = envelope_box(expected, 3)
+            assert np.array_equal(box.lo, expected.lo)
+            assert np.array_equal(box.hi, expected.hi)
 
     def test_subsequence_join_rejects_vectors(self):
         rng = np.random.default_rng(2)
