@@ -19,9 +19,7 @@ BUFFER = 12
 
 def _setup():
     r, s = lbeach_mcounty(0.25)
-    matrix, _ = build_prediction_matrix(
-        r.index.root, s.index.root, SPATIAL_EPSILON, r.num_pages, s.num_pages
-    )
+    matrix, _ = build_prediction_matrix(r.index, s.index, SPATIAL_EPSILON)
     disk = SimulatedDisk()
     pool = BufferPool(disk, BUFFER)
     pool.attach(r.paged)

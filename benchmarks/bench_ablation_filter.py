@@ -19,8 +19,7 @@ def test_filter_depth(benchmark, rounds):
 
     def build():
         return build_prediction_matrix(
-            r.index.root, s.index.root, SPATIAL_EPSILON,
-            r.num_pages, s.num_pages, max_filter_rounds=rounds,
+            r.index, s.index, SPATIAL_EPSILON, max_filter_rounds=rounds,
         )
 
     matrix, stats = benchmark.pedantic(build, rounds=1, iterations=1)
@@ -35,8 +34,7 @@ def test_filter_reduces_tests_without_changing_marks():
     outcomes = {}
     for rounds in (0, 1, 5):
         matrix, stats = build_prediction_matrix(
-            r.index.root, s.index.root, SPATIAL_EPSILON,
-            r.num_pages, s.num_pages, max_filter_rounds=rounds,
+            r.index, s.index, SPATIAL_EPSILON, max_filter_rounds=rounds,
         )
         outcomes[rounds] = (matrix, stats.intersection_tests)
     # Same marks regardless of filtering (completeness is never traded).

@@ -29,9 +29,7 @@ class _NoopJoiner:
 
 def _orders():
     r, s = lbeach_mcounty(0.25)
-    matrix, _ = build_prediction_matrix(
-        r.index.root, s.index.root, SPATIAL_EPSILON, r.num_pages, s.num_pages
-    )
+    matrix, _ = build_prediction_matrix(r.index, s.index, SPATIAL_EPSILON)
     clusters, _ = square_clustering(matrix, BUFFER)
     r_id, s_id = r.paged.dataset_id, s.paged.dataset_id
     rng = np.random.default_rng(0)

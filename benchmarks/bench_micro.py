@@ -38,7 +38,7 @@ from repro.experiments.figures import (
     landsat_pair,
     lbeach_mcounty,
 )
-from repro.index.rstar import RStarTree, build_spatial_page_index
+from repro.index.rstar import build_spatial_page_index
 from repro.kernels import dtw_batch, edit_batch, encode_strings, minkowski_pairs
 from repro.obs import NULL_RECORDER
 from tests.oracles.sweep_reference import build_prediction_matrix_reference
@@ -56,42 +56,25 @@ def _best_of(fn, repeats=2):
     return best, value
 
 
-def test_rstar_insertion(benchmark):
-    points = road_intersections(2_000, seed=0)
-
-    def build():
-        tree = RStarTree(max_entries=32)
-        for k in range(points.shape[0]):
-            tree.insert_point(points[k], k)
-        return tree
-
-    tree = benchmark.pedantic(build, rounds=1, iterations=1)
-    assert len(tree) == 2_000
-
-
 def test_prediction_matrix_build(benchmark):
     r, s = lbeach_mcounty(0.25)
     matrix, _stats = benchmark(
         build_prediction_matrix,
-        r.index.root, s.index.root, SPATIAL_EPSILON, r.num_pages, s.num_pages,
+        r.index, s.index, SPATIAL_EPSILON,
     )
     assert matrix.num_marked > 0
 
 
 def test_square_clustering_speed(benchmark):
     r, s = lbeach_mcounty(0.25)
-    matrix, _ = build_prediction_matrix(
-        r.index.root, s.index.root, SPATIAL_EPSILON, r.num_pages, s.num_pages
-    )
+    matrix, _ = build_prediction_matrix(r.index, s.index, SPATIAL_EPSILON)
     clusters, _stats = benchmark(square_clustering, matrix, 12)
     assert clusters
 
 
 def test_cost_clustering_speed(benchmark):
     r, s = lbeach_mcounty(0.25)
-    matrix, _ = build_prediction_matrix(
-        r.index.root, s.index.root, SPATIAL_EPSILON, r.num_pages, s.num_pages
-    )
+    matrix, _ = build_prediction_matrix(r.index, s.index, SPATIAL_EPSILON)
     clusters, _stats = benchmark.pedantic(
         lambda: cost_clustering(
             matrix, 12, lambda rows, cols: float(len(rows) + len(cols))
@@ -335,7 +318,7 @@ def test_matrix_build_speedup(record_json):
             pts_s = landsat_like(pages * capacity, dim=dim, seed=2)
         r = IndexedDataset.from_points(pts_r, page_capacity=capacity)
         s = IndexedDataset.from_points(pts_s, page_capacity=capacity)
-        args = (r.index.root, s.index.root, epsilon, r.num_pages, s.num_pages)
+        args = (r.index, s.index, epsilon)
         ref_s, (ref_matrix, ref_stats) = _best_of(
             lambda: build_prediction_matrix_reference(*args), repeats
         )
@@ -950,11 +933,9 @@ def test_serving_resident_state(record_json):
     def rebuild():
         rebuilt = make_dataset(text + suffix)
         return build_prediction_matrix(
-            rebuilt.index.root,
-            rebuilt.index.root,
+            rebuilt.index,
+            rebuilt.index,
             GENOME_EPSILON,
-            rebuilt.num_pages,
-            rebuilt.num_pages,
             max_filter_rounds=5,
         )
 

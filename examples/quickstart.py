@@ -5,7 +5,7 @@ Demonstrates the core workflow:
 
 1. generate (or load) point data,
 2. wrap each dataset in an :class:`IndexedDataset` — this builds the
-   R*-tree and lays the data out leaf-contiguously on the simulated disk,
+   R-tree and lays the data out leaf-contiguously on the simulated disk,
 3. call :func:`join` with a distance threshold and a method,
 4. read the cost breakdown off the returned report.
 

@@ -3,7 +3,7 @@
 
 "Find all hotels in California that are within three miles of a
 recreation area" (Section 1).  We synthesise hotels (clustered along
-roads and towns) and recreation areas, index both with R*-trees, and
+roads and towns) and recreation areas, index both with R-trees, and
 compare the prediction-matrix join against block NLJ across buffer sizes
 — the regime where the paper's technique pays off is a buffer much
 smaller than the data.

@@ -19,13 +19,13 @@ Two properties the paper exploits:
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.executor import ExecutionOutcome
 from repro.costmodel import CostModel
-from repro.geometry import Rect
+from repro.geometry import BoxArray, Rect
 from repro.index._grouping import page_boxes
 from repro.storage.buffer import BufferPool
 from repro.storage.page import VectorPagedDataset
@@ -107,7 +107,7 @@ def _grid_order(vectors: np.ndarray, cell: float) -> np.ndarray:
     return np.lexsort(tuple(cells[:, dim] for dim in reversed(range(cells.shape[1]))))
 
 
-def _sorted_copy(dataset, order, pool, tag) -> Tuple[VectorPagedDataset, List[Rect], int]:
+def _sorted_copy(dataset, order, pool, tag) -> Tuple[VectorPagedDataset, BoxArray, int]:
     """``dataset`` re-sorted into ``order`` by an external sort.
 
     Returns the sorted copy (attached to ``pool``, with the original's
@@ -126,7 +126,7 @@ def _sorted_copy(dataset, order, pool, tag) -> Tuple[VectorPagedDataset, List[Re
     pool.attach(copy)
     passes = _sort_passes(dataset.num_pages, pool.capacity)
     pool.disk.charge_stream(2 * dataset.num_pages * passes, 2 * passes)
-    return copy, page_boxes(copy.vectors, copy.page_offsets[:-1]).to_rects(), passes
+    return copy, page_boxes(copy.vectors, copy.page_offsets[:-1]), passes
 
 
 def _join_sorted_pages(
@@ -162,19 +162,20 @@ def _ego_sequence(r, s, epsilon, pool, joiner, cost_model, self_join):
     """EGO over pages in logical ε-grid order; physical layout untouched."""
     outcome = ExecutionOutcome()
     cell = epsilon if epsilon > 0 else 1.0
-    boxes_r = r.index.leaf_boxes
-    boxes_s = boxes_r if self_join else s.index.leaf_boxes
+    boxes_r = r.index.leaf_bounds()
+    boxes_s = boxes_r if self_join else s.index.leaf_bounds()
     # L∞ on the index's leaf boxes is the universally valid page test:
     # for text the boxes live in frequency space (L∞ <= FD <= ED), and for
     # DTW series the boxes are already envelope-widened.
     p_norm = getattr(r.distance, "p", float("inf")) if r.kind == "series" else float("inf")
 
-    ego_order_r = _ego_page_order(boxes_r, cell).tolist()
+    order_r = _ego_page_order(boxes_r, cell)
     # Candidate windows over the S pages sorted by their own EGO order.
-    ego_order_s = ego_order_r if self_join else _ego_page_order(boxes_s, cell).tolist()
-    hi_max_s, lo_min_s = _window_keys([boxes_s[k] for k in ego_order_s])
+    order_s = order_r if self_join else _ego_page_order(boxes_s, cell)
+    hi_max_s, lo_min_s = _window_keys(boxes_s[order_s])
+    ego_order_s = order_s.tolist()
 
-    for i in ego_order_r:
+    for i in order_r.tolist():
         box_i = boxes_r[i]
         pool.fetch(r.paged.dataset_id, i)
         entries = []
@@ -195,8 +196,8 @@ def _ego_sequence(r, s, epsilon, pool, joiner, cost_model, self_join):
     return outcome, preprocess, {"ego_logical_order": True}
 
 
-def _ego_page_order(boxes: List[Rect], cell: float) -> np.ndarray:
-    centers = np.asarray([box.center() for box in boxes])
+def _ego_page_order(boxes: BoxArray, cell: float) -> np.ndarray:
+    centers = (boxes.lo + boxes.hi) / 2.0
     cells = np.floor(centers / cell).astype(np.int64)
     return np.lexsort(tuple(cells[:, dim] for dim in reversed(range(cells.shape[1]))))
 
@@ -204,7 +205,7 @@ def _ego_page_order(boxes: List[Rect], cell: float) -> np.ndarray:
 # -- shared helpers --------------------------------------------------------------
 
 
-def _window_keys(boxes: Sequence[Rect]) -> Tuple[np.ndarray, np.ndarray]:
+def _window_keys(boxes: BoxArray) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted scan-window keys over pages in scan order: ``(hi_max, lo_min)``.
 
     ``hi_max[k]`` is the largest ``hi[0]`` of pages ``0..k`` and
@@ -212,8 +213,7 @@ def _window_keys(boxes: Sequence[Rect]) -> Tuple[np.ndarray, np.ndarray]:
     sorts pages by grid cell, not by ``lo[0]`` or ``hi[0]``, so neither
     bound is sorted along it; these two keys are, in any order.
     """
-    lo = np.asarray([box.lo[0] for box in boxes])
-    hi = np.asarray([box.hi[0] for box in boxes])
+    lo, hi = boxes.lo[:, 0], boxes.hi[:, 0]
     return np.maximum.accumulate(hi), np.minimum.accumulate(lo[::-1])[::-1]
 
 

@@ -14,7 +14,7 @@ assigned to tiles without materialising every window.
 I/O accounting: the tree is built in memory from one sequential scan of
 the dataset; the join then walks tiles in lexicographic order and pulls
 the data pages of each candidate tile pair through the LRU buffer.  Tile
-order correlates with page order only loosely (pages are R*-leaf
+order correlates with page order only loosely (pages are R-tree leaf
 ordered), so the walk pays scattered reads — the structural reason
 tile-based joins lose to page-aware clustering on buffer-starved
 configurations.

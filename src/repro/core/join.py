@@ -60,6 +60,7 @@ from repro.core.schedule import greedy_cluster_order
 from repro.core.square import square_clustering
 from repro.core.sweep import build_prediction_matrix
 from repro.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.distance.dtw import DTWDistance
 from repro.distance.frequency import DNA_ALPHABET
 from repro.distance.vector import MinkowskiDistance
 from repro.index.mr import MRIndex
@@ -104,17 +105,15 @@ class IndexedDataset:
         vectors: np.ndarray,
         page_capacity: int = 64,
         p: float = 2.0,
-        build_method: str = "str",
         dataset_id: Optional[str] = None,
     ) -> "IndexedDataset":
-        """Point/spatial data under an L_p norm, indexed by an R*-tree.
+        """Point/spatial data under an L_p norm, indexed by an STR-packed R-tree.
 
         The tree's leaf order defines the on-disk layout (Section 5.1).
         Raises ``ValueError`` on NaN or infinite coordinates.
         """
         page_index, reordered = build_spatial_page_index(
-            require_finite(vectors, "point coordinates"), page_capacity,
-            method=build_method,
+            require_finite(vectors, "point coordinates"), page_capacity
         )
         paged = VectorPagedDataset(
             reordered, page_offsets=page_index.page_offsets, dataset_id=dataset_id
@@ -161,8 +160,6 @@ class IndexedDataset:
         if feature == "paa" and p != 2.0:
             raise ValueError("PAA features lower-bound only the Euclidean distance (p=2)")
         if dtw_band is not None:
-            from repro.distance.dtw import DTWDistance
-
             distance = DTWDistance(dtw_band)
         else:
             distance = MinkowskiDistance(p)
@@ -210,8 +207,6 @@ class IndexedDataset:
                     f"mrs_base_window ({mrs_base_window}) must divide "
                     f"window_length ({window_length})"
                 )
-            from repro.index._grouping import build_contiguous_hierarchy
-
             base_paged = SequencePagedDataset(
                 text,
                 symbols_per_page=windows_per_page,
@@ -220,12 +215,8 @@ class IndexedDataset:
             base_mrs = MRSIndex(base_paged, alphabet=alphabet, fanout=fanout)
             leaf_boxes = base_mrs.derived_boxes(window_length // mrs_base_window)
             assert len(leaf_boxes) == paged.num_pages
-            root = build_contiguous_hierarchy(leaf_boxes, fanout)
-            index = PageIndex(
-                root=root,
-                leaf_boxes=leaf_boxes,
-                order=np.arange(paged.num_windows, dtype=np.int64),
-                page_offsets=None,
+            index = PageIndex.pack(
+                leaf_boxes, fanout, np.arange(paged.num_windows, dtype=np.int64)
             )
             # The object-level filter always uses exact window-length
             # frequency vectors (cheap to compute, tight to filter with).
@@ -292,13 +283,20 @@ def require_finite(values, what: str) -> np.ndarray:
 def require_same_shape(r: IndexedDataset, s: IndexedDataset) -> None:
     """``ValueError`` unless ``r`` and ``s`` hold objects of one shape.
 
-    The kinds must match, and so must the vector dimension, the window
-    length and, for text, the alphabet.  The distance kernels compare
-    objects coordinate by coordinate, and the text filter's
-    ``FD = L1/2`` identity needs equal window lengths on both sides.
+    The kinds must match, and so must the distance with the feature
+    space its boxes live in, the vector dimension, the window length and,
+    for text, the alphabet.  The join runs under one distance, the
+    kernels compare objects coordinate by coordinate, and the text
+    filter's ``FD = L1/2`` identity needs equal window lengths on both
+    sides.
     """
     if r.kind != s.kind:
         raise ValueError(f"cannot join datasets of kinds {r.kind!r} and {s.kind!r}")
+    metric_r, metric_s = _metric(r), _metric(s)
+    if metric_r != metric_s:
+        raise ValueError(
+            f"cannot join {r.kind} data under {metric_r} with data under {metric_s}"
+        )
     if r.kind == "vector":
         if r.paged.dim != s.paged.dim:
             raise ValueError(
@@ -314,6 +312,22 @@ def require_same_shape(r: IndexedDataset, s: IndexedDataset) -> None:
         raise ValueError(
             f"cannot join text over alphabets {r.alphabet!r} and {s.alphabet!r}"
         )
+
+
+def _metric(dataset: IndexedDataset) -> str:
+    """The distance ``dataset`` joins under, and the space of its boxes."""
+    if dataset.kind == "text":
+        return "edit distance"
+    distance = dataset.distance
+    if isinstance(distance, DTWDistance):
+        metric = f"DTW with band {distance.band}"
+    else:
+        metric = f"L{distance.p:g}"
+    if dataset.kind == "vector":
+        return metric
+    if dataset.features is None:
+        return f"{metric} over raw windows"
+    return f"{metric} over {dataset.features.shape[1]}-segment PAA features"
 
 
 def join(
@@ -634,8 +648,7 @@ def _build_or_load_matrix(
 
     if matrix_cache is None:
         matrix, sweep_stats = build_prediction_matrix(
-            r.index.root, s.index.root, epsilon,
-            r.num_pages, s.num_pages, max_filter_rounds=max_filter_rounds,
+            r.index, s.index, epsilon, max_filter_rounds=max_filter_rounds,
             recorder=recorder,
         )
         return matrix, sweep_stats, "off"
@@ -650,8 +663,7 @@ def _build_or_load_matrix(
             recorder.count("matrix.cache_hits")
         return matrix, SweepStats(), "hit"
     matrix, sweep_stats = build_prediction_matrix(
-        r.index.root, s.index.root, epsilon,
-        r.num_pages, s.num_pages, max_filter_rounds=max_filter_rounds,
+        r.index, s.index, epsilon, max_filter_rounds=max_filter_rounds,
         recorder=recorder,
     )
     save_matrix(matrix, matrix_cache, key)

@@ -81,8 +81,7 @@ def plan_join(
     model = cost_model or DEFAULT_COST_MODEL
     self_join = r is s
     matrix, _stats = build_prediction_matrix(
-        r.index.root, s.index.root, epsilon, r.num_pages, s.num_pages,
-        max_filter_rounds=max_filter_rounds,
+        r.index, s.index, epsilon, max_filter_rounds=max_filter_rounds
     )
     if self_join:
         matrix.keep_upper_triangle()

@@ -2,13 +2,15 @@
 
 The algorithm descends two MBR hierarchies in lock-step.  For a pair of
 intersecting internal nodes it recurses on their children; for a pair of
-intersecting leaves it marks the corresponding page pair.  At every level
-the children are first passed through the iterative filter (Section 5.1)
-and extended by ε/2, then swept along the first coordinate: an
-intersection of ε/2-extended boxes is exactly the test "L∞ box distance
-≤ ε", which lower-bounds every L_p object distance as well as the
-frequency/edit distance chain — hence Theorem 1 (no joining pair is ever
-missed).
+intersecting leaves it marks the corresponding page pair.  The
+hierarchies are :class:`~repro.index.node.PageIndex` level arrays: a
+node's children are one contiguous row range of the level below, so the
+descent recurses on (level, start, stop) ranges.  At every level the
+children are first passed through the iterative filter (Section 5.1) and
+extended by ε/2, then swept along the first coordinate: an intersection
+of ε/2-extended boxes is exactly the test "L∞ box distance ≤ ε", which
+lower-bounds every L_p object distance as well as the frequency/edit
+distance chain — hence Theorem 1 (no joining pair is ever missed).
 
 The sweep itself is a **block sweep** over struct-of-arrays geometry
 (:class:`~repro.geometry.BoxArray`): both sides are sorted by their
@@ -27,19 +29,18 @@ merely finds them by binary search instead of by queue replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.filtering import DEFAULT_MAX_ROUNDS, iterative_filter
 from repro.core.prediction import PredictionMatrix
 from repro.geometry import BoxArray, Rect
-from repro.index.node import IndexNode
+from repro.index.node import PageIndex
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = [
     "SweepStats",
-    "sweep_pairs",
     "block_sweep_pairs",
     "marked_box_pairs",
     "build_prediction_matrix",
@@ -174,47 +175,28 @@ def marked_box_pairs(
     return block_sweep_pairs(left.extend(half), right.extend(half), stats)
 
 
-def sweep_pairs(
-    left: Sequence[Tuple[Rect, object]],
-    right: Sequence[Tuple[Rect, object]],
-    stats: Optional[SweepStats] = None,
-) -> Iterator[Tuple[object, object]]:
-    """Plane sweep over ``(box, payload)`` lists, yielding payload pairs.
-
-    The scalar-friendly wrapper around :func:`block_sweep_pairs`; pairs
-    are yielded in (left index, right index) order.
-    """
-    boxes_l = BoxArray.from_rects([box for box, _payload in left])
-    boxes_r = BoxArray.from_rects([box for box, _payload in right])
-    idx_i, idx_j = block_sweep_pairs(boxes_l, boxes_r, stats)
-    for k in np.lexsort((idx_j, idx_i)):
-        yield left[idx_i[k]][1], right[idx_j[k]][1]
-
-
 def build_prediction_matrix(
-    root_r: IndexNode,
-    root_s: IndexNode,
+    index_r: PageIndex,
+    index_s: PageIndex,
     epsilon: float,
-    num_rows: int,
-    num_cols: int,
     max_filter_rounds: int = DEFAULT_MAX_ROUNDS,
     recorder: Recorder = NULL_RECORDER,
 ) -> Tuple[PredictionMatrix, SweepStats]:
     """Figure 1's algorithm PM over two index hierarchies.
 
-    ``num_rows`` / ``num_cols`` are the page counts of the two datasets
-    (leaf counts of the hierarchies).  ``max_filter_rounds=0`` disables the
-    iterative filter entirely (ablation support).
+    The matrix has one row per page of ``index_r`` and one column per
+    page of ``index_s``.  ``max_filter_rounds=0`` disables the iterative
+    filter entirely (ablation support).
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    matrix = PredictionMatrix(num_rows, num_cols)
+    matrix = PredictionMatrix(index_r.num_pages, index_s.num_pages)
     stats = SweepStats()
     half = epsilon / 2.0
     with recorder.span("matrix.sweep"):
         _descend(
-            _Group.of_single(root_r),
-            _Group.of_single(root_s),
+            _Span.root(index_r),
+            _Span.root(index_s),
             half,
             matrix,
             stats,
@@ -230,71 +212,58 @@ def build_prediction_matrix(
     return matrix, stats
 
 
-class _Group:
-    """One side of a descent level: sibling nodes in struct-of-arrays form.
+class _Span(NamedTuple):
+    """One side of a descent level: rows ``[start, stop)`` of one index level.
 
-    ``cover`` is the tight union of ``bounds`` — for children groups it is
-    cached on the parent node, so the filter never re-reduces it.
+    ``cover`` is the tight union of those rows — the parent's row, which
+    the packer built as exactly that union, so the filter never
+    re-reduces it.
     """
 
-    __slots__ = ("nodes", "bounds", "leaf_mask", "pages", "cover")
-
-    def __init__(self, nodes, bounds, leaf_mask, pages, cover):
-        self.nodes = nodes
-        self.bounds = bounds
-        self.leaf_mask = leaf_mask
-        self.pages = pages
-        self.cover = cover
+    index: PageIndex
+    level: int
+    start: int
+    stop: int
+    cover: Rect
 
     @classmethod
-    def of_single(cls, node: IndexNode) -> "_Group":
-        return cls(
-            nodes=[node],
-            bounds=BoxArray.from_rect(node.box),
-            leaf_mask=np.asarray([node.is_leaf]),
-            pages=np.asarray([node.page_no if node.page_no is not None else -1]),
-            cover=node.box,
-        )
+    def root(cls, index: PageIndex) -> "_Span":
+        return cls(index, index.height, 0, 1, index.levels[-1].rect(0))
 
-    @classmethod
-    def of_children(cls, node: IndexNode) -> "_Group":
-        """The node's children — or the node itself when it is a leaf."""
-        if node.is_leaf:
-            return cls.of_single(node)
-        return cls(
-            nodes=node.children,
-            bounds=node.children_bounds(),
-            leaf_mask=node.children_leaf_mask(),
-            pages=node.children_pages(),
-            cover=node.children_cover(),
-        )
+    def bounds(self) -> BoxArray:
+        return self.index.levels[self.level][self.start : self.stop]
 
-    def __len__(self) -> int:
-        return len(self.nodes)
+    def children(self, row: int) -> "_Span":
+        """Row ``row``'s children — or the row itself when it is a leaf."""
+        cover = self.index.levels[self.level].rect(row)
+        if self.level == 0:
+            return _Span(self.index, 0, row, row + 1, cover)
+        start, stop = self.index.children(self.level, row)
+        return _Span(self.index, self.level - 1, start, stop, cover)
 
 
 def _descend(
-    group_r: _Group,
-    group_s: _Group,
+    span_r: _Span,
+    span_s: _Span,
     half_epsilon: float,
     matrix: PredictionMatrix,
     stats: SweepStats,
     max_filter_rounds: int,
     recorder: Recorder = NULL_RECORDER,
 ) -> None:
-    extended_r = group_r.bounds.extend(half_epsilon)
-    extended_s = group_s.bounds.extend(half_epsilon)
+    extended_r = span_r.bounds().extend(half_epsilon)
+    extended_s = span_s.bounds().extend(half_epsilon)
     if recorder.enabled:
-        recorder.observe("sweep.block_size", len(group_r) + len(group_s))
+        recorder.observe("sweep.block_size", len(extended_r) + len(extended_s))
 
-    if max_filter_rounds > 0 and len(group_r) > 1 and len(group_s) > 1:
+    if max_filter_rounds > 0 and len(extended_r) > 1 and len(extended_s) > 1:
         with recorder.span("matrix.filter"):
             outcome = iterative_filter(
                 extended_r,
                 extended_s,
                 max_filter_rounds,
-                cover_left=group_r.cover.extend(half_epsilon),
-                cover_right=group_s.cover.extend(half_epsilon),
+                cover_left=span_r.cover.extend(half_epsilon),
+                cover_right=span_s.cover.extend(half_epsilon),
                 recorder=recorder,
             )
         stats.filter_rounds += outcome.rounds
@@ -310,19 +279,18 @@ def _descend(
 
     if idx_i.size == 0:
         return
-    both_leaves = group_r.leaf_mask[idx_i] & group_s.leaf_mask[idx_j]
-    if both_leaves.any():
-        rows = group_r.pages[idx_i[both_leaves]]
-        cols = group_s.pages[idx_j[both_leaves]]
-        matrix.mark_many(rows, cols)
-        stats.leaf_pairs_marked += int(both_leaves.sum())
-    expand_i = idx_i[~both_leaves]
-    expand_j = idx_j[~both_leaves]
-    stats.node_pairs_expanded += expand_i.size
-    for a, b in zip(expand_i.tolist(), expand_j.tolist()):
+    rows_r = span_r.start + idx_i
+    rows_s = span_s.start + idx_j
+    if span_r.level == 0 and span_s.level == 0:
+        # Only level 0 holds leaves: both rows are pages, so mark the pair.
+        matrix.mark_many(rows_r, rows_s)
+        stats.leaf_pairs_marked += int(idx_i.size)
+        return
+    stats.node_pairs_expanded += int(idx_i.size)
+    for a, b in zip(rows_r.tolist(), rows_s.tolist()):
         _descend(
-            _Group.of_children(group_r.nodes[a]),
-            _Group.of_children(group_s.nodes[b]),
+            span_r.children(a),
+            span_s.children(b),
             half_epsilon,
             matrix,
             stats,

@@ -2,7 +2,7 @@
 
 Real road intersections cluster along a street grid: dense urban cores,
 arterial lines, and sparse rural scatter.  The generator mixes those three
-components so the R*-tree leaf MBRs — and hence the prediction matrix —
+components so the R-tree leaf MBRs — and hence the prediction matrix —
 show the skewed density the paper's spatial experiments rely on.
 Coordinates are normalised to the unit square, matching the paper's ε
 values (e.g. ε = 0.1 yields ≈10 % selectivity on LBeach × MCounty).

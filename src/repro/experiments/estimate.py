@@ -61,15 +61,14 @@ def estimate_matrix_density(
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = np.random.default_rng(seed)
-    boxes_r = r.index.leaf_boxes
-    boxes_s = s.index.leaf_boxes
+    boxes_r = r.index.leaf_bounds()
+    boxes_s = s.index.leaf_bounds()
     rows = rng.integers(0, len(boxes_r), size=samples)
     cols = rng.integers(0, len(boxes_s), size=samples)
-    hits = sum(
-        1
-        for i, j in zip(rows.tolist(), cols.tolist())
-        if boxes_r[i].min_dist(boxes_s[j], p=float("inf")) <= epsilon
+    gap = np.maximum(
+        boxes_s.lo[cols] - boxes_r.hi[rows], boxes_r.lo[rows] - boxes_s.hi[cols]
     )
+    hits = int(np.count_nonzero(np.maximum(gap.max(axis=1), 0.0) <= epsilon))
     return _proportion(hits, samples)
 
 

@@ -17,7 +17,7 @@ operations return new arrays (or ``self`` when nothing changes, e.g.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -67,11 +67,6 @@ class BoxArray:
         return cls(lo, hi, validate=False)
 
     @classmethod
-    def from_rect(cls, rect: Rect) -> "BoxArray":
-        """A one-box array viewing ``rect``'s coordinates (no copy)."""
-        return cls(rect.lo[None, :], rect.hi[None, :], validate=False)
-
-    @classmethod
     def empty(cls, dim: int) -> "BoxArray":
         return cls(
             np.empty((0, dim), dtype=np.float64),
@@ -100,9 +95,6 @@ class BoxArray:
     def __iter__(self) -> Iterator[Rect]:
         for k in range(len(self)):
             yield self.rect(k)
-
-    def to_rects(self) -> List[Rect]:
-        return [self.rect(k) for k in range(len(self))]
 
     def __repr__(self) -> str:
         return f"BoxArray(n={len(self)}, d={self.dim})"

@@ -1,9 +1,10 @@
 """Axis-aligned d-dimensional rectangles (MBRs).
 
-Every index structure in this package (R*-tree, MR-index, MRS-index)
-approximates disk pages by minimum bounding rectangles, and the prediction
-matrix is built from intersections of ε/2-extended MBRs (Section 5 of the
-paper).  This module is the single geometry implementation they all share.
+Every index structure in this package (the STR-packed R-tree, MR-index,
+MRS-index) approximates disk pages by minimum bounding rectangles, and the
+prediction matrix is built from intersections of ε/2-extended MBRs
+(Section 5 of the paper).  This module is the single geometry
+implementation they all share.
 
 Rectangles are immutable: every operation returns a new :class:`Rect`.
 Coordinates are stored as float64 numpy arrays ``lo`` and ``hi`` with
@@ -56,12 +57,6 @@ class Rect:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_point(cls, point: Sequence[float]) -> "Rect":
-        """Degenerate rectangle covering a single point."""
-        arr = np.asarray(point, dtype=np.float64)
-        return cls(arr, arr.copy())
-
-    @classmethod
     def from_points(cls, points: np.ndarray) -> "Rect":
         """Tight MBR of a non-empty ``(n, d)`` array of points."""
         pts = np.asarray(points, dtype=np.float64)
@@ -86,41 +81,11 @@ class Rect:
         """Number of dimensions."""
         return self.lo.shape[0]
 
-    @property
-    def extents(self) -> np.ndarray:
-        """Per-dimension side lengths ``hi - lo``."""
-        return self.hi - self.lo
-
-    def area(self) -> float:
-        """Product of side lengths (volume for d > 2)."""
-        return float(np.prod(self.extents))
-
-    def margin(self) -> float:
-        """Sum of side lengths — the R*-tree "margin" (half-perimeter)."""
-        return float(np.sum(self.extents))
-
-    def perimeter(self) -> float:
-        """``2 * margin()``; the quantity CC minimises for cluster shapes."""
-        return 2.0 * self.margin()
-
-    def center(self) -> np.ndarray:
-        """Geometric centre of the rectangle."""
-        return (self.lo + self.hi) / 2.0
-
     # -- predicates ---------------------------------------------------------
 
     def intersects(self, other: "Rect") -> bool:
         """True iff the closed rectangles share at least one point."""
         return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
-
-    def contains_point(self, point: Sequence[float]) -> bool:
-        """True iff ``point`` lies inside the closed rectangle."""
-        arr = np.asarray(point, dtype=np.float64)
-        return bool(np.all(self.lo <= arr) and np.all(arr <= self.hi))
-
-    def contains_rect(self, other: "Rect") -> bool:
-        """True iff ``other`` lies entirely inside this rectangle."""
-        return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
 
     # -- constructive operations ---------------------------------------------
 
@@ -149,11 +114,6 @@ class Rect:
             return self
         return Rect._unchecked(self.lo - amount, self.hi + amount)
 
-    def union_point(self, point: Sequence[float]) -> "Rect":
-        """Smallest rectangle covering this one and ``point``."""
-        arr = np.asarray(point, dtype=np.float64)
-        return Rect._unchecked(np.minimum(self.lo, arr), np.maximum(self.hi, arr))
-
     # -- distances ------------------------------------------------------------
 
     def min_dist(self, other: "Rect", p: float = 2.0) -> float:
@@ -167,14 +127,6 @@ class Rect:
             np.maximum(other.lo - self.hi, self.lo - other.hi),
             0.0,
         )
-        if np.isinf(p):
-            return float(gap.max(initial=0.0))
-        return float(np.sum(gap**p) ** (1.0 / p))
-
-    def min_dist_point(self, point: Sequence[float], p: float = 2.0) -> float:
-        """Minimum L_p distance from ``point`` to the rectangle."""
-        arr = np.asarray(point, dtype=np.float64)
-        gap = np.maximum(np.maximum(self.lo - arr, arr - self.hi), 0.0)
         if np.isinf(p):
             return float(gap.max(initial=0.0))
         return float(np.sum(gap**p) ** (1.0 / p))

@@ -20,12 +20,11 @@ suffices here and the hierarchy above it is contiguous page grouping.
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
-from repro.geometry import Rect
-from repro.index._grouping import build_contiguous_hierarchy, page_boxes
+from repro.geometry import BoxArray
+from repro.index._grouping import page_boxes
 from repro.index.node import PageIndex
 from repro.storage.page import SequencePagedDataset
 
@@ -64,15 +63,16 @@ class MRIndex:
         self.paa_segments = paa_segments
         self.dtw_band = dtw_band
         self._features = self._compute_features()
-        self.leaf_boxes = self.window_boxes(
-            self._features, dataset.symbols_per_page, dtw_band
+        self._page_index = PageIndex.pack(
+            self.window_boxes(self._features, dataset.symbols_per_page, dtw_band),
+            fanout,
+            np.arange(dataset.num_windows, dtype=np.int64),
         )
-        self.root = build_contiguous_hierarchy(self.leaf_boxes, fanout)
 
     @staticmethod
     def window_boxes(
         features: np.ndarray, windows_per_page: int, dtw_band: int | None = None
-    ) -> List[Rect]:
+    ) -> BoxArray:
         """Leaf boxes of consecutive pages of ``windows_per_page`` windows.
 
         ``features`` holds one row per window, starting at a page
@@ -82,12 +82,12 @@ class MRIndex:
         soundness argument).  Appends box a series' changed tail here too.
         """
         starts = np.arange(0, len(features), windows_per_page)
-        boxes = page_boxes(features, starts).to_rects()
+        boxes = page_boxes(features, starts)
         if dtw_band is None:
             return boxes
         from repro.distance.dtw import envelope_box
 
-        return [envelope_box(box, dtw_band) for box in boxes]
+        return BoxArray.from_rects([envelope_box(box, dtw_band) for box in boxes])
 
     # -- feature computation -------------------------------------------------
 
@@ -117,12 +117,7 @@ class MRIndex:
         ``order`` is the identity: sequence data is never reordered on disk
         (Section 3 — reordering destroys overlapping windows).
         """
-        return PageIndex(
-            root=self.root,
-            leaf_boxes=self.leaf_boxes,
-            order=np.arange(self.dataset.num_windows, dtype=np.int64),
-            page_offsets=None,
-        )
+        return self._page_index
 
     def window_feature(self, offset: int) -> np.ndarray:
         """Feature vector of the window starting at ``offset``."""

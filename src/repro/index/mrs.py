@@ -14,13 +14,11 @@ distance passes the threshold.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.distance.frequency import DNA_ALPHABET, frequency_vectors_sliding
-from repro.geometry import Rect
-from repro.index._grouping import build_contiguous_hierarchy, page_boxes
+from repro.geometry import BoxArray
+from repro.index._grouping import page_boxes
 from repro.index.node import PageIndex
 from repro.storage.page import SequencePagedDataset
 
@@ -46,17 +44,15 @@ class MRSIndex:
             dataset.sequence, dataset.window_length, alphabet
         )
         starts = np.arange(0, dataset.num_windows, dataset.symbols_per_page)
-        self.leaf_boxes = page_boxes(self._features, starts).to_rects()
-        self.root = build_contiguous_hierarchy(self.leaf_boxes, fanout)
+        self._page_index = PageIndex.pack(
+            page_boxes(self._features, starts),
+            fanout,
+            np.arange(dataset.num_windows, dtype=np.int64),
+        )
 
     def to_page_index(self) -> PageIndex:
         """The hierarchy in the common :class:`PageIndex` form (identity order)."""
-        return PageIndex(
-            root=self.root,
-            leaf_boxes=self.leaf_boxes,
-            order=np.arange(self.dataset.num_windows, dtype=np.int64),
-            page_offsets=None,
-        )
+        return self._page_index
 
     def page_features(self, page_no: int) -> np.ndarray:
         """Frequency vectors of the windows owned by a page."""
@@ -65,7 +61,7 @@ class MRSIndex:
 
     # -- multi-resolution support -------------------------------------------
 
-    def derived_boxes(self, multiple: int) -> List[Rect]:
+    def derived_boxes(self, multiple: int) -> BoxArray:
         """Page boxes for windows of length ``multiple * base_window``.
 
         This is the *multi-resolution* property the MRS-index is named
@@ -87,8 +83,9 @@ class MRSIndex:
         """
         if multiple < 1:
             raise ValueError(f"multiple must be at least 1, got {multiple}")
+        leaf = self._page_index.leaf_bounds()
         if multiple == 1:
-            return list(self.leaf_boxes)
+            return leaf
         ds = self.dataset
         t = ds.window_length
         long_window = multiple * t
@@ -98,30 +95,23 @@ class MRSIndex:
                 f"sequence of length {ds.sequence_length} has no windows of "
                 f"length {long_window}"
             )
-        boxes: List[Rect] = []
+        lo_rows, hi_rows = [], []
         for page_no in range(ds.num_pages):
             start, stop = ds.window_range(page_no)
             stop = min(stop, num_long)
             if start >= num_long:
                 break
-            total_lo = np.zeros_like(self.leaf_boxes[0].lo)
-            total_hi = np.zeros_like(self.leaf_boxes[0].hi)
+            total_lo = np.zeros(leaf.dim)
+            total_hi = np.zeros(leaf.dim)
             for k in range(multiple):
-                segment = self._covering_box(start + k * t, stop - 1 + k * t)
-                total_lo = total_lo + segment.lo
-                total_hi = total_hi + segment.hi
-            boxes.append(Rect(total_lo, total_hi))
-        return boxes
-
-    def _covering_box(self, first_offset: int, last_offset: int) -> Rect:
-        """Union of the base page boxes covering an inclusive offset range."""
-        ds = self.dataset
-        first_page = ds.page_of_offset(first_offset)
-        last_page = ds.page_of_offset(last_offset)
-        box = self.leaf_boxes[first_page]
-        for page_no in range(first_page + 1, last_page + 1):
-            box = box.union(self.leaf_boxes[page_no])
-        return box
+                # Union of the base page boxes covering the shifted range.
+                first = ds.page_of_offset(start + k * t)
+                last = ds.page_of_offset(stop - 1 + k * t) + 1
+                total_lo = total_lo + leaf.lo[first:last].min(axis=0)
+                total_hi = total_hi + leaf.hi[first:last].max(axis=0)
+            lo_rows.append(total_lo)
+            hi_rows.append(total_hi)
+        return BoxArray(np.stack(lo_rows), np.stack(hi_rows), validate=False)
 
     @property
     def features(self) -> np.ndarray:

@@ -1,143 +1,27 @@
-"""The index-node hierarchy every index structure exposes.
+"""The page index every index structure produces: packed level arrays.
 
 The prediction-matrix construction (Figure 1 of the paper) descends two
-node hierarchies in lock-step: it needs each node's MBR, its children, and
-— at leaf level — the number of the data page the node describes.  This
-module defines that minimal shared shape plus the :class:`PageIndex`
-bundle (root + leaf boxes + the data permutation the index imposed).
+MBR hierarchies in lock-step; BFRJ walks them level by level.  Both need
+only each node's box, its children and, at leaf level, the data page the
+node describes.  Every index here packs consecutive pages ``fanout`` at a
+time (:func:`~repro.index._grouping.build_contiguous_hierarchy`), so the
+hierarchy is fully described by one :class:`~repro.geometry.BoxArray` per
+level: a node is a row ``k`` of level ``L``, its children are a
+contiguous row range of level ``L − 1``, and a leaf's row is its page
+number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
-from repro.geometry import BoxArray, Rect
+from repro.geometry import BoxArray
+from repro.index._grouping import build_contiguous_hierarchy
 
-__all__ = ["IndexNode", "PageIndex"]
-
-
-@dataclass
-class IndexNode:
-    """One node of an MBR hierarchy.
-
-    Leaves (``children == []``) describe exactly one data page and carry its
-    ``page_no``.  Internal nodes aggregate children; ``node_id`` is a
-    BFS-assigned number used by BFRJ to charge index-page reads.
-
-    The hierarchy is frozen once built: :meth:`children_bounds` and friends
-    cache struct-of-arrays views of the children (bounds, leaf flags, page
-    numbers, covering box) so the matrix-construction descent never
-    materialises per-child ``Rect`` lists.  Mutating ``children`` or child
-    boxes after the first such call leaves the cache stale.
-    """
-
-    box: Rect
-    children: List["IndexNode"] = field(default_factory=list)
-    page_no: Optional[int] = None
-    level: int = 0
-    node_id: int = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def children_bounds(self) -> BoxArray:
-        """The children's boxes as one cached ``(n, d)`` :class:`BoxArray`."""
-        return self._child_arrays()[0]
-
-    def children_leaf_mask(self) -> np.ndarray:
-        """Cached boolean array: is child ``k`` a leaf?"""
-        return self._child_arrays()[1]
-
-    def children_pages(self) -> np.ndarray:
-        """Cached int64 array of child page numbers (-1 for internal children)."""
-        return self._child_arrays()[2]
-
-    def children_cover(self) -> Rect:
-        """Cached tight covering box of the children (their exact union)."""
-        return self._child_arrays()[3]
-
-    def _child_arrays(self):
-        cached = getattr(self, "_child_arrays_cache", None)
-        if cached is None:
-            if not self.children:
-                raise ValueError("leaf nodes have no children bounds")
-            bounds = BoxArray.from_rects([child.box for child in self.children])
-            leaf_mask = np.fromiter(
-                (child.is_leaf for child in self.children),
-                dtype=bool,
-                count=len(self.children),
-            )
-            pages = np.fromiter(
-                (
-                    child.page_no if child.page_no is not None else -1
-                    for child in self.children
-                ),
-                dtype=np.int64,
-                count=len(self.children),
-            )
-            cached = (bounds, leaf_mask, pages, bounds.union())
-            self._child_arrays_cache = cached
-        return cached
-
-    def iter_leaves(self) -> Iterator["IndexNode"]:
-        """All leaves under this node, left to right."""
-        if self.is_leaf:
-            yield self
-            return
-        for child in self.children:
-            yield from child.iter_leaves()
-
-    def count_nodes(self) -> int:
-        """Total nodes in the subtree (including this one)."""
-        return 1 + sum(child.count_nodes() for child in self.children)
-
-    def height(self) -> int:
-        """Leaf level is height 0."""
-        if self.is_leaf:
-            return 0
-        return 1 + max(child.height() for child in self.children)
-
-    def validate(self) -> None:
-        """Check structural invariants; raises ``AssertionError`` on breakage.
-
-        Invariants: every leaf has a page number, no internal node does,
-        every child box is contained in its parent box, and levels decrease
-        toward the leaves.
-        """
-        if self.is_leaf:
-            assert self.page_no is not None, "leaf node without a page number"
-            assert self.level == 0, f"leaf node at level {self.level}"
-            return
-        assert self.page_no is None, "internal node carries a page number"
-        for child in self.children:
-            assert self.box.contains_rect(child.box), (
-                f"child box {child.box} escapes parent box {self.box}"
-            )
-            assert child.level == self.level - 1, (
-                f"child level {child.level} under parent level {self.level}"
-            )
-            child.validate()
-
-
-def assign_bfs_ids(root: IndexNode) -> int:
-    """Number all nodes in BFS order; returns the node count.
-
-    BFRJ reads index nodes level by level, so BFS numbering makes its
-    index-page access pattern mostly sequential — matching how an R-tree
-    file is typically laid out.
-    """
-    queue = [root]
-    next_id = 0
-    while queue:
-        node = queue.pop(0)
-        node.node_id = next_id
-        next_id += 1
-        queue.extend(node.children)
-    return next_id
+__all__ = ["PageIndex"]
 
 
 @dataclass
@@ -146,10 +30,14 @@ class PageIndex:
 
     Attributes
     ----------
-    root:
-        Root of the MBR hierarchy; its leaves map one-to-one onto pages.
-    leaf_boxes:
-        ``leaf_boxes[i]`` is the MBR of data page ``i``.
+    levels:
+        ``levels[0]`` holds one MBR per data page; row ``k`` of level
+        ``L > 0`` is the exact union of its children, rows
+        ``k·fanout … (k+1)·fanout − 1`` of level ``L − 1``.  The last level
+        holds the single root box (a one-page index is its own root).
+    fanout:
+        Children per internal node (the last node of a level may hold
+        fewer).
     order:
         Permutation of the original object indices the index imposed on the
         data file (identity for sequence indexes, which cannot reorder).
@@ -158,23 +46,71 @@ class PageIndex:
         ``None`` for sequence data (pages are symbol blocks there).
     """
 
-    root: IndexNode
-    leaf_boxes: List[Rect]
+    levels: List[BoxArray]
+    fanout: int
     order: np.ndarray
     page_offsets: Optional[np.ndarray] = None
 
+    @classmethod
+    def pack(
+        cls,
+        leaf_boxes: BoxArray,
+        fanout: int,
+        order: np.ndarray,
+        page_offsets: Optional[np.ndarray] = None,
+    ) -> "PageIndex":
+        """The index whose upper levels pack ``leaf_boxes`` ``fanout`` at a time."""
+        return cls(
+            build_contiguous_hierarchy(leaf_boxes, fanout), fanout, order, page_offsets
+        )
+
     @property
     def num_pages(self) -> int:
-        return len(self.leaf_boxes)
+        return len(self.levels[0])
+
+    @property
+    def height(self) -> int:
+        """Edges from the root to a leaf (a one-page index has height 0)."""
+        return len(self.levels) - 1
 
     @property
     def num_index_nodes(self) -> int:
-        return self.root.count_nodes()
+        return sum(len(level) for level in self.levels)
 
     def leaf_bounds(self) -> BoxArray:
-        """All page MBRs as one cached ``(num_pages, d)`` :class:`BoxArray`."""
-        cached = getattr(self, "_leaf_bounds_cache", None)
-        if cached is None:
-            cached = BoxArray.from_rects(self.leaf_boxes)
-            self._leaf_bounds_cache = cached
-        return cached
+        """All page MBRs as one ``(num_pages, d)`` :class:`BoxArray`."""
+        return self.levels[0]
+
+    def children(self, level: int, row):
+        """Row range ``[start, stop)`` of level ``level − 1`` under node ``row``.
+
+        ``row`` may be one row or an array of rows of ``level``.
+        """
+        start = row * self.fanout
+        return start, np.minimum(start + self.fanout, len(self.levels[level - 1]))
+
+    def first_node_id(self, level: int) -> int:
+        """Breadth-first id of row 0 of ``level``: the rows of all higher levels.
+
+        BFS from the root visits each level's rows in order, so row ``k``
+        of ``level`` has id ``first_node_id(level) + k``.  BFRJ charges
+        index-page reads by these ids, which keeps its index accesses
+        mostly sequential — matching how an R-tree file is laid out.
+        """
+        return sum(len(upper) for upper in self.levels[level + 1 :])
+
+    def validate(self) -> None:
+        """Check the packing invariants; raises ``AssertionError`` on breakage.
+
+        Each level has ``ceil(n / fanout)`` rows over a level of ``n``,
+        the last has one, and every child box lies inside its parent box.
+        """
+        assert len(self.levels[-1]) == 1, "the last level must hold one root box"
+        for level in range(1, len(self.levels)):
+            below, upper = self.levels[level - 1], self.levels[level]
+            assert len(upper) == -(-len(below) // self.fanout), (
+                f"level {level} holds {len(upper)} rows over {len(below)} children"
+            )
+            parent = np.arange(len(below)) // self.fanout
+            assert np.all(upper.lo[parent] <= below.lo), f"a child escapes level {level}"
+            assert np.all(below.hi <= upper.hi[parent]), f"a child escapes level {level}"

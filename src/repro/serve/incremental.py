@@ -51,7 +51,8 @@ from repro.core.sweep import SweepStats, marked_box_pairs
 from repro.distance.dtw import DTWDistance
 from repro.distance.frequency import frequency_vectors_sliding
 from repro.errors import ConfigError
-from repro.index._grouping import build_contiguous_hierarchy, page_boxes
+from repro.geometry import BoxArray
+from repro.index._grouping import page_boxes
 from repro.index.mr import MRIndex
 from repro.index.mrs import MRSIndex
 from repro.index.node import PageIndex
@@ -141,19 +142,17 @@ def _append_vectors(
     new_pages = np.arange(old_pages, paged2.num_pages, dtype=np.int64)
     offsets = paged2.page_offsets
     first_new = offsets[old_pages]
-    leaf_boxes = list(dataset.index.leaf_boxes) + page_boxes(
-        paged2.vectors[first_new:], offsets[old_pages:-1] - first_new
-    ).to_rects()
-    root = build_contiguous_hierarchy(leaf_boxes, _HIERARCHY_FANOUT)
+    leaf_boxes = _concat_boxes(
+        dataset.index.leaf_bounds(),
+        page_boxes(paged2.vectors[first_new:], offsets[old_pages:-1] - first_new),
+    )
     order = np.concatenate(
         [
             dataset.index.order,
             np.arange(paged.num_objects, paged2.num_objects, dtype=np.int64),
         ]
     )
-    index = PageIndex(
-        root=root, leaf_boxes=leaf_boxes, order=order, page_offsets=offsets
-    )
+    index = PageIndex.pack(leaf_boxes, _HIERARCHY_FANOUT, order, offsets)
     snapshot = IndexedDataset(
         kind="vector",
         paged=paged2,
@@ -163,9 +162,8 @@ def _append_vectors(
         alphabet=dataset.alphabet,
     )
     chain2 = chain.copy()
-    for p in new_pages:
-        box = leaf_boxes[p]
-        chain2.extend(box.lo, box.hi, paged2.object_count(int(p)))
+    for p in new_pages.tolist():
+        chain2.extend(leaf_boxes.lo[p], leaf_boxes.hi[p], paged2.object_count(p))
     return _finish_delta(
         snapshot,
         chain2,
@@ -205,20 +203,16 @@ def _append_sequence(
         tail_boxes = page_boxes(
             tail_features,
             np.arange(0, len(tail_features), paged2.symbols_per_page),
-        ).to_rects()
+        )
     else:
         features2 = None
         tail_boxes = MRIndex.window_boxes(
             paged2.windows_matrix()[tail], paged2.symbols_per_page, _dtw_band(dataset)
         )
 
-    leaf_boxes = list(dataset.index.leaf_boxes[:first_changed]) + tail_boxes
-    root = build_contiguous_hierarchy(leaf_boxes, _HIERARCHY_FANOUT)
-    index = PageIndex(
-        root=root,
-        leaf_boxes=leaf_boxes,
-        order=np.arange(paged2.num_windows, dtype=np.int64),
-        page_offsets=None,
+    leaf_boxes = _concat_boxes(dataset.index.leaf_bounds()[:first_changed], tail_boxes)
+    index = PageIndex.pack(
+        leaf_boxes, _HIERARCHY_FANOUT, np.arange(paged2.num_windows, dtype=np.int64)
     )
     snapshot = IndexedDataset(
         kind=dataset.kind,
@@ -231,8 +225,7 @@ def _append_sequence(
     chain2 = chain.copy()
     chain2.truncate(first_changed)
     for p in range(first_changed, paged2.num_pages):
-        box = leaf_boxes[p]
-        chain2.extend(box.lo, box.hi, paged2.object_count(p))
+        chain2.extend(leaf_boxes.lo[p], leaf_boxes.hi[p], paged2.object_count(p))
     return _finish_delta(
         snapshot,
         chain2,
@@ -241,6 +234,14 @@ def _append_sequence(
         dirty_pages=dirty_pages,
         pages_before=old_pages,
         objects_added=paged2.num_windows - old_windows,
+    )
+
+
+def _concat_boxes(head: BoxArray, tail: BoxArray) -> BoxArray:
+    return BoxArray(
+        np.concatenate([head.lo, tail.lo]),
+        np.concatenate([head.hi, tail.hi]),
+        validate=False,
     )
 
 
@@ -355,12 +356,11 @@ def rebuild_dataset(dataset: IndexedDataset) -> IndexedDataset:
         index, features = mr.to_page_index(), None
     else:
         assert isinstance(paged, VectorPagedDataset)
-        leaf_boxes = page_boxes(paged.vectors, paged.page_offsets[:-1]).to_rects()
-        index = PageIndex(
-            root=build_contiguous_hierarchy(leaf_boxes, _HIERARCHY_FANOUT),
-            leaf_boxes=leaf_boxes,
-            order=np.arange(paged.num_objects, dtype=np.int64),
-            page_offsets=paged.page_offsets,
+        index = PageIndex.pack(
+            page_boxes(paged.vectors, paged.page_offsets[:-1]),
+            _HIERARCHY_FANOUT,
+            np.arange(paged.num_objects, dtype=np.int64),
+            paged.page_offsets,
         )
         features = None
     return IndexedDataset(

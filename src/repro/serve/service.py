@@ -222,6 +222,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> Optional[Dict[str, Any]]:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would wait for the client to close the socket.
+            raise ValueError(f"Content-Length must be non-negative, got {length}")
         if length == 0:
             return None
         raw = self.rfile.read(length)

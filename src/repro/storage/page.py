@@ -4,7 +4,7 @@ Two flavours exist, matching the paper's two data classes:
 
 * :class:`VectorPagedDataset` — point/spatial/time-series feature data: an
   ``(n, d)`` array split into fixed-capacity pages.  Objects are never
-  reordered relative to the array (the R*-tree leaf construction in
+  reordered relative to the array (the R-tree leaf construction in
   Section 5.1 sorts the *array* once so leaf MBRs are contiguous; callers
   do that before constructing the paged dataset).
 * :class:`SequencePagedDataset` — one long sequence (genome string or time
@@ -151,7 +151,7 @@ class VectorPagedDataset:
 
     Pages are either fixed-capacity (``objects_per_page``) or delimited by
     an explicit ``page_offsets`` array — the latter is what index-driven
-    paging produces, where page ``i`` holds exactly the objects of R*-tree
+    paging produces, where page ``i`` holds exactly the objects of R-tree
     leaf ``i`` and leaves are not uniformly full.
 
     Parameters

@@ -3,9 +3,14 @@
 An :class:`~repro.core.join.IndexedDataset` is expensive to build for
 large inputs (index construction dominates).  This module serialises one
 to a directory — data arrays/sequence in ``.npz``/``.txt``, page
-boundaries, the full MBR hierarchy as JSON — and restores it exactly
-(same page layout, same boxes, same node ids), so saved datasets join
-identically to freshly built ones.
+boundaries, the leaf MBRs and the index fanout — and restores it exactly
+(same page layout, same boxes; the upper levels are re-packed from the
+leaves, which reproduces them bit for bit), so saved datasets join
+identically to freshly built ones.  Leaf boxes and fanout are stored
+rather than recomputed from the data because they cannot always be: an
+append packs its levels at fanout 16 whatever the page capacity, and
+``mrs_base_window`` text indexes derive their boxes from another
+resolution.
 
 It also hosts the **prediction-matrix cache**: a built matrix is fully
 determined by the two MBR hierarchies, ε, and the filter depth, so
@@ -41,8 +46,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.geometry import Rect
-from repro.index.node import IndexNode, PageIndex
+from repro.geometry import BoxArray
+from repro.index.node import PageIndex
 
 __all__ = [
     "save_dataset",
@@ -59,7 +64,7 @@ __all__ = [
     "invalidate_sketch_cache",
 ]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _META_FILE = "dataset.json"
 _ARRAY_FILE = "arrays.npz"
 _TEXT_FILE = "sequence.txt"
@@ -101,10 +106,15 @@ def save_dataset(dataset, directory: "str | Path") -> Path:
         "format_version": _FORMAT_VERSION,
         "kind": dataset.kind,
         "alphabet": dataset.alphabet,
-        "tree": _node_to_json(dataset.index.root),
         "distance": _distance_to_json(dataset.distance),
     }
-    arrays = {"order": dataset.index.order}
+    leaf = dataset.index.leaf_bounds()
+    arrays = {
+        "order": dataset.index.order,
+        "leaf_lo": leaf.lo,
+        "leaf_hi": leaf.hi,
+        "fanout": np.int64(dataset.index.fanout),
+    }
 
     if dataset.kind == "vector":
         arrays["vectors"] = dataset.paged.vectors
@@ -142,8 +152,8 @@ def load_dataset(directory: "str | Path", dataset_id: Optional[str] = None):
             f"unsupported dataset format version {meta.get('format_version')!r}"
         )
     arrays = np.load(path / _ARRAY_FILE)
-    root = _node_from_json(meta["tree"])
-    leaf_boxes = [leaf.box for leaf in root.iter_leaves()]
+    leaf = BoxArray(arrays["leaf_lo"], arrays["leaf_hi"])
+    fanout = int(arrays["fanout"])
     distance = _distance_from_json(meta["distance"])
 
     if meta["kind"] == "vector":
@@ -152,12 +162,7 @@ def load_dataset(directory: "str | Path", dataset_id: Optional[str] = None):
             page_offsets=arrays["page_offsets"],
             dataset_id=dataset_id,
         )
-        index = PageIndex(
-            root=root,
-            leaf_boxes=leaf_boxes,
-            order=arrays["order"],
-            page_offsets=arrays["page_offsets"],
-        )
+        index = PageIndex.pack(leaf, fanout, arrays["order"], arrays["page_offsets"])
         return IndexedDataset(
             kind="vector", paged=paged, index=index, distance=distance
         )
@@ -172,9 +177,7 @@ def load_dataset(directory: "str | Path", dataset_id: Optional[str] = None):
         window_length=int(meta["window_length"]),
         dataset_id=dataset_id,
     )
-    index = PageIndex(
-        root=root, leaf_boxes=leaf_boxes, order=arrays["order"], page_offsets=None
-    )
+    index = PageIndex.pack(leaf, fanout, arrays["order"])
     features = arrays["features"] if "features" in arrays else None
     return IndexedDataset(
         kind=meta["kind"],
@@ -255,8 +258,9 @@ class FingerprintChain:
         """Chain every page of an :class:`~repro.core.join.IndexedDataset`."""
         chain = cls()
         paged = dataset.paged
-        for page_no, box in enumerate(dataset.index.leaf_boxes):
-            chain.extend(box.lo, box.hi, paged.object_count(page_no))
+        leaf = dataset.index.leaf_bounds()
+        for page_no in range(len(leaf)):
+            chain.extend(leaf.lo[page_no], leaf.hi[page_no], paged.object_count(page_no))
         return chain
 
 
@@ -575,34 +579,6 @@ def invalidate_sketch_cache(directory: "str | Path", key: Optional[str] = None) 
 
 
 # -- (de)serialisation helpers ---------------------------------------------------
-
-
-def _node_to_json(node: IndexNode) -> dict:
-    payload = {
-        "lo": node.box.lo.tolist(),
-        "hi": node.box.hi.tolist(),
-        "level": node.level,
-        "node_id": node.node_id,
-    }
-    if node.is_leaf:
-        payload["page_no"] = node.page_no
-    else:
-        payload["children"] = [_node_to_json(child) for child in node.children]
-    return payload
-
-
-def _node_from_json(payload: dict) -> IndexNode:
-    box = Rect(payload["lo"], payload["hi"])
-    if "children" in payload:
-        children = [_node_from_json(child) for child in payload["children"]]
-        return IndexNode(
-            box=box, children=children,
-            level=payload["level"], node_id=payload["node_id"],
-        )
-    return IndexNode(
-        box=box, page_no=payload["page_no"],
-        level=payload["level"], node_id=payload["node_id"],
-    )
 
 
 def _distance_to_json(distance) -> Optional[dict]:

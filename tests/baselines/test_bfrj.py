@@ -48,3 +48,50 @@ class TestBfrj:
         result = join(r, s, 0.05, method="bfrj", buffer_pages=12,
                       cost_model=cost_model, count_only=True)
         assert result.report.extra["bfrj_join_index_pages"] >= 1
+
+
+class TestBfrjAccounting:
+    """The full cost accounting, pinned: BFRJ is the one method that walks
+    the index hierarchy itself, so node ids, node reads and the join-index
+    reservation must not drift when the index representation changes."""
+
+    @staticmethod
+    def accounting(result):
+        rep = result.report
+        return (
+            rep.page_reads, rep.seeks, rep.io_seconds, rep.comparisons,
+            rep.cpu_seconds, rep.preprocess_seconds, rep.result_pairs,
+            {k: v for k, v in rep.extra.items() if k.startswith("bfrj_")},
+        )
+
+    def test_cross_join_of_unequal_heights(self, rng, cost_model):
+        r = IndexedDataset.from_points(rng.random((600, 2)), page_capacity=4)
+        s = IndexedDataset.from_points(rng.random((150, 2)), page_capacity=8)
+        extra = {
+            "bfrj_intersection_tests": 1074,
+            "bfrj_leaf_pairs": 316,
+            "bfrj_join_index_pages": 2,
+        }
+        got = join(r, s, 0.05, method="bfrj", buffer_pages=40, cost_model=cost_model)
+        assert self.accounting(got) == (
+            230, 54, 0.7700000000000006, 10024, 0.010024000000000026,
+            0.003697994716423964, 694, extra,
+        )
+        swapped = join(s, r, 0.05, method="bfrj", buffer_pages=40, cost_model=cost_model)
+        assert self.accounting(swapped) == (
+            243, 88, 1.1229999999999993, 10024, 0.010024000000000026,
+            0.003697994716423964, 694, extra,
+        )
+
+    def test_text_self_join(self, dna_dataset, cost_model):
+        got = join(dna_dataset, dna_dataset, 1, method="bfrj", buffer_pages=12,
+                   cost_model=cost_model)
+        assert self.accounting(got) == (
+            1088, 60, 1.6879999999999515, 1113577, 1.1946382500000023,
+            0.012665916051279586, 982,
+            {
+                "bfrj_intersection_tests": 1483,
+                "bfrj_leaf_pairs": 1106,
+                "bfrj_join_index_pages": 5,
+            },
+        )

@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.ego import _window, _window_keys
 from repro.core.join import IndexedDataset, join
 from repro.datasets import markov_dna
-from repro.geometry import Rect
+from repro.geometry import BoxArray
 
 
 class TestEgoVectors:
@@ -76,7 +76,7 @@ class TestScanWindow:
         epsilon = 0.05
         for _ in range(50):
             lo = rng.random((30, 2))
-            boxes = [Rect(a, a + d) for a, d in zip(lo, rng.random((30, 2)) * 0.2)]
+            boxes = BoxArray(lo, lo + rng.random((30, 2)) * 0.2)
             hi_max, lo_min = _window_keys(boxes)
             probe = boxes[int(rng.integers(30))]
             window = set(_window(hi_max, lo_min, probe, epsilon))

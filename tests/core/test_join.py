@@ -116,6 +116,39 @@ class TestJoinValidation:
         with pytest.raises(ValueError, match="alphabets 'ACGT' and 'TGCA'"):
             join(r, s, 1)
 
+    def test_minkowski_order_mismatch(self, rng):
+        r = IndexedDataset.from_points(rng.random((60, 2)), page_capacity=16, p=1.0)
+        s = IndexedDataset.from_points(rng.random((60, 2)), page_capacity=16, p=2.0)
+        for left, right, names in ((r, s, "L1 with data under L2"),
+                                   (s, r, "L2 with data under L1")):
+            for method in JOIN_METHODS:
+                with pytest.raises(ValueError, match=f"vector data under {names}"):
+                    join(left, right, 0.1, method=method)
+
+    def test_dtw_and_raw_series_mismatch(self, rng):
+        values = rng.normal(size=300).cumsum()
+        dtw = IndexedDataset.from_time_series(
+            values, window_length=8, windows_per_page=16, dtw_band=2
+        )
+        raw = IndexedDataset.from_time_series(values, window_length=8,
+                                              windows_per_page=16)
+        with pytest.raises(ValueError, match="DTW with band 2 .* under L2 over raw"):
+            join(dtw, raw, 1.0)
+        with pytest.raises(ValueError, match="under L2 over raw windows .* under DTW"):
+            join(raw, dtw, 1.0)
+
+    def test_paa_and_raw_series_mismatch(self, rng):
+        values = rng.normal(size=300).cumsum()
+        paa = IndexedDataset.from_time_series(
+            values, window_length=8, windows_per_page=16, feature="paa", paa_segments=4
+        )
+        raw = IndexedDataset.from_time_series(values, window_length=8,
+                                              windows_per_page=16)
+        for left, right in ((paa, raw), (raw, paa)):
+            with pytest.raises(ValueError, match="4-segment PAA features") as info:
+                join(left, right, 1.0)
+            assert "raw windows" in str(info.value)
+
     def test_symbol_outside_alphabet(self):
         with pytest.raises(ValueError, match="symbol 'N' is not in alphabet 'ACGT'"):
             IndexedDataset.from_string("ACGTN" * 20, window_length=8, windows_per_page=16)

@@ -54,9 +54,7 @@ class TestFingerprint:
 class TestSaveLoad:
     def test_roundtrip_identical_matrix(self, tmp_path, datasets):
         r, s = datasets
-        matrix, _ = build_prediction_matrix(
-            r.index.root, s.index.root, 0.1, r.num_pages, s.num_pages
-        )
+        matrix, _ = build_prediction_matrix(r.index, s.index, 0.1)
         save_matrix(matrix, tmp_path, "k1")
         restored = load_matrix(tmp_path, "k1")
         assert restored == matrix
@@ -67,9 +65,7 @@ class TestSaveLoad:
 
     def test_invalidate_single_and_all(self, tmp_path, datasets):
         r, s = datasets
-        matrix, _ = build_prediction_matrix(
-            r.index.root, s.index.root, 0.1, r.num_pages, s.num_pages
-        )
+        matrix, _ = build_prediction_matrix(r.index, s.index, 0.1)
         save_matrix(matrix, tmp_path, "a")
         save_matrix(matrix, tmp_path, "b")
         assert invalidate_matrix_cache(tmp_path, "a") == 1
@@ -87,9 +83,7 @@ class TestAtomicity:
 
     def _matrix(self, datasets):
         r, s = datasets
-        matrix, _ = build_prediction_matrix(
-            r.index.root, s.index.root, 0.1, r.num_pages, s.num_pages
-        )
+        matrix, _ = build_prediction_matrix(r.index, s.index, 0.1)
         return matrix
 
     def test_no_lingering_tmp_files(self, tmp_path, datasets):

@@ -54,7 +54,7 @@ def _entry_sets(r, s, epsilon, self_join, seed, size=24):
     """Random distinct entries: mostly near page pairs, some far, and on
     self joins a few diagonal ones; three sets in random order."""
     rng = np.random.default_rng(seed)
-    boxes_r, boxes_s = r.index.leaf_boxes, s.index.leaf_boxes
+    boxes_r, boxes_s = r.index.leaf_bounds(), s.index.leaf_bounds()
     near, far = [], []
     for row, box in enumerate(boxes_r):
         for col, other in enumerate(boxes_s):

@@ -4,36 +4,40 @@ import numpy as np
 import pytest
 
 from repro.core.join import IndexedDataset
-from repro.core.sweep import build_prediction_matrix, sweep_pairs
-from repro.geometry import Rect
+from repro.core.sweep import block_sweep_pairs, build_prediction_matrix
+from repro.geometry import BoxArray
+
+
+def swept(left, right):
+    i, j = block_sweep_pairs(left, right)
+    return sorted(zip(i.tolist(), j.tolist()))
 
 
 class TestSweepPairs:
     def test_matches_brute_force(self, rng):
         for _ in range(20):
-            left = [(self._rect(rng), f"L{k}") for k in range(12)]
-            right = [(self._rect(rng), f"R{k}") for k in range(10)]
-            swept = set(sweep_pairs(left, right))
-            brute = {
-                (pl, pr)
-                for bl, pl in left
-                for br, pr in right
-                if bl.intersects(br)
-            }
-            assert swept == brute
+            left, right = self._boxes(rng, 12), self._boxes(rng, 10)
+            brute = [
+                (a, b)
+                for a, box_a in enumerate(left)
+                for b, box_b in enumerate(right)
+                if box_a.intersects(box_b)
+            ]
+            assert swept(left, right) == brute
 
     def test_touching_boxes_detected(self):
-        left = [(Rect([0, 0], [1, 1]), "a")]
-        right = [(Rect([1, 0], [2, 1]), "b")]
-        assert list(sweep_pairs(left, right)) == [("a", "b")]
+        left = BoxArray(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
+        right = BoxArray(np.array([[1.0, 0.0]]), np.array([[2.0, 1.0]]))
+        assert swept(left, right) == [(0, 0)]
 
     def test_empty_sides(self):
-        assert list(sweep_pairs([], [(Rect([0, 0], [1, 1]), "x")])) == []
+        one = BoxArray(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
+        assert swept(BoxArray.empty(2), one) == []
 
     @staticmethod
-    def _rect(rng):
-        lo = rng.uniform(0, 5, size=2)
-        return Rect(lo, lo + rng.uniform(0, 2, size=2))
+    def _boxes(rng, n):
+        lo = rng.uniform(0, 5, size=(n, 2))
+        return BoxArray(lo, lo + rng.uniform(0, 2, size=(n, 2)))
 
 
 class TestBuildPredictionMatrix:
@@ -44,9 +48,7 @@ class TestBuildPredictionMatrix:
         r = IndexedDataset.from_points(pts_r, page_capacity=8)
         s = IndexedDataset.from_points(pts_s, page_capacity=8)
         epsilon = 0.15
-        matrix, _ = build_prediction_matrix(
-            r.index.root, s.index.root, epsilon, r.num_pages, s.num_pages
-        )
+        matrix, _ = build_prediction_matrix(r.index, s.index, epsilon)
         vec_r, vec_s = r.paged.vectors, s.paged.vectors
         for i in range(vec_r.shape[0]):
             dists = np.linalg.norm(vec_s - vec_r[i], axis=1)
@@ -59,9 +61,7 @@ class TestBuildPredictionMatrix:
         pts = rng.random((60, 2))
         r = IndexedDataset.from_points(pts, page_capacity=8)
         s = IndexedDataset.from_points(pts.copy(), page_capacity=8)
-        matrix, _ = build_prediction_matrix(
-            r.index.root, s.index.root, 0.0, r.num_pages, s.num_pages
-        )
+        matrix, _ = build_prediction_matrix(r.index, s.index, 0.0)
         for i in range(60):
             page_r = r.paged.page_of_object(int(np.nonzero(r.index.order == i)[0][0]))
             # the same point exists in s; its page pair must be marked
@@ -74,10 +74,10 @@ class TestBuildPredictionMatrix:
         r = IndexedDataset.from_points(pts_r, page_capacity=8)
         s = IndexedDataset.from_points(pts_s, page_capacity=8)
         m_nofilter, _ = build_prediction_matrix(
-            r.index.root, s.index.root, 0.1, r.num_pages, s.num_pages, max_filter_rounds=0
+            r.index, s.index, 0.1, max_filter_rounds=0
         )
         m_filtered, _ = build_prediction_matrix(
-            r.index.root, s.index.root, 0.1, r.num_pages, s.num_pages, max_filter_rounds=5
+            r.index, s.index, 0.1, max_filter_rounds=5
         )
         # Filtering prunes *non-candidates* only: identical marks.
         assert m_nofilter == m_filtered
@@ -85,9 +85,7 @@ class TestBuildPredictionMatrix:
     def test_stats_populated(self, rng):
         r = IndexedDataset.from_points(rng.random((100, 2)), page_capacity=8)
         s = IndexedDataset.from_points(rng.random((100, 2)), page_capacity=8)
-        matrix, stats = build_prediction_matrix(
-            r.index.root, s.index.root, 0.1, r.num_pages, s.num_pages
-        )
+        matrix, stats = build_prediction_matrix(r.index, s.index, 0.1)
         assert stats.endpoints_processed > 0
         assert stats.intersection_tests > 0
         assert stats.leaf_pairs_marked == matrix.num_marked
@@ -96,9 +94,7 @@ class TestBuildPredictionMatrix:
     def test_rejects_negative_epsilon(self, rng):
         r = IndexedDataset.from_points(rng.random((20, 2)), page_capacity=8)
         with pytest.raises(ValueError):
-            build_prediction_matrix(
-                r.index.root, r.index.root, -0.1, r.num_pages, r.num_pages
-            )
+            build_prediction_matrix(r.index, r.index, -0.1)
 
     def test_text_completeness(self, dna_dataset):
         """Theorem 1 chain for strings: ED <= eps => page pair marked."""
@@ -107,8 +103,8 @@ class TestBuildPredictionMatrix:
         ds = dna_dataset.paged
         epsilon = 1
         matrix, _ = build_prediction_matrix(
-            dna_dataset.index.root, dna_dataset.index.root,
-            epsilon, ds.num_pages, ds.num_pages,
+            dna_dataset.index, dna_dataset.index,
+            epsilon,
         )
         text = ds.sequence
         w = ds.window_length

@@ -98,7 +98,7 @@ class TestEnvelopeBoxSoundness:
         lo = rng.normal(size=8)
         box = Rect(lo, lo + 1.0)
         widened = envelope_box(box, 2)
-        assert widened.contains_rect(box)
+        assert np.all(widened.lo <= box.lo) and np.all(box.hi <= widened.hi)
 
     def test_box_test_lower_bounds_dtw(self, rng):
         """Windows within DTW eps must have widened boxes within L∞ eps."""

@@ -16,19 +16,13 @@ class TestConstruction:
         rects = random_rects(rng, 7)
         boxes = BoxArray.from_rects(rects)
         assert len(boxes) == 7 and boxes.dim == 3
-        assert boxes.to_rects() == rects
+        assert list(boxes) == rects
         assert boxes[2] == rects[2]
-
-    def test_from_rect_single(self):
-        rect = Rect([0, 0], [1, 2])
-        boxes = BoxArray.from_rect(rect)
-        assert len(boxes) == 1
-        assert boxes.rect(0) == rect
 
     def test_empty(self):
         boxes = BoxArray.empty(4)
         assert len(boxes) == 0 and boxes.dim == 4
-        assert BoxArray.from_rects([]).to_rects() == []
+        assert list(BoxArray.from_rects([])) == []
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
@@ -38,22 +32,22 @@ class TestConstruction:
         rects = random_rects(rng, 6)
         boxes = BoxArray.from_rects(rects)
         picked = boxes[np.array([4, 1])]
-        assert picked.to_rects() == [rects[4], rects[1]]
+        assert list(picked) == [rects[4], rects[1]]
         masked = boxes[np.array([True, False, True, False, False, False])]
-        assert masked.to_rects() == [rects[0], rects[2]]
+        assert list(masked) == [rects[0], rects[2]]
 
     def test_as_box_array_passthrough_and_coercion(self, rng):
         rects = random_rects(rng, 3)
         boxes = BoxArray.from_rects(rects)
         assert as_box_array(boxes) is boxes
-        assert as_box_array(rects).to_rects() == rects
+        assert list(as_box_array(rects)) == rects
 
 
 class TestVectorisedOps:
     def test_extend_matches_rect(self, rng):
         rects = random_rects(rng, 5)
         grown = BoxArray.from_rects(rects).extend(0.7)
-        assert grown.to_rects() == [rect.extend(0.7) for rect in rects]
+        assert list(grown) == [rect.extend(0.7) for rect in rects]
 
     def test_extend_zero_returns_self(self, rng):
         boxes = BoxArray.from_rects(random_rects(rng, 4))
@@ -107,7 +101,7 @@ class TestVectorisedOps:
         left = random_rects(rng, 4)
         right = random_rects(rng, 4)
         got = BoxArray.from_rects(left).union_with(BoxArray.from_rects(right))
-        assert got.to_rects() == [a.union(b) for a, b in zip(left, right)]
+        assert list(got) == [a.union(b) for a, b in zip(left, right)]
 
 
 class TestRectExtendShortcut:

@@ -12,9 +12,7 @@ class TestConstruction:
     def test_basic(self):
         rect = Rect([0, 0], [2, 3])
         assert rect.dim == 2
-        assert rect.area() == 6.0
-        assert rect.margin() == 5.0
-        assert rect.perimeter() == 10.0
+        assert rect.lo.tolist() == [0.0, 0.0] and rect.hi.tolist() == [2.0, 3.0]
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
@@ -23,11 +21,6 @@ class TestConstruction:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             Rect([0, 0], [1, 1, 1])
-
-    def test_from_point_is_degenerate(self):
-        rect = Rect.from_point([1.5, 2.5])
-        assert rect.area() == 0.0
-        assert rect.contains_point([1.5, 2.5])
 
     def test_from_points_is_tight(self):
         pts = np.array([[0, 5], [2, 1], [1, 3]], dtype=float)
@@ -54,12 +47,6 @@ class TestPredicates:
     def test_disjoint_in_one_dim_only(self):
         assert not Rect([0, 0], [1, 1]).intersects(Rect([0.2, 5], [0.8, 6]))
 
-    def test_contains_rect(self):
-        outer = Rect([0, 0], [10, 10])
-        assert outer.contains_rect(Rect([1, 1], [9, 9]))
-        assert outer.contains_rect(outer)
-        assert not Rect([1, 1], [9, 9]).contains_rect(outer)
-
 
 class TestOperations:
     def test_intersection(self):
@@ -80,10 +67,6 @@ class TestOperations:
     def test_extend_rejects_negative(self):
         with pytest.raises(ValueError):
             Rect([0, 0], [1, 1]).extend(-0.1)
-
-    def test_union_point(self):
-        grown = Rect([0, 0], [1, 1]).union_point([3, 0.5])
-        assert grown == Rect([0, 0], [3, 1])
 
     def test_union_all(self):
         rects = [Rect([k, 0], [k + 1, 1]) for k in range(4)]
@@ -112,11 +95,6 @@ class TestDistances:
         a = Rect([0, 0], [1, 2])
         b = Rect([5, -3], [6, -1])
         assert a.min_dist(b) == pytest.approx(b.min_dist(a))
-
-    def test_min_dist_point(self):
-        rect = Rect([0, 0], [1, 1])
-        assert rect.min_dist_point([2, 1]) == 1.0
-        assert rect.min_dist_point([0.5, 0.5]) == 0.0
 
 
 class TestExtensionIntersectionEquivalence:

@@ -6,54 +6,58 @@ import pytest
 from repro.datasets import markov_dna
 from repro.distance.dtw import envelope_box
 from repro.distance.frequency import frequency_vector
-from repro.geometry import Rect
+from repro.geometry import BoxArray, Rect
 from repro.index._grouping import build_contiguous_hierarchy, page_boxes
 from repro.index.mr import MRIndex
 from repro.index.mrs import MRSIndex
+from repro.index.node import PageIndex
 from repro.storage.page import SequencePagedDataset
 
 
 def boxes(n):
-    return [Rect([k, 0], [k + 1, 1]) for k in range(n)]
+    lo = np.array([[k, 0.0] for k in range(n)]).reshape(n, 2)
+    return BoxArray(lo, lo + 1.0)
+
+
+def pack(n, fanout):
+    return PageIndex.pack(boxes(n), fanout, np.arange(n))
 
 
 class TestBuildContiguousHierarchy:
     def test_single_leaf_is_root(self):
-        root = build_contiguous_hierarchy(boxes(1), fanout=4)
-        assert root.is_leaf
-        assert root.page_no == 0
+        levels = build_contiguous_hierarchy(boxes(1), fanout=4)
+        assert len(levels) == 1
+        assert len(levels[0]) == 1
 
     def test_leaves_in_page_order(self):
-        root = build_contiguous_hierarchy(boxes(20), fanout=4)
-        leaves = list(root.iter_leaves())
-        assert [leaf.page_no for leaf in leaves] == list(range(20))
+        leaf = boxes(20)
+        levels = build_contiguous_hierarchy(leaf, fanout=4)
+        assert levels[0] is leaf
 
     def test_parent_boxes_cover_children(self):
-        root = build_contiguous_hierarchy(boxes(37), fanout=5)
-        root.validate()
+        pack(37, fanout=5).validate()
 
     def test_fanout_respected(self):
-        root = build_contiguous_hierarchy(boxes(64), fanout=4)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            assert len(node.children) <= 4
-            stack.extend(node.children)
+        index = pack(64, fanout=4)
+        assert [len(level) for level in index.levels] == [64, 16, 4, 1]
+        for level in range(1, len(index.levels)):
+            for row in range(len(index.levels[level])):
+                start, stop = index.children(level, row)
+                assert stop - start <= 4
 
     @pytest.mark.parametrize("n,fanout,height", [(16, 4, 2), (17, 4, 3), (4, 2, 2)])
     def test_height(self, n, fanout, height):
-        root = build_contiguous_hierarchy(boxes(n), fanout=fanout)
-        assert root.height() == height
+        assert len(build_contiguous_hierarchy(boxes(n), fanout=fanout)) == height + 1
 
     def test_bfs_ids_assigned(self):
-        root = build_contiguous_hierarchy(boxes(10), fanout=3)
-        assert root.node_id == 0
-        ids = sorted(node.node_id for node in _all_nodes(root))
-        assert ids == list(range(root.count_nodes()))
+        index = pack(10, fanout=3)
+        firsts = [index.first_node_id(level) for level in range(index.height + 1)]
+        assert firsts == [7, 3, 1, 0]
+        assert index.num_index_nodes == 10 + 4 + 2 + 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_contiguous_hierarchy([], fanout=4)
+            build_contiguous_hierarchy(BoxArray.empty(2), fanout=4)
         with pytest.raises(ValueError):
             build_contiguous_hierarchy(boxes(4), fanout=1)
 
@@ -88,9 +92,9 @@ class TestIndexLeafBoxes:
     def test_mr_raw(self, rng, band):
         seq = rng.normal(size=517).cumsum()
         dataset = SequencePagedDataset(seq, symbols_per_page=20, window_length=8)
-        index = MRIndex(dataset, dtw_band=band)
-        assert len(index.leaf_boxes) == dataset.num_pages
-        for page_no, box in enumerate(index.leaf_boxes):
+        leaf = MRIndex(dataset, dtw_band=band).to_page_index().leaf_bounds()
+        assert len(leaf) == dataset.num_pages
+        for page_no, box in enumerate(leaf):
             windows = dataset.page_objects(page_no)
             expected = Rect(windows.min(axis=0), windows.max(axis=0))
             if band is not None:
@@ -101,16 +105,9 @@ class TestIndexLeafBoxes:
         dataset = SequencePagedDataset(
             markov_dna(1111, seed=2), symbols_per_page=32, window_length=10
         )
-        index = MRSIndex(dataset)
-        assert len(index.leaf_boxes) == dataset.num_pages
-        for page_no, box in enumerate(index.leaf_boxes):
+        leaf = MRSIndex(dataset).to_page_index().leaf_bounds()
+        assert len(leaf) == dataset.num_pages
+        for page_no, box in enumerate(leaf):
             vectors = np.stack([frequency_vector(w) for w in dataset.page_objects(page_no)])
             assert_same_box(box, vectors.min(axis=0), vectors.max(axis=0))
 
-
-def _all_nodes(root):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children)

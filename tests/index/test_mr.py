@@ -15,17 +15,16 @@ def series_dataset(rng):
 
 class TestRawFeatures:
     def test_leaf_boxes_cover_windows(self, series_dataset):
-        index = MRIndex(series_dataset)
-        for page_no, box in enumerate(index.leaf_boxes):
+        leaf = MRIndex(series_dataset).to_page_index().leaf_bounds()
+        for page_no, box in enumerate(leaf):
             windows = series_dataset.page_objects(page_no)
             assert np.all(windows >= box.lo - 1e-12)
             assert np.all(windows <= box.hi + 1e-12)
 
     def test_one_leaf_per_page(self, series_dataset):
-        index = MRIndex(series_dataset)
-        assert len(index.leaf_boxes) == series_dataset.num_pages
-        leaves = list(index.root.iter_leaves())
-        assert [leaf.page_no for leaf in leaves] == list(range(series_dataset.num_pages))
+        pi = MRIndex(series_dataset).to_page_index()
+        assert pi.num_pages == series_dataset.num_pages
+        assert len(pi.levels[-1]) == 1
 
     def test_page_index_identity_order(self, series_dataset):
         pi = MRIndex(series_dataset).to_page_index()
@@ -73,4 +72,4 @@ class TestValidation:
             MRIndex(series_dataset, feature="dct")
 
     def test_hierarchy_valid(self, series_dataset):
-        MRIndex(series_dataset).root.validate()
+        MRIndex(series_dataset).to_page_index().validate()

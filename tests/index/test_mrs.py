@@ -18,13 +18,13 @@ def text_dataset():
 
 class TestMRSIndex:
     def test_leaf_boxes_cover_frequency_vectors(self, text_dataset):
-        index = MRSIndex(text_dataset)
-        for page_no, box in enumerate(index.leaf_boxes):
+        leaf = MRSIndex(text_dataset).to_page_index().leaf_bounds()
+        for page_no, box in enumerate(leaf):
             start, stop = text_dataset.window_range(page_no)
             for offset in range(start, stop):
                 window = text_dataset.sequence[offset : offset + 12]
                 vec = frequency_vector(window)
-                assert box.contains_point(vec)
+                assert np.all(box.lo <= vec) and np.all(vec <= box.hi)
 
     def test_features_match_direct_computation(self, text_dataset):
         index = MRSIndex(text_dataset)
@@ -40,10 +40,10 @@ class TestMRSIndex:
     def test_page_index_identity_order(self, text_dataset):
         pi = MRSIndex(text_dataset).to_page_index()
         assert np.array_equal(pi.order, np.arange(text_dataset.num_windows))
-        assert len(pi.leaf_boxes) == text_dataset.num_pages
+        assert pi.num_pages == text_dataset.num_pages
 
     def test_hierarchy_valid(self, text_dataset):
-        MRSIndex(text_dataset).root.validate()
+        MRSIndex(text_dataset).to_page_index().validate()
 
     def test_rejects_numeric_dataset(self, rng):
         numeric = SequencePagedDataset(
@@ -55,4 +55,4 @@ class TestMRSIndex:
     def test_small_fanout_deepens_tree(self, text_dataset):
         shallow = MRSIndex(text_dataset, fanout=16)
         deep = MRSIndex(text_dataset, fanout=2)
-        assert deep.root.height() >= shallow.root.height()
+        assert deep.to_page_index().height >= shallow.to_page_index().height

@@ -1,65 +1,62 @@
-"""Unit tests for the index-node hierarchy."""
+"""Unit tests for the page index's packed level arrays."""
 
+import numpy as np
 import pytest
 
-from repro.geometry import Rect
-from repro.index.node import IndexNode, assign_bfs_ids
+from repro.geometry import BoxArray
+from repro.index.node import PageIndex
 
 
-def make_tree():
-    leaves = [
-        IndexNode(box=Rect([k, 0], [k + 1, 1]), page_no=k, level=0) for k in range(4)
-    ]
-    left = IndexNode(box=Rect([0, 0], [2, 1]), children=leaves[:2], level=1)
-    right = IndexNode(box=Rect([2, 0], [4, 1]), children=leaves[2:], level=1)
-    root = IndexNode(box=Rect([0, 0], [4, 1]), children=[left, right], level=2)
-    return root, leaves
+def make_index():
+    """Four unit pages in a row, packed two at a time: levels of 4, 2, 1."""
+    lo = np.array([[k, 0.0] for k in range(4)])
+    leaf = BoxArray(lo, lo + 1.0)
+    return PageIndex.pack(leaf, fanout=2, order=np.arange(4))
 
 
-class TestIndexNode:
-    def test_iter_leaves_in_order(self):
-        root, leaves = make_tree()
-        assert list(root.iter_leaves()) == leaves
-
+class TestPageIndex:
     def test_counts(self):
-        root, _ = make_tree()
-        assert root.count_nodes() == 7
-        assert root.height() == 2
+        index = make_index()
+        assert [len(level) for level in index.levels] == [4, 2, 1]
+        assert index.num_pages == 4
+        assert index.num_index_nodes == 7
+        assert index.height == 2
 
-    def test_is_leaf(self):
-        root, leaves = make_tree()
-        assert not root.is_leaf
-        assert leaves[0].is_leaf
+    def test_parent_rows_are_children_unions(self):
+        index = make_index()
+        assert index.levels[1].lo.tolist() == [[0, 0], [2, 0]]
+        assert index.levels[1].hi.tolist() == [[2, 1], [4, 1]]
+        assert index.levels[2].rect(0).lo.tolist() == [0, 0]
+        assert index.levels[2].rect(0).hi.tolist() == [4, 1]
+
+    def test_children_are_contiguous_row_ranges(self):
+        index = make_index()
+        assert index.children(2, 0) == (0, 2)
+        assert index.children(1, 1) == (2, 4)
+        ragged = PageIndex.pack(index.leaf_bounds()[np.arange(3)], 2, np.arange(3))
+        assert ragged.children(1, 1) == (2, 3)
 
     def test_validate_accepts_good_tree(self):
-        root, _ = make_tree()
-        root.validate()
+        make_index().validate()
 
     def test_validate_rejects_escaping_child(self):
-        root, _ = make_tree()
-        root.children[0].box = Rect([0, 0], [0.5, 0.5])
+        index = make_index()
+        grown = index.levels[0].hi.copy()
+        grown[3, 0] += 1.0  # page 3 now pokes out of its parent
+        index.levels[0] = BoxArray(index.levels[0].lo, grown)
         with pytest.raises(AssertionError):
-            root.validate()
-
-    def test_validate_rejects_leaf_without_page(self):
-        leaf = IndexNode(box=Rect([0, 0], [1, 1]), level=0)
-        with pytest.raises(AssertionError):
-            leaf.validate()
+            index.validate()
 
 
 class TestBfsIds:
     def test_numbering_is_breadth_first(self):
-        root, leaves = make_tree()
-        count = assign_bfs_ids(root)
-        assert count == 7
-        assert root.node_id == 0
-        assert [child.node_id for child in root.children] == [1, 2]
-        assert [leaf.node_id for leaf in leaves] == [3, 4, 5, 6]
+        index = make_index()
+        assert index.first_node_id(2) == 0
+        assert [index.first_node_id(1) + row for row in range(2)] == [1, 2]
+        assert [index.first_node_id(0) + row for row in range(4)] == [3, 4, 5, 6]
 
     def test_leaf_bfs_order_matches_page_order(self):
-        root, leaves = make_tree()
-        assign_bfs_ids(root)
-        ids = [leaf.node_id for leaf in leaves]
-        pages = [leaf.page_no for leaf in leaves]
+        index = make_index()
+        ids = [index.first_node_id(0) + page for page in range(index.num_pages)]
         assert ids == sorted(ids)
-        assert pages == sorted(pages)
+        assert ids[-1] == index.num_index_nodes - 1

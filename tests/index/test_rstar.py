@@ -1,4 +1,4 @@
-"""Unit tests for the R*-tree."""
+"""Unit tests for the STR-packed R-tree build."""
 
 import numpy as np
 import pytest
@@ -6,75 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sweep import build_prediction_matrix, marked_box_pairs
-from repro.geometry import Rect
-from repro.index.rstar import RStarTree, build_spatial_page_index
+from repro.index.rstar import build_spatial_page_index
 
 
-def collect_ids(tree):
-    return sorted(
-        entry.data_index for leaf in tree.leaf_nodes() for entry in leaf.items
-    )
-
-
-class TestInsertion:
-    def test_all_entries_present_after_splits(self, rng):
-        tree = RStarTree(max_entries=4)
-        pts = rng.random((200, 2))
-        for k in range(200):
-            tree.insert_point(pts[k], k)
-        assert len(tree) == 200
-        assert collect_ids(tree) == list(range(200))
-
-    def test_invariants_hold(self, rng):
-        tree = RStarTree(max_entries=5)
-        pts = rng.random((150, 3))
-        for k in range(150):
-            tree.insert_point(pts[k], k)
-        tree.validate()
-
-    def test_boxes_cover_points(self, rng):
-        tree = RStarTree(max_entries=4)
-        pts = rng.random((80, 2))
-        for k in range(80):
-            tree.insert_point(pts[k], k)
-        for leaf in tree.leaf_nodes():
-            for entry in leaf.items:
-                assert leaf.box.contains_rect(entry.rect)
-
-    def test_height_grows_logarithmically(self, rng):
-        tree = RStarTree(max_entries=4)
-        for k in range(300):
-            tree.insert_point(rng.random(2), k)
-        assert 3 <= tree.height <= 8
-
-    def test_rejects_tiny_capacity(self):
-        with pytest.raises(ValueError):
-            RStarTree(max_entries=3)
-
-    def test_rejects_bad_min_fill(self):
-        with pytest.raises(ValueError):
-            RStarTree(max_entries=8, min_fill=0.9)
-
-    def test_rect_entries(self):
-        tree = RStarTree(max_entries=4)
-        for k in range(10):
-            tree.insert_rect(Rect([k, k], [k + 2, k + 2]), k)
-        assert collect_ids(tree) == list(range(10))
+def bfs_nodes(page_index):
+    """(level, row) of every node in breadth-first order from the root."""
+    order, queue = [], [(page_index.height, 0)]
+    while queue:
+        level, row = queue.pop(0)
+        order.append((level, row))
+        if level > 0:
+            start, stop = page_index.children(level, row)
+            queue.extend((level - 1, child) for child in range(start, stop))
+    return order
 
 
 class TestBulkLoad:
-    """The default STR build of :func:`build_spatial_page_index`."""
+    """The STR build of :func:`build_spatial_page_index`."""
 
     def test_all_entries_present(self, rng):
         pts = rng.random((500, 2))
-        page_index, reordered = build_spatial_page_index(pts, 16, method="str")
+        page_index, reordered = build_spatial_page_index(pts, 16)
         assert sorted(page_index.order.tolist()) == list(range(500))
         assert np.array_equal(reordered, pts[page_index.order])
 
     def test_leaves_nearly_full(self, rng):
         # STR packs tightly: every page is full except the last.
         pts = rng.random((503, 2))
-        page_index, _ = build_spatial_page_index(pts, 16, method="str")
+        page_index, _ = build_spatial_page_index(pts, 16)
         sizes = np.diff(page_index.page_offsets)
         assert page_index.num_pages == 32
         assert np.all(sizes[:-1] == 16)
@@ -82,21 +41,20 @@ class TestBulkLoad:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
-            build_spatial_page_index(np.empty((0, 2)), 16, method="str")
+            build_spatial_page_index(np.empty((0, 2)), 16)
 
     @pytest.mark.parametrize("shape", [(7,), (2, 3, 4)])
     def test_rejects_non_2d(self, shape):
         with pytest.raises(ValueError, match="non-empty"):
-            build_spatial_page_index(np.zeros(shape), 16, method="str")
+            build_spatial_page_index(np.zeros(shape), 16)
 
-    @pytest.mark.parametrize("method", ["str", "rstar"])
-    def test_rejects_tiny_page_capacity(self, rng, method):
+    def test_rejects_tiny_page_capacity(self, rng):
         with pytest.raises(ValueError, match="page_capacity"):
-            build_spatial_page_index(rng.random((20, 2)), 3, method=method)
+            build_spatial_page_index(rng.random((20, 2)), 3)
 
     def test_high_dimensional(self, rng):
         pts = rng.random((300, 20))
-        page_index, reordered = build_spatial_page_index(pts, 32, method="str")
+        page_index, reordered = build_spatial_page_index(pts, 32)
         assert sorted(page_index.order.tolist()) == list(range(300))
         assert page_index.leaf_bounds().dim == 20
         assert np.array_equal(page_index.leaf_bounds().lo[0], reordered[:32].min(axis=0))
@@ -125,55 +83,42 @@ class TestStrBuildProperties:
         assert np.array_equal(reordered, pts[page_index.order])
         offsets = page_index.page_offsets
         assert offsets.tolist() == list(range(0, n, capacity)) + [n]
-        for page_no, box in enumerate(page_index.leaf_boxes):
+        leaf = page_index.leaf_bounds()
+        for page_no in range(page_index.num_pages):
             rows = reordered[offsets[page_no] : offsets[page_no + 1]]
-            assert np.array_equal(box.lo, rows.min(axis=0))
-            assert np.array_equal(box.hi, rows.max(axis=0))
+            assert np.array_equal(leaf.lo[page_no], rows.min(axis=0))
+            assert np.array_equal(leaf.hi[page_no], rows.max(axis=0))
 
-        root = page_index.root
-        root.validate()
-        bfs, queue = [], [root]
-        while queue:
-            node = queue.pop(0)
-            bfs.append(node)
-            queue.extend(node.children)
-            if node.is_leaf:
-                assert node.box is page_index.leaf_boxes[node.page_no]
-                continue
-            assert len(node.children) <= capacity
-            pages = [leaf.page_no for leaf in node.iter_leaves()]
-            assert pages == list(range(pages[0], pages[0] + len(pages)))
-            child_lo = np.stack([child.box.lo for child in node.children])
-            child_hi = np.stack([child.box.hi for child in node.children])
-            assert np.array_equal(node.box.lo, child_lo.min(axis=0))
-            assert np.array_equal(node.box.hi, child_hi.max(axis=0))
-        assert [node.node_id for node in bfs] == list(range(len(bfs)))
-        assert [leaf.page_no for leaf in root.iter_leaves()] == list(
-            range(page_index.num_pages)
-        )
+        page_index.validate()
+        assert page_index.fanout == capacity
+        for level in range(1, len(page_index.levels)):
+            below, upper = page_index.levels[level - 1], page_index.levels[level]
+            for row in range(len(upper)):
+                start, stop = page_index.children(level, row)
+                assert 1 <= stop - start <= capacity
+                assert np.array_equal(upper.lo[row], below.lo[start:stop].min(axis=0))
+                assert np.array_equal(upper.hi[row], below.hi[start:stop].max(axis=0))
+        ids = [page_index.first_node_id(lvl) + row for lvl, row in bfs_nodes(page_index)]
+        assert ids == list(range(page_index.num_index_nodes))
 
-        num_pages = page_index.num_pages
-        matrix, _ = build_prediction_matrix(root, root, epsilon, num_pages, num_pages)
-        bounds = page_index.leaf_bounds()
-        rows, cols = marked_box_pairs(bounds, bounds, epsilon)
+        matrix, _ = build_prediction_matrix(page_index, page_index, epsilon)
+        rows, cols = marked_box_pairs(leaf, leaf, epsilon)
         assert set(matrix.entries()) == set(zip(rows.tolist(), cols.tolist()))
 
 
 class TestPageIndexExtraction:
-    @pytest.mark.parametrize("method", ["str", "rstar"])
-    def test_order_is_permutation(self, rng, method):
+    def test_order_is_permutation(self, rng):
         pts = rng.random((120, 2))
-        page_index, reordered = build_spatial_page_index(pts, 16, method=method)
+        page_index, reordered = build_spatial_page_index(pts, 16)
         assert sorted(page_index.order.tolist()) == list(range(120))
         assert np.array_equal(reordered, pts[page_index.order])
 
-    @pytest.mark.parametrize("method", ["str", "rstar"])
-    def test_leaf_boxes_cover_their_pages(self, rng, method):
+    def test_leaf_boxes_cover_their_pages(self, rng):
         pts = rng.random((120, 2))
-        page_index, reordered = build_spatial_page_index(pts, 16, method=method)
+        page_index, reordered = build_spatial_page_index(pts, 16)
         offsets = page_index.page_offsets
         assert offsets is not None
-        for page_no, box in enumerate(page_index.leaf_boxes):
+        for page_no, box in enumerate(page_index.leaf_bounds()):
             chunk = reordered[offsets[page_no] : offsets[page_no + 1]]
             assert chunk.shape[0] >= 1
             assert np.all(chunk >= box.lo - 1e-12)
@@ -182,21 +127,13 @@ class TestPageIndexExtraction:
     def test_hierarchy_structurally_valid(self, rng):
         pts = rng.random((200, 2))
         page_index, _ = build_spatial_page_index(pts, 16)
-        page_index.root.validate()
-        leaves = list(page_index.root.iter_leaves())
-        assert [leaf.page_no for leaf in leaves] == list(range(len(leaves)))
+        page_index.validate()
+        assert [len(level) for level in page_index.levels] == [13, 1]
 
     def test_bfs_ids_assigned(self, rng):
         pts = rng.random((200, 2))
-        page_index, _ = build_spatial_page_index(pts, 16)
-        ids = []
-        stack = [page_index.root]
-        while stack:
-            node = stack.pop()
-            ids.append(node.node_id)
-            stack.extend(node.children)
-        assert sorted(ids) == list(range(page_index.num_index_nodes))
-
-    def test_unknown_method_rejected(self, rng):
-        with pytest.raises(ValueError):
-            build_spatial_page_index(rng.random((10, 2)), 4, method="bogus")
+        page_index, _ = build_spatial_page_index(pts, 4)
+        assert page_index.height == 3
+        ids = [page_index.first_node_id(lvl) + row for lvl, row in bfs_nodes(page_index)]
+        assert ids == list(range(page_index.num_index_nodes))
+        assert page_index.first_node_id(0) == page_index.num_index_nodes - 50

@@ -11,11 +11,16 @@ serves two purposes:
   on random hierarchies;
 * the matrix-build micro-benchmark measures the vectorised pipeline's
   speedup against this implementation, honestly, on the same inputs.
+
+Its input adapter (:func:`_node_view`) turns a
+:class:`~repro.index.node.PageIndex`'s level arrays into the node objects
+the frozen descent walks; everything below the adapter is unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,27 +28,61 @@ from repro.core.filtering import DEFAULT_MAX_ROUNDS, FilterOutcome, _empty_outco
 from repro.core.prediction import PredictionMatrix
 from repro.core.sweep import SweepStats
 from repro.geometry import Rect, union_all
-from repro.index.node import IndexNode
+from repro.index.node import PageIndex
 
 __all__ = ["build_prediction_matrix_reference"]
 
 
 def build_prediction_matrix_reference(
-    root_r: IndexNode,
-    root_s: IndexNode,
+    index_r: PageIndex,
+    index_s: PageIndex,
     epsilon: float,
-    num_rows: int,
-    num_cols: int,
     max_filter_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> Tuple[PredictionMatrix, SweepStats]:
     """Figure 1's algorithm PM, scalar-geometry edition."""
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    matrix = PredictionMatrix(num_rows, num_cols)
+    matrix = PredictionMatrix(index_r.num_pages, index_s.num_pages)
     stats = SweepStats()
     half = epsilon / 2.0
-    _descend([root_r], [root_s], half, matrix, stats, max_filter_rounds)
+    _descend(
+        [_node_view(index_r)], [_node_view(index_s)], half, matrix, stats,
+        max_filter_rounds,
+    )
     return matrix, stats
+
+
+# -- input adapter: level arrays -> node objects ---------------------------------
+
+
+@dataclass
+class IndexNode:
+    """One node of the hierarchy: its box, children and (leaves) page."""
+
+    box: Rect
+    children: List["IndexNode"] = field(default_factory=list)
+    page_no: Optional[int] = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
+
+
+def _node_view(index: PageIndex) -> IndexNode:
+    """The root node of ``index``, built bottom-up from its level arrays."""
+    nodes = [
+        IndexNode(box=Rect(box.lo.copy(), box.hi.copy()), page_no=page_no)
+        for page_no, box in enumerate(index.levels[0])
+    ]
+    for level in range(1, len(index.levels)):
+        nodes = [
+            IndexNode(
+                box=Rect(box.lo.copy(), box.hi.copy()),
+                children=nodes[slice(*index.children(level, row))],
+            )
+            for row, box in enumerate(index.levels[level])
+        ]
+    return nodes[0]
 
 
 def _sweep_pairs(

@@ -43,9 +43,7 @@ class TestAgainstBruteForce:
     def test_rstar_hierarchies(self, rng, d, epsilon):
         r = spatial_dataset(rng, 150, d)
         s = spatial_dataset(rng, 130, d)
-        matrix, _ = build_prediction_matrix(
-            r.index.root, s.index.root, epsilon, r.num_pages, s.num_pages
-        )
+        matrix, _ = build_prediction_matrix(r.index, s.index, epsilon)
         assert set(matrix.entries()) == brute_force_marks(r.index, s.index, epsilon)
 
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0])
@@ -54,9 +52,7 @@ class TestAgainstBruteForce:
         make endpoint ties ubiquitous in the sorted sweep order."""
         r = spatial_dataset(rng, 120, 2, duplicates=True, integer_grid=True)
         s = spatial_dataset(rng, 120, 2, duplicates=True, integer_grid=True)
-        matrix, _ = build_prediction_matrix(
-            r.index.root, s.index.root, epsilon, r.num_pages, s.num_pages
-        )
+        matrix, _ = build_prediction_matrix(r.index, s.index, epsilon)
         assert set(matrix.entries()) == brute_force_marks(r.index, s.index, epsilon)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 2.0])
@@ -66,16 +62,12 @@ class TestAgainstBruteForce:
         series_s = rng.normal(size=600).cumsum()
         r = IndexedDataset.from_time_series(series_r, window_length=8, windows_per_page=32)
         s = IndexedDataset.from_time_series(series_s, window_length=8, windows_per_page=32)
-        matrix, _ = build_prediction_matrix(
-            r.index.root, s.index.root, epsilon, r.num_pages, s.num_pages
-        )
+        matrix, _ = build_prediction_matrix(r.index, s.index, epsilon)
         assert set(matrix.entries()) == brute_force_marks(r.index, s.index, epsilon)
 
     def test_self_join_hierarchy(self, rng):
         ds = spatial_dataset(rng, 160, 3)
-        matrix, _ = build_prediction_matrix(
-            ds.index.root, ds.index.root, 0.1, ds.num_pages, ds.num_pages
-        )
+        matrix, _ = build_prediction_matrix(ds.index, ds.index, 0.1)
         assert set(matrix.entries()) == brute_force_marks(ds.index, ds.index, 0.1)
 
 
@@ -88,11 +80,11 @@ class TestAgainstReference:
         r = spatial_dataset(rng, 200, d)
         s = spatial_dataset(rng, 180, d)
         got, got_stats = build_prediction_matrix(
-            r.index.root, s.index.root, epsilon, r.num_pages, s.num_pages,
+            r.index, s.index, epsilon,
             max_filter_rounds=max_filter_rounds,
         )
         want, want_stats = build_prediction_matrix_reference(
-            r.index.root, s.index.root, epsilon, r.num_pages, s.num_pages,
+            r.index, s.index, epsilon,
             max_filter_rounds=max_filter_rounds,
         )
         assert got == want
@@ -101,12 +93,8 @@ class TestAgainstReference:
     def test_duplicate_coordinates_stats_identical(self, rng):
         r = spatial_dataset(rng, 140, 2, duplicates=True, integer_grid=True)
         s = spatial_dataset(rng, 140, 2, duplicates=True, integer_grid=True)
-        got, got_stats = build_prediction_matrix(
-            r.index.root, s.index.root, 1.0, r.num_pages, s.num_pages
-        )
-        want, want_stats = build_prediction_matrix_reference(
-            r.index.root, s.index.root, 1.0, r.num_pages, s.num_pages
-        )
+        got, got_stats = build_prediction_matrix(r.index, s.index, 1.0)
+        want, want_stats = build_prediction_matrix_reference(r.index, s.index, 1.0)
         assert got == want
         assert got_stats == want_stats
 

@@ -1,6 +1,7 @@
 """HTTP round trips against a live ThreadingHTTPServer."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -189,6 +190,24 @@ class TestErrorMapping:
             == 400
         )
 
+    def test_negative_content_length_is_400(self, server):
+        """A negative length must not make the handler read until close."""
+        request = (
+            b"POST /join HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n"
+        )
+        port = server.server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=3.0) as sock:
+            sock.sendall(request)
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(4096)  # socket.timeout if the handler hangs
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.split(b"\r\n", 1)[0].split()[1] == b"400"
+        assert _call(server, "GET", "/healthz")[0] == 200
+
     def test_unknown_route_is_404(self, server):
         assert _call(server, "GET", "/teapot")[0] == 404
 
@@ -338,6 +357,19 @@ class TestUnjoinableInput:
             "POST", "/join", {"r": "w8", "s": "w6", "epsilon": 1}
         )
         assert status == 400 and "length 8 and 6" in error["error"]
+        assert service.dispatch("GET", "/healthz", None)[0] == 200
+
+    def test_unequal_distances_are_400(self):
+        service = JoinService()
+        points = np.random.default_rng(3).random((100, 2)).tolist()
+        for name, p in (("l1", 1.0), ("l2", 2.0)):
+            body = {"id": name, "kind": "vector", "vectors": points, "page_capacity": 16,
+                    "p": p}
+            assert service.dispatch("POST", "/datasets", body)[0] == 201
+        status, error = service.dispatch(
+            "POST", "/join", {"r": "l1", "s": "l2", "epsilon": 0.1}
+        )
+        assert status == 400 and "under L1 with data under L2" in error["error"]
         assert service.dispatch("GET", "/healthz", None)[0] == 200
 
     def test_nan_epsilon_is_400(self):

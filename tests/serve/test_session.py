@@ -94,11 +94,9 @@ class TestIncrementalAppend:
         entry = sess._datasets[dataset_id]
         rebuilt = rebuild_dataset(entry.dataset)
         reference, _ = build_prediction_matrix(
-            rebuilt.index.root,
-            rebuilt.index.root,
+            rebuilt.index,
+            rebuilt.index,
             epsilon,
-            rebuilt.num_pages,
-            rebuilt.num_pages,
             max_filter_rounds=5,
         )
         key = matrix_cache_key(entry.fingerprint, entry.fingerprint, epsilon, 5)
@@ -206,11 +204,9 @@ class TestIncrementalAppend:
         entry_b = sess._datasets["b"]
         rebuilt = rebuild_dataset(entry_a.dataset)
         reference, _ = build_prediction_matrix(
-            rebuilt.index.root,
-            entry_b.dataset.index.root,
+            rebuilt.index,
+            entry_b.dataset.index,
             1.0,
-            rebuilt.num_pages,
-            entry_b.dataset.num_pages,
             max_filter_rounds=5,
         )
         key = matrix_cache_key(entry_a.fingerprint, entry_b.fingerprint, 1.0, 5)
@@ -315,8 +311,8 @@ class TestAppendDeltas:
             payload = rng.normal(size=130).cumsum()
         delta = append_to_dataset(dataset, FingerprintChain.from_dataset(dataset), payload)
         snapshot = delta.dataset
-        assert len(snapshot.index.leaf_boxes) == snapshot.num_pages
-        for page_no, box in enumerate(snapshot.index.leaf_boxes):
+        assert len(snapshot.index.leaf_bounds()) == snapshot.num_pages
+        for page_no, box in enumerate(snapshot.index.leaf_bounds()):
             objects = snapshot.paged.page_objects(page_no)
             if kind == "text":
                 objects = np.stack([frequency_vector(window) for window in objects])

@@ -99,10 +99,7 @@ class TestSaveLoad:
             save_matrix,
         )
 
-        matrix, _ = build_prediction_matrix(
-            dataset.index.root, dataset.index.root, 0.1,
-            dataset.num_pages, dataset.num_pages,
-        )
+        matrix, _ = build_prediction_matrix(dataset.index, dataset.index, 0.1)
         save_matrix(matrix, tmp_path, "shared-key")
         save_sketches(build_sketches(dataset, config), tmp_path, "shared-key")
         assert invalidate_matrix_cache(tmp_path) == 1

@@ -140,9 +140,7 @@ class TestTraceValidatesSchedules:
         from repro.core.square import square_clustering
         from repro.core.sweep import build_prediction_matrix
 
-        matrix, _ = build_prediction_matrix(
-            r.index.root, s.index.root, 0.05, r.num_pages, s.num_pages
-        )
+        matrix, _ = build_prediction_matrix(r.index, s.index, 0.05)
         clusters, _ = square_clustering(matrix, 10)
         ordered = greedy_cluster_order(clusters, r.paged.dataset_id, s.paged.dataset_id)
         disk = SimulatedDisk()
