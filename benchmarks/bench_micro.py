@@ -285,39 +285,45 @@ def test_minkowski_gram_filter_speedup(record_json):
     assert ref_s / kern_s > 1.0
 
 
-# -- matrix construction (ISSUE 2) -------------------------------------------------
+# -- matrix construction ----------------------------------------------------------
 #
 # The prediction-matrix build: the scalar reference pipeline (per-Rect
-# event sweep + Rect-list iterative filter, frozen in
-# ``tests/oracles/sweep_reference.py``) versus the struct-of-arrays block
-# sweep, on identical hierarchies.  Marks and stats must agree exactly;
-# the acceptance bar is a >= 5x speedup on the 64-page/16-dim workload.
-# Quick mode shrinks repeats, never the workload, so the recorded
-# speedups stay comparable across runs.
+# event sweep + Rect-list iterative filter, one recursion per node pair,
+# frozen in ``tests/oracles/sweep_reference.py``) versus the level-batched
+# block sweep, on identical hierarchies.  Marks and stats must agree
+# exactly; the acceptance bar is a >= 5x speedup on the 64-page/16-dim
+# workload and on the landsat shape.  Quick mode shrinks repeats, never
+# the workload, so the recorded speedups stay comparable across runs.
 
 
 def test_matrix_build_speedup(record_json):
     repeats = 1 if QUICK else 3
-    pages, capacity = 64, 32
     # 2-d: uniform points (roads regime); 16/64-d: landsat-like correlated
     # features — high-d uniform data saturates the matrix (curse of
     # dimensionality), which would benchmark a degenerate all-pairs case.
+    # The "landsat" row is the e2e landsat shape: 8608 60-d vectors per
+    # side at 16 per page (538 pages, a 4-level tree) at the figure's ε,
+    # both sides halves of one generated pool, as in the e2e workload.
     workloads = [
-        (2, 0.05, "uniform"),
-        (16, 0.25, "landsat"),
-        (64, 0.45, "landsat"),
+        ("2", 2, 0.05, "uniform", 64, 32),
+        ("16", 16, 0.25, "landsat", 64, 32),
+        ("64", 64, 0.45, "landsat", 64, 32),
+        ("landsat", 60, 0.03, "landsat", 538, 16),
     ]
     rng = np.random.default_rng(7)
     rows = {}
-    for dim, epsilon, generator in workloads:
+    for key, dim, epsilon, generator, pages, capacity in workloads:
         if generator == "uniform":
             pts_r = rng.random((pages * capacity, dim))
             pts_s = rng.random((pages * capacity, dim))
+        elif key == "landsat":
+            pts_r, pts_s = np.split(landsat_like(2 * 8608, dim=dim, seed=0), 2)
         else:
             pts_r = landsat_like(pages * capacity, dim=dim, seed=1)
             pts_s = landsat_like(pages * capacity, dim=dim, seed=2)
         r = IndexedDataset.from_points(pts_r, page_capacity=capacity)
         s = IndexedDataset.from_points(pts_s, page_capacity=capacity)
+        assert r.num_pages == pages
         args = (r.index, s.index, epsilon)
         ref_s, (ref_matrix, ref_stats) = _best_of(
             lambda: build_prediction_matrix_reference(*args), repeats
@@ -327,10 +333,12 @@ def test_matrix_build_speedup(record_json):
         )
         assert vec_matrix == ref_matrix
         assert vec_stats == ref_stats
-        rows[str(dim)] = {
+        rows[key] = {
             "dim": dim,
             "epsilon": epsilon,
             "generator": generator,
+            "pages_per_side": pages,
+            "page_capacity": capacity,
             "marked": vec_matrix.num_marked,
             "density": vec_matrix.density(),
             "sweep_operations": vec_stats.total_operations,
@@ -338,13 +346,11 @@ def test_matrix_build_speedup(record_json):
             "vectorized_seconds": vec_s,
             "speedup": ref_s / vec_s,
         }
-    record_json(
-        "matrix_build",
-        {"pages_per_side": pages, "page_capacity": capacity, "rows": rows},
-    )
-    # Acceptance: >= 5x on the 64-page/16-dim workload; the others must
-    # at least clearly beat the scalar pipeline.
+    record_json("matrix_build", {"cpu_count": os.cpu_count(), "rows": rows})
+    # Acceptance: >= 5x on the 64-page/16-dim workload and the landsat
+    # shape; the others must at least clearly beat the scalar pipeline.
     assert rows["16"]["speedup"] >= 5.0
+    assert rows["landsat"]["speedup"] >= 5.0
     assert rows["2"]["speedup"] >= 2.0
     assert rows["64"]["speedup"] >= 2.0
 

@@ -58,7 +58,7 @@ from repro.core.pm_nlj import pm_nlj_join
 from repro.core.prediction import PredictionMatrix
 from repro.core.schedule import greedy_cluster_order
 from repro.core.square import square_clustering
-from repro.core.sweep import build_prediction_matrix
+from repro.core.sweep import build_prediction_matrix, check_matrix_arguments
 from repro.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.distance.dtw import DTWDistance
 from repro.distance.frequency import DNA_ALPHABET
@@ -357,8 +357,8 @@ def join(
     Pass the same object twice for a self join (the result is then the set
     of unordered pairs with distinct ids).  Raises ``ValueError`` before
     any work for an unknown method, a negative or NaN ``epsilon`` (or an
-    infinite one on text), or sides that :func:`require_same_shape`
-    rejects.
+    infinite one on text), a ``max_filter_rounds`` that is not a
+    non-negative int, or sides that :func:`require_same_shape` rejects.
 
     Parameters of note
     ------------------
@@ -451,8 +451,7 @@ def join(
     """
     if method not in JOIN_METHODS:
         raise ValueError(f"unknown join method {method!r}; expected one of {JOIN_METHODS}")
-    if np.isnan(epsilon) or epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    check_matrix_arguments(epsilon, max_filter_rounds)
     require_same_shape(r, s)
     if r.kind == "text" and np.isinf(epsilon):
         # The banded edit-distance DP takes int(epsilon) as its band.

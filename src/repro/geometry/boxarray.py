@@ -121,13 +121,6 @@ class BoxArray:
             np.all(other.lo[None, :, :] <= self.hi[:, None, :], axis=2),
         )
 
-    def intersects_rect(self, rect: Rect) -> np.ndarray:
-        """``(n,)`` boolean: does each box intersect ``rect``?"""
-        return np.logical_and(
-            np.all(self.lo <= rect.hi, axis=1),
-            np.all(rect.lo <= self.hi, axis=1),
-        )
-
     def min_dist_matrix(self, other: "BoxArray", p: float = 2.0) -> np.ndarray:
         """``(n, m)`` pairwise minimum L_p distances between box pairs.
 
@@ -144,32 +137,6 @@ class BoxArray:
         if np.isinf(p):
             return gap.max(axis=2, initial=0.0)
         return np.sum(gap**p, axis=2) ** (1.0 / p)
-
-    def clip(self, rect: Rect) -> "tuple[BoxArray, np.ndarray]":
-        """Intersect every box with ``rect``.
-
-        Returns ``(clipped, valid)`` where ``valid[k]`` is False for boxes
-        disjoint from ``rect`` (their clipped coordinates are meaningless
-        and must be masked by the caller).
-        """
-        lo = np.maximum(self.lo, rect.lo)
-        hi = np.minimum(self.hi, rect.hi)
-        valid = np.all(lo <= hi, axis=1)
-        return BoxArray(lo, hi, validate=False), valid
-
-    def union(self) -> Rect:
-        """Covering box of all boxes (the vectorised ``union_all``)."""
-        if len(self) == 0:
-            raise ValueError("cannot union zero boxes")
-        return Rect._unchecked(self.lo.min(axis=0), self.hi.max(axis=0))
-
-    def union_with(self, other: "BoxArray") -> "BoxArray":
-        """Element-wise union: box ``k`` of the result covers both inputs' box ``k``."""
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return BoxArray(
-            np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi), validate=False
-        )
 
 
 def as_box_array(boxes: "BoxArray | Iterable[Rect]") -> BoxArray:

@@ -57,16 +57,6 @@ class Rect:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_points(cls, points: np.ndarray) -> "Rect":
-        """Tight MBR of a non-empty ``(n, d)`` array of points."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
-        if pts.size == 0:
-            raise ValueError("cannot build an MBR from zero points")
-        return cls(pts.min(axis=0), pts.max(axis=0))
-
-    @classmethod
     def _unchecked(cls, lo: np.ndarray, hi: np.ndarray) -> "Rect":
         """Internal fast path: trusts that ``lo <= hi`` already holds."""
         rect = cls.__new__(cls)
@@ -152,7 +142,7 @@ class Rect:
 def union_all(rects: Iterable[Rect]) -> Rect:
     """Smallest rectangle covering every rectangle in ``rects``.
 
-    Raises ``ValueError`` on an empty input, matching :meth:`Rect.from_points`.
+    Raises ``ValueError`` on an empty input.
     """
     iterator = iter(rects)
     try:

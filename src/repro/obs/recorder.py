@@ -18,7 +18,8 @@ calls four methods on it:
     pool.
 ``observe(name, value)``
     Feed a named histogram (count/total/min/max plus power-of-two
-    buckets).
+    buckets).  ``observe_many(name, values)`` feeds a whole array of
+    samples, exactly as one ``observe`` call per sample would.
 ``event(name, **fields)``
     Append a timestamped structured event (e.g. a buffer eviction or a
     lemma-bound violation).
@@ -245,6 +246,9 @@ class Recorder:
     def observe(self, name: str, value: float) -> None:
         pass
 
+    def observe_many(self, name: str, values) -> None:
+        """``observe(name, v)`` for every element ``v`` of the array ``values``."""
+
     def event(self, name: str, **fields: Any) -> None:
         pass
 
@@ -338,6 +342,17 @@ class InMemoryRecorder(Recorder):
             if hist is None:
                 hist = self.histograms[name] = Histogram()
             hist.add(value)
+
+    def observe_many(self, name: str, values) -> None:
+        samples = values.tolist()
+        if not samples:
+            return
+        with self._lock:
+            hist = self.histograms.get(name)
+            if hist is None:
+                hist = self.histograms[name] = Histogram()
+            for value in samples:
+                hist.add(value)
 
     def event(self, name: str, **fields: Any) -> None:
         record = {"name": name, "ts": time.perf_counter() - self.origin, "fields": fields}

@@ -52,6 +52,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.join import IndexedDataset, join
+from repro.core.sweep import check_matrix_arguments
 from repro.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.obs.recorder import InMemoryRecorder
 from repro.serve.admission import AdmissionController
@@ -394,6 +395,9 @@ class JoinSession:
         executes (worker processes, the matrix cache, buffer policy) is
         the daemon's setting, never a request's.
         """
+        # Before the memo key: a malformed argument must not match a
+        # memoised request or key a cache entry of its own.
+        check_matrix_arguments(epsilon, max_filter_rounds)
         frames = buffer_pages or self.request_buffer_pages
         req = request_id or uuid.uuid4().hex[:12]
         started = time.perf_counter()

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.filtering import brinkhoff_filter, iterative_filter
+from repro.core.filtering import iterative_filter
 from repro.geometry import Rect
+from tests.oracles.brinkhoff import brinkhoff_filter
 
 
 def paper_figure2_children():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.join import JOIN_METHODS, IndexedDataset, join
+from repro.core.sweep import build_prediction_matrix, marked_box_pairs
 from repro.costmodel import CostModel
 
 
@@ -78,6 +79,33 @@ class TestJoinValidation:
         for left, right in ((r, r if self_join else s), (dna_dataset, dna_dataset)):
             with pytest.raises(ValueError, match="epsilon must be non-negative, got nan"):
                 join(left, right, float("nan"))
+
+    def test_matrix_builders_reject_nan_epsilon(self, rng):
+        """The public matrix builders used to return an empty matrix at NaN."""
+        r = IndexedDataset.from_points(rng.random((300, 2)), page_capacity=16)
+        s = IndexedDataset.from_points(rng.random((300, 2)), page_capacity=16)
+        matrix, _ = build_prediction_matrix(r.index, s.index, 0.05)
+        assert matrix.num_marked > 0
+        leaves_r, leaves_s = r.index.leaf_bounds(), s.index.leaf_bounds()
+        assert marked_box_pairs(leaves_r, leaves_s, 0.05)[0].size == matrix.num_marked
+        with pytest.raises(ValueError, match="epsilon must be non-negative, got nan"):
+            build_prediction_matrix(r.index, s.index, float("nan"))
+        with pytest.raises(ValueError, match="epsilon must be non-negative, got nan"):
+            marked_box_pairs(leaves_r, leaves_s, float("nan"))
+
+    @pytest.mark.parametrize("rounds", [-1, -7, 1.0, "5", True, None])
+    def test_max_filter_rounds_must_be_a_non_negative_int(self, vector_pair, rounds):
+        """A negative count used to run silently as 0, a string as a TypeError."""
+        r, s = vector_pair
+        with pytest.raises(ValueError, match="max_filter_rounds must be a non-negative int"):
+            join(r, s, 0.1, max_filter_rounds=rounds)
+        with pytest.raises(ValueError, match="max_filter_rounds must be a non-negative int"):
+            build_prediction_matrix(r.index, s.index, 0.1, max_filter_rounds=rounds)
+
+    def test_max_filter_rounds_accepts_numpy_ints(self, vector_pair):
+        r, s = vector_pair
+        want = join(r, s, 0.1, max_filter_rounds=3)
+        assert join(r, s, 0.1, max_filter_rounds=np.int64(3)).pairs == want.pairs
 
     def test_infinite_epsilon_on_text(self, vector_pair, dna_dataset):
         with pytest.raises(ValueError, match="finite epsilon, got inf"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry import BoxArray, Rect, as_box_array, union_all
+from repro.geometry import BoxArray, Rect, as_box_array
 
 
 def random_rects(rng, n, d=3):
@@ -65,12 +65,6 @@ class TestVectorisedOps:
             for j, b in enumerate(right):
                 assert got[i, j] == a.intersects(b)
 
-    def test_intersects_rect_matches(self, rng):
-        rects = random_rects(rng, 10)
-        probe = random_rects(rng, 1)[0]
-        got = BoxArray.from_rects(rects).intersects_rect(probe)
-        assert got.tolist() == [rect.intersects(probe) for rect in rects]
-
     @pytest.mark.parametrize("p", [1.0, 2.0, float("inf")])
     def test_min_dist_matrix_matches_rect(self, rng, p):
         left = random_rects(rng, 6)
@@ -78,30 +72,6 @@ class TestVectorisedOps:
         got = BoxArray.from_rects(left).min_dist_matrix(BoxArray.from_rects(right), p)
         want = np.array([[a.min_dist(b, p) for b in right] for a in left])
         np.testing.assert_allclose(got, want)
-
-    def test_clip_matches_intersection(self, rng):
-        rects = random_rects(rng, 12)
-        region = Rect([-1, -1, -1], [2, 2, 2])
-        clipped, valid = BoxArray.from_rects(rects).clip(region)
-        for k, rect in enumerate(rects):
-            overlap = rect.intersection(region)
-            assert valid[k] == (overlap is not None)
-            if overlap is not None:
-                assert clipped.rect(k) == overlap
-
-    def test_union_matches_union_all(self, rng):
-        rects = random_rects(rng, 9)
-        assert BoxArray.from_rects(rects).union() == union_all(rects)
-
-    def test_union_empty_raises(self):
-        with pytest.raises(ValueError):
-            BoxArray.empty(2).union()
-
-    def test_union_with_elementwise(self, rng):
-        left = random_rects(rng, 4)
-        right = random_rects(rng, 4)
-        got = BoxArray.from_rects(left).union_with(BoxArray.from_rects(right))
-        assert list(got) == [a.union(b) for a, b in zip(left, right)]
 
 
 class TestRectExtendShortcut:

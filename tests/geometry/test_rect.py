@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.geometry import Rect, union_all
@@ -21,16 +20,6 @@ class TestConstruction:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             Rect([0, 0], [1, 1, 1])
-
-    def test_from_points_is_tight(self):
-        pts = np.array([[0, 5], [2, 1], [1, 3]], dtype=float)
-        rect = Rect.from_points(pts)
-        assert np.array_equal(rect.lo, [0, 1])
-        assert np.array_equal(rect.hi, [2, 5])
-
-    def test_from_points_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Rect.from_points(np.empty((0, 2)))
 
 
 class TestPredicates:

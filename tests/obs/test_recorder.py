@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -145,6 +146,21 @@ class TestHistogram:
         rec.observe("sizes", 7)
         snap = rec.metrics_snapshot()
         assert snap["histograms"]["sizes"]["count"] == 2
+
+    def test_observe_many_equals_one_observe_per_sample(self):
+        values = np.array([5, 1, 32, 7, 7, 2])
+        one, many = InMemoryRecorder(), InMemoryRecorder()
+        for value in values.tolist():
+            one.observe("sizes", value)
+        many.observe_many("sizes", values[:2])
+        many.observe_many("sizes", values[2:])
+        assert many.histograms["sizes"].to_dict() == one.histograms["sizes"].to_dict()
+
+    def test_observe_many_of_nothing_creates_no_histogram(self):
+        rec = InMemoryRecorder()
+        rec.observe_many("sizes", np.empty(0, dtype=np.int64))
+        NULL_RECORDER.observe_many("sizes", np.arange(3))
+        assert rec.histograms == {}
 
 
 class TestHistogramPercentile:

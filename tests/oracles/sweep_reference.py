@@ -14,13 +14,17 @@ serves two purposes:
 
 Its input adapter (:func:`_node_view`) turns a
 :class:`~repro.index.node.PageIndex`'s level arrays into the node objects
-the frozen descent walks; everything below the adapter is unchanged.
+the frozen descent walks; everything below the adapter is unchanged.  An
+optional ``observe(name, value)`` sink receives the histogram samples the
+shipped pipeline records (``sweep.block_size`` once per node pair visited,
+``filter.round_survivors`` once per filter round that leaves both sides
+non-empty); it only watches, the algorithm is the frozen one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,11 +37,19 @@ from repro.index.node import PageIndex
 __all__ = ["build_prediction_matrix_reference"]
 
 
+Observe = Callable[[str, int], None]
+
+
+def _ignore(name: str, value: int) -> None:
+    pass
+
+
 def build_prediction_matrix_reference(
     index_r: PageIndex,
     index_s: PageIndex,
     epsilon: float,
     max_filter_rounds: int = DEFAULT_MAX_ROUNDS,
+    observe: Observe = _ignore,
 ) -> Tuple[PredictionMatrix, SweepStats]:
     """Figure 1's algorithm PM, scalar-geometry edition."""
     if epsilon < 0:
@@ -47,7 +59,7 @@ def build_prediction_matrix_reference(
     half = epsilon / 2.0
     _descend(
         [_node_view(index_r)], [_node_view(index_s)], half, matrix, stats,
-        max_filter_rounds,
+        max_filter_rounds, observe,
     )
     return matrix, stats
 
@@ -136,12 +148,16 @@ def _descend(
     matrix: PredictionMatrix,
     stats: SweepStats,
     max_filter_rounds: int,
+    observe: Observe,
 ) -> None:
     extended_r = [_extend(node.box, half_epsilon) for node in nodes_r]
     extended_s = [_extend(node.box, half_epsilon) for node in nodes_s]
+    observe("sweep.block_size", len(nodes_r) + len(nodes_s))
 
     if max_filter_rounds > 0 and len(nodes_r) > 1 and len(nodes_s) > 1:
-        outcome = _iterative_filter(extended_r, extended_s, max_filter_rounds)
+        outcome = _iterative_filter(
+            extended_r, extended_s, max_filter_rounds, observe
+        )
         stats.filter_rounds += outcome.rounds
         stats.filtered_children += int((~outcome.keep_left).sum()) + int(
             (~outcome.keep_right).sum()
@@ -175,6 +191,7 @@ def _descend(
                 matrix,
                 stats,
                 max_filter_rounds,
+                observe,
             )
 
 
@@ -191,6 +208,7 @@ def _iterative_filter(
     left: Sequence[Rect],
     right: Sequence[Rect],
     max_rounds: int = DEFAULT_MAX_ROUNDS,
+    observe: Observe = _ignore,
 ) -> FilterOutcome:
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
@@ -206,6 +224,7 @@ def _iterative_filter(
         changed = _filter_round(work_left, work_right)
         if not _any_alive(work_left) or not _any_alive(work_right):
             return _empty_outcome(n_left, n_right, rounds)
+        observe("filter.round_survivors", _alive_count(work_left) + _alive_count(work_right))
         if not changed:
             break
     return FilterOutcome(
@@ -217,6 +236,10 @@ def _iterative_filter(
 
 def _any_alive(boxes: List[Rect | None]) -> bool:
     return any(box is not None for box in boxes)
+
+
+def _alive_count(boxes: List[Rect | None]) -> int:
+    return sum(box is not None for box in boxes)
 
 
 def _kill_all(boxes: List[Rect | None]) -> None:

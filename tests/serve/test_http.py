@@ -382,6 +382,35 @@ class TestUnjoinableInput:
         assert status == 400 and "nan" in error["error"]
         assert service.dispatch("GET", "/healthz", None)[0] == 200
 
+    def test_bad_max_filter_rounds_is_400_and_caches_nothing(self):
+        """Negative counts used to run as 0, each under its own matrix-cache key."""
+        service = JoinService()
+        points = np.random.default_rng(3).random((100, 2)).tolist()
+        body = {"id": "p", "kind": "vector", "vectors": points, "page_capacity": 16}
+        assert service.dispatch("POST", "/datasets", body)[0] == 201
+        for rounds in (-1, -7, 2.5, True):
+            status, error = service.dispatch(
+                "POST", "/join", {"r": "p", "epsilon": 0.1, "max_filter_rounds": rounds}
+            )
+            assert status == 400 and "max_filter_rounds" in error["error"]
+        health = service.dispatch("GET", "/healthz", None)[1]
+        assert health["store"]["matrices"] == 0
+
+    def test_string_max_filter_rounds_is_400_on_a_warm_memo(self):
+        """A string count answered 400 cold but 200 once the memo held the request."""
+        service = JoinService()
+        points = np.random.default_rng(3).random((100, 2)).tolist()
+        body = {"id": "p", "kind": "vector", "vectors": points, "page_capacity": 16}
+        assert service.dispatch("POST", "/datasets", body)[0] == 201
+        request = {"r": "p", "epsilon": 0.1, "max_filter_rounds": 5}
+        for cache in ("miss", "hit"):
+            status, payload = service.dispatch("POST", "/join", request)
+            assert status == 200 and payload["matrix_cache"] == cache
+        assert service.dispatch("POST", "/join", request)[1]["result_cache"] == "hit"
+        status, error = service.dispatch("POST", "/join", dict(request, max_filter_rounds="5"))
+        assert status == 400 and "max_filter_rounds" in error["error"]
+        assert service.dispatch("GET", "/healthz", None)[0] == 200
+
     def test_infinite_epsilon_on_text_is_400(self):
         service = JoinService()
         body = {"id": "g", "kind": "text", "text": markov_dna(400, seed=1),
