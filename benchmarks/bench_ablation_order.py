@@ -16,15 +16,9 @@ from repro.core.sweep import build_prediction_matrix
 from repro.experiments.figures import SPATIAL_EPSILON, lbeach_mcounty
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
+from tests.oracles.joiners import NoopJoiner
 
 BUFFER = 12
-
-
-class _NoopJoiner:
-    """Joins nothing: the ablation measures reads only."""
-
-    def join_cluster(self, entries):
-        return [([], 0, 0, 0.0)] * len(entries)
 
 
 def _orders():
@@ -43,7 +37,7 @@ def _orders():
 def _pages_read(r, s, ordered):
     disk = SimulatedDisk()
     pool = BufferPool(disk, BUFFER)
-    outcome = execute_clusters(ordered, pool, r.paged, s.paged, _NoopJoiner())
+    outcome = execute_clusters(ordered, pool, r.paged, s.paged, NoopJoiner())
     return outcome.pages_read, disk.stats.io_seconds
 
 

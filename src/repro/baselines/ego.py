@@ -24,9 +24,11 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.executor import ExecutionOutcome
+from repro.core.joiners import ClusterResult
 from repro.costmodel import CostModel
 from repro.geometry import BoxArray, Rect
 from repro.index._grouping import page_boxes
+from repro.kernels.minkowski import minkowski_pair_arrays
 from repro.storage.buffer import BufferPool
 from repro.storage.page import VectorPagedDataset
 
@@ -87,11 +89,11 @@ def _ego_reorderable(r, s, epsilon, pool, cost_model, self_join, collect_pairs):
                     outcome.pages_reused += 1
                 else:
                     outcome.pages_read += 1
-                _join_sorted_pages(
-                    r.distance, epsilon, cost_model, outcome,
+                outcome.absorb(_join_sorted_pages(
+                    r.distance, epsilon, cost_model,
                     outer, inner, ego_r, ego_s, order_r, order_s, i, j,
                     self_join, collect_pairs,
-                )
+                ))
     finally:
         pool.reserve(0)
 
@@ -130,29 +132,33 @@ def _sorted_copy(dataset, order, pool, tag) -> Tuple[VectorPagedDataset, BoxArra
 
 
 def _join_sorted_pages(
-    distance, epsilon, cost_model, outcome,
+    distance, epsilon, cost_model,
     outer, inner, ego_r, ego_s, order_r, order_s, i, j,
     self_join, collect_pairs,
-):
-    local = distance.pairs_within(outer, inner, epsilon)
+) -> ClusterResult:
+    """Join page ``i`` of the sorted R copy with page ``j`` of the S copy.
+
+    Pairs are reported in the original datasets' ids (``order_*`` maps a
+    sorted row back), as one single-entry cluster result.
+    """
+    a, b = minkowski_pair_arrays(outer, inner, epsilon, distance.p)
     comparisons = len(outer) * len(inner)
-    outcome.comparisons += comparisons
-    outcome.cpu_seconds += cost_model.cpu_cost(comparisons, distance.comparison_weight)
     if self_join and i == j:
         # Diagonal page pair: keep each unordered pair once, drop self
         # matches (the payload is compared against itself).
-        local = [(a, b) for a, b in local if a < b]
-    outcome.num_pairs += len(local)
-    if not collect_pairs:
-        return
-    for a, b in local:
-        gid_r = int(order_r[ego_r.global_object_id(i, a)])
-        gid_s = int(order_s[ego_s.global_object_id(j, b)])
-        if self_join and gid_r > gid_s:
-            # The sorted copy permutes ids, so order the pair canonically to
-            # match the other methods' (small, large) convention.
-            gid_r, gid_s = gid_s, gid_r
-        outcome.pairs.append((gid_r, gid_s))
+        keep = a < b
+        a, b = a[keep], b[keep]
+    gid_r = order_r[ego_r.page_offsets[i] + a]
+    gid_s = order_s[ego_s.page_offsets[j] + b]
+    if self_join:
+        # The sorted copy permutes ids, so order each pair canonically to
+        # match the other methods' (small, large) convention.
+        gid_r, gid_s = np.minimum(gid_r, gid_s), np.maximum(gid_r, gid_s)
+    return ClusterResult.from_columns(
+        gid_r, gid_s, [gid_r.shape[0]], [comparisons],
+        [cost_model.cpu_cost(comparisons, distance.comparison_weight)],
+        collect_pairs,
+    )
 
 
 # -- non-reorderable (sequence) path ---------------------------------------------

@@ -30,7 +30,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.executor import ExecutionOutcome
+from repro.core.joiners import ClusterResult
 from repro.costmodel import CostModel
+from repro.kernels.minkowski import minkowski_pair_arrays
 from repro.storage.buffer import BufferPool
 
 __all__ = ["ekdb_join"]
@@ -90,12 +92,12 @@ def ekdb_join(
             if self_join and neighbour < cell:
                 continue  # each unordered tile pair once
             checked_tile_pairs += 1
-            _join_tiles(
+            outcome.absorb(_join_tiles(
                 members_r, members_s, r, s, pool, distance, epsilon,
-                cost_model, outcome, self_join,
+                cost_model, self_join,
                 same_tile=self_join and neighbour == cell,
                 collect_pairs=collect_pairs,
-            )
+            ))
 
     outcome.pages_read = disk.stats.transfers
     preprocess = cost_model.cpu_cost(build_ops + checked_tile_pairs)
@@ -135,33 +137,33 @@ def _join_tiles(
     distance,
     epsilon: float,
     cost_model: CostModel,
-    outcome: ExecutionOutcome,
     self_join: bool,
     same_tile: bool,
     collect_pairs: bool,
-) -> None:
-    """Verify one tile pair: fetch the touched pages, compare point sets."""
+) -> ClusterResult:
+    """Verify one tile pair: fetch the touched pages, compare point sets.
+
+    Returns the tile pair as a single-entry cluster result.
+    """
     vectors_r = _gather(members_r, r, pool)
     vectors_s = vectors_r if same_tile else _gather(members_s, s, pool)
-    local = distance.pairs_within(vectors_r, vectors_s, epsilon)
+    a, b = minkowski_pair_arrays(vectors_r, vectors_s, epsilon, distance.p)
     comparisons = len(members_r) * len(members_s)
-    outcome.comparisons += comparisons
-    outcome.cpu_seconds += cost_model.cpu_cost(comparisons, distance.comparison_weight)
-    for a, b in local:
-        gid_r = members_r[a]
-        gid_s = members_s[b]
-        if self_join:
-            if same_tile:
-                # Same member list on both sides: keep each unordered pair
-                # once, drop self matches.
-                if gid_r >= gid_s:
-                    continue
-            elif gid_r > gid_s:
-                # Distinct tiles meet exactly once; order canonically.
-                gid_r, gid_s = gid_s, gid_r
-        outcome.num_pairs += 1
-        if collect_pairs:
-            outcome.pairs.append((gid_r, gid_s))
+    gid_r = np.asarray(members_r, dtype=np.int64)[a]
+    gid_s = np.asarray(members_s, dtype=np.int64)[b]
+    if same_tile:
+        # Same member list on both sides: keep each unordered pair once,
+        # drop self matches.
+        keep = gid_r < gid_s
+        gid_r, gid_s = gid_r[keep], gid_s[keep]
+    elif self_join:
+        # Distinct tiles meet exactly once; order canonically.
+        gid_r, gid_s = np.minimum(gid_r, gid_s), np.maximum(gid_r, gid_s)
+    return ClusterResult.from_columns(
+        gid_r, gid_s, [gid_r.shape[0]], [comparisons],
+        [cost_model.cpu_cost(comparisons, distance.comparison_weight)],
+        collect_pairs,
+    )
 
 
 def _gather(members: List[int], dataset, pool: BufferPool) -> np.ndarray:

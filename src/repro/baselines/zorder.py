@@ -92,11 +92,11 @@ def zorder_join(
                 if box_i.min_dist(boxes_s[j], p=distance.p) > epsilon:
                     continue
                 inner = pool.fetch(z_s.dataset_id, j)
-                _join_sorted_pages(
-                    distance, epsilon, cost_model, outcome,
+                outcome.absorb(_join_sorted_pages(
+                    distance, epsilon, cost_model,
                     outer, inner, z_r, z_s, order_r, order_s, i, j,
                     self_join, collect_pairs,
-                )
+                ))
     finally:
         pool.reserve(0)
 

@@ -28,7 +28,7 @@ results and accounting:
   accounting) are identical to a serial run by construction — and
   per-worker results are merged in schedule order, so the outcome
   (pairs list included) is deterministic and equal to the serial one.
-  The GIL serialises the Python-side scatter/merge, so threads are the
+  The GIL serialises the Python-side merge, so threads are the
   *compatibility fallback* (no picklable state needed, works with any
   joiner); for process-level parallelism use the sharded path.
 * **Processes** (:func:`execute_clusters_sharded`): the scheduled
@@ -38,21 +38,30 @@ results and accounting:
   (:mod:`repro.storage.shm`) and per-shard worker processes run the
   cluster cascades against zero-copy views with their own
   recorders, while the parent replays the pool/disk accounting in full
-  serial schedule order.  Counters, audits and the merged pairs list are
+  serial schedule order.  Workers return each cluster's
+  :class:`~repro.core.joiners.ClusterResult` — pair arrays, about 16
+  bytes per pair through the pipe — and the parent absorbs them in
+  schedule order.  Counters, audits and the merged pairs list are
   therefore bit-identical to serial by the same argument as the thread
   path; per-shard staging deltas are additionally attributed to
   ``executor.shard.<k>.*`` counters whose sums equal the serial totals
   exactly.  See ``docs/execution_modes.md`` for the decision table.
+
+Every path folds results through :meth:`ExecutionOutcome.absorb`, the
+one place a join's pairs become the Python ``(int, int)`` tuples
+``JoinResult.pairs`` lists.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.clusters import Cluster
-from repro.core.joiners import JoinerResult, PagePairJoiner
+from repro.core.joiners import ClusterResult, PagePairJoiner
 from repro.obs.audit import LemmaAuditor
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.storage.buffer import BufferPool
@@ -76,13 +85,22 @@ class ExecutionOutcome:
     pages_read: int = 0
     pages_reused: int = 0
 
-    def absorb(self, results: Iterable[JoinerResult]) -> None:
-        """Fold joiner results into the running totals, in order."""
-        for pairs, count, comparisons, cpu_seconds in results:
-            self.pairs.extend(pairs)
-            self.num_pairs += count
-            self.comparisons += comparisons
-            self.cpu_seconds += cpu_seconds
+    def absorb(self, result: ClusterResult) -> None:
+        """Fold one cluster's result into the running totals.
+
+        Appends its pair rows as Python ``(int, int)`` tuples, in order.
+        ``cpu_seconds`` adds the per-entry floats one at a time, in entry
+        order: ``np.add.accumulate`` seeded with the running total adds
+        sequentially, as a ``+=`` loop would (``np.sum`` would add
+        pairwise and round differently).
+        """
+        pairs = result.pairs
+        if pairs.shape[0]:
+            self.pairs.extend(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+        self.num_pairs += int(result.counts.sum())
+        self.comparisons += int(result.comparisons.sum())
+        running = np.add.accumulate(np.concatenate(([self.cpu_seconds], result.cpu)))
+        self.cpu_seconds = float(running[-1])
 
 
 def execute_clusters(
@@ -191,11 +209,12 @@ def execute_clusters_sharded(
     arbitrary partitions this way).  Workers rebuild the datasets from
     shared memory and run the join cascades; the parent replays **all**
     simulated I/O (staging, buffer hits, Lemma audits) serially in
-    global schedule order while they compute, then merges per-cluster
-    results back in schedule order.  The outcome — pairs list included —
-    and every simulated counter are bit-identical to
-    ``execute_clusters(..., workers=1)``; per-shard staging deltas are
-    counted under ``executor.shard.<k>.pages_read`` / ``.pages_reused``
+    global schedule order while they compute, then absorbs the
+    per-cluster pair arrays they return in schedule order.  The outcome
+    — pairs list included — and every simulated counter are
+    bit-identical to ``execute_clusters(..., workers=1)``; per-shard
+    staging deltas are counted under
+    ``executor.shard.<k>.pages_read`` / ``.pages_reused``
     (their sums equal the serial totals by construction — see
     ``repro.obs.recorder.SHARDING_VARIANT_COUNTER_PREFIXES``).
 
@@ -310,22 +329,21 @@ def execute_clusters_sharded(
 
     # Deterministic merge: worker recorders fold in shard order, results
     # absorb in global schedule order — the serial pairs list exactly.
-    results_by_index: Dict[int, List] = {}
+    # Each result is dropped once absorbed.
+    results_by_index: Dict[int, ClusterResult] = {}
     shard_walls = [0.0] * plan.num_shards
     for payload in shard_payloads:
         shard_index = payload["shard_index"]
         if recorder.enabled and payload["metrics"] is not None:
             recorder.merge(payload["metrics"], span_attrs={"shard": shard_index})
-        results_by_index.update(payload["results"])
+        results_by_index.update(payload.pop("results"))
         shard_walls[shard_index] = payload.get("wall_seconds", 0.0)
+    shard_cells = [0] * plan.num_shards
     for index in range(len(ordered_clusters)):
-        outcome.absorb(results_by_index[index])
+        result = results_by_index.pop(index)
+        shard_cells[shard_of[index]] += int(result.comparisons.sum())
+        outcome.absorb(result)
     if explain is not None:
-        shard_cells = [0] * plan.num_shards
-        for index in range(len(ordered_clusters)):
-            shard_cells[shard_of[index]] += sum(
-                result[2] for result in results_by_index[index]
-            )
         explain.observe_shards(shard_cells, shard_walls)
 
     recorder.count("executor.shards", plan.num_shards)

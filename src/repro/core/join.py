@@ -314,6 +314,32 @@ def require_same_shape(r: IndexedDataset, s: IndexedDataset) -> None:
         )
 
 
+def _check_execution_arguments(workers, shard_strategy) -> None:
+    """``ValueError`` unless ``workers`` is a positive int and
+    ``shard_strategy`` is ``None``, a strategy name or a ``ShardPlan``.
+
+    A ``bool`` is not a worker count; numpy integers are.
+    """
+    # Lazy import: the planner imports this module.
+    from repro.core.planner import SHARD_STRATEGIES, ShardPlan
+
+    if (
+        isinstance(workers, bool)
+        or not isinstance(workers, (int, np.integer))
+        or workers < 1
+    ):
+        raise ValueError(f"workers must be a positive int, got {workers!r}")
+    if not (
+        shard_strategy is None
+        or isinstance(shard_strategy, ShardPlan)
+        or (isinstance(shard_strategy, str) and shard_strategy in SHARD_STRATEGIES)
+    ):
+        raise ValueError(
+            f"shard_strategy must be None, one of {SHARD_STRATEGIES} or a "
+            f"ShardPlan, got {shard_strategy!r}"
+        )
+
+
 def _metric(dataset: IndexedDataset) -> str:
     """The distance ``dataset`` joins under, and the space of its boxes."""
     if dataset.kind == "text":
@@ -358,7 +384,9 @@ def join(
     of unordered pairs with distinct ids).  Raises ``ValueError`` before
     any work for an unknown method, a negative or NaN ``epsilon`` (or an
     infinite one on text), a ``max_filter_rounds`` that is not a
-    non-negative int, or sides that :func:`require_same_shape` rejects.
+    non-negative int, ``workers`` that is not a positive int, an unknown
+    ``shard_strategy`` (on every method), or sides that
+    :func:`require_same_shape` rejects.
 
     Parameters of note
     ------------------
@@ -379,12 +407,12 @@ def join(
         ``"fifo"`` and ``"mru"`` exist for the replacement-policy ablation.
     workers:
         Parallelism width for cluster execution (``sc``/``rand-sc``/``cc``
-        only; other methods ignore it).  Clusters are independent units
-        of work, so their cascades run concurrently; simulated
-        I/O counts and the result are identical to ``workers=1``.  With
-        ``shard_strategy=None`` (default) this is a *thread* pool — the
-        compatibility fallback; combine with ``shard_strategy`` for
-        process-level parallelism.
+        only; other methods check it, then ignore it).  Clusters are
+        independent units of work, so their cascades run concurrently;
+        simulated I/O counts and the result are identical to
+        ``workers=1``.  With ``shard_strategy=None`` (default) this is a
+        *thread* pool — the compatibility fallback; combine with
+        ``shard_strategy`` for process-level parallelism.
     shard_strategy:
         ``None`` (default) keeps the thread path.  ``"affinity"`` (the
         planner's strategy) or a prepared
@@ -396,7 +424,7 @@ def join(
         and the parent replays the full simulated I/O serially — the
         result pair list, every simulated counter, and the Lemma audits
         are bit-identical to the serial path.  Only ``sc``/``rand-sc``/
-        ``cc`` shard; other methods ignore it.  See
+        ``cc`` shard; other methods check it, then ignore it.  See
         ``docs/execution_modes.md``.
     matrix_cache:
         Directory of the prediction-matrix cache.  When set, the matrix
@@ -452,6 +480,7 @@ def join(
     if method not in JOIN_METHODS:
         raise ValueError(f"unknown join method {method!r}; expected one of {JOIN_METHODS}")
     check_matrix_arguments(epsilon, max_filter_rounds)
+    _check_execution_arguments(workers, shard_strategy)
     require_same_shape(r, s)
     if r.kind == "text" and np.isinf(epsilon):
         # The banded edit-distance DP takes int(epsilon) as its band.

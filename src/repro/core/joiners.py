@@ -19,14 +19,19 @@ partners: the pairs are concatenated into one candidate block over the
 datasets' columnar page views
 (:meth:`~repro.storage.page.PagedDataset.pages_view`), the whole block
 runs a single filter-and-refine cascade with a shared threshold, and the
-results are scattered back to one result per page pair, in entry order.
-Each of those equals joining the page pair on its own — the frozen
-per-page-pair kernels in ``tests/oracles/joiners.py`` — bit for bit:
-pairs, counts, comparisons, modeled CPU and semantic counters included.
+call returns one :class:`ClusterResult`: every accepted pair as one
+``(k, 2)`` int64 array grouped by entry, plus per-entry count,
+comparison and CPU arrays.  Entry ``k``'s rows and values equal joining
+that page pair on its own — the frozen per-page-pair kernels in
+``tests/oracles/joiners.py`` — bit for bit, and one cascade adds the same
+semantic counters.  Pairs stay arrays until
+:meth:`~repro.core.executor.ExecutionOutcome.absorb` folds them into the
+join's result list.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +47,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.storage.page import PageBlock, PagedDataset, SequencePagedDataset
 
 __all__ = [
+    "ClusterResult",
     "make_numeric_joiner",
     "make_text_joiner",
     "make_keogh_filter",
@@ -51,12 +57,59 @@ __all__ = [
     "TextPagePairJoiner",
 ]
 
-# (pairs collected, total pair count, comparisons, cpu seconds).  With
-# collect_pairs=False the list stays empty but the count is exact — large
-# experiments only need cardinalities, not materialised id pairs.
-JoinerResult = Tuple[List[Tuple[int, int]], int, int, float]
-
 Entry = Tuple[int, int]
+
+
+@dataclass(frozen=True, eq=False)
+class ClusterResult:
+    """What one :meth:`PagePairJoiner.join_cluster` call found.
+
+    ``pairs`` is an ``(n, 2)`` int64 array of global ``(r_id, s_id)``
+    pairs, grouped by entry in entry order; each entry's rows keep the
+    order joining its page pair alone lists them.  With
+    ``collect_pairs=False`` it has no rows, but ``counts`` stays exact —
+    large experiments only need cardinalities.  ``counts``,
+    ``comparisons`` (int64) and ``cpu`` (float64 modeled seconds) hold
+    one value per entry.  Every array owns its memory, so a shard worker
+    can return the result after unmapping its shared segments.
+    """
+
+    pairs: np.ndarray
+    counts: np.ndarray
+    comparisons: np.ndarray
+    cpu: np.ndarray
+
+    @classmethod
+    def from_columns(
+        cls,
+        g_r: np.ndarray,
+        g_s: np.ndarray,
+        counts,
+        comparisons,
+        cpu,
+        collect_pairs: bool = True,
+    ) -> "ClusterResult":
+        """Pairs ``(g_r[k], g_s[k])``, already grouped by entry, plus the
+        per-entry values; without ``collect_pairs`` the pairs are dropped."""
+        pairs = (
+            np.column_stack((g_r, g_s))
+            if collect_pairs
+            else np.empty((0, 2), dtype=np.int64)
+        )
+        return cls(
+            pairs,
+            np.asarray(counts, dtype=np.int64),
+            np.asarray(comparisons, dtype=np.int64),
+            np.asarray(cpu, dtype=np.float64),
+        )
+
+    @classmethod
+    def empty(cls, num_entries: int) -> "ClusterResult":
+        """No pairs, no comparisons and no CPU for ``num_entries`` entries."""
+        none = np.empty(0, dtype=np.int64)
+        zeros = np.zeros(num_entries, dtype=np.int64)
+        return cls.from_columns(none, none, zeros, zeros, zeros)
+
 
 # ``(left_slice, panel_j) -> bool decisions``, see _ClusterBlock.filtered_cells.
 PanelFilter = Callable[[slice, np.ndarray], np.ndarray]
@@ -211,33 +264,6 @@ class _ClusterBlock:
         return cand_i[keep], cand_j[keep], rank[keep]
 
 
-def _scatter_results(
-    block: _ClusterBlock,
-    g_r: np.ndarray,
-    g_s: np.ndarray,
-    rank: np.ndarray,
-    comparisons_per_entry: np.ndarray,
-    cpu_per_entry: List[float],
-    collect_pairs: bool,
-) -> List[JoinerResult]:
-    """Group accepted global pairs by entry, preserving within-entry order.
-
-    ``rank`` must be sorted (stable-grouped by entry); the caller
-    guarantees the within-entry order matches a single page pair's.
-    """
-    counts = np.bincount(rank, minlength=block.num_entries)
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    all_pairs = list(zip(g_r.tolist(), g_s.tolist())) if collect_pairs else []
-    results: List[JoinerResult] = []
-    for k in range(block.num_entries):
-        lo, hi = bounds[k], bounds[k + 1]
-        pairs = all_pairs[lo:hi] if collect_pairs else []
-        results.append(
-            (pairs, hi - lo, int(comparisons_per_entry[k]), cpu_per_entry[k])
-        )
-    return results
-
-
 def _entry_sorted(
     rank: np.ndarray, *columns: np.ndarray
 ) -> Tuple[np.ndarray, ...]:
@@ -332,11 +358,11 @@ def make_fd_filter(
 class PagePairJoiner:
     """The joiner interface every join method and executor calls."""
 
-    def join_cluster(self, entries: Sequence[Entry]) -> List[JoinerResult]:
+    def join_cluster(self, entries: Sequence[Entry]) -> ClusterResult:
         """One fused cascade over non-empty, distinct page pairs.
 
-        Returns one :data:`JoinerResult` per entry, in entry order —
-        bit-identical to joining each page pair on its own.
+        Returns one :class:`ClusterResult` whose entry ``k`` is
+        bit-identical to joining ``entries[k]`` on its own.
         """
         raise NotImplementedError
 
@@ -375,7 +401,7 @@ class NumericPagePairJoiner(PagePairJoiner):
         self.collect_pairs = collect_pairs
         self.recorder = recorder
 
-    def join_cluster(self, entries: Sequence[Entry]) -> List[JoinerResult]:
+    def join_cluster(self, entries: Sequence[Entry]) -> ClusterResult:
         recorder = self.recorder
         with recorder.span("execute.megabatch", entries=len(entries)):
             block = _ClusterBlock(
@@ -389,12 +415,12 @@ class NumericPagePairJoiner(PagePairJoiner):
             rank, acc_i, acc_j = _entry_sorted(rank, acc_i, acc_j)
             g_r = block.r_block.globalise(acc_i)
             g_s = block.s_block.globalise(acc_j)
-            weight = self.distance.comparison_weight
-            cpu = [
-                self.cost_model.cpu_cost(int(c), weight) for c in block.cells
-            ]
-            results = _scatter_results(
-                block, g_r, g_s, rank, block.cells, cpu, self.collect_pairs
+            cpu = self.cost_model.cpu_cost(
+                block.cells, self.distance.comparison_weight
+            )
+            result = ClusterResult.from_columns(
+                g_r, g_s, np.bincount(rank, minlength=block.num_entries),
+                block.cells, cpu, self.collect_pairs,
             )
         if recorder.enabled:
             recorder.count("refine.page_pairs", block.num_entries)
@@ -402,7 +428,7 @@ class NumericPagePairJoiner(PagePairJoiner):
             recorder.count("refine.pairs_found", int(rank.shape[0]))
             for name, value in extra:
                 recorder.count(name, value)
-        return results
+        return result
 
     def _minkowski_cascade(self, block: _ClusterBlock):
         """One Gram matmul (p = 2) or one gathered exact pass per cluster."""
@@ -530,7 +556,7 @@ class TextPagePairJoiner(PagePairJoiner):
         self.limit = int(epsilon)
         self.w = r_dataset.window_length
 
-    def join_cluster(self, entries: Sequence[Entry]) -> List[JoinerResult]:
+    def join_cluster(self, entries: Sequence[Entry]) -> ClusterResult:
         recorder = self.recorder
         epsilon = self.epsilon
         with recorder.span("execute.megabatch", entries=len(entries)):
@@ -602,15 +628,15 @@ class TextPagePairJoiner(PagePairJoiner):
 
             cheap = block.cells
             comparisons = cheap + dp_per_entry
-            w_over_8 = float(self.w) / 8.0
-            cpu = [
-                self.cost_model.cpu_cost(int(cheap[k]), 1.0)
-                + self.cost_model.cpu_cost(int(fd_per_entry[k]), w_over_8)
-                + self.cost_model.cpu_cost(int(dp_per_entry[k]), self.dp_weight)
-                for k in range(n_entries)
-            ]
-            results = _scatter_results(
-                block, g_r, g_s, out_rank, comparisons, cpu, self.collect_pairs
+            model = self.cost_model
+            cpu = (
+                model.cpu_cost(cheap, 1.0)
+                + model.cpu_cost(fd_per_entry, float(self.w) / 8.0)
+                + model.cpu_cost(dp_per_entry, self.dp_weight)
+            )
+            result = ClusterResult.from_columns(
+                g_r, g_s, np.bincount(out_rank, minlength=n_entries),
+                comparisons, cpu, self.collect_pairs,
             )
         if recorder.enabled:
             recorder.count("refine.page_pairs", n_entries)
@@ -618,7 +644,7 @@ class TextPagePairJoiner(PagePairJoiner):
             recorder.count("refine.pairs_found", int(out_rank.shape[0]))
             recorder.count("text.fd_candidates", int(cand_i.shape[0]))
             recorder.count("text.dp_runs", int(dp_per_entry.sum()))
-        return results
+        return result
 
 
 def make_text_joiner(

@@ -15,8 +15,11 @@ entry lists), and submits them to a process pool.  Each worker:
    objects through the columnar page views — never through a buffer
    pool, which is exactly why all simulated I/O accounting can stay in
    the parent;
-4. ships back plain-Python per-cluster joiner results plus the
-   recorder's exported state for the parent's deterministic merge.
+4. ships back one :class:`~repro.core.joiners.ClusterResult` per
+   cluster — pair, count, comparison and CPU arrays, each owning its
+   memory — plus the recorder's exported state for the parent's
+   deterministic merge.  The pipe carries about 16 bytes per result
+   pair; no list of Python tuples is pickled.
 
 Only the built-in joiners (:class:`~repro.core.joiners.NumericPagePairJoiner`,
 :class:`~repro.core.joiners.TextPagePairJoiner`) have a picklable recipe;
@@ -27,10 +30,10 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.joiners import (
-    JoinerResult,
+    ClusterResult,
     NumericPagePairJoiner,
     TextPagePairJoiner,
 )
@@ -148,12 +151,13 @@ def share_datasets(r_dataset, s_dataset, arena: ShmArena):
 def run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry point: join every cluster of one shard.
 
-    Returns ``{"shard_index", "results": {schedule_index: [JoinerResult]},
-    "metrics": exported recorder state or None, "wall_seconds": float}`` —
-    all plain Python, so the only cross-process numpy traffic is the
-    shared segments.  ``wall_seconds`` is the worker-side compute wall
-    time (attach + join + export), the EXPLAIN layer's per-shard
-    balance observation.
+    Returns ``{"shard_index", "results": {schedule_index: ClusterResult},
+    "metrics": exported recorder state or None, "wall_seconds": float}``.
+    The shared segments are closed before this returns, so every array
+    in the payload is one the cascade allocated, never a view into a
+    segment.  ``wall_seconds`` is the worker-side compute wall time
+    (attach + join + export), the EXPLAIN layer's per-shard balance
+    observation.
     """
     if os.environ.get(_FAULT_ENV) == "exit" and task["shard_index"] == 0:
         os._exit(13)
@@ -173,7 +177,7 @@ def run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
 
 def _run_shard_attached(
     task: Dict[str, Any], attachments: ShmAttachments
-) -> Tuple[Dict[int, List[JoinerResult]], Optional[dict]]:
+) -> Tuple[Dict[int, ClusterResult], Optional[dict]]:
     r_dataset = dataset_from_shm_spec(task["r_spec"], attachments.attach)
     s_dataset = (
         r_dataset

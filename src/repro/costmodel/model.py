@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 __all__ = ["CostModel", "DEFAULT_COST_MODEL", "fit_cost_model"]
 
 
@@ -84,14 +86,18 @@ class CostModel:
             raise ValueError("transfers and seeks must be non-negative")
         return transfers * self.transfer_s + seeks * self.seek_s
 
-    def cpu_cost(self, comparisons: float, weight: float = 1.0) -> float:
+    def cpu_cost(
+        self, comparisons: "float | np.ndarray", weight: float = 1.0
+    ) -> "float | np.ndarray":
         """Seconds charged for ``comparisons`` comparisons of given weight.
 
         ``weight`` expresses how expensive one comparison is relative to a
         plain vector norm (e.g. a banded edit distance over windows of
-        length ``w`` with band ``k`` passes ``weight ≈ w * k``).
+        length ``w`` with band ``k`` passes ``weight ≈ w * k``).  An array
+        of counts gives one charge per element, each the float a scalar
+        call on that count returns.
         """
-        if comparisons < 0 or weight < 0:
+        if weight < 0 or np.min(comparisons, initial=0) < 0:
             raise ValueError("comparisons and weight must be non-negative")
         return comparisons * weight * self.cpu_compare_s
 

@@ -76,8 +76,10 @@ def build_spatial_page_index(
         array and its MBR is row ``i`` of ``page_index.leaf_bounds()``.
     """
     pts = np.asarray(vectors, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError(f"points must be a non-empty (n, d) array, got shape {pts.shape}")
+    if pts.ndim != 2 or 0 in pts.shape:
+        raise ValueError(
+            f"points must be a non-empty (n, d) array with d >= 1, got shape {pts.shape}"
+        )
     if page_capacity < 4:
         raise ValueError(f"page_capacity must be at least 4, got {page_capacity}")
     order = _str_order(pts, page_capacity)

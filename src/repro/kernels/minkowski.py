@@ -22,6 +22,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = [
     "minkowski_pairs",
+    "minkowski_pair_arrays",
     "minkowski_pairwise",
     "euclidean_gram_panel",
     "minkowski_refine",
@@ -56,42 +57,54 @@ def minkowski_pairs(
 ) -> List[Tuple[int, int]]:
     """All ``(i, j)`` with ``||left[i] - right[j]||_p <= epsilon``.
 
+    :func:`minkowski_pair_arrays` as a list of index tuples.
+    """
+    rows, cols = minkowski_pair_arrays(left, right, epsilon, p, chunk_rows, recorder)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def minkowski_pair_arrays(
+    left: np.ndarray,
+    right: np.ndarray,
+    epsilon: float,
+    p: float,
+    chunk_rows: int = _DEFAULT_CHUNK_ROWS,
+    recorder: Recorder = NULL_RECORDER,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Int64 ``(rows, cols)`` of every pair within ``epsilon`` under L_p.
+
     Pair order is row-major in ``left`` chunks, matching the historical
     scalar path; the accepted set is decided by the exact difference
     form for every pair that reaches the refine stage.
     """
     left_arr = np.atleast_2d(np.asarray(left, dtype=np.float64))
     right_arr = np.atleast_2d(np.asarray(right, dtype=np.float64))
-    pairs: List[Tuple[int, int]] = []
+    row_parts: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    col_parts: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    candidates = 0
     if p == 2.0:
-        candidates = 0
         right_sq = np.einsum("jd,jd->j", right_arr, right_arr)
-        for start in range(0, left_arr.shape[0], chunk_rows):
-            chunk = left_arr[start : start + chunk_rows]
-            rows, cols, cand = _euclidean_chunk_pairs(chunk, right_arr, right_sq, epsilon)
-            candidates += cand
-            pairs.extend(zip((rows + start).tolist(), cols.tolist()))
-        if recorder.enabled:
-            recorder.count("kernel.minkowski.invocations")
-            recorder.count(
-                "kernel.minkowski.pairs_tested",
-                left_arr.shape[0] * right_arr.shape[0],
-            )
-            recorder.count("kernel.minkowski.gram_candidates", candidates)
-            recorder.count("kernel.minkowski.accepted", len(pairs))
-        return pairs
     for start in range(0, left_arr.shape[0], chunk_rows):
         chunk = left_arr[start : start + chunk_rows]
-        dists = _exact_chunk(chunk, right_arr, p)
-        rows, cols = np.nonzero(dists <= epsilon)
-        pairs.extend(zip((rows + start).tolist(), cols.tolist()))
-    if recorder.enabled and p != 2.0:
+        if p == 2.0:
+            rows, cols, cand = _euclidean_chunk_pairs(
+                chunk, right_arr, right_sq, epsilon
+            )
+            candidates += cand
+        else:
+            rows, cols = np.nonzero(_exact_chunk(chunk, right_arr, p) <= epsilon)
+        row_parts.append(rows + start)
+        col_parts.append(cols)
+    rows, cols = np.concatenate(row_parts), np.concatenate(col_parts)
+    if recorder.enabled:
         recorder.count("kernel.minkowski.invocations")
         recorder.count(
             "kernel.minkowski.pairs_tested", left_arr.shape[0] * right_arr.shape[0]
         )
-        recorder.count("kernel.minkowski.accepted", len(pairs))
-    return pairs
+        if p == 2.0:
+            recorder.count("kernel.minkowski.gram_candidates", candidates)
+        recorder.count("kernel.minkowski.accepted", int(rows.shape[0]))
+    return rows, cols
 
 
 def _euclidean_chunk_pairs(

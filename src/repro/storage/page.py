@@ -178,8 +178,10 @@ class VectorPagedDataset:
         dataset_id: Hashable | None = None,
     ) -> None:
         data = np.asarray(vectors, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError(f"vectors must be a non-empty (n, d) array, got shape {data.shape}")
+        if data.ndim != 2 or 0 in data.shape:
+            raise ValueError(
+                f"vectors must be a non-empty (n, d) array with d >= 1, got shape {data.shape}"
+            )
         if (objects_per_page is None) == (page_offsets is None):
             raise ValueError("exactly one of objects_per_page or page_offsets must be given")
         self._data = data

@@ -155,8 +155,9 @@ class ShmAttachments:
     — on CPython, ``SharedMemory.close`` can succeed with live views
     and leave them pointing at unmapped memory.  ``run_shard`` honours
     this by closing in a ``finally`` after its dataset/joiner locals
-    (the only view holders) have gone out of scope, and ships results
-    as plain Python, never shm-backed arrays.
+    (the only view holders) have gone out of scope.  The pair, count,
+    comparison and CPU arrays it then pickles are results the cascade
+    allocated, each owning its memory — never views into a segment.
     """
 
     def __init__(self) -> None:

@@ -7,6 +7,7 @@ from repro.core.clusters import Cluster
 from repro.core.executor import execute_clusters
 from repro.storage.buffer import BufferPool
 from repro.storage.page import VectorPagedDataset
+from tests.oracles.joiners import EchoJoiner
 
 
 @pytest.fixture
@@ -20,14 +21,7 @@ def datasets():
     return r, s
 
 
-class CountingJoiner:
-    """Each entry yields itself as its one pair and charges 1 ms."""
-
-    def join_cluster(self, entries):
-        return [([entry], 1, 4, 0.001) for entry in entries]
-
-
-counting_joiner = CountingJoiner()
+counting_joiner = EchoJoiner(comparisons=4, cpu=0.001)
 
 
 class TestExecution:

@@ -144,6 +144,36 @@ class TestJoinValidation:
         with pytest.raises(ValueError, match="alphabets 'ACGT' and 'TGCA'"):
             join(r, s, 1)
 
+    def test_zero_dimensional_points_rejected(self):
+        """``(n, 0)`` points used to build, then crash the join in the sweep."""
+        from repro.storage.page import VectorPagedDataset
+
+        with pytest.raises(ValueError, match="d >= 1"):
+            IndexedDataset.from_points(np.empty((5, 0)))
+        with pytest.raises(ValueError, match="d >= 1"):
+            VectorPagedDataset(np.empty((5, 0)), objects_per_page=2)
+
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, True, "2", None])
+    def test_workers_must_be_a_positive_int_on_every_method(self, vector_pair, workers):
+        """Only the clustering methods used to check it, and not its type."""
+        r, s = vector_pair
+        for method in JOIN_METHODS:
+            with pytest.raises(ValueError, match="workers must be a positive int"):
+                join(r, s, 0.1, method=method, workers=workers)
+
+    @pytest.mark.parametrize("strategy", ["bogus", "chunk", 1, True])
+    def test_shard_strategy_checked_on_every_method(self, vector_pair, strategy):
+        r, s = vector_pair
+        for method in JOIN_METHODS:
+            with pytest.raises(ValueError, match="shard_strategy must be None"):
+                join(r, s, 0.1, method=method, workers=2, shard_strategy=strategy)
+
+    def test_workers_accepts_numpy_ints(self, vector_pair):
+        r, s = vector_pair
+        want = join(r, s, 0.1, method="nlj")
+        assert join(r, s, 0.1, method="nlj", workers=np.int64(2)).pairs == want.pairs
+        assert join(r, s, 0.1, workers=np.int32(2)).pairs == join(r, s, 0.1).pairs
+
     def test_minkowski_order_mismatch(self, rng):
         r = IndexedDataset.from_points(rng.random((60, 2)), page_capacity=16, p=1.0)
         s = IndexedDataset.from_points(rng.random((60, 2)), page_capacity=16, p=2.0)

@@ -14,11 +14,12 @@ from repro.distance.edit import edit_distance
 from repro.distance.frequency import frequency_vectors_sliding
 from repro.distance.vector import EuclideanDistance
 from repro.storage.page import SequencePagedDataset, VectorPagedDataset
+from tests.oracles.joiners import per_entry
 
 
 def join_one(joiner, row, col):
-    """The joiner's result for a single page pair."""
-    (result,) = joiner.join_cluster([(row, col)])
+    """The joiner's ``(pairs, count, comparisons, cpu)`` for one page pair."""
+    (result,) = per_entry(joiner.join_cluster([(row, col)]))
     return result
 
 

@@ -2,12 +2,13 @@
 
 Every join method joins page pairs through
 :meth:`~repro.core.joiners.PagePairJoiner.join_cluster`.  For any set of
-distinct entries, diagonal ones included, ``join_cluster(entries)[k]``
-must equal the frozen per-page-pair oracle (``tests/oracles/joiners.py``)
-on ``(row_k, col_k)`` bit for bit — pairs in order, count, comparisons
-and modeled CPU — and one cascade must add the same semantic counters as
-the oracle run entry by entry.  Only kernel invocation counts differ:
-one per cascade instead of one per page pair.
+distinct entries, diagonal ones included, entry ``k`` of the returned
+cluster result — its rows of the pair array, its count, comparisons and
+modeled CPU — must equal the frozen per-page-pair oracle
+(``tests/oracles/joiners.py``) on ``(row_k, col_k)`` bit for bit, pairs
+in order, and one cascade must add the same semantic counters as the
+oracle run entry by entry.  Only kernel invocation counts differ: one
+per cascade instead of one per page pair.
 
 ``TestSequenceEquivalence`` checks the same on whole joins: ``join()``
 with the cascade and ``join()`` with the oracle joining each marked page
@@ -29,7 +30,7 @@ from repro.datasets import markov_dna
 from repro.distance.dtw import DTWDistance
 from repro.distance.vector import MinkowskiDistance
 from repro.obs import InMemoryRecorder
-from tests.oracles.joiners import PerPairJoiner, page_pair
+from tests.oracles.joiners import PerPairJoiner, page_pair, per_entry
 
 # The module, not the ``join`` function ``repro.core`` re-exports under
 # the same name.
@@ -74,13 +75,14 @@ def _entry_sets(r, s, epsilon, self_join, seed, size=24):
 
 def _assert_conforms(make_joiner, entries):
     fused_rec, oracle_rec = InMemoryRecorder(), InMemoryRecorder()
-    fused = make_joiner(fused_rec).join_cluster(entries)
+    fused = per_entry(make_joiner(fused_rec).join_cluster(entries))
     oracle = make_joiner(oracle_rec)
     expected = [page_pair(oracle, row, col) for row, col in entries]
     assert len(fused) == len(entries)
     for entry, got, want in zip(entries, fused, expected):
         assert got[0] == want[0], entry  # pairs, in order
         assert got[1:] == want[1:], entry  # count, comparisons, cpu
+        assert [type(v) for v in got[1:]] == [int, int, float], entry
     assert _semantic_counters(fused_rec) == _semantic_counters(oracle_rec)
     return expected
 

@@ -16,16 +16,9 @@ from repro.core.join import IndexedDataset, join
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import VectorPagedDataset
+from tests.oracles.joiners import EchoJoiner
 
-
-class CountingJoiner:
-    """Each entry yields itself as its one pair and charges 1 ms."""
-
-    def join_cluster(self, entries):
-        return [([entry], 1, 4, 0.001) for entry in entries]
-
-
-counting_joiner = CountingJoiner()
+counting_joiner = EchoJoiner(comparisons=4, cpu=0.001)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from repro.core.pm_nlj import pm_nlj_join
 from repro.core.prediction import PredictionMatrix
 from repro.storage.buffer import BufferPool
 from repro.storage.page import VectorPagedDataset
+from tests.oracles.joiners import EchoJoiner
 
 
 @pytest.fixture
@@ -20,14 +21,7 @@ def datasets():
     return r, s
 
 
-class CountingJoiner:
-    """Each entry yields itself as its one pair."""
-
-    def join_cluster(self, entries):
-        return [([entry], 1, 1, 0.0) for entry in entries]
-
-
-counting_joiner = CountingJoiner()
+counting_joiner = EchoJoiner()
 
 
 class TestPinnedBranch:

@@ -8,6 +8,7 @@ match the serial run exactly.  Shard-attributed counters
 equal the serial totals.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.obs import SHARDING_VARIANT_COUNTER_PREFIXES, InMemoryRecorder
 from repro.storage.buffer import BufferPool
 from repro.storage.shm import shm_available
 from repro.storage.page import VectorPagedDataset
+from tests.oracles.joiners import EchoJoiner
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="platform without usable shared memory"
@@ -143,6 +145,79 @@ class TestJoinSharded:
         assert _report_counters(sharded) == _report_counters(serial)
 
 
+def _report_fields(result):
+    """Every ``CostReport`` field but the host-time stage seconds."""
+    rep = dataclasses.asdict(result.report)
+    rep["extra"] = {k: v for k, v in rep["extra"].items() if k != "stage_seconds"}
+    return rep
+
+
+class TestShardTransport:
+    def test_spawn_workers_match_serial(self, spatial, monkeypatch):
+        """With ``fork`` hidden the pool spawns fresh interpreters; the
+        merged pairs, every report field and the stable counters still
+        equal the serial join's."""
+        import multiprocessing as mp
+
+        if "spawn" not in mp.get_all_start_methods():
+            pytest.skip("platform without spawn")
+        r, s = spatial
+        serial_rec, sharded_rec = InMemoryRecorder(), InMemoryRecorder()
+        serial = join(r, s, 0.05, buffer_pages=10, recorder=serial_rec)
+        monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
+        assert resolve_start_method(1) == "spawn"
+        sharded = join(
+            r, s, 0.05, buffer_pages=10, recorder=sharded_rec,
+            workers=min(2, os.cpu_count() or 1), shard_strategy="affinity",
+        )
+        assert sharded.pairs == serial.pairs
+        assert _report_fields(sharded) == _report_fields(serial)
+        assert _stable_counters(sharded_rec) == _stable_counters(serial_rec)
+
+    def test_run_shard_ships_owned_pair_arrays(self, cost_model):
+        """In process, a shard's payload holds one owned ``(k, 2)`` int64
+        pair array per cluster and no Python tuples of pairs; absorbed in
+        schedule order they are the serial join's pairs list."""
+        from repro.core.executor import ExecutionOutcome
+        from repro.core.joiners import ClusterResult, make_numeric_joiner
+        from repro.core.sharding import build_shard_task, run_shard, share_datasets
+        from repro.storage.shm import ShmArena
+
+        rng = np.random.default_rng(5)
+        r = IndexedDataset.from_points(rng.random((1500, 2)), page_capacity=32)
+        s = IndexedDataset.from_points(rng.random((1200, 2)), page_capacity=32)
+        serial = join(
+            r, s, 0.06, buffer_pages=12, cost_model=cost_model, keep_details=True
+        )
+        assert serial.num_pairs >= 10_000, "calibration: a large result"
+        joiner = make_numeric_joiner(
+            r.paged, s.paged, r.distance, 0.06, cost_model, False
+        )
+        with ShmArena() as arena:
+            r_spec, s_spec = share_datasets(r.paged, s.paged, arena)
+            task = build_shard_task(
+                0, [(i, c.entries) for i, c in enumerate(serial.clusters)],
+                r_spec, s_spec, joiner, arena, False,
+            )
+            payload = run_shard(task)
+        results = payload["results"]
+        assert sorted(results) == list(range(len(serial.clusters)))
+        outcome = ExecutionOutcome()
+        for index in range(len(serial.clusters)):
+            result = results[index]
+            assert type(result) is ClusterResult
+            for array in (result.pairs, result.counts, result.comparisons, result.cpu):
+                assert type(array) is np.ndarray
+                assert array.flags.owndata and array.base is None
+            assert result.pairs.dtype == np.int64 and result.pairs.ndim == 2
+            assert result.pairs.shape == (int(result.counts.sum()), 2)
+            outcome.absorb(result)
+        assert outcome.pairs == serial.pairs
+        assert outcome.num_pairs == serial.num_pairs
+        assert outcome.cpu_seconds == serial.report.cpu_seconds
+        assert outcome.comparisons == serial.report.comparisons
+
+
 class TestShardedTelemetry:
     def test_recorder_counters_match_serial(self, spatial):
         r, s = spatial
@@ -247,14 +322,10 @@ class TestFailureModes:
             objects_per_page=2, dataset_id="S",
         )
 
-        class CustomJoiner:
-            def join_cluster(self, entries):
-                return [([entry], 1, 1, 0.0) for entry in entries]
-
         pool = BufferPool(SimulatedDisk(cost_model), 8)
         with pytest.raises(ValueError, match="cannot be shipped"):
             execute_clusters_sharded(
-                [Cluster(0, ((0, 0),))], pool, r, s, CustomJoiner(), workers=2
+                [Cluster(0, ((0, 0),))], pool, r, s, EchoJoiner(), workers=2
             )
 
     def test_rejects_bad_worker_count(self, spatial):

@@ -13,13 +13,7 @@ from repro.errors import InfeasibleBufferError
 from repro.experiments.harness import run_methods
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
-
-
-class NoopJoiner:
-    """Joins nothing: one empty result per entry."""
-
-    def join_cluster(self, entries):
-        return [([], 0, 0, 0.0)] * len(entries)
+from tests.oracles.joiners import NoopJoiner
 
 
 class TestLossyPredictorIsObservable:

@@ -5,11 +5,17 @@ These are the page-pair kernels that ``NumericPagePairJoiner`` and
 before :meth:`repro.core.joiners.PagePairJoiner.join_cluster` became the
 only refine path.  Each takes the joiner whose configuration it reads
 (datasets, distance, ε, cost model, self-join flag, pair collection,
-recorder) plus one page pair and its two payloads.  ``join_cluster``
-must reproduce, for every entry of any entry set, this module's result
-for that page pair bit for bit — pairs in order, count, comparisons and
-modeled CPU — and the same semantic counters
-(``tests/core/test_megabatch_equivalence.py``).
+recorder) plus one page pair and its two payloads, and returns a
+:data:`PageResult`.  ``join_cluster`` must reproduce, for every entry of
+any entry set, this module's result for that page pair bit for bit —
+pairs in order, count, comparisons and modeled CPU — and the same
+semantic counters (``tests/core/test_megabatch_equivalence.py``).
+:func:`per_entry` splits a :class:`~repro.core.joiners.ClusterResult`
+into page results for that comparison, and :func:`packed` goes the
+other way.
+
+The module also holds the two stand-in joiners executor tests use:
+:class:`NoopJoiner` and :class:`EchoJoiner`.
 """
 
 from __future__ import annotations
@@ -18,12 +24,80 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.joiners import JoinerResult, PagePairJoiner, TextPagePairJoiner
+from repro.core.joiners import ClusterResult, PagePairJoiner, TextPagePairJoiner
 from repro.kernels.edit import edit_batch
 from repro.storage.page import PagedDataset
 
+# (pairs collected, total pair count, comparisons, cpu seconds).  With
+# collect_pairs=False the list stays empty but the count is exact.
+PageResult = Tuple[List[Tuple[int, int]], int, int, float]
 
-def page_pair(joiner, row: int, col: int) -> JoinerResult:
+
+def packed(results: Sequence[PageResult]) -> ClusterResult:
+    """Page results, in entry order, as one cluster result."""
+    pairs = [pair for result in results for pair in result[0]]
+    return ClusterResult(
+        np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        np.array([result[1] for result in results], dtype=np.int64),
+        np.array([result[2] for result in results], dtype=np.int64),
+        np.array([result[3] for result in results], dtype=np.float64),
+    )
+
+
+def per_entry(result: ClusterResult) -> List[PageResult]:
+    """A cluster result split into one page result per entry.
+
+    Checks the array contract on the way: int64 ``(n, 2)`` pairs (none
+    when they were not collected) and one int64/int64/float64 value per
+    entry.  Values come back as Python ``int`` and ``float``.
+    """
+    assert result.pairs.dtype == np.int64 and result.pairs.ndim == 2
+    assert result.pairs.shape[1] == 2
+    assert result.counts.dtype == result.comparisons.dtype == np.int64
+    assert result.cpu.dtype == np.float64
+    num_entries = result.counts.shape[0]
+    assert result.comparisons.shape == result.cpu.shape == (num_entries,)
+    counts = result.counts.tolist()
+    collected = result.pairs.shape[0] > 0
+    assert result.pairs.shape[0] in (0, sum(counts))
+    rows = [tuple(pair) for pair in result.pairs.tolist()]
+    bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64))).tolist()
+    return [
+        (
+            rows[bounds[k] : bounds[k + 1]] if collected else [],
+            counts[k],
+            result.comparisons[k].item(),
+            result.cpu[k].item(),
+        )
+        for k in range(num_entries)
+    ]
+
+
+class NoopJoiner(PagePairJoiner):
+    """Joins nothing: one empty result per entry, for tests of reads only."""
+
+    def join_cluster(self, entries) -> ClusterResult:
+        return ClusterResult.empty(len(entries))
+
+
+class EchoJoiner(PagePairJoiner):
+    """Each entry ``(row, col)`` yields itself as its one pair and charges
+    ``comparisons`` and ``cpu``."""
+
+    def __init__(self, comparisons: int = 1, cpu: float = 0.0) -> None:
+        self.comparisons = comparisons
+        self.cpu = cpu
+
+    def join_cluster(self, entries) -> ClusterResult:
+        k = len(entries)
+        rows = np.array(entries, dtype=np.int64).reshape(k, 2)
+        return ClusterResult.from_columns(
+            rows[:, 0], rows[:, 1], np.ones(k, dtype=np.int64),
+            np.full(k, self.comparisons), np.full(k, self.cpu),
+        )
+
+
+def page_pair(joiner, row: int, col: int) -> PageResult:
     """The oracle result for one page pair, payloads read from the pages."""
     r_payload = joiner.r_dataset.page_objects(row)
     s_payload = joiner.s_dataset.page_objects(col)
@@ -40,11 +114,11 @@ class PerPairJoiner(PagePairJoiner):
     def __init__(self, joiner) -> None:
         self.joiner = joiner
 
-    def join_cluster(self, entries) -> List[JoinerResult]:
-        return [page_pair(self.joiner, row, col) for row, col in entries]
+    def join_cluster(self, entries) -> ClusterResult:
+        return packed([page_pair(self.joiner, row, col) for row, col in entries])
 
 
-def numeric_page_pair(self, row: int, col: int, r_payload, s_payload) -> JoinerResult:
+def numeric_page_pair(self, row: int, col: int, r_payload, s_payload) -> PageResult:
     recorder = self.recorder
     left = np.asarray(r_payload)
     right = np.asarray(s_payload)
@@ -66,7 +140,7 @@ def numeric_page_pair(self, row: int, col: int, r_payload, s_payload) -> JoinerR
     return [], len(local), comparisons, cpu
 
 
-def text_page_pair(self, row: int, col: int, r_payload, s_payload) -> JoinerResult:
+def text_page_pair(self, row: int, col: int, r_payload, s_payload) -> PageResult:
     recorder = self.recorder
     r_windows: Sequence[str] = r_payload
     s_windows: Sequence[str] = s_payload

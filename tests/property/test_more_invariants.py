@@ -17,6 +17,7 @@ from repro.distance.dtw import dtw_distance, envelope
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import SequencePagedDataset, VectorPagedDataset
+from tests.oracles.joiners import NoopJoiner
 
 # -- strategies ---------------------------------------------------------------
 
@@ -45,11 +46,6 @@ def matrices_with_buffer(draw):
 # -- pm-NLJ prediction == simulation ---------------------------------------------
 
 
-class _NoopJoiner:
-    def join_cluster(self, entries):
-        return [([], 0, 0, 0.0)] * len(entries)
-
-
 @given(matrices_with_buffer())
 @settings(max_examples=60, deadline=None)
 def test_pm_nlj_prediction_matches_simulation(case):
@@ -62,7 +58,7 @@ def test_pm_nlj_prediction_matches_simulation(case):
     )
     disk = SimulatedDisk()
     pool = BufferPool(disk, buffer_pages)
-    pm_nlj_join(matrix, pool, r_ds, s_ds, _NoopJoiner())
+    pm_nlj_join(matrix, pool, r_ds, s_ds, NoopJoiner())
     predicted = predict_pm_nlj_reads(matrix, buffer_pages)
     assert predicted.page_reads == disk.stats.transfers
 

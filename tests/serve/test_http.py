@@ -372,6 +372,15 @@ class TestUnjoinableInput:
         assert status == 400 and "under L1 with data under L2" in error["error"]
         assert service.dispatch("GET", "/healthz", None)[0] == 200
 
+    def test_zero_dimensional_vectors_are_400(self):
+        """``[[], [], []]`` used to register (201), then fail the join with a 500."""
+        service = JoinService()
+        body = {"id": "z", "kind": "vector", "vectors": [[], [], []]}
+        status, error = service.dispatch("POST", "/datasets", body)
+        assert status == 400 and "d >= 1" in error["error"]
+        assert service.dispatch("GET", "/datasets/z", None)[0] == 404
+        assert service.dispatch("GET", "/healthz", None)[0] == 200
+
     def test_nan_epsilon_is_400(self):
         service = JoinService()
         points = np.random.default_rng(3).random((100, 2)).tolist()

@@ -1,11 +1,7 @@
 """Unit tests for disk access tracing."""
 
 from repro.storage.trace import AccessTrace
-
-
-class _NoopJoiner:
-    def join_cluster(self, entries):
-        return [([], 0, 0, 0.0)] * len(entries)
+from tests.oracles.joiners import NoopJoiner
 
 
 class TestAccessTrace:
@@ -146,7 +142,7 @@ class TestTraceValidatesSchedules:
         disk = SimulatedDisk()
         trace = AccessTrace.attach(disk)
         pool = BufferPool(disk, 10)
-        execute_clusters(ordered, pool, r.paged, s.paged, _NoopJoiner())
+        execute_clusters(ordered, pool, r.paged, s.paged, NoopJoiner())
         summary = trace.summary()
         assert summary.total_reads > 0
         assert summary.mean_run_length > 1.0  # batched, not random
