@@ -356,12 +356,13 @@ def test_matrix_build_speedup(record_json):
 
 
 def test_parallel_cluster_execution(record_json):
-    """Serial vs 2-worker cluster execution on a multi-cluster DTW join.
+    """Serial vs 2-worker (shard process) execution on a multi-cluster
+    DTW join.
 
     The contract is determinism first: identical pairs and identical
     simulated page reads.  Wall-clock speedup depends on the host's core
-    count (this container may expose a single CPU, capping it at ~1x);
-    the measured factor is recorded either way.
+    count (a single-CPU host caps it at ~1x); the measured factor is
+    recorded with ``cpu_count`` either way.
     """
     rng = np.random.default_rng(3)
     seq = rng.normal(size=2_000 if QUICK else 8_000).cumsum()
@@ -407,15 +408,12 @@ def test_parallel_cluster_execution(record_json):
 
 
 def _sharded_row(r, s, epsilon, buffer_pages, workers, repeats):
-    strategy = "affinity" if workers > 1 else None
-    best, result = _best_of(
+    return _best_of(
         lambda: join(
-            r, s, epsilon, method="sc", buffer_pages=buffer_pages,
-            workers=workers, shard_strategy=strategy,
+            r, s, epsilon, method="sc", buffer_pages=buffer_pages, workers=workers
         ),
         repeats,
     )
-    return best, result
 
 
 def test_sharded_join_speedup(record_json):
@@ -986,6 +984,7 @@ def test_serving_resident_state(record_json):
     record_json(
         "serving",
         {
+            "cpu_count": os.cpu_count(),
             "config": {
                 "pages": appended["pages_after"],
                 "epsilon": GENOME_EPSILON,

@@ -162,13 +162,11 @@ def _add_join(subcommands) -> None:
                      help="trace file format: JSONL events or Chrome "
                           "trace-event JSON (open in Perfetto)")
     cmd.add_argument("--workers", type=int, default=1,
-                     help="parallel workers for cluster execution; threads "
-                          "unless --shard-strategy is given")
-    cmd.add_argument("--shard-strategy", default=None,
-                     choices=["affinity"],
-                     help="partition clusters across worker *processes* over "
-                          "shared-memory page blocks (sc/rand-sc/cc methods); "
-                          "results and simulated I/O are identical to serial")
+                     help="worker processes for cluster execution "
+                          "(sc/rand-sc/cc methods): above 1, clusters are "
+                          "sharded across processes over shared-memory page "
+                          "blocks; results and simulated I/O are identical "
+                          "to serial")
     cmd.add_argument("--prefilter", default=None,
                      choices=["approximate"],
                      help="sketch prefilter cascade: unmark cells whose "
@@ -234,7 +232,6 @@ def _run_join(args) -> int:
         count_only=args.pairs_out is None,
         recorder=recorder,
         workers=args.workers,
-        shard_strategy=args.shard_strategy,
         prefilter=prefilter,
         explain=args.explain_out is not None,
     )

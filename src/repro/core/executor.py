@@ -16,47 +16,31 @@ buffer pool, so step 1 is pure accounting: it also replays one fetch per
 entry side, the buffer hits a join of each page pair from the pool would
 score.  Where the joins run therefore never changes a simulated counter.
 
-Parallelism comes in two flavours, both preserving bit-identical
-results and accounting:
+Parallel execution runs in worker *processes*
+(:func:`execute_clusters_sharded`), with the same results and
+accounting as the serial loop: the scheduled cluster list is
+partitioned into shard-local sets
+(:func:`repro.core.planner.plan_shards`), the datasets' backing arrays
+are published once through shared memory (:mod:`repro.storage.shm`)
+and per-shard worker processes run the cluster cascades against
+zero-copy views with their own recorders, while the parent replays the
+pool/disk accounting in full serial schedule order.  Workers return
+each cluster's :class:`~repro.core.joiners.ClusterResult` — pair
+arrays, about 16 bytes per pair through the pipe — and the parent
+absorbs them in schedule order.  Counters, audits and the merged pairs
+list are therefore bit-identical to serial; per-shard staging deltas
+are additionally attributed to ``executor.shard.<k>.*`` counters whose
+sums equal the serial totals exactly.  See ``docs/execution_modes.md``.
 
-* **Threads** (``execute_clusters(..., workers=k)``): the CPU half of
-  step 2 is dispatched to a thread pool — clusters are independent
-  units of work (each owns its buffer-resident pages), so their
-  cascades run concurrently while the main thread walks the
-  schedule.  All buffer and disk traffic stays on the main thread in
-  exactly the serial order — the simulated I/O counts (Lemma 1/2
-  accounting) are identical to a serial run by construction — and
-  per-worker results are merged in schedule order, so the outcome
-  (pairs list included) is deterministic and equal to the serial one.
-  The GIL serialises the Python-side merge, so threads are the
-  *compatibility fallback* (no picklable state needed, works with any
-  joiner); for process-level parallelism use the sharded path.
-* **Processes** (:func:`execute_clusters_sharded`): the scheduled
-  cluster list is partitioned into shard-local sets
-  (:func:`repro.core.planner.plan_shards`), the datasets' backing
-  arrays are published once through shared memory
-  (:mod:`repro.storage.shm`) and per-shard worker processes run the
-  cluster cascades against zero-copy views with their own
-  recorders, while the parent replays the pool/disk accounting in full
-  serial schedule order.  Workers return each cluster's
-  :class:`~repro.core.joiners.ClusterResult` — pair arrays, about 16
-  bytes per pair through the pipe — and the parent absorbs them in
-  schedule order.  Counters, audits and the merged pairs list are
-  therefore bit-identical to serial by the same argument as the thread
-  path; per-shard staging deltas are additionally attributed to
-  ``executor.shard.<k>.*`` counters whose sums equal the serial totals
-  exactly.  See ``docs/execution_modes.md`` for the decision table.
-
-Every path folds results through :meth:`ExecutionOutcome.absorb`, the
+Both paths fold results through :meth:`ExecutionOutcome.absorb`, the
 one place a join's pairs become the Python ``(int, int)`` tuples
 ``JoinResult.pairs`` lists.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +50,9 @@ from repro.obs.audit import LemmaAuditor
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PagedDataset
+
+if TYPE_CHECKING:
+    from repro.core.planner import ShardPlan
 
 __all__ = [
     "execute_clusters",
@@ -109,40 +96,26 @@ def execute_clusters(
     r_dataset: PagedDataset,
     s_dataset: PagedDataset,
     joiner: PagePairJoiner,
-    workers: int = 1,
     recorder: Recorder = NULL_RECORDER,
     auditor: Optional[LemmaAuditor] = None,
 ) -> ExecutionOutcome:
-    """Process clusters in the given order; returns the measured outcome.
+    """Process clusters serially in the given order; returns the outcome.
 
     ``auditor`` overrides the Lemma auditor (the EXPLAIN layer passes a
     record-keeping one so per-cluster bound/observed rows survive the
     run); by default one is created whenever the recorder records.
 
-    ``workers > 1`` parallelises the joins across a *thread* pool (one
-    task per cluster) without changing any simulated I/O count or the
-    result; see the module docstring for the determinism argument.
-    Threads are the compatibility fallback — they work with any joiner
-    and any platform but the GIL caps the speedup; for process-level
-    parallelism use :func:`execute_clusters_sharded` (or
-    ``join(..., shard_strategy=...)``), which validates its worker
-    count against the platform's start methods up front and raises a
-    clear error instead of hanging when ``workers > os.cpu_count()``
-    meets a fork-less platform (see
-    :func:`repro.core.sharding.resolve_start_method`).
-
     With a recording ``recorder``, each cluster is additionally audited
     against the paper's Lemma 1/2 read bounds: the disk-transfer delta
     observed while staging and joining the cluster must not exceed
     ``min(e + min(r, c), r + c)`` (see :class:`~repro.obs.audit.LemmaAuditor`).
-    The audit reads the disk counters on the main thread only, so it is
-    identical under serial and parallel execution.
+
+    Works with any joiner that has a ``join_cluster(entries)`` method;
+    for process-level parallelism use :func:`execute_clusters_sharded`.
 
     Raises ``ValueError`` if any cluster does not fit the pool's available
     frames (Lemma 2's precondition — clustering must have enforced it).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     pool.attach(r_dataset)
     pool.attach(s_dataset)
     outcome = ExecutionOutcome()
@@ -151,39 +124,15 @@ def execute_clusters(
     if auditor is None and recorder.enabled:
         auditor = LemmaAuditor(recorder)
     disk_stats = pool.disk.stats
-    if workers == 1:
-        for index, cluster in enumerate(ordered_clusters):
-            transfers_before = disk_stats.transfers
-            with recorder.span("execute.cluster"):
-                _stage_cluster_pinned(cluster, pool, r_id, s_id, outcome)
-                outcome.absorb(joiner.join_cluster(cluster.entries))
-            if auditor is not None:
-                auditor.check_cluster(
-                    cluster, disk_stats.transfers - transfers_before, index
-                )
-        _count_executor_totals(recorder, outcome, len(ordered_clusters))
-        return outcome
-
-    futures: List[Future] = []
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        for index, cluster in enumerate(ordered_clusters):
-            transfers_before = disk_stats.transfers
-            # The span covers staging only — the joins run on worker
-            # threads and appear as their own (parentless, per-thread)
-            # ``execute.megabatch`` spans.
-            with recorder.span("execute.cluster"):
-                _stage_cluster_pinned(cluster, pool, r_id, s_id, outcome)
-            if auditor is not None:
-                # All of a cluster's physical reads happen above (the
-                # worker only reads columnar views), so the delta is
-                # complete here — same instant as the serial audit.
-                auditor.check_cluster(
-                    cluster, disk_stats.transfers - transfers_before, index
-                )
-            futures.append(executor.submit(joiner.join_cluster, cluster.entries))
-        # Merge in schedule order regardless of completion order.
-        for future in futures:
-            outcome.absorb(future.result())
+    for index, cluster in enumerate(ordered_clusters):
+        transfers_before = disk_stats.transfers
+        with recorder.span("execute.cluster"):
+            _stage_cluster_pinned(cluster, pool, r_id, s_id, outcome)
+            outcome.absorb(joiner.join_cluster(cluster.entries))
+        if auditor is not None:
+            auditor.check_cluster(
+                cluster, disk_stats.transfers - transfers_before, index
+            )
     _count_executor_totals(recorder, outcome, len(ordered_clusters))
     return outcome
 
@@ -196,36 +145,33 @@ def execute_clusters_sharded(
     joiner: PagePairJoiner,
     workers: int = 2,
     recorder: Recorder = NULL_RECORDER,
-    shard_strategy="affinity",
+    plan: Optional[ShardPlan] = None,
     auditor: Optional[LemmaAuditor] = None,
     explain=None,
 ) -> ExecutionOutcome:
     """Process clusters with per-shard worker *processes*; same outcome.
 
     The schedule is partitioned into at most ``workers`` shard-local
-    cluster sets (``shard_strategy``: ``"affinity"``, planned by
-    :func:`repro.core.planner.plan_shards`, or a ready
-    :class:`~repro.core.planner.ShardPlan` — property tests inject
-    arbitrary partitions this way).  Workers rebuild the datasets from
-    shared memory and run the join cascades; the parent replays **all**
-    simulated I/O (staging, buffer hits, Lemma audits) serially in
-    global schedule order while they compute, then absorbs the
-    per-cluster pair arrays they return in schedule order.  The outcome
-    — pairs list included — and every simulated counter are
-    bit-identical to ``execute_clusters(..., workers=1)``; per-shard
-    staging deltas are counted under
-    ``executor.shard.<k>.pages_read`` / ``.pages_reused``
-    (their sums equal the serial totals by construction — see
+    cluster sets by :func:`repro.core.planner.plan_shards`, unless
+    ``plan`` hands over a ready :class:`~repro.core.planner.ShardPlan`
+    (property tests inject arbitrary partitions this way).  Workers
+    rebuild the datasets from shared memory and run the join cascades;
+    the parent replays **all** simulated I/O (staging, buffer hits,
+    Lemma audits) serially in global schedule order while they compute,
+    then absorbs the per-cluster pair arrays they return in schedule
+    order.  The outcome — pairs list included — and every simulated
+    counter are bit-identical to :func:`execute_clusters`; per-shard
+    staging deltas are counted under ``executor.shard.<k>.pages_read``
+    / ``.pages_reused`` (their sums equal the serial totals by
+    construction — see
     ``repro.obs.recorder.SHARDING_VARIANT_COUNTER_PREFIXES``).
 
-    Falls back to the thread pool when shared memory is unavailable on
-    the platform (counter ``executor.shard.fallback_threads``).  Raises
-    ``ValueError`` for joiners without a picklable shard recipe (custom
-    joiners — use threads for those) and ``RuntimeError`` when a
-    worker process dies or the start-method validation fails.
+    Runs the serial loop when shared memory is unavailable on the
+    platform.  Raises ``ValueError`` for joiners without a picklable
+    shard recipe (custom joiners — run those with
+    :func:`execute_clusters`) and ``RuntimeError`` when a worker process
+    dies or the start-method validation fails.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     from repro.core.sharding import (
         build_shard_task,
         resolve_start_method,
@@ -238,24 +184,20 @@ def execute_clusters_sharded(
     if not shardable_joiner(joiner):
         raise ValueError(
             f"joiner {type(joiner).__name__} cannot be shipped to "
-            "shard processes; use the thread path (execute_clusters) instead"
+            "shard processes; run it serially with execute_clusters instead"
         )
     if not shm_available():  # pragma: no cover - platform without shm
-        recorder.count("executor.shard.fallback_threads")
         return execute_clusters(
             ordered_clusters, pool, r_dataset, s_dataset, joiner,
-            workers=workers, recorder=recorder, auditor=auditor,
+            recorder=recorder, auditor=auditor,
         )
     # Lazy import: planner imports core.join, which imports this module.
-    from repro.core.planner import ShardPlan, plan_shards
+    from repro.core.planner import plan_shards
 
-    if isinstance(shard_strategy, ShardPlan):
-        plan = shard_strategy
-        plan.validate(len(ordered_clusters))
+    if plan is None:
+        plan = plan_shards(ordered_clusters, r_dataset, s_dataset, workers)
     else:
-        plan = plan_shards(
-            ordered_clusters, r_dataset, s_dataset, workers, shard_strategy
-        )
+        plan.validate(len(ordered_clusters))
     if explain is not None:
         explain.snapshot_shards(plan)
 

@@ -280,6 +280,19 @@ def require_finite(values, what: str) -> np.ndarray:
     return arr
 
 
+def require_positive_int(name: str, value) -> None:
+    """``ValueError`` unless ``value`` is a positive int.
+
+    A ``bool`` is not a count; numpy integers are.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < 1
+    ):
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
 def require_same_shape(r: IndexedDataset, s: IndexedDataset) -> None:
     """``ValueError`` unless ``r`` and ``s`` hold objects of one shape.
 
@@ -314,29 +327,23 @@ def require_same_shape(r: IndexedDataset, s: IndexedDataset) -> None:
         )
 
 
-def _check_execution_arguments(workers, shard_strategy) -> None:
-    """``ValueError`` unless ``workers`` is a positive int and
-    ``shard_strategy`` is ``None``, a strategy name or a ``ShardPlan``.
-
-    A ``bool`` is not a worker count; numpy integers are.
+def _check_execution_arguments(buffer_pages, workers, shard_strategy) -> None:
+    """``ValueError`` unless ``buffer_pages`` and ``workers`` are positive
+    ints and ``shard_strategy`` is ``None``, ``"affinity"`` or a
+    ``ShardPlan``.
     """
     # Lazy import: the planner imports this module.
-    from repro.core.planner import SHARD_STRATEGIES, ShardPlan
+    from repro.core.planner import ShardPlan
 
-    if (
-        isinstance(workers, bool)
-        or not isinstance(workers, (int, np.integer))
-        or workers < 1
-    ):
-        raise ValueError(f"workers must be a positive int, got {workers!r}")
+    require_positive_int("buffer_pages", buffer_pages)
+    require_positive_int("workers", workers)
     if not (
-        shard_strategy is None
+        shard_strategy in (None, "affinity")
         or isinstance(shard_strategy, ShardPlan)
-        or (isinstance(shard_strategy, str) and shard_strategy in SHARD_STRATEGIES)
     ):
         raise ValueError(
-            f"shard_strategy must be None, one of {SHARD_STRATEGIES} or a "
-            f"ShardPlan, got {shard_strategy!r}"
+            "shard_strategy must be None, 'affinity' or a ShardPlan, "
+            f"got {shard_strategy!r}"
         )
 
 
@@ -384,9 +391,9 @@ def join(
     of unordered pairs with distinct ids).  Raises ``ValueError`` before
     any work for an unknown method, a negative or NaN ``epsilon`` (or an
     infinite one on text), a ``max_filter_rounds`` that is not a
-    non-negative int, ``workers`` that is not a positive int, an unknown
-    ``shard_strategy`` (on every method), or sides that
-    :func:`require_same_shape` rejects.
+    non-negative int, ``buffer_pages`` or ``workers`` that is not a
+    positive int, an unknown ``shard_strategy`` (on every method), or
+    sides that :func:`require_same_shape` rejects.
 
     Parameters of note
     ------------------
@@ -406,26 +413,22 @@ def join(
         Buffer replacement policy; the paper (and the default) is LRU.
         ``"fifo"`` and ``"mru"`` exist for the replacement-policy ablation.
     workers:
-        Parallelism width for cluster execution (``sc``/``rand-sc``/``cc``
-        only; other methods check it, then ignore it).  Clusters are
-        independent units of work, so their cascades run concurrently;
-        simulated I/O counts and the result are identical to
-        ``workers=1``.  With ``shard_strategy=None`` (default) this is a
-        *thread* pool — the compatibility fallback; combine with
-        ``shard_strategy`` for process-level parallelism.
-    shard_strategy:
-        ``None`` (default) keeps the thread path.  ``"affinity"`` (the
-        planner's strategy) or a prepared
-        :class:`~repro.core.planner.ShardPlan` switches cluster
-        execution to the process-sharded executor
+        Worker processes for cluster execution (``sc``/``rand-sc``/``cc``
+        only; other methods check it, then ignore it).  ``workers > 1``
+        runs the process-sharded executor
         (:func:`repro.core.executor.execute_clusters_sharded`): the
         schedule is partitioned into ``workers`` shard-local sets,
         worker processes join them against shared-memory dataset views,
         and the parent replays the full simulated I/O serially — the
         result pair list, every simulated counter, and the Lemma audits
-        are bit-identical to the serial path.  Only ``sc``/``rand-sc``/
-        ``cc`` shard; other methods check it, then ignore it.  See
+        are bit-identical to ``workers=1``.  See
         ``docs/execution_modes.md``.
+    shard_strategy:
+        How the sharded executor partitions the schedule.  ``None``
+        (default) and ``"affinity"`` both mean the planner's plan
+        (:func:`repro.core.planner.plan_shards`); a prepared
+        :class:`~repro.core.planner.ShardPlan` is used as given.  Any
+        value other than ``None`` shards, even at ``workers=1``.
     matrix_cache:
         Directory of the prediction-matrix cache.  When set, the matrix
         is loaded from the cache if a build keyed by (both datasets'
@@ -480,7 +483,7 @@ def join(
     if method not in JOIN_METHODS:
         raise ValueError(f"unknown join method {method!r}; expected one of {JOIN_METHODS}")
     check_matrix_arguments(epsilon, max_filter_rounds)
-    _check_execution_arguments(workers, shard_strategy)
+    _check_execution_arguments(buffer_pages, workers, shard_strategy)
     require_same_shape(r, s)
     if r.kind == "text" and np.isinf(epsilon):
         # The banded edit-distance DP takes int(epsilon) as its band.
@@ -495,6 +498,9 @@ def join(
     model = cost_model or DEFAULT_COST_MODEL
     rec = recorder if recorder is not None else NULL_RECORDER
     self_join = r is s
+    sharded = workers > 1 or shard_strategy is not None
+    # None and "affinity" both mean the planner's plan.
+    shard_plan = None if shard_strategy in (None, "affinity") else shard_strategy
     disk = SimulatedDisk(model, recorder=rec)
     pool = BufferPool(disk, buffer_pages, policy=buffer_policy)
     pool.attach(r.paged)
@@ -512,8 +518,8 @@ def join(
             buffer_pages=buffer_pages,
             workers=workers,
             shard_strategy=(
-                shard_strategy
-                if shard_strategy is None or isinstance(shard_strategy, str)
+                None if not sharded
+                else "affinity" if shard_plan is None
                 else "custom-plan"
             ),
             self_join=self_join,
@@ -612,15 +618,15 @@ def join(
             )
         explain_auditor = collector.auditor if collector is not None else None
         with rec.span("join.execution") as exec_span:
-            if shard_strategy is not None:
+            if sharded:
                 outcome = execute_clusters_sharded(
                     ordered, pool, r.paged, s.paged, joiner, workers=workers,
-                    recorder=rec, shard_strategy=shard_strategy,
+                    recorder=rec, plan=shard_plan,
                     auditor=explain_auditor, explain=collector,
                 )
             else:
                 outcome = execute_clusters(
-                    ordered, pool, r.paged, s.paged, joiner, workers=workers,
+                    ordered, pool, r.paged, s.paged, joiner,
                     recorder=rec, auditor=explain_auditor,
                 )
         stage_seconds["execution"] = exec_span.duration

@@ -40,7 +40,7 @@ from repro.core.square import square_clustering
 from repro.core.sweep import build_prediction_matrix
 from repro.costmodel import DEFAULT_COST_MODEL, CostModel
 
-__all__ = ["JoinPlan", "plan_join", "ShardPlan", "plan_shards", "SHARD_STRATEGIES"]
+__all__ = ["JoinPlan", "plan_join", "ShardPlan", "plan_shards"]
 
 
 @dataclass(frozen=True)
@@ -116,21 +116,21 @@ def plan_join(
 
 # -- shard planning ----------------------------------------------------------------
 
-SHARD_STRATEGIES = ("affinity",)
-
-
 @dataclass(frozen=True)
 class ShardPlan:
     """A partition of the scheduled cluster list into shard-local sets.
 
-    ``shards[k]`` holds the *schedule indices* (positions in the ordered
-    cluster list, ascending) assigned to shard ``k`` — within a shard
-    clusters keep their schedule order, so each worker still walks its
-    clusters in sharing-graph order.  ``costs[k]`` is the shard's summed
-    estimated refine work in object comparisons (exact work-matrix cell
-    counts); ``duplicated_pages`` counts page slots present on more than
-    one shard (``Σ_k |pages(shard_k)| − |∪_k pages(shard_k)|``), the
-    price of splitting the schedule.
+    ``strategy`` names how the partition was made (``"affinity"`` for
+    :func:`plan_shards`) and labels the EXPLAIN artifact's shard
+    section.  ``shards[k]`` holds the *schedule indices* (positions in
+    the ordered cluster list, ascending) assigned to shard ``k`` —
+    within a shard clusters keep their schedule order, so each worker
+    still walks its clusters in sharing-graph order.  ``costs[k]`` is
+    the shard's summed estimated refine work in object comparisons
+    (exact work-matrix cell counts); ``duplicated_pages`` counts page
+    slots present on more than one shard
+    (``Σ_k |pages(shard_k)| − |∪_k pages(shard_k)|``), the price of
+    splitting the schedule.
 
     Any hand-built ``ShardPlan`` (e.g. a random partition in a property
     test) is accepted by the sharded executor after :meth:`validate`.
@@ -177,12 +177,11 @@ def plan_shards(
     r_dataset,
     s_dataset,
     workers: int,
-    strategy: str = "affinity",
 ) -> ShardPlan:
     """Split the scheduled clusters into at most ``workers`` shard sets.
 
-    The one strategy, ``"affinity"``, is a longest-processing-time greedy
-    on the exact per-cluster cell counts, with a page-affinity tie-break:
+    The ``"affinity"`` plan: a longest-processing-time greedy on the
+    exact per-cluster cell counts, with a page-affinity tie-break:
     among shards whose load is within slack of the minimum, the cluster
     goes to the one sharing the most pages with it.  It balances refine
     work first, duplication second.  Other partitions reach the sharded
@@ -193,10 +192,6 @@ def plan_shards(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if strategy not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"unknown shard strategy {strategy!r}; expected one of {SHARD_STRATEGIES}"
-        )
     num = len(ordered_clusters)
     k = min(workers, num)
     costs = _cluster_costs(ordered_clusters, r_dataset, s_dataset)
@@ -206,7 +201,7 @@ def plan_shards(
         for cluster in ordered_clusters
     ]
     if num == 0:
-        return ShardPlan(strategy=strategy, shards=(), costs=(), duplicated_pages=0)
+        return ShardPlan(strategy="affinity", shards=(), costs=(), duplicated_pages=0)
     assign = _affinity_assign(costs, page_sets, k)
     members = tuple(
         tuple(sorted(shard)) for shard in assign if shard
@@ -218,7 +213,7 @@ def plan_shards(
     union_pages = set().union(*shard_pages) if shard_pages else set()
     duplicated = sum(len(p) for p in shard_pages) - len(union_pages)
     return ShardPlan(
-        strategy=strategy,
+        strategy="affinity",
         shards=members,
         costs=shard_costs,
         duplicated_pages=duplicated,

@@ -114,10 +114,6 @@ def cluster_page_codes(cluster: Cluster, self_join: bool) -> np.ndarray:
 # -- internals -----------------------------------------------------------------
 
 
-# Backwards-compatible internal alias (pre-existing callers).
-_page_codes = cluster_page_codes
-
-
 def _sharing_edges(
     clusters: Sequence[Cluster],
     self_join: bool,
@@ -131,7 +127,7 @@ def _sharing_edges(
     if num < 2:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    codes = [_page_codes(cluster, self_join) for cluster in clusters]
+    codes = [cluster_page_codes(cluster, self_join) for cluster in clusters]
     universe = np.unique(np.concatenate(codes))
     # float32 keeps the counts exact (shared-page counts are far below
     # 2**24) at half the matmul cost of float64.

@@ -23,7 +23,8 @@ entry lists), and submits them to a process pool.  Each worker:
 
 Only the built-in joiners (:class:`~repro.core.joiners.NumericPagePairJoiner`,
 :class:`~repro.core.joiners.TextPagePairJoiner`) have a picklable recipe;
-anything else must use the thread fallback.
+anything else runs serially through
+:func:`~repro.core.executor.execute_clusters`.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ def resolve_start_method(workers: int) -> str:
             "start method is unavailable on this platform: spawn-started "
             "workers would oversubscribe the CPUs while paying a full "
             "interpreter start each, which stalls rather than fails. "
-            "Reduce workers, or use the thread fallback "
-            "(shard_strategy=None)."
+            "Reduce workers, or run serially (workers=1)."
         )
     return "spawn"
 
@@ -127,7 +127,7 @@ def _joiner_recipe(joiner, arena: ShmArena) -> Dict[str, Any]:
     raise ValueError(
         f"joiner {type(joiner).__name__} has no picklable shard recipe; "
         "sharded execution supports the built-in numeric/text joiners only "
-        "(use the thread fallback, shard_strategy=None, for custom joiners)"
+        "(run custom joiners serially with execute_clusters)"
     )
 
 

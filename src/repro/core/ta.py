@@ -83,11 +83,3 @@ def threshold_argmin(
     if best_item is None:
         return None
     return best_item, best_cost
-
-
-def _hashable(item) -> bool:
-    try:
-        hash(item)
-    except TypeError:
-        return False
-    return True

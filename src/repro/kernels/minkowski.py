@@ -42,11 +42,6 @@ _BLOCK_CELL_BUDGET = 1 << 22
 _GRAM_SLACK = 2.0**-30
 
 
-def _block_chunk_rows(num_cols: int, cell_budget: int = _BLOCK_CELL_BUDGET) -> int:
-    """Left rows per chunk so a ``(chunk, num_cols)`` temporary fits the budget."""
-    return max(1, cell_budget // max(1, num_cols))
-
-
 def minkowski_pairs(
     left: np.ndarray,
     right: np.ndarray,

@@ -180,7 +180,8 @@ def format_span_tree(recorder: InMemoryRecorder, max_depth: int = 6) -> str:
     Sibling spans sharing a name are merged into one line (``×N`` with
     summed duration) — a join executes thousands of ``execute.cluster``
     spans and nobody wants to scroll through them individually.  Spans
-    from worker threads have no parent and appear as extra roots.
+    merged from shard worker processes have no parent and appear as
+    extra roots.
     """
     spans = [sp for sp in recorder.spans if sp.start is not None]
     if not spans:

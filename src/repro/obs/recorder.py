@@ -283,7 +283,8 @@ class InMemoryRecorder(Recorder):
     Span nesting is tracked per thread (a ``threading.local`` stack): a
     span opened on a worker thread while no span is open *on that
     thread* records with ``parent_id=None`` and its own ``thread_id`` —
-    exporters group such spans into per-thread tracks.
+    exporters group such spans into per-thread tracks.  Spans folded in
+    by :meth:`merge` get tracks of their own.
     """
 
     enabled = True
@@ -292,6 +293,7 @@ class InMemoryRecorder(Recorder):
         self._lock = threading.Lock()
         self._stacks = threading.local()
         self._next_span_id = 0
+        self._merged_tracks = 0
         self.origin = time.perf_counter()
         self.origin_unix = time.time()
         self.spans: List[Span] = []
@@ -413,6 +415,13 @@ class InMemoryRecorder(Recorder):
         links remapped within the merged batch) and, when ``span_attrs``
         is given, those attributes added — the sharded executor tags each
         worker's spans with its shard index this way.
+
+        Merged spans get a track of their own: each thread of the merged
+        batch maps to a fresh negative ``thread_id``, which no thread of
+        this process has.  A forked shard worker's main thread keeps the
+        ident of the parent thread that forked it, so keeping that ident
+        would put the worker's spans on the parent's track, overlapping
+        the spans open there.
         """
         if isinstance(other, InMemoryRecorder):
             other = other.export_state()
@@ -435,6 +444,7 @@ class InMemoryRecorder(Recorder):
                 self.events.append(rebased)
                 merged_events.append(rebased)
             id_map: Dict[int, int] = {}
+            track_map: Dict[Any, int] = {}
             for row in other["spans"]:
                 if row["span_id"] is not None:
                     id_map[row["span_id"]] = self._next_span_id
@@ -448,7 +458,10 @@ class InMemoryRecorder(Recorder):
                 span.end = row["end"]
                 span.span_id = id_map.get(row["span_id"])
                 span.parent_id = id_map.get(row["parent_id"])
-                span.thread_id = row["thread_id"]
+                if row["thread_id"] not in track_map:
+                    self._merged_tracks += 1
+                    track_map[row["thread_id"]] = -self._merged_tracks
+                span.thread_id = track_map[row["thread_id"]]
                 self.spans.append(span)
                 merged_spans.append(span)
         # Stream through the subclass hooks outside the lock, so e.g.

@@ -62,10 +62,10 @@ def subsequence_join(
     Pass ``second=None`` (or the same object) for a self join; the result
     then contains each unordered offset pair once, self matches excluded.
     For numeric sequences, ``dtw_band`` switches the distance from the
-    L_p norm to banded dynamic time warping.  ``workers`` parallelises
-    cluster execution for the clustering methods (see
-    :func:`repro.core.join.join`); results and simulated I/O are
-    identical to the serial run.  ``recorder`` forwards a
+    L_p norm to banded dynamic time warping.  ``workers > 1`` shards
+    cluster execution across worker processes for the clustering
+    methods (see :func:`repro.core.join.join`); results and simulated
+    I/O are identical to the serial run.  ``recorder`` forwards a
     :class:`repro.obs.Recorder` to the underlying page join for span
     traces and metrics.  ``prefilter`` forwards ``"approximate"`` or a
     :class:`repro.sketch.PrefilterConfig` (the sketch cascade prunes under

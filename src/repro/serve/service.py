@@ -56,20 +56,51 @@ _JOIN_FIELDS = frozenset(
 )
 
 
-def _required(body: Dict[str, Any], key: str, types) -> Any:
+_ABSENT = object()
+
+
+def _field(body: Dict[str, Any], key: str, types, default: Any = _ABSENT) -> Any:
+    """``body[key]`` if it is one of ``types``, else ``ValueError``.
+
+    Nothing is coerced.  JSON ``true``/``false`` parse to ``bool``, which
+    Python counts as an ``int``, so a ``bool`` passes only where
+    ``types`` names ``bool``.  An absent key gives ``default``, or is an
+    error when there is none.
+    """
     if key not in body:
-        raise ValueError(f"request body is missing required field {key!r}")
+        if default is _ABSENT:
+            raise ValueError(f"request body is missing required field {key!r}")
+        return default
     value = body[key]
-    if not isinstance(value, types):
-        expected = (
-            types.__name__
-            if isinstance(types, type)
-            else "/".join(t.__name__ for t in types)
+    if not isinstance(value, types) or (
+        isinstance(value, bool) and bool not in types
+    ):
+        expected = "/".join(
+            "null" if t is type(None) else t.__name__ for t in types
         )
         raise ValueError(
             f"field {key!r} must be {expected}, got {type(value).__name__}"
         )
     return value
+
+
+_NUMBER = (int, float)
+_COUNT = (int,)
+_FLAG = (bool,)
+# The type of each optional join field.  ``join()`` and the session
+# check values (a positive buffer, a known method, ...); this checks
+# types, so a JSON string or float is never coerced into a count or flag.
+_JOIN_FIELD_TYPES = {
+    "s": (str,),
+    "method": (str,),
+    "buffer_pages": (int, type(None)),
+    "max_filter_rounds": _COUNT,
+    "count_only": _FLAG,
+    "include_pairs": _FLAG,
+    "explain": _FLAG,
+    "memoize": _FLAG,
+    "request_id": (str, type(None)),
+}
 
 
 class JoinService:
@@ -93,16 +124,16 @@ class JoinService:
         }
 
     def register_dataset(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        dataset_id = _required(body, "id", str)
-        kind = _required(body, "kind", str)
+        dataset_id = _field(body, "id", (str,))
+        kind = _field(body, "kind", (str,))
         page_capacity = None
         if kind == "vector":
-            vectors = np.asarray(_required(body, "vectors", list), dtype=np.float64)
-            page_capacity = int(body.get("page_capacity", 64))
+            vectors = np.asarray(_field(body, "vectors", (list,)), dtype=np.float64)
+            page_capacity = _field(body, "page_capacity", _COUNT, 64)
             dataset = IndexedDataset.from_points(
                 vectors,
                 page_capacity=page_capacity,
-                p=float(body.get("p", 2.0)),
+                p=float(_field(body, "p", _NUMBER, 2.0)),
                 dataset_id=dataset_id,
             )
         elif kind == "text":
@@ -110,20 +141,19 @@ class JoinService:
             if "alphabet" in body:
                 kwargs["alphabet"] = body["alphabet"]
             dataset = IndexedDataset.from_string(
-                _required(body, "text", str),
-                window_length=int(_required(body, "window_length", int)),
-                windows_per_page=int(body.get("windows_per_page", 256)),
+                _field(body, "text", (str,)),
+                window_length=_field(body, "window_length", _COUNT),
+                windows_per_page=_field(body, "windows_per_page", _COUNT, 256),
                 dataset_id=dataset_id,
                 **kwargs,
             )
         elif kind == "series":
-            values = np.asarray(_required(body, "values", list), dtype=np.float64)
-            band = body.get("dtw_band")
+            values = np.asarray(_field(body, "values", (list,)), dtype=np.float64)
             dataset = IndexedDataset.from_time_series(
                 values,
-                window_length=int(_required(body, "window_length", int)),
-                windows_per_page=int(body.get("windows_per_page", 256)),
-                dtw_band=None if band is None else int(band),
+                window_length=_field(body, "window_length", _COUNT),
+                windows_per_page=_field(body, "windows_per_page", _COUNT, 256),
+                dtw_band=_field(body, "dtw_band", (int, type(None)), None),
                 dataset_id=dataset_id,
             )
         else:
@@ -158,10 +188,12 @@ class JoinService:
                 f"unknown join field(s) {', '.join(map(repr, unknown))}; "
                 f"accepted: {', '.join(sorted(_JOIN_FIELDS))}"
             )
+        for key, types in _JOIN_FIELD_TYPES.items():
+            _field(body, key, types, None)
         kwargs = dict(body)
-        r_id = _required(kwargs, "r", str)
-        s_id = str(kwargs.pop("s", r_id))
-        epsilon = float(_required(kwargs, "epsilon", (int, float)))
+        r_id = _field(kwargs, "r", (str,))
+        s_id = kwargs.pop("s", r_id)
+        epsilon = float(_field(kwargs, "epsilon", _NUMBER))
         kwargs.pop("r", None)
         kwargs.pop("epsilon", None)
         runner = self.session.subsequence_join if subsequence else self.session.join

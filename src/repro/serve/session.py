@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.join import IndexedDataset, join
+from repro.core.join import IndexedDataset, join, require_positive_int
 from repro.core.sweep import check_matrix_arguments
 from repro.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.obs.recorder import InMemoryRecorder
@@ -398,7 +398,8 @@ class JoinSession:
         # Before the memo key: a malformed argument must not match a
         # memoised request or key a cache entry of its own.
         check_matrix_arguments(epsilon, max_filter_rounds)
-        frames = buffer_pages or self.request_buffer_pages
+        frames = self.request_buffer_pages if buffer_pages is None else buffer_pages
+        require_positive_int("buffer_pages", frames)
         req = request_id or uuid.uuid4().hex[:12]
         started = time.perf_counter()
         # Repeat-request fast path: identical shapes replay the memoised
@@ -554,8 +555,8 @@ class JoinSession:
             fp_s,
             float(epsilon),
             method,
-            int(frames),
-            int(max_filter_rounds),
+            frames,
+            max_filter_rounds,
             bool(count_only),
             bool(include_pairs),
         )

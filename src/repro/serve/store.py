@@ -23,7 +23,7 @@ many request threads at once.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.prediction import PredictionMatrix
 from repro.sketch.signatures import PageSketches
@@ -93,10 +93,6 @@ class ResidentStore:
 
     # -- direct access (incremental-append patching) --------------------------
 
-    def has_matrix(self, key: str) -> bool:
-        with self._lock:
-            return key in self._matrices
-
     def peek_matrix(self, key: str) -> Optional[PredictionMatrix]:
         """The resident matrix itself (no copy, no hit accounting).
 
@@ -119,10 +115,6 @@ class ResidentStore:
         with self._lock:
             self._matrices.pop(key, None)
 
-    def has_sketches(self, key: str) -> bool:
-        with self._lock:
-            return key in self._sketches
-
     def peek_sketches(self, key: str) -> Optional[PageSketches]:
         with self._lock:
             return self._sketches.get(key)
@@ -139,14 +131,6 @@ class ResidentStore:
             self._sketches.pop(key, None)
 
     # -- introspection --------------------------------------------------------
-
-    def matrix_keys(self) -> List[str]:
-        with self._lock:
-            return list(self._matrices)
-
-    def sketch_keys(self) -> List[str]:
-        with self._lock:
-            return list(self._sketches)
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

@@ -153,11 +153,6 @@ class SimulatedDisk:
         for callback in self._subscribers:
             callback(dataset_id, page_no, block, sequential)
 
-    def read_batch(self, pages: Iterable[PageKey]) -> None:
-        """Read pages in the given order (no reordering — callers schedule)."""
-        for dataset_id, page_no in pages:
-            self.read(dataset_id, page_no)
-
     def charge_stream(self, transfers: int, seeks: int = 1) -> None:
         """Charge a modeled bulk sequential read without per-page calls.
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.join import JOIN_METHODS, IndexedDataset, join
 from repro.core.sweep import build_prediction_matrix, marked_box_pairs
 from repro.costmodel import CostModel
+from repro.obs import InMemoryRecorder
 
 
 class TestIndexedDatasetConstruction:
@@ -160,6 +161,18 @@ class TestJoinValidation:
         for method in JOIN_METHODS:
             with pytest.raises(ValueError, match="workers must be a positive int"):
                 join(r, s, 0.1, method=method, workers=workers)
+
+    @pytest.mark.parametrize("buffer_pages", [0, -3, 10.5, True, "10", None])
+    def test_buffer_pages_must_be_a_positive_int_before_any_work(
+        self, vector_pair, buffer_pages
+    ):
+        """A fractional buffer used to run, or fail inside pinning."""
+        r, s = vector_pair
+        for method in JOIN_METHODS:
+            rec = InMemoryRecorder()
+            with pytest.raises(ValueError, match="buffer_pages must be a positive int"):
+                join(r, s, 0.1, method=method, buffer_pages=buffer_pages, recorder=rec)
+            assert rec.spans == []
 
     @pytest.mark.parametrize("strategy", ["bogus", "chunk", 1, True])
     def test_shard_strategy_checked_on_every_method(self, vector_pair, strategy):

@@ -1,7 +1,8 @@
 """Parallel cluster execution: same answer, same simulated I/O as serial.
 
-The executor's contract (ISSUE 1 tentpole): with ``workers > 1`` all
-buffer/disk traffic stays on the main thread in serial order, so every
+With ``workers > 1`` clusters are joined in shard worker processes
+(:func:`~repro.core.executor.execute_clusters_sharded`), while all
+buffer/disk traffic stays in the parent in serial order, so every
 simulated counter — page reads, seeks, buffer hits, io seconds — is
 identical to ``workers = 1``, and results merge in schedule order so
 even the pairs *list* (not just the set) matches.
@@ -11,14 +12,15 @@ import numpy as np
 import pytest
 
 from repro.core.clusters import Cluster
-from repro.core.executor import execute_clusters
+from repro.core.executor import execute_clusters, execute_clusters_sharded
 from repro.core.join import IndexedDataset, join
+from repro.core.joiners import NumericPagePairJoiner
+from repro.distance.vector import MinkowskiDistance
+from repro.obs import SHARDING_VARIANT_COUNTER_PREFIXES, InMemoryRecorder
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import VectorPagedDataset
-from tests.oracles.joiners import EchoJoiner
-
-counting_joiner = EchoJoiner(comparisons=4, cpu=0.001)
+from repro.storage.shm import shm_available
 
 
 @pytest.fixture
@@ -32,6 +34,12 @@ def datasets():
     return r, s
 
 
+@pytest.fixture
+def joiner(cost_model, datasets):
+    r, s = datasets
+    return NumericPagePairJoiner(r, s, MinkowskiDistance(2), 3.0, cost_model, False)
+
+
 CLUSTERS = [
     Cluster(0, ((0, 0), (0, 1), (1, 0))),
     Cluster(1, ((1, 1), (2, 2))),
@@ -42,17 +50,15 @@ CLUSTERS = [
 
 class TestExecutorParallelism:
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_outcome_identical_to_serial(self, cost_model, datasets, workers):
+    def test_outcome_identical_to_serial(self, cost_model, datasets, joiner, workers):
         r, s = datasets
         serial_disk = SimulatedDisk(cost_model)
-        serial = execute_clusters(
-            CLUSTERS, BufferPool(serial_disk, 8), r, s, counting_joiner
-        )
+        serial = execute_clusters(CLUSTERS, BufferPool(serial_disk, 8), r, s, joiner)
         parallel_disk = SimulatedDisk(cost_model)
-        parallel = execute_clusters(
-            CLUSTERS, BufferPool(parallel_disk, 8), r, s, counting_joiner,
-            workers=workers,
+        parallel = execute_clusters_sharded(
+            CLUSTERS, BufferPool(parallel_disk, 8), r, s, joiner, workers=workers,
         )
+        assert serial.pairs, "calibration: the clusters should hold results"
         assert parallel.pairs == serial.pairs  # order included
         assert parallel.num_pairs == serial.num_pairs
         assert parallel.comparisons == serial.comparisons
@@ -64,17 +70,17 @@ class TestExecutorParallelism:
         assert parallel_disk.stats.buffer_hits == serial_disk.stats.buffer_hits
         assert parallel_disk.stats.io_seconds == serial_disk.stats.io_seconds
 
-    def test_rejects_bad_worker_count(self, disk, datasets):
+    def test_rejects_bad_worker_count(self, disk, datasets, joiner):
         r, s = datasets
         with pytest.raises(ValueError):
-            execute_clusters([], BufferPool(disk, 8), r, s, counting_joiner, workers=0)
+            execute_clusters_sharded([], BufferPool(disk, 8), r, s, joiner, workers=0)
 
-    def test_oversized_cluster_still_rejected(self, disk, datasets):
+    def test_oversized_cluster_still_rejected(self, disk, datasets, joiner):
         r, s = datasets
         too_big = Cluster(0, ((0, 0), (1, 1)))  # 4 pages > 3
         with pytest.raises(ValueError):
-            execute_clusters(
-                [too_big], BufferPool(disk, 3), r, s, counting_joiner, workers=2
+            execute_clusters_sharded(
+                [too_big], BufferPool(disk, 3), r, s, joiner, workers=2
             )
 
 
@@ -91,8 +97,53 @@ def _report_counters(result):
     )
 
 
+def _stable_counters(recorder):
+    return {
+        name: value
+        for name, value in recorder.metrics_snapshot()["counters"].items()
+        if not name.startswith(SHARDING_VARIANT_COUNTER_PREFIXES)
+    }
+
+
+def _inputs(kind):
+    """A small join of each object kind: ``(r, s, epsilon, buffer_pages)``."""
+    rng = np.random.default_rng(11)
+    if kind == "vector":
+        r = IndexedDataset.from_points(rng.random((400, 2)), page_capacity=16)
+        s = IndexedDataset.from_points(rng.random((300, 2)), page_capacity=16)
+        return r, s, 0.05, 10
+    if kind == "text":
+        text = "".join(rng.choice(list("ACGT"), size=1500))
+        ds = IndexedDataset.from_string(text, window_length=12, windows_per_page=64)
+        return ds, ds, 2, 8
+    ds = IndexedDataset.from_time_series(
+        rng.normal(size=600).cumsum(), window_length=12, windows_per_page=32,
+        dtw_band=2,
+    )
+    return ds, ds, 0.5, 10
+
+
 class TestJoinParallelism:
     """End-to-end: join(..., workers=k) replays workers=1 exactly."""
+
+    @pytest.mark.skipif(
+        not shm_available(), reason="platform without usable shared memory"
+    )
+    @pytest.mark.parametrize("kind", ["vector", "text", "dtw"])
+    def test_workers_alone_shard(self, kind):
+        """``workers=2`` without ``shard_strategy`` runs the sharded
+        executor, and its pairs, report and counters equal serial's."""
+        r, s, epsilon, buffer_pages = _inputs(kind)
+        serial_rec, sharded_rec = InMemoryRecorder(), InMemoryRecorder()
+        serial = join(r, s, epsilon, buffer_pages=buffer_pages, recorder=serial_rec)
+        sharded = join(
+            r, s, epsilon, buffer_pages=buffer_pages, workers=2, recorder=sharded_rec
+        )
+        assert sharded_rec.counter("executor.shards") >= 1
+        assert serial.num_pairs > 0
+        assert sharded.pairs == serial.pairs
+        assert _report_counters(sharded) == _report_counters(serial)
+        assert _stable_counters(sharded_rec) == _stable_counters(serial_rec)
 
     @pytest.mark.parametrize("method", ["sc", "cc", "rand-sc"])
     def test_spatial_join(self, rng, method):

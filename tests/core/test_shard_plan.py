@@ -1,4 +1,4 @@
-"""Shard planner: the affinity strategy partitions the schedule and balances.
+"""Shard planner: the affinity plan partitions the schedule and balances.
 
 The planner (ISSUE 6 tentpole, part a) splits the ordered cluster list
 into ``k`` shard-local sets using exact work-matrix cell counts for
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.clusters import Cluster
-from repro.core.planner import SHARD_STRATEGIES, ShardPlan, plan_shards
+from repro.core.planner import ShardPlan, plan_shards
 from repro.storage.page import VectorPagedDataset
 
 
@@ -36,11 +36,10 @@ CLUSTERS = [
 
 
 class TestPartitionInvariants:
-    @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 16])
-    def test_exact_partition(self, datasets, strategy, workers):
+    def test_exact_partition(self, datasets, workers):
         r, s = datasets
-        plan = plan_shards(CLUSTERS, r, s, workers, strategy)
+        plan = plan_shards(CLUSTERS, r, s, workers)
         plan.validate(len(CLUSTERS))
         covered = sorted(i for shard in plan.shards for i in shard)
         assert covered == list(range(len(CLUSTERS)))
@@ -48,10 +47,9 @@ class TestPartitionInvariants:
         assert 1 <= plan.num_shards <= min(workers, len(CLUSTERS))
         assert all(shard for shard in plan.shards)
 
-    @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
-    def test_members_ascend_within_shard(self, datasets, strategy):
+    def test_members_ascend_within_shard(self, datasets):
         r, s = datasets
-        plan = plan_shards(CLUSTERS, r, s, 3, strategy)
+        plan = plan_shards(CLUSTERS, r, s, 3)
         for shard in plan.shards:
             assert list(shard) == sorted(shard)
 
@@ -70,17 +68,14 @@ class TestPartitionInvariants:
 
     def test_deterministic(self, datasets):
         r, s = datasets
-        a = plan_shards(CLUSTERS, r, s, 3, "affinity")
-        b = plan_shards(CLUSTERS, r, s, 3, "affinity")
+        a = plan_shards(CLUSTERS, r, s, 3)
+        b = plan_shards(CLUSTERS, r, s, 3)
         assert a == b
 
     def test_rejects_bad_arguments(self, datasets):
         r, s = datasets
         with pytest.raises(ValueError):
             plan_shards(CLUSTERS, r, s, 0)
-        for strategy in ("zigzag", "chunk", "roundrobin"):
-            with pytest.raises(ValueError, match="unknown shard strategy"):
-                plan_shards(CLUSTERS, r, s, 2, strategy)
 
 
 class TestCosts:
@@ -94,11 +89,10 @@ class TestCosts:
             )
 
         total = sum(cluster_cost(c) for c in CLUSTERS)
-        for strategy in SHARD_STRATEGIES:
-            plan = plan_shards(CLUSTERS, r, s, 3, strategy)
-            assert sum(plan.costs) == total
-            for shard, cost in zip(plan.shards, plan.costs):
-                assert cost == sum(cluster_cost(CLUSTERS[i]) for i in shard)
+        plan = plan_shards(CLUSTERS, r, s, 3)
+        assert sum(plan.costs) == total
+        for shard, cost in zip(plan.shards, plan.costs):
+            assert cost == sum(cluster_cost(CLUSTERS[i]) for i in shard)
 
     def test_affinity_no_worse_balance_than_roundrobin(self, datasets, rng):
         """LPT greedy keeps max shard load <= the modulo baseline's."""
@@ -121,7 +115,7 @@ class TestCosts:
             )
             for i, n in enumerate(rng.integers(1, 8, size=20))
         ]
-        affinity = plan_shards(clusters, r, s, 4, "affinity")
+        affinity = plan_shards(clusters, r, s, 4)
         cost = [
             sum(r.object_count(row) * s.object_count(col) for row, col in c.entries)
             for c in clusters
@@ -135,17 +129,16 @@ class TestDuplication:
         r, s = datasets
         from repro.core.schedule import cluster_page_codes
 
-        for strategy in SHARD_STRATEGIES:
-            plan = plan_shards(CLUSTERS, r, s, 3, strategy)
-            shard_pages = [
-                set().union(
-                    *(set(cluster_page_codes(CLUSTERS[i], False).tolist())
-                      for i in shard)
-                )
-                for shard in plan.shards
-            ]
-            union = set().union(*shard_pages)
-            assert plan.duplicated_pages == sum(map(len, shard_pages)) - len(union)
+        plan = plan_shards(CLUSTERS, r, s, 3)
+        shard_pages = [
+            set().union(
+                *(set(cluster_page_codes(CLUSTERS[i], False).tolist())
+                  for i in shard)
+            )
+            for shard in plan.shards
+        ]
+        union = set().union(*shard_pages)
+        assert plan.duplicated_pages == sum(map(len, shard_pages)) - len(union)
 
 
 class TestValidate:

@@ -1,9 +1,9 @@
 """Sharded process execution: bit-identical to serial, counters included.
 
-The tentpole contract (ISSUE 6): ``join(..., shard_strategy=...)`` runs
-worker *processes* over shared-memory page blocks, yet the merged pairs
-list, every report counter, and every simulated-I/O recorder counter
-match the serial run exactly.  Shard-attributed counters
+The contract: ``join(..., workers=k)`` with ``k > 1`` (or any
+``shard_strategy``) runs worker *processes* over shared-memory page
+blocks, yet the merged pairs list, every report counter, and every
+simulated-I/O recorder counter match the serial run exactly.  Shard-attributed counters
 (``executor.shard.*``) are the only additions, and their per-shard sums
 equal the serial totals.
 """

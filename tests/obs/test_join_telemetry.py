@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.join import join
-from repro.obs import InMemoryRecorder, LemmaAuditor, lemma_bound
+from repro.obs import (
+    SHARDING_VARIANT_COUNTER_PREFIXES,
+    InMemoryRecorder,
+    LemmaAuditor,
+    lemma_bound,
+    to_chrome_trace,
+)
 
 STAGE_SPANS = {
     "matrix": "join.matrix",
@@ -92,17 +98,37 @@ class TestSpanTreeWellFormedness:
                 if a.thread_id == b.thread_id:
                     assert a.end <= b.start
 
+    def test_chrome_trace_gives_each_shard_its_own_tid(self, vector_pair):
+        r, s = vector_pair
+        rec = InMemoryRecorder()
+        join(r, s, 0.05, method="sc", buffer_pages=10, workers=2, recorder=rec)
+        tids = {}
+        for event in to_chrome_trace(rec)["traceEvents"]:
+            if event["ph"] == "X":
+                tids.setdefault(event["args"].get("shard"), set()).add(event["tid"])
+        parent = tids.pop(None)
+        assert len(tids) == rec.counter("executor.shards") == 2
+        for shard_tids in tids.values():
+            assert len(shard_tids) == 1
+            assert not shard_tids & parent
+        assert len(set().union(*tids.values())) == len(tids)
+
 
 class TestCounterParity:
     @pytest.mark.parametrize("method", ["sc", "cc"])
     def test_counters_identical_serial_vs_parallel(self, vector_pair, method):
+        """Equal but for the per-shard bookkeeping the sharded run adds."""
         r, s = vector_pair
         counters = []
         for workers in (1, 3):
             rec = InMemoryRecorder()
             join(r, s, 0.05, method=method, buffer_pages=10,
                  workers=workers, recorder=rec)
-            counters.append(rec.metrics_snapshot()["counters"])
+            counters.append({
+                name: value
+                for name, value in rec.metrics_snapshot()["counters"].items()
+                if not name.startswith(SHARDING_VARIANT_COUNTER_PREFIXES)
+            })
         assert counters[0] == counters[1]
 
     def test_disk_and_buffer_counters_match_stats(self, vector_pair):

@@ -311,6 +311,27 @@ class TestRecorderMerge:
         assert names["outer"].attrs["shard"] == 1
         assert "shard" not in names["parent.work"].attrs
 
+    def test_each_merge_gets_its_own_track(self):
+        """A forked shard worker records under its parent thread's ident;
+        its merged spans must not land on that thread's track."""
+        a, b, c = InMemoryRecorder(), InMemoryRecorder(), InMemoryRecorder()
+        with a.span("join.execution"):
+            pass
+        for shard in (b, c):
+            with shard.span("outer"):
+                with shard.span("inner"):
+                    pass
+        a.merge(b, span_attrs={"shard": 0})
+        a.merge(c, span_attrs={"shard": 1})
+        local = a.spans[0].thread_id
+        tracks = {
+            shard: {sp.thread_id for sp in a.spans if sp.attrs.get("shard") == shard}
+            for shard in (0, 1)
+        }
+        assert len(tracks[0]) == len(tracks[1]) == 1
+        assert tracks[0] != tracks[1]
+        assert local not in tracks[0] | tracks[1]
+
     def test_merge_accepts_exported_state(self):
         a, b = InMemoryRecorder(), InMemoryRecorder()
         b.count("n", 2)

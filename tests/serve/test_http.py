@@ -429,3 +429,81 @@ class TestUnjoinableInput:
         status, error = service.dispatch("POST", "/join", request)
         assert status == 400 and "finite epsilon" in error["error"]
         assert service.dispatch("GET", "/healthz", None)[0] == 200
+
+
+def _points_service():
+    """A service holding 600 random points at 8 per page."""
+    service = JoinService()
+    points = np.random.default_rng(4).random((600, 2)).tolist()
+    body = {"id": "p", "kind": "vector", "vectors": points, "page_capacity": 8}
+    assert service.dispatch("POST", "/datasets", body)[0] == 201
+    return service
+
+
+class TestFieldTypes:
+    """Join and register fields are checked, never coerced.
+
+    ``"count_only": "false"`` used to run count-only (a non-empty string
+    is truthy), ``"buffer_pages": 0`` meant the default, and the result
+    memo keyed the buffer as ``int(buffer_pages)``, so a fractional or
+    string buffer shared a memo entry with a valid one.
+    """
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("count_only", "false"),
+            ("explain", "no"),
+            ("include_pairs", 1),
+            ("memoize", "true"),
+            ("buffer_pages", 10.5),
+            ("buffer_pages", "10"),
+            ("buffer_pages", 0),
+            ("buffer_pages", True),
+            ("s", 5),
+            ("epsilon", True),
+        ],
+    )
+    def test_join_field_of_wrong_type_is_400_before_admission(self, field, value):
+        service = _points_service()
+        status, error = service.dispatch(
+            "POST", "/join", {"r": "p", "epsilon": 0.05, field: value}
+        )
+        assert status == 400 and field in error["error"]
+        health = service.dispatch("GET", "/healthz", None)[1]
+        assert health["pool"]["admitted_total"] == 0
+        assert health["store"]["matrices"] == 0
+
+    def test_bad_buffer_never_shares_a_memo_entry(self):
+        service = _points_service()
+        valid = {"r": "p", "epsilon": 0.05, "buffer_pages": 10}
+        for bad in (10.5, 10.5, "10"):
+            status, _ = service.dispatch("POST", "/join", dict(valid, buffer_pages=bad))
+            assert status == 400
+        status, payload = service.dispatch("POST", "/join", valid)
+        assert status == 200 and payload["result_cache"] == "miss"
+        want = _points_service().dispatch("POST", "/join", valid)[1]
+        assert payload["counters"]["disk.reads"] == want["counters"]["disk.reads"]
+        for _ in range(2):  # the matrix-warm run fills the memo
+            service.dispatch("POST", "/join", valid)
+        status, _ = service.dispatch("POST", "/join", dict(valid, buffer_pages="10"))
+        assert status == 400
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"kind": "vector", "vectors": [[0.1, 0.2]] * 40, "page_capacity": 8.5},
+            {"kind": "text", "text": "ACGT" * 40, "window_length": 8,
+             "windows_per_page": 16.0},
+            {"kind": "text", "text": "ACGT" * 40, "window_length": True},
+            {"kind": "series", "values": list(range(100)), "window_length": 8,
+             "dtw_band": 2.5},
+            {"kind": "vector", "vectors": [[0.1, 0.2]] * 40, "p": "2"},
+        ],
+        ids=["page_capacity", "windows_per_page", "window_length", "dtw_band", "p"],
+    )
+    def test_register_field_of_wrong_type_is_400(self, body):
+        service = JoinService()
+        status, error = service.dispatch("POST", "/datasets", {"id": "d", **body})
+        assert status == 400 and "must be" in error["error"]
+        assert service.dispatch("GET", "/datasets/d", None)[0] == 404
