@@ -2,11 +2,13 @@
 
 Starts a real ``repro serve`` process, then drives the documented
 lifecycle over HTTP: register a genome-style dataset, cold join, append
-pages, warm join.  Asserts the serving contracts end to end — the warm
-join is a cache hit with zero matrix seconds and no sweep counters, the
-session counts ``serving.warm_hits``, and a requested EXPLAIN artifact
-validates against the schema — and writes the whole exchange to a JSON
-trace for the CI artifact upload.
+pages, warm join.  Asserts the serving contracts end to end — the cold
+join ran as shards on the daemon's worker pool (on a host with more than
+one CPU), the warm join is a cache hit with zero matrix seconds and no
+sweep counters, the session counts ``serving.warm_hits``, a requested
+EXPLAIN artifact validates against the schema, and once the daemon has
+stopped no ``/dev/shm/psm_*`` segment is left — and writes the whole
+exchange to a JSON trace for the CI artifact upload.
 
 Usage::
 
@@ -22,10 +24,17 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 PORT = int(os.environ.get("SERVE_SMOKE_PORT", "8731"))
 BASE = f"http://127.0.0.1:{PORT}"
 STARTUP_TIMEOUT_S = 30.0
+SHM = Path("/dev/shm")
+
+
+def shm_segments():
+    """This platform's shared-memory segment names (``psm_*``)."""
+    return {p.name for p in SHM.glob("psm_*")} if SHM.is_dir() else set()
 
 
 def call(method: str, path: str, body=None):
@@ -57,6 +66,7 @@ def main(argv) -> int:
     from repro.datasets import markov_dna
     from repro.obs import validate_explain
 
+    segments_before = shm_segments()
     daemon = subprocess.Popen(
         [
             sys.executable,
@@ -93,6 +103,9 @@ def main(argv) -> int:
 
         _, cold = call("POST", "/join", {"r": "genome", "epsilon": 1.0})
         assert cold["matrix_cache"] == "miss", cold["matrix_cache"]
+        if (os.cpu_count() or 1) > 1:
+            shards = cold["counters"].get("executor.shards", 0)
+            assert shards > 0, f"executed join did not shard: {cold['counters']}"
 
         _, appended = call(
             "POST",
@@ -137,20 +150,23 @@ def main(argv) -> int:
         }
         with open(trace_out, "w") as fh:
             json.dump(trace, fh, indent=2, sort_keys=True)
-        print(
-            f"serve smoke ok: cold miss -> append ({appended['pages_before']}"
-            f"->{appended['pages_after']} pages) -> warm hit "
-            f"(matrix_seconds=0.0), explain artifact valid; "
-            f"trace written to {trace_out}"
-        )
-        return 0
     finally:
         daemon.terminate()
         try:
-            daemon.wait(timeout=10)
+            daemon.wait(timeout=15)
         except subprocess.TimeoutExpired:
             daemon.kill()
             daemon.wait()
+    assert daemon.returncode == 0, f"daemon exited with {daemon.returncode}"
+    leaked = shm_segments() - segments_before
+    assert not leaked, f"shared-memory segments left behind: {sorted(leaked)}"
+    print(
+        f"serve smoke ok: cold miss -> append ({appended['pages_before']}"
+        f"->{appended['pages_after']} pages) -> warm hit "
+        f"(matrix_seconds=0.0), explain artifact valid, no segment left; "
+        f"trace written to {trace_out}"
+    )
+    return 0
 
 
 if __name__ == "__main__":

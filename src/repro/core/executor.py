@@ -21,11 +21,13 @@ Parallel execution runs in worker *processes*
 accounting as the serial loop: the scheduled cluster list is
 partitioned into shard-local sets
 (:func:`repro.core.planner.plan_shards`), the datasets' backing arrays
-are published once through shared memory (:mod:`repro.storage.shm`)
-and per-shard worker processes run the cluster cascades against
-zero-copy views with their own recorders, while the parent replays the
-pool/disk accounting in full serial schedule order.  Workers return
-each cluster's :class:`~repro.core.joiners.ClusterResult` — pair
+are published once per join through shared memory
+(:mod:`repro.storage.shm`) and the workers of the process's warm pool
+(:func:`repro.core.sharding.shard_pool`) run the shards' cluster
+cascades against zero-copy views with their own recorders, while the
+parent replays the pool/disk accounting in full serial schedule order.
+Workers return each cluster's
+:class:`~repro.core.joiners.ClusterResult` — pair
 arrays, about 16 bytes per pair through the pipe — and the parent
 absorbs them in schedule order.  Counters, audits and the merged pairs
 list are therefore bit-identical to serial; per-shard staging deltas
@@ -154,8 +156,11 @@ def execute_clusters_sharded(
     The schedule is partitioned into at most ``workers`` shard-local
     cluster sets by :func:`repro.core.planner.plan_shards`, unless
     ``plan`` hands over a ready :class:`~repro.core.planner.ShardPlan`
-    (property tests inject arbitrary partitions this way).  Workers
-    rebuild the datasets from shared memory and run the join cascades;
+    (property tests inject arbitrary partitions this way).  The shards
+    run as tasks on the process's warm pool (``os.cpu_count()`` workers,
+    reused by every sharded join; see
+    :func:`repro.core.sharding.shard_pool`).  Workers rebuild the
+    datasets from shared memory and run the join cascades;
     the parent replays **all** simulated I/O (staging, buffer hits,
     Lemma audits) serially in global schedule order while they compute,
     then absorbs the per-cluster pair arrays they return in schedule
@@ -170,12 +175,17 @@ def execute_clusters_sharded(
     platform.  Raises ``ValueError`` for joiners without a picklable
     shard recipe (custom joiners — run those with
     :func:`execute_clusters`) and ``RuntimeError`` when a worker process
-    dies or the start-method validation fails.
+    dies (the broken pool is dropped, and the next sharded join starts a
+    fresh one) or the start-method validation fails.  Whatever raises,
+    the join's shards are cancelled or finished before its shared
+    segments are unlinked.
     """
     from repro.core.sharding import (
         build_shard_task,
+        discard_shard_pool,
         resolve_start_method,
         run_shard,
+        shard_pool,
         shardable_joiner,
         share_datasets,
     )
@@ -211,8 +221,7 @@ def execute_clusters_sharded(
         return outcome
 
     start_method = resolve_start_method(plan.num_shards)
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
     shard_of = plan.shard_of()
@@ -236,11 +245,11 @@ def execute_clusters_sharded(
             )
             for shard_index, members in enumerate(plan.shards)
         ]
-        ctx = mp.get_context(start_method)
-        with ProcessPoolExecutor(
-            max_workers=plan.num_shards, mp_context=ctx
-        ) as process_pool:
-            futures = [process_pool.submit(run_shard, task) for task in tasks]
+        process_pool = shard_pool(start_method)
+        futures = []
+        try:
+            for task in tasks:
+                futures.append(process_pool.submit(run_shard, task))
             # While the workers compute, the parent replays the complete
             # simulated I/O of the serial run — staging, per-entry fetch
             # replay, Lemma audits — in global schedule order: joiners
@@ -259,15 +268,22 @@ def execute_clusters_sharded(
                 shard = shard_of[index]
                 shard_reads[shard] += outcome.pages_read - reads_before
                 shard_reused[shard] += outcome.pages_reused - reused_before
-            for shard_index, future in enumerate(futures):
-                try:
-                    shard_payloads.append(future.result())
-                except BrokenProcessPool as exc:
-                    raise RuntimeError(
-                        f"shard worker {shard_index} died before returning "
-                        "results (its process exited abnormally); shared "
-                        "memory has been reclaimed by the parent"
-                    ) from exc
+            for future in futures:
+                shard_payloads.append(future.result())
+        except BrokenProcessPool as exc:
+            discard_shard_pool(process_pool)
+            raise RuntimeError(
+                "a shard worker died before returning results (its process "
+                "exited abnormally); the worker pool is replaced at the "
+                "next sharded join and shared memory has been reclaimed "
+                "by the parent"
+            ) from exc
+        finally:
+            # No task of this join may outlive its segments: drop the
+            # queued ones, wait for the running ones.
+            for future in futures:
+                future.cancel()
+            wait(futures)
 
     # Deterministic merge: worker recorders fold in shard order, results
     # absorb in global schedule order — the serial pairs list exactly.
@@ -277,7 +293,10 @@ def execute_clusters_sharded(
     for payload in shard_payloads:
         shard_index = payload["shard_index"]
         if recorder.enabled and payload["metrics"] is not None:
-            recorder.merge(payload["metrics"], span_attrs={"shard": shard_index})
+            recorder.merge(
+                payload["metrics"],
+                span_attrs={"shard": shard_index, "worker_pid": payload["pid"]},
+            )
         results_by_index.update(payload.pop("results"))
         shard_walls[shard_index] = payload.get("wall_seconds", 0.0)
     shard_cells = [0] * plan.num_shards

@@ -1,10 +1,11 @@
-"""Process-shard worker protocol for the sharded cluster executor.
+"""Process-shard worker protocol and the warm worker pool.
 
-One shard = one worker process = one task.  The parent
+One shard = one task.  The parent
 (:func:`repro.core.executor.execute_clusters_sharded`) publishes the
 datasets' backing arrays through shared memory, builds one picklable
 *task* per shard (segment specs + joiner recipe + the shard's cluster
-entry lists), and submits them to a process pool.  Each worker:
+entry lists), and submits them to the process's warm pool
+(:func:`shard_pool`).  For each task a worker:
 
 1. attaches the shared segments and rebuilds its dataset objects
    zero-copy (:func:`repro.storage.page.dataset_from_shm_spec`);
@@ -25,12 +26,30 @@ Only the built-in joiners (:class:`~repro.core.joiners.NumericPagePairJoiner`,
 :class:`~repro.core.joiners.TextPagePairJoiner`) have a picklable recipe;
 anything else runs serially through
 :func:`~repro.core.executor.execute_clusters`.
+
+The pool is per process and per start method: ``os.cpu_count()``
+workers, created at the first sharded join (or by
+:func:`start_shard_pool`, which ``repro serve`` calls before its HTTP
+threads exist) and reused by every later one; shards beyond the worker
+count queue.  A pool whose worker died is dropped
+(:func:`discard_shard_pool`) and the next sharded join starts a fresh
+one.  An exit hook shuts every pool down.  Workers close the resource
+tracker descriptor they inherit (:func:`_init_worker`) and attach
+segments without registering them, so the parent stays the only owner
+of every segment and stopping the tracker never waits on a live worker.
 """
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing as mp
 import os
+import signal
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import resource_tracker
+from multiprocessing.connection import wait
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.joiners import (
@@ -44,15 +63,25 @@ from repro.storage.shm import ShmArena, ShmAttachments
 
 __all__ = [
     "build_shard_task",
+    "discard_shard_pool",
     "run_shard",
     "resolve_start_method",
+    "shard_pool",
     "shardable_joiner",
     "share_datasets",
+    "shutdown_shard_pools",
+    "start_shard_pool",
 ]
 
 # Test hook: "exit" makes shard 0's worker die without cleanup, to prove
-# the parent still reclaims every shared-memory segment.
+# the parent still reclaims every shared-memory segment.  Read in the
+# parent when the task is built: a warm worker's environment is the one
+# it was forked with.
 _FAULT_ENV = "_REPRO_SHARD_FAULT"
+
+# start method -> this process's warm pool.
+_POOLS: Dict[str, ProcessPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
 
 
 def resolve_start_method(workers: int) -> str:
@@ -64,8 +93,6 @@ def resolve_start_method(workers: int) -> str:
     degenerates into something easily mistaken for a hang — so that
     combination is rejected with an explanation instead.
     """
-    import multiprocessing as mp
-
     methods = mp.get_all_start_methods()
     if "fork" in methods:
         return "fork"
@@ -79,6 +106,89 @@ def resolve_start_method(workers: int) -> str:
             "Reduce workers, or run serially (workers=1)."
         )
     return "spawn"
+
+
+def shard_pool(start_method: str) -> ProcessPoolExecutor:
+    """This process's warm pool for ``start_method``, created on first use.
+
+    ``os.cpu_count()`` workers.  A fork pool forks all of them at its
+    first task; a spawn pool starts them as tasks arrive.
+    """
+    with _POOLS_LOCK:
+        pool = _POOLS.get(start_method)
+        if pool is None:
+            pool = _POOLS[start_method] = ProcessPoolExecutor(
+                max_workers=os.cpu_count() or 1,
+                mp_context=mp.get_context(start_method),
+                initializer=_init_worker,
+            )
+        return pool
+
+
+def start_shard_pool(workers: int) -> None:
+    """Start the warm pool for a ``workers``-shard join now, not at the
+    first join: ``repro serve`` calls this before its HTTP threads exist,
+    so the workers fork from a single-threaded process.
+
+    A fork pool forks every worker inside its first ``submit``; nothing
+    waits for the no-op task itself.
+    """
+    shard_pool(resolve_start_method(workers)).submit(os.getpid)
+
+
+def discard_shard_pool(pool: ProcessPoolExecutor) -> None:
+    """Drop a broken pool, so the next sharded join starts a fresh one."""
+    with _POOLS_LOCK:
+        for method, live in list(_POOLS.items()):
+            if live is pool:
+                del _POOLS[method]
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+@atexit.register
+def shutdown_shard_pools() -> None:
+    """Stop every warm pool; the exit hook, safe to call at any time.
+
+    At interpreter exit the executors' own hook has already stopped the
+    workers; dropping the executors here, while the modules they use
+    still exist, keeps their clean-up callbacks from failing noisily.
+    """
+    with _POOLS_LOCK:
+        pools = list(_POOLS.values())
+        _POOLS.clear()
+    for pool in pools:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _init_worker() -> None:
+    """Pool worker initializer.
+
+    Closes the worker's inherited descriptor of the parent's resource
+    tracker: the tracker exits once every holder of that pipe has closed
+    it, so a warm worker holding it would make stopping the tracker wait
+    for the worker.  Workers never register anything with a tracker
+    (:func:`repro.storage.shm.attach_array`).  The tracker's lock is not
+    taken: a parent thread may have held it at the fork.
+
+    Ignores SIGINT, which a terminal sends to the whole process group:
+    the parent owns the workers' lifetime and stops them itself.  If the
+    parent dies without stopping them (SIGKILL, a crash), a watchdog
+    thread ends the worker instead of leaving it idle for good.
+    """
+    tracker = resource_tracker._resource_tracker
+    fd, tracker._fd, tracker._pid = tracker._fd, None, None
+    if fd is not None:
+        os.close(fd)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_parent, args=(mp.parent_process().sentinel,), daemon=True
+    ).start()
+
+
+def _exit_with_parent(sentinel: int) -> None:
+    """Block until the parent process is gone, then end this worker."""
+    wait([sentinel])
+    os._exit(1)
 
 
 def build_shard_task(
@@ -104,6 +214,7 @@ def build_shard_task(
         "s_spec": s_spec,
         "joiner": _joiner_recipe(joiner, arena),
         "record": record,
+        "fault": os.environ.get(_FAULT_ENV),
     }
 
 
@@ -152,14 +263,15 @@ def run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry point: join every cluster of one shard.
 
     Returns ``{"shard_index", "results": {schedule_index: ClusterResult},
-    "metrics": exported recorder state or None, "wall_seconds": float}``.
+    "metrics": exported recorder state or None, "wall_seconds": float,
+    "pid": int}``.
     The shared segments are closed before this returns, so every array
     in the payload is one the cascade allocated, never a view into a
     segment.  ``wall_seconds`` is the worker-side compute wall time
     (attach + join + export), the EXPLAIN layer's per-shard balance
-    observation.
+    observation; ``pid`` is the worker process that ran the shard.
     """
-    if os.environ.get(_FAULT_ENV) == "exit" and task["shard_index"] == 0:
+    if task["fault"] == "exit" and task["shard_index"] == 0:
         os._exit(13)
     wall_start = time.perf_counter()
     attachments = ShmAttachments()
@@ -172,6 +284,7 @@ def run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
         "results": results,
         "metrics": metrics,
         "wall_seconds": time.perf_counter() - wall_start,
+        "pid": os.getpid(),
     }
 
 

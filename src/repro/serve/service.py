@@ -23,13 +23,17 @@ anything else → **500** with the exception text.
 
 No new dependencies: ``http.server`` + ``json`` only, threads per
 request (the session is built for exactly that concurrency).
+:func:`serve` runs executed joins on ``os.cpu_count()`` shard workers
+and starts their warm pool before the first HTTP thread exists.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import os
 import re
+import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -38,6 +42,7 @@ import numpy as np
 
 import repro
 from repro.core.join import IndexedDataset
+from repro.core.sharding import start_shard_pool
 from repro.errors import ConfigError
 from repro.serve.admission import AdmissionRejected
 from repro.serve.session import JoinSession
@@ -312,8 +317,26 @@ def serve(
     ready_event: Optional[threading.Event] = None,
     **session_kwargs,
 ) -> None:
-    """Run the join service until interrupted (the ``repro serve`` entry)."""
-    server = make_server(host, port, service=service, **session_kwargs)
+    """Run the join service until interrupted (the ``repro serve`` entry).
+
+    Without a ``service``, the session runs each executed join on
+    ``os.cpu_count()`` shard workers.  Their warm pool starts here, before
+    the server's threads, so the workers fork from a single-threaded
+    process; a fork from the threaded daemon happens only when a worker
+    crash forces a fresh pool.
+
+    On the main thread, SIGTERM stops the service like Ctrl-C: the
+    interpreter then exits normally and shuts the worker pool down,
+    where SIGTERM's default action would leave the workers orphaned.
+    """
+    if service is None:
+        service = JoinService(workers=os.cpu_count() or 1, **session_kwargs)
+    if service.session.workers > 1:
+        start_shard_pool(service.session.workers)
+    server = make_server(host, port, service=service)
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        previous = signal.signal(signal.SIGTERM, _interrupt)
     if ready_event is not None:
         ready_event.set()
     try:
@@ -322,3 +345,9 @@ def serve(
         pass
     finally:
         server.server_close()
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt

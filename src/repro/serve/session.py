@@ -38,7 +38,12 @@ disk and buffer pool, so per-request counters are bit-identical however
 requests interleave.  The shared pool is an admission ledger only:
 requests lease frames (queue-or-reject beyond capacity) but do their
 page I/O on the private pool, so the configured pin budget bounds
-in-flight work without cross-request eviction interference.
+in-flight work without cross-request eviction interference.  With
+``workers > 1`` an executed join runs its clusters as shards on the
+process's warm worker pool (:func:`repro.core.sharding.shard_pool`),
+so concurrent requests compute outside the interpreter lock; admission,
+pins and the simulated-I/O replay stay on the request's thread, and a
+memo hit never leaves it.
 """
 
 from __future__ import annotations
@@ -128,6 +133,11 @@ class JoinSession:
         :class:`~repro.serve.admission.AdmissionController`).
     cost_model:
         Simulated cost model for request disks (defaults to the paper's).
+    workers:
+        ``join()``'s ``workers`` for every executed request: above 1, its
+        clusters run as that many shards on the warm worker pool.
+        Results and counters outside ``executor.shard*`` are the same
+        at any value.
     """
 
     def __init__(
@@ -137,11 +147,14 @@ class JoinSession:
         max_queue: int = 8,
         admit_timeout_s: float = 10.0,
         cost_model: Optional[CostModel] = None,
+        workers: int = 1,
     ) -> None:
         if request_buffer_pages <= 0:
             raise ValueError(
                 f"request_buffer_pages must be positive, got {request_buffer_pages}"
             )
+        require_positive_int("workers", workers)
+        self.workers = workers
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.request_buffer_pages = request_buffer_pages
         self.store = ResidentStore()
@@ -489,6 +502,7 @@ class JoinSession:
                 count_only=count_only,
                 explain=explain,
                 explain_meta=explain_meta,
+                workers=self.workers,
             )
         finally:
             ticket.release()

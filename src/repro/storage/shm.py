@@ -11,23 +11,26 @@ Lifecycle discipline — the part that keeps crashed workers from leaking
 
 * The **parent owns every segment.**  :class:`ShmArena` creates them and
   its :meth:`~ShmArena.close` (or context-manager exit) both closes and
-  unlinks each one, inside a ``finally`` around the worker pool — a
-  worker that dies mid-shard cannot leave a segment behind, because it
-  never owned one.
-* **Workers only attach.**  Pool workers inherit the parent's
-  ``resource_tracker`` process (both fork and spawn pass the tracker fd
-  down), and the tracker's per-type cache is a *set*: a worker's attach
-  re-registers the same name the parent registered at create, which
-  dedupes, and the parent's single ``unlink`` retires it.  Workers must
-  **not** call ``resource_tracker.unregister`` — with a shared tracker
-  that would erase the parent's registration and turn the final unlink
-  into tracker noise.  If every process dies without cleanup, the
-  tracker itself unlinks whatever remains — the segment still cannot
-  outlive the run.
+  unlinks each one once the join's shards have finished or been
+  cancelled — a worker that dies mid-shard cannot leave a segment
+  behind, because it never owned one.
+* **Workers only attach, and never register.**  :func:`attach_array`
+  maps a segment with ``shm_open`` + ``mmap`` instead of
+  ``SharedMemory(name=...)``, which would register the name with a
+  resource tracker.  Pool workers live across joins
+  (:func:`repro.core.sharding.shard_pool`) and close the tracker
+  descriptor they inherit, so a registration from a worker would start a
+  tracker of its own that unlinks the parent's segments when the worker
+  exits.  Only the parent's tracker knows the segments: the parent's
+  ``unlink`` retires each name, and if the parent dies without cleanup
+  its tracker unlinks whatever remains — a segment still cannot outlive
+  the run.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -132,18 +135,27 @@ class ShmArena:
 
 
 def attach_array(spec: SharedArraySpec):
-    """Worker-side attach: ``(array view, segment handle)`` for a spec.
+    """Worker-side attach: ``(array view, mapping handle)`` for a spec.
 
     The returned handle must stay referenced as long as the array is in
-    use.  Attaching registers the name with the (parent-shared) resource
-    tracker; that is a set-dedup no-op, see the module docstring.
+    use; its ``close()`` unmaps.  Nothing is registered with a resource
+    tracker (see the module docstring).
     """
-    shared_memory = _shared_memory()
-    if shared_memory is None:  # pragma: no cover - platform without shm
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
-    seg = shared_memory.SharedMemory(name=spec.name)
-    array = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=seg.buf)
-    return array, seg
+    try:
+        import _posixshmem
+    except ImportError:  # pragma: no cover - Windows: no resource tracker
+        shared_memory = _shared_memory()
+        if shared_memory is None:
+            raise RuntimeError("multiprocessing.shared_memory is unavailable")
+        seg = shared_memory.SharedMemory(name=spec.name)
+        return np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=seg.buf), seg
+    fd = _posixshmem.shm_open("/" + spec.name, os.O_RDWR, mode=0o600)
+    try:
+        mapping = mmap.mmap(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+    array = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=mapping)
+    return array, mapping
 
 
 class ShmAttachments:
@@ -152,10 +164,11 @@ class ShmAttachments:
     ``attach`` caches per segment name, so a self-join's two dataset
     sides map the segment once.  :meth:`close` unmaps the segments, so
     it must run only after every numpy view into them has been dropped
-    — on CPython, ``SharedMemory.close`` can succeed with live views
-    and leave them pointing at unmapped memory.  ``run_shard`` honours
-    this by closing in a ``finally`` after its dataset/joiner locals
-    (the only view holders) have gone out of scope.  The pair, count,
+    — a mapping with live views refuses to close (``BufferError``) and
+    stays mapped until the worker exits, which for a warm pool worker
+    is many joins later.  ``run_shard`` honours this by closing in a
+    ``finally`` after its dataset/joiner locals (the only view holders)
+    have gone out of scope.  The pair, count,
     comparison and CPU arrays it then pickles are results the cascade
     allocated, each owning its memory — never views into a segment.
     """

@@ -5,20 +5,28 @@ The contract: ``join(..., workers=k)`` with ``k > 1`` (or any
 blocks, yet the merged pairs list, every report counter, and every
 simulated-I/O recorder counter match the serial run exactly.  Shard-attributed counters
 (``executor.shard.*``) are the only additions, and their per-shard sums
-equal the serial totals.
+equal the serial totals.  The workers belong to one warm pool per
+process and start method, reused by every sharded join.
 """
 
 import dataclasses
+import multiprocessing as mp
 import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import sharding
 from repro.core.clusters import Cluster
 from repro.core.executor import execute_clusters_sharded
 from repro.core.join import IndexedDataset, join
 from repro.core.planner import ShardPlan
-from repro.core.sharding import resolve_start_method
+from repro.core.sharding import resolve_start_method, shard_pool, shutdown_shard_pools
 from repro.obs import SHARDING_VARIANT_COUNTER_PREFIXES, InMemoryRecorder
 from repro.storage.buffer import BufferPool
 from repro.storage.shm import shm_available
@@ -50,6 +58,19 @@ def _stable_counters(recorder):
         for name, value in recorder.metrics_snapshot()["counters"].items()
         if not name.startswith(SHARDING_VARIANT_COUNTER_PREFIXES)
     }
+
+
+_SHM = Path("/dev/shm")
+
+
+def _shm_entries():
+    """Names in ``/dev/shm`` (empty where the platform has none)."""
+    return {p.name for p in _SHM.iterdir()} if _SHM.is_dir() else set()
+
+
+def _worker_pids(recorder):
+    """The worker processes whose spans a sharded join merged."""
+    return {sp.attrs["worker_pid"] for sp in recorder.spans if "worker_pid" in sp.attrs}
 
 
 def _hand_plan(kind, num_clusters, shards):
@@ -154,22 +175,30 @@ def _report_fields(result):
 
 class TestShardTransport:
     def test_spawn_workers_match_serial(self, spatial, monkeypatch):
-        """With ``fork`` hidden the pool spawns fresh interpreters; the
-        merged pairs, every report field and the stable counters still
-        equal the serial join's."""
-        import multiprocessing as mp
-
+        """With ``fork`` hidden the shards run in a spawn pool, not in a
+        warm fork pool; the merged pairs, every report field and the
+        stable counters still equal the serial join's."""
         if "spawn" not in mp.get_all_start_methods():
             pytest.skip("platform without spawn")
         r, s = spatial
         serial_rec, sharded_rec = InMemoryRecorder(), InMemoryRecorder()
         serial = join(r, s, 0.05, buffer_pages=10, recorder=serial_rec)
+        # A warm pool of the default start method must not be reused.
+        join(r, s, 0.05, buffer_pages=10, workers=2)
         monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
         assert resolve_start_method(1) == "spawn"
-        sharded = join(
-            r, s, 0.05, buffer_pages=10, recorder=sharded_rec,
-            workers=min(2, os.cpu_count() or 1), shard_strategy="affinity",
-        )
+        try:
+            sharded = join(
+                r, s, 0.05, buffer_pages=10, recorder=sharded_rec,
+                workers=min(2, os.cpu_count() or 1), shard_strategy="affinity",
+            )
+            children = {p.pid: p for p in mp.active_children()}
+            pids = _worker_pids(sharded_rec)
+            assert pids
+            spawned = mp.get_context("spawn").Process
+            assert all(isinstance(children[pid], spawned) for pid in pids)
+        finally:
+            shutdown_shard_pools()  # no idle interpreters for later tests
         assert sharded.pairs == serial.pairs
         assert _report_fields(sharded) == _report_fields(serial)
         assert _stable_counters(sharded_rec) == _stable_counters(serial_rec)
@@ -353,25 +382,71 @@ class TestFailureModes:
     def test_crashed_worker_raises_and_leaks_nothing(
         self, spatial, monkeypatch
     ):
-        """A worker dying mid-shard surfaces as RuntimeError and every
-        shared segment is still reclaimed by the parent."""
-        from pathlib import Path
+        """A warm worker dying mid-shard surfaces as RuntimeError, every
+        shared segment is still reclaimed by the parent, and the next
+        sharded join runs on a fresh pool with the serial join's result.
 
-        shm_dir = Path("/dev/shm")
-        before = set(shm_dir.iterdir()) if shm_dir.is_dir() else set()
-        monkeypatch.setenv("_REPRO_SHARD_FAULT", "exit")
+        The pool is warmed before the crash hook is set: a worker forked
+        earlier must still see it."""
         r, s = spatial
+        kwargs = dict(method="sc", buffer_pages=10, workers=2, shard_strategy="affinity")
+        serial = join(r, s, 0.05, method="sc", buffer_pages=10)
+        join(r, s, 0.05, **kwargs)
+        crashed = shard_pool(resolve_start_method(2))
+        before = _shm_entries()
+        monkeypatch.setenv("_REPRO_SHARD_FAULT", "exit")
         with pytest.raises(RuntimeError, match="shard worker"):
-            join(
-                r, s, 0.05, method="sc", buffer_pages=10,
-                workers=2, shard_strategy="affinity",
+            join(r, s, 0.05, **kwargs)
+        assert _shm_entries() - before == set()
+        monkeypatch.delenv("_REPRO_SHARD_FAULT")
+        again = join(r, s, 0.05, **kwargs)
+        assert shard_pool(resolve_start_method(2)) is not crashed
+        assert again.pairs == serial.pairs
+        assert _report_counters(again) == _report_counters(serial)
+        assert _shm_entries() - before == set()
+
+    def test_replay_error_settles_the_shards_first(
+        self, spatial, cost_model, monkeypatch
+    ):
+        """When the parent's replay raises while shards are queued and
+        running (here: a cluster larger than the buffer), every task of
+        the join is cancelled or finished before its segments are
+        unlinked, so none reaches the next join."""
+        from repro.core.joiners import make_numeric_joiner
+        from repro.storage.disk import SimulatedDisk
+
+        r, s = spatial
+        serial = join(r, s, 0.05, buffer_pages=10, keep_details=True)
+        clusters = serial.clusters
+        joiner = make_numeric_joiner(r.paged, s.paged, r.distance, 0.05, cost_model, False)
+        submitted = []
+
+        class RecordingPool:
+            def __init__(self, pool):
+                self.pool = pool
+
+            def submit(self, fn, *args):
+                future = self.pool.submit(fn, *args)
+                submitted.append(future)
+                return future
+
+        real_pool = sharding.shard_pool
+        monkeypatch.setattr(sharding, "shard_pool", lambda method: RecordingPool(real_pool(method)))
+        before = _shm_entries()
+        one_each = ShardPlan("single", tuple((i,) for i in range(len(clusters))),
+                             tuple(0 for _ in clusters), 0)
+        too_small = BufferPool(SimulatedDisk(cost_model), 1)
+        with pytest.raises(ValueError, match="exceeds the available buffer"):
+            execute_clusters_sharded(
+                clusters, too_small, r.paged, s.paged, joiner,
+                workers=len(clusters), plan=one_each,
             )
-        if shm_dir.is_dir():
-            leaked = {
-                p for p in set(shm_dir.iterdir()) - before
-                if p.name.startswith("psm_")
-            }
-            assert leaked == set()
+        assert len(submitted) == len(clusters)
+        assert all(future.done() for future in submitted)
+        assert _shm_entries() - before == set()
+        monkeypatch.undo()
+        again = join(r, s, 0.05, buffer_pages=10, workers=2)
+        assert again.pairs == serial.pairs
 
     def test_empty_schedule(self, cost_model):
         from repro.core.joiners import NumericPagePairJoiner
@@ -389,3 +464,147 @@ class TestFailureModes:
         outcome = execute_clusters_sharded([], pool, r, r, joiner, workers=2)
         assert outcome.pairs == []
         assert outcome.pages_read == 0
+
+
+class TestWarmPool:
+    def test_consecutive_joins_share_the_workers(self, spatial, monkeypatch):
+        """After the first sharded join, later ones build no pool and run
+        in the worker processes that already exist."""
+        r, s = spatial
+
+        def sharded_pids():
+            recorder = InMemoryRecorder()
+            join(r, s, 0.05, buffer_pages=10, recorder=recorder, workers=2)
+            pids = _worker_pids(recorder)
+            assert pids
+            return pids
+
+        first = sharded_pids()
+        workers = {p.pid for p in mp.active_children()}
+
+        def no_new_pool(*args, **kwargs):
+            raise AssertionError("a sharded join built a process pool")
+
+        monkeypatch.setattr(sharding, "ProcessPoolExecutor", no_new_pool)
+        later = sharded_pids() | sharded_pids()
+        assert first | later <= workers
+        assert {p.pid for p in mp.active_children()} == workers
+
+    def test_concurrent_joins_race_for_one_pool(self, spatial, monkeypatch):
+        """Threads that start sharded joins at once, with more shards than
+        CPUs, build one pool between them and each get the serial result."""
+        import threading
+
+        r, s = spatial
+        serial = join(r, s, 0.05, buffer_pages=10)
+        built = []
+        real = sharding.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        shutdown_shard_pools()
+        monkeypatch.setattr(sharding, "ProcessPoolExecutor", counting)
+        shards = (os.cpu_count() or 1) + 1
+        barrier = threading.Barrier(4)
+        results, errors = [], []
+
+        def client():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(2):
+                    results.append(join(r, s, 0.05, buffer_pages=10, workers=shards).pairs)
+            except Exception as exc:  # reported below, with the thread's error
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(built) == 1
+        assert len(results) == 8 and all(pairs == serial.pairs for pairs in results)
+
+    def test_process_exits_cleanly_after_a_sharded_join(self, tmp_path):
+        """A script that runs one sharded join and returns exits with
+        status 0 and an empty stderr, even when it stops multiprocessing's
+        resource tracker itself first (as the end-to-end benchmark does),
+        and leaves no shared-memory segment behind."""
+        script = tmp_path / "one_join.py"
+        script.write_text(textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from repro.core.join import IndexedDataset, join
+
+            rng = np.random.default_rng(1)
+            r = IndexedDataset.from_points(rng.random((2000, 2)), page_capacity=32)
+            s = IndexedDataset.from_points(rng.random((1500, 2)), page_capacity=32)
+            result = join(r, s, 0.03, buffer_pages=12, workers=2)
+            assert result.num_pairs > 0
+            sys.modules["multiprocessing.resource_tracker"]._resource_tracker._stop()
+            """
+        ))
+        src = Path(sharding.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        before = _shm_entries()
+        proc = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True,
+            text=True, timeout=15,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert {n for n in _shm_entries() - before if n.startswith("psm_")} == set()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_workers_exit_when_the_parent_is_killed(self):
+        """Warm workers whose parent dies without stopping them (SIGKILL)
+        exit by themselves instead of idling for good."""
+        script = textwrap.dedent(
+            """
+            import time
+            import numpy as np
+            from repro.core.join import IndexedDataset, join
+            from repro.obs import InMemoryRecorder
+
+            rng = np.random.default_rng(1)
+            r = IndexedDataset.from_points(rng.random((2000, 2)), page_capacity=32)
+            s = IndexedDataset.from_points(rng.random((1500, 2)), page_capacity=32)
+            recorder = InMemoryRecorder()
+            join(r, s, 0.03, buffer_pages=12, workers=2, recorder=recorder)
+            print(*{sp.attrs["worker_pid"] for sp in recorder.spans
+                    if "worker_pid" in sp.attrs}, flush=True)
+            time.sleep(60)
+            """
+        )
+        src = Path(sharding.__file__).resolve().parents[2]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.kill()
+            proc.communicate(timeout=15)
+        assert pids
+
+        def running(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
