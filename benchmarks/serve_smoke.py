@@ -5,10 +5,13 @@ lifecycle over HTTP: register a genome-style dataset, cold join, append
 pages, warm join.  Asserts the serving contracts end to end — the cold
 join ran as shards on the daemon's worker pool (on a host with more than
 one CPU), the warm join is a cache hit with zero matrix seconds and no
-sweep counters, the session counts ``serving.warm_hits``, a requested
-EXPLAIN artifact validates against the schema, and once the daemon has
-stopped no ``/dev/shm/psm_*`` segment is left — and writes the whole
-exchange to a JSON trace for the CI artifact upload.
+sweep counters, the session counts ``serving.warm_hits``, 20
+back-to-back memo hits of the warm join on one keep-alive connection
+take at most 20 ms at the median (a response that waits for the
+client's delayed ACK takes ~40 ms), a requested EXPLAIN artifact
+validates against the schema, and once the daemon has stopped no
+``/dev/shm/psm_*`` segment is left — and writes the whole exchange to a
+JSON trace for the CI artifact upload.
 
 Usage::
 
@@ -17,8 +20,10 @@ Usage::
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -30,6 +35,8 @@ PORT = int(os.environ.get("SERVE_SMOKE_PORT", "8731"))
 BASE = f"http://127.0.0.1:{PORT}"
 STARTUP_TIMEOUT_S = 30.0
 SHM = Path("/dev/shm")
+KEEP_ALIVE_HITS = 20
+KEEP_ALIVE_MEDIAN_LIMIT_MS = 20.0
 
 
 def shm_segments():
@@ -47,6 +54,30 @@ def call(method: str, path: str, body=None):
     )
     with urllib.request.urlopen(request, timeout=60) as response:
         return response.status, json.loads(response.read())
+
+
+def keep_alive_hits(body, count):
+    """Milliseconds of ``count`` back-to-back memo hits of the join
+    ``body`` on one keep-alive connection: a response that waits for the
+    client's delayed ACK shows only on a reused connection."""
+    data = json.dumps(body).encode()
+    conn = http.client.HTTPConnection("127.0.0.1", PORT, timeout=60)
+    times = []
+    try:
+        for _ in range(count):
+            started = time.perf_counter()
+            conn.request(
+                "POST", "/join", body=data, headers={"Content-Type": "application/json"}
+            )
+            response = conn.getresponse()
+            raw = response.read()
+            times.append((time.perf_counter() - started) * 1000.0)
+            payload = json.loads(raw)
+            assert response.status == 200, payload
+            assert payload["result_cache"] == "hit", payload["result_cache"]
+    finally:
+        conn.close()
+    return times
 
 
 def wait_for_healthz():
@@ -124,6 +155,13 @@ def main(argv) -> int:
         ]
         assert not sweep_counters, f"warm join ran the sweep: {sweep_counters}"
 
+        hit_ms = keep_alive_hits({"r": "genome", "epsilon": 1.0}, KEEP_ALIVE_HITS)
+        hit_median_ms = statistics.median(hit_ms)
+        assert hit_median_ms <= KEEP_ALIVE_MEDIAN_LIMIT_MS, (
+            f"keep-alive memo hits took {hit_median_ms:.1f} ms at the median "
+            f"(limit {KEEP_ALIVE_MEDIAN_LIMIT_MS:g} ms): {[round(t, 1) for t in hit_ms]}"
+        )
+
         _, explained = call(
             "POST",
             "/join",
@@ -146,6 +184,7 @@ def main(argv) -> int:
             "cold": {k: v for k, v in cold.items() if k != "pairs"},
             "append": appended,
             "warm": {k: v for k, v in warm.items() if k != "pairs"},
+            "keep_alive_hit_ms": hit_ms,
             "explain": explained["explain"],
         }
         with open(trace_out, "w") as fh:
@@ -163,7 +202,8 @@ def main(argv) -> int:
     print(
         f"serve smoke ok: cold miss -> append ({appended['pages_before']}"
         f"->{appended['pages_after']} pages) -> warm hit "
-        f"(matrix_seconds=0.0), explain artifact valid, no segment left; "
+        f"(matrix_seconds=0.0), {KEEP_ALIVE_HITS} keep-alive memo hits at "
+        f"{hit_median_ms:.1f} ms median, explain artifact valid, no segment left; "
         f"trace written to {trace_out}"
     )
     return 0

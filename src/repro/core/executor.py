@@ -176,9 +176,8 @@ def execute_clusters_sharded(
     shard recipe (custom joiners — run those with
     :func:`execute_clusters`) and ``RuntimeError`` when a worker process
     dies (the broken pool is dropped, and the next sharded join starts a
-    fresh one) or the start-method validation fails.  Whatever raises,
-    the join's shards are cancelled or finished before its shared
-    segments are unlinked.
+    fresh one).  Whatever raises, the join's shards are cancelled or
+    finished before its shared segments are unlinked.
     """
     from repro.core.sharding import (
         build_shard_task,
@@ -220,7 +219,7 @@ def execute_clusters_sharded(
         _count_executor_totals(recorder, outcome, 0)
         return outcome
 
-    start_method = resolve_start_method(plan.num_shards)
+    start_method = resolve_start_method()
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 

@@ -84,28 +84,12 @@ _POOLS: Dict[str, ProcessPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
 
-def resolve_start_method(workers: int) -> str:
-    """The multiprocessing start method for a sharded run, validated.
-
-    Prefers ``fork`` (cheap, inherits the parent's imports).  Without it
-    the pool must ``spawn``, whose per-worker interpreter start is slow
-    enough that oversubscribing the CPUs (``workers > os.cpu_count()``)
-    degenerates into something easily mistaken for a hang — so that
-    combination is rejected with an explanation instead.
-    """
-    methods = mp.get_all_start_methods()
-    if "fork" in methods:
-        return "fork"
-    cpus = os.cpu_count() or 1
-    if workers > cpus:
-        raise RuntimeError(
-            f"workers={workers} exceeds os.cpu_count()={cpus} and the 'fork' "
-            "start method is unavailable on this platform: spawn-started "
-            "workers would oversubscribe the CPUs while paying a full "
-            "interpreter start each, which stalls rather than fails. "
-            "Reduce workers, or run serially (workers=1)."
-        )
-    return "spawn"
+def resolve_start_method() -> str:
+    """The multiprocessing start method for sharded runs: ``fork`` (cheap,
+    inherits the parent's imports) where the platform has it, else
+    ``spawn``.  Either way the warm pool holds ``os.cpu_count()`` workers
+    and a join's extra shards queue."""
+    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 def shard_pool(start_method: str) -> ProcessPoolExecutor:
@@ -125,15 +109,15 @@ def shard_pool(start_method: str) -> ProcessPoolExecutor:
         return pool
 
 
-def start_shard_pool(workers: int) -> None:
-    """Start the warm pool for a ``workers``-shard join now, not at the
-    first join: ``repro serve`` calls this before its HTTP threads exist,
-    so the workers fork from a single-threaded process.
+def start_shard_pool() -> None:
+    """Start the warm pool now, not at the first sharded join: ``repro
+    serve`` calls this before its HTTP threads exist, so the workers fork
+    from a single-threaded process.
 
     A fork pool forks every worker inside its first ``submit``; nothing
     waits for the no-op task itself.
     """
-    shard_pool(resolve_start_method(workers)).submit(os.getpid)
+    shard_pool(resolve_start_method()).submit(os.getpid)
 
 
 def discard_shard_pool(pool: ProcessPoolExecutor) -> None:

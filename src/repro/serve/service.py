@@ -22,7 +22,10 @@ errors → **400**; admission queue full or wait timed out → **429**;
 anything else → **500** with the exception text.
 
 No new dependencies: ``http.server`` + ``json`` only, threads per
-request (the session is built for exactly that concurrency).
+request (the session is built for exactly that concurrency).  Responses
+go out with Nagle's algorithm off, and an executed result's pairs are
+JSON-encoded once (:class:`~repro.serve.session.Pairs`), however many
+memo hits send them.
 :func:`serve` runs executed joins on ``os.cpu_count()`` shard workers
 and starts their warm pool before the first HTTP thread exists.
 """
@@ -45,7 +48,7 @@ from repro.core.join import IndexedDataset
 from repro.core.sharding import start_shard_pool
 from repro.errors import ConfigError
 from repro.serve.admission import AdmissionRejected
-from repro.serve.session import JoinSession
+from repro.serve.session import JoinSession, Pairs
 
 __all__ = ["JoinService", "make_server", "serve"]
 
@@ -245,8 +248,30 @@ class JoinService:
         return 404, {"error": f"no route for {method} {path}"}
 
 
+def _encode(payload: Dict[str, Any]) -> bytes:
+    """``json.dumps(payload)`` as UTF-8, with cached :class:`Pairs` text.
+
+    The members around ``"pairs"`` are encoded per call (they carry the
+    request id and timings); an executed result's pairs only once.
+    """
+    pairs = payload.get("pairs")
+    if not isinstance(pairs, Pairs):
+        return json.dumps(payload).encode("utf-8")
+    keys = list(payload)
+    cut = keys.index("pairs")
+    members = (
+        json.dumps({k: payload[k] for k in keys[:cut]})[1:-1].encode("utf-8"),
+        b'"pairs": ' + pairs.json_bytes(),
+        json.dumps({k: payload[k] for k in keys[cut + 1 :]})[1:-1].encode("utf-8"),
+    )
+    return b"{" + b", ".join(m for m in members if m) + b"}"
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # With Nagle's algorithm on, a keep-alive response written as headers
+    # plus body waits for the client's delayed ACK (~40 ms on Linux).
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; the service logs
     # through its own counters instead.
@@ -256,6 +281,15 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def _service(self) -> JoinService:
         return self.server.service  # type: ignore[attr-defined]
+
+    def handle_one_request(self) -> None:
+        """One request; a reset while waiting for it (say, a client that
+        closed its keep-alive connection with a response unread) just
+        ends the connection."""
+        try:
+            super().handle_one_request()
+        except ConnectionResetError:
+            self.close_connection = True
 
     def _read_body(self) -> Optional[Dict[str, Any]]:
         length = int(self.headers.get("Content-Length") or 0)
@@ -280,12 +314,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, payload)
 
     def _send(self, status: int, payload: Dict[str, Any]) -> None:
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        """Write the response; a client that has gone away only closes
+        the connection and counts ``serving.client_disconnects``."""
+        data = _encode(payload)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
+            self._service.session.count("serving.client_disconnects")
 
     def do_GET(self) -> None:  # noqa: N802
         self._respond("GET")
@@ -332,7 +372,7 @@ def serve(
     if service is None:
         service = JoinService(workers=os.cpu_count() or 1, **session_kwargs)
     if service.session.workers > 1:
-        start_shard_pool(service.session.workers)
+        start_shard_pool()
     server = make_server(host, port, service=service)
     on_main_thread = threading.current_thread() is threading.main_thread()
     if on_main_thread:

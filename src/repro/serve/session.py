@@ -27,9 +27,13 @@ served straight from a bounded result memo — the warmest tier above the
 resident matrix.  Only *matrix-warm*, non-explain, prefilter-free
 executions are memoised, so a memoised payload is bit-identical to the
 warm execution it replays (zero ``matrix_seconds``, no sweep counters)
-and never leaks cold-build provenance.  Keys embed the content
-fingerprints, so an append makes every stale memo entry unreachable
-exactly like the matrix/sketch caches.
+and never leaks cold-build provenance.  Keys embed the dataset ids and
+their fingerprints; an append or evict drops the entries over its
+dataset, and an execution that raced one is not memoised, so the memo
+holds only results a request can still hit.  An executed join's pairs
+are one immutable :class:`Pairs` shared by its response and its memo
+entry, and JSON-encoded at most once, so a memo hit does no per-pair
+work.
 
 **Concurrency.**  Mutation (register/append/evict) happens under one
 session lock; ``join`` resolves its snapshots under that lock and then
@@ -48,6 +52,7 @@ memo hit never leaves it.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import uuid
@@ -73,19 +78,38 @@ from repro.storage.persist import (
     sketch_cache_key,
 )
 
-__all__ = ["JoinSession", "ResidentDataset"]
+__all__ = ["JoinSession", "Pairs", "ResidentDataset"]
 
 # Bounded size of the per-session join-result memo (FIFO eviction).
-# Entries are unreachable after any append anyway (fingerprint keys), so
-# the cap only bounds memory under many distinct live request shapes.
+# Appends and evicts drop the entries over their dataset, so the cap only
+# bounds memory under many distinct live request shapes.
 _RESULT_MEMO_CAP = 256
+
+_ENCODE_LOCK = threading.Lock()
+
+
+class Pairs(tuple):
+    """An executed join's result pairs: ``(r, s)`` tuples in result order.
+
+    Immutable, so a response and its memo entry share one object.
+    ``json.dumps`` encodes it like any tuple, as a list of ``[r, s]``
+    lists; :meth:`json_bytes` is that same text, encoded at most once.
+    """
+
+    def json_bytes(self) -> bytes:
+        """``json.dumps(self)`` as ASCII bytes, encoded at the first call."""
+        with _ENCODE_LOCK:
+            if not hasattr(self, "_json"):
+                self._json = json.dumps(self).encode("ascii")
+        return self._json
 
 
 def _copy_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Copy a response payload deeply enough that callers can't alias it."""
+    """Copy a response payload deeply enough that callers can't alias it.
+
+    The pairs are not copied: a :class:`Pairs` cannot change.
+    """
     copied = dict(payload)
-    if "pairs" in copied:
-        copied["pairs"] = [list(pair) for pair in copied["pairs"]]
     for key in ("counters", "stage_seconds", "fingerprints"):
         if isinstance(copied.get(key), dict):
             copied[key] = dict(copied[key])
@@ -173,8 +197,8 @@ class JoinSession:
         # was built under; sketch key -> the dataset + prefilter config.
         self._matrix_meta: Dict[str, Dict[str, Any]] = {}
         self._sketch_meta: Dict[str, Dict[str, Any]] = {}
-        # Join-result memo: request shape (fingerprints + parameters) ->
-        # the payload of a prior matrix-warm execution of that shape.
+        # Join-result memo: (r_id, s_id, fp_r, fp_s) + the request's
+        # parameters -> the payload of a prior matrix-warm execution.
         self._memo_lock = threading.Lock()
         self._results: Dict[tuple, Dict[str, Any]] = {}
         self._counter_lock = threading.Lock()
@@ -206,7 +230,7 @@ class JoinSession:
                 page_capacity=page_capacity,
             )
             self._datasets[dataset_id] = entry
-            self._count("serving.registers")
+            self.count("serving.registers")
             return entry.describe()
 
     def datasets(self) -> List[Dict[str, Any]]:
@@ -234,13 +258,8 @@ class JoinSession:
                     self.store.drop_sketches(key)
                     del self._sketch_meta[key]
                     dropped_sketches += 1
-            with self._memo_lock:
-                dropped_results = 0
-                for key, hit in list(self._results.items()):
-                    if dataset_id in (hit["r_id"], hit["s_id"]):
-                        del self._results[key]
-                        dropped_results += 1
-            self._count("serving.evictions")
+            dropped_results = self._drop_results(dataset_id)
+            self.count("serving.evictions")
             return {
                 "id": dataset_id,
                 "fingerprint": entry.fingerprint,
@@ -258,6 +277,8 @@ class JoinSession:
         against it; requests resolved after this returns see the grown
         dataset, its incrementally-updated fingerprint, and matrices/
         sketches patched to the exact state a cold rebuild would produce.
+        Memoised results over the dataset are dropped: no request can
+        hit them after the append.
         """
         with self._mutate:
             entry = self._entry(dataset_id)
@@ -271,10 +292,11 @@ class JoinSession:
             entry.fingerprint = delta.fingerprint
             entry.appends += 1
             entry.objects_appended += delta.objects_added
-            self._count("serving.appends")
-            self._count("serving.pages_appended", len(delta.new_pages))
-            self._count("serving.matrix_patches", matrices_patched)
-            self._count("serving.sketch_patches", sketches_patched)
+            self._drop_results(dataset_id)
+            self.count("serving.appends")
+            self.count("serving.pages_appended", len(delta.new_pages))
+            self.count("serving.matrix_patches", matrices_patched)
+            self.count("serving.sketch_patches", sketches_patched)
             return {
                 "id": dataset_id,
                 "fingerprint": delta.fingerprint,
@@ -418,29 +440,30 @@ class JoinSession:
         # Repeat-request fast path: identical shapes replay the memoised
         # warm payload without admission, leases, or any join work.
         memoizable = memoize and not explain and prefilter is None
+        shape = (
+            float(epsilon),
+            method,
+            frames,
+            max_filter_rounds,
+            bool(count_only),
+            bool(include_pairs),
+        )
         if memoizable:
             with self._mutate:
                 probe_r = self._entry(r_id)
                 probe_s = probe_r if s_id == r_id else self._entry(s_id)
-                memo_key = self._memo_key(
-                    probe_r.fingerprint,
-                    probe_s.fingerprint,
-                    epsilon,
-                    method,
-                    frames,
-                    max_filter_rounds,
-                    count_only,
-                    include_pairs,
-                )
+                memo_key = (
+                    r_id, s_id, probe_r.fingerprint, probe_s.fingerprint
+                ) + shape
             memoized = self._memo_get(memo_key)
             if memoized is not None:
                 memoized["request_id"] = req
                 memoized["elapsed_seconds"] = time.perf_counter() - started
                 memoized["result_cache"] = "hit"
                 memoized["counters"]["serving.result_hit"] = 1
-                self._count("serving.requests")
-                self._count("serving.warm_hits")
-                self._count("serving.result_hits")
+                self.count("serving.requests")
+                self.count("serving.warm_hits")
+                self.count("serving.result_hits")
                 return memoized
         ticket = self.admission.admit(frames)
         try:
@@ -509,11 +532,11 @@ class JoinSession:
         elapsed = time.perf_counter() - started
         report = result.report
         cache_state = report.extra.get("matrix_cache")
-        self._count("serving.requests")
+        self.count("serving.requests")
         if cache_state == "hit":
-            self._count("serving.warm_hits")
+            self.count("serving.warm_hits")
         elif cache_state == "miss":
-            self._count("serving.cold_misses")
+            self.count("serving.cold_misses")
         counters = dict(recorder.counters)
         counters["serving.warm_hit"] = 1 if cache_state == "hit" else 0
         payload: Dict[str, Any] = {
@@ -535,7 +558,7 @@ class JoinSession:
         }
         payload["result_cache"] = "miss"
         if include_pairs and not count_only:
-            payload["pairs"] = [[int(a), int(b)] for a, b in result.pairs]
+            payload["pairs"] = Pairs(result.pairs)
         explain_artifact = report.extra.get("explain")
         if explain_artifact is not None:
             payload["explain"] = explain_artifact.data
@@ -543,54 +566,49 @@ class JoinSession:
             # Only matrix-warm executions are memoised: their payloads
             # carry zero matrix_seconds and no sweep counters, so a
             # replay is bit-identical to re-running the warm join.
-            self._memo_put(
-                self._memo_key(
-                    fp_r,
-                    fp_s,
-                    epsilon,
-                    method,
-                    frames,
-                    max_filter_rounds,
-                    count_only,
-                    include_pairs,
-                ),
-                r_id,
-                s_id,
-                payload,
-            )
+            self._memo_put((r_id, s_id, fp_r, fp_s) + shape, r_ds, s_ds, payload)
         return payload
-
-    @staticmethod
-    def _memo_key(
-        fp_r, fp_s, epsilon, method, frames, max_filter_rounds, count_only, include_pairs
-    ) -> tuple:
-        return (
-            fp_r,
-            fp_s,
-            float(epsilon),
-            method,
-            frames,
-            max_filter_rounds,
-            bool(count_only),
-            bool(include_pairs),
-        )
 
     def _memo_get(self, key: tuple) -> Optional[Dict[str, Any]]:
         with self._memo_lock:
             hit = self._results.get(key)
-            return None if hit is None else _copy_payload(hit["payload"])
+        return None if hit is None else _copy_payload(hit)
 
     def _memo_put(
-        self, key: tuple, r_id: str, s_id: str, payload: Dict[str, Any]
+        self,
+        key: tuple,
+        r_ds: IndexedDataset,
+        s_ds: IndexedDataset,
+        payload: Dict[str, Any],
     ) -> None:
+        """Memoise ``payload``, computed on snapshots ``r_ds`` and ``s_ds``.
+
+        Skipped when an append or evict has replaced either snapshot
+        since the join resolved them: no request could hit the entry.
+        """
+        r_id, s_id = key[:2]
+        with self._mutate:
+            entry_r = self._datasets.get(r_id)
+            entry_s = self._datasets.get(s_id)
+            if (
+                entry_r is None
+                or entry_s is None
+                or entry_r.dataset is not r_ds
+                or entry_s.dataset is not s_ds
+            ):
+                return
+            with self._memo_lock:
+                if key not in self._results and len(self._results) >= _RESULT_MEMO_CAP:
+                    self._results.pop(next(iter(self._results)))
+                self._results[key] = _copy_payload(payload)
+
+    def _drop_results(self, dataset_id: str) -> int:
+        """Drop every memoised result over ``dataset_id``; their count."""
         with self._memo_lock:
-            if key not in self._results and len(self._results) >= _RESULT_MEMO_CAP:
-                self._results.pop(next(iter(self._results)))
-            self._results[key] = {
-                "r_id": r_id,
-                "s_id": s_id,
-                "payload": _copy_payload(payload),
-            }
+            stale = [key for key in self._results if dataset_id in key[:2]]
+            for key in stale:
+                del self._results[key]
+        return len(stale)
 
     def subsequence_join(self, r_id: str, s_id: str, epsilon: float, **kwargs):
         """The sliding-window join (text/series datasets only)."""
@@ -608,6 +626,12 @@ class JoinSession:
 
     # -- introspection ---------------------------------------------------------
 
+    def count(self, name: str, value: int = 1) -> None:
+        """Add ``value`` to the session counter ``name`` (``/healthz``)."""
+        if value:
+            with self._counter_lock:
+                self._counters[name] = self._counters.get(name, 0) + value
+
     def counters(self) -> Dict[str, int]:
         with self._counter_lock:
             return dict(self._counters)
@@ -621,6 +645,7 @@ class JoinSession:
             "store": self.store.stats(),
             "admission": self.admission.stats(),
             "counters": self.counters(),
+            "result_memo_entries": len(self._results),
         }
 
     # -- internals -------------------------------------------------------------
@@ -630,8 +655,3 @@ class JoinSession:
             return self._datasets[dataset_id]
         except KeyError:
             raise KeyError(f"no resident dataset {dataset_id!r}") from None
-
-    def _count(self, name: str, value: int = 1) -> None:
-        if value:
-            with self._counter_lock:
-                self._counters[name] = self._counters.get(name, 0) + value

@@ -1,5 +1,9 @@
 """JoinSession: warm-path guarantees and incremental-append equivalence."""
 
+import copy
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -85,6 +89,150 @@ class TestWarmPath:
         sess.register("g", _text_dataset())
         with pytest.raises(ValueError):
             sess.register("g", _text_dataset())
+
+
+# Edit distance 2 on the test text gives about 3,000 pairs.
+_MEMO_EPSILON = 2.0
+
+
+def _memoised(sess, dataset_id):
+    """Fill the memo for a self join: the cold run, then the warm one."""
+    sess.join(dataset_id, dataset_id, epsilon=_MEMO_EPSILON)
+    return sess.join(dataset_id, dataset_id, epsilon=_MEMO_EPSILON)
+
+
+def _replayed(payload):
+    """A payload minus what differs between two replays of one result."""
+    return {k: v for k, v in payload.items() if k not in ("request_id", "elapsed_seconds")}
+
+
+class TestResultMemo:
+    """The memo holds only results a request can still hit."""
+
+    def test_append_drops_the_entries_over_its_dataset(self):
+        sess = _session()
+        sess.register("g", _text_dataset())
+        sess.register("h", _text_dataset(seed=2))
+        _memoised(sess, "g")
+        _memoised(sess, "h")
+        assert sess.stats()["result_memo_entries"] == 2
+        sess.append("g", markov_dna(200, seed=5))
+        assert sess.stats()["result_memo_entries"] == 1
+        assert sess.join("h", "h", epsilon=_MEMO_EPSILON)["result_cache"] == "hit"
+        grown = sess.join("g", "g", epsilon=_MEMO_EPSILON)
+        assert grown["result_cache"] == "miss" and grown["num_pairs"] > 0
+        assert sess.stats()["result_memo_entries"] == 2
+        fresh = _session()
+        fresh.register("g", sess._datasets["g"].dataset)
+        assert grown["pairs"] == fresh.join("g", "g", epsilon=_MEMO_EPSILON)["pairs"]
+
+    @pytest.mark.parametrize("mutation", ["append", "evict"])
+    def test_a_join_that_raced_a_mutation_is_not_memoised(self, monkeypatch, mutation):
+        """An execution whose snapshots an append (or evict) replaced
+        while it ran leaves no memo entry: none could ever be hit."""
+        import repro.serve.session as session_module
+
+        sess = _session()
+        sess.register("g", _text_dataset())
+        sess.join("g", "g", epsilon=_MEMO_EPSILON)  # the next execution is matrix-warm
+        engine = session_module.join
+
+        def racing_join(*args, **kwargs):
+            result = engine(*args, **kwargs)
+            if mutation == "append":
+                sess.append("g", markov_dna(200, seed=5))
+            else:
+                sess.evict("g")
+            return result
+
+        monkeypatch.setattr(session_module, "join", racing_join)
+        raced = sess.join("g", "g", epsilon=_MEMO_EPSILON)
+        assert raced["matrix_cache"] == "hit"
+        assert sess.stats()["result_memo_entries"] == 0
+
+    def test_joins_racing_appends_leave_only_live_entries(self):
+        """Joins and appends on four threads with a short switch interval:
+        afterwards every memo entry is for the current snapshot."""
+        sess = _session()
+        sess.register("g", _text_dataset())
+        errors = []
+
+        def run(work):
+            try:
+                work()
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        def joins():
+            for _ in range(6):
+                sess.join("g", "g", epsilon=_MEMO_EPSILON)
+
+        def appends():
+            for k in range(4):
+                sess.append("g", markov_dna(64, seed=50 + k))
+
+        threads = [threading.Thread(target=run, args=(joins,)) for _ in range(3)]
+        threads.append(threading.Thread(target=run, args=(appends,)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        current = sess.describe("g")["fingerprint"]
+        assert all(key[2] == current for key in sess._results)
+        assert sess.stats()["result_memo_entries"] <= 1
+
+    def test_datasets_with_equal_fingerprints_get_their_own_results(self):
+        """Fingerprints cover page boxes, not every point: moving a point
+        inside its page's box keeps the fingerprint.  A join over the
+        moved dataset must still return its own pairs, not the memoised
+        result of its twin."""
+        rng = np.random.default_rng(0)
+        twin = IndexedDataset.from_points(rng.uniform(0, 1, (512, 2)), page_capacity=64)
+        points = twin.paged.vectors.copy()
+        lo, hi = points[:64].min(axis=0), points[:64].max(axis=0)
+        inner = next(
+            i for i in range(64) if (points[i] > lo).all() and (points[i] < hi).all()
+        )
+        points[inner] = (lo + hi) / 2
+        moved = IndexedDataset.from_points(points, page_capacity=64)
+        other = IndexedDataset.from_points(rng.uniform(0, 1, (512, 2)), page_capacity=64)
+        sess = _session()
+        for name, dataset in (("twin", twin), ("moved", moved), ("other", other)):
+            sess.register(name, dataset)
+        assert sess.describe("twin")["fingerprint"] == sess.describe("moved")["fingerprint"]
+        for _ in range(2):
+            sess.join("twin", "other", epsilon=0.05)
+        served = sess.join("moved", "other", epsilon=0.05)
+        executed = sess.join("moved", "other", epsilon=0.05, memoize=False)
+        assert served["r"] == "moved"
+        assert served["pairs"] == executed["pairs"]
+        assert served["pairs"] != sess.join("twin", "other", epsilon=0.05)["pairs"]
+
+    def test_mutating_a_payload_cannot_change_the_memo(self):
+        sess = _session()
+        sess.register("g", _text_dataset())
+        executed = _memoised(sess, "g")
+        hit = sess.join("g", "g", epsilon=_MEMO_EPSILON)
+        assert hit["result_cache"] == "hit" and hit["num_pairs"] > 0
+        expected = copy.deepcopy(_replayed(hit))
+        for payload in (executed, hit):
+            with pytest.raises(TypeError):
+                payload["pairs"][0] = (0, 0)
+            payload["num_pairs"] = -1
+            payload["pairs"] = []
+            payload["counters"]["serving.warm_hit"] = 99
+            payload["fingerprints"]["r"] = "changed"
+            payload["stage_seconds"].clear()
+        again = sess.join("g", "g", epsilon=_MEMO_EPSILON)
+        assert again["result_cache"] == "hit"
+        assert _replayed(again) == expected
 
 
 class TestIncrementalAppend:
