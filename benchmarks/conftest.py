@@ -9,6 +9,21 @@ authors' 2002 testbed (see DESIGN.md §3).
 
 from __future__ import annotations
 
+import os
+import sys
+
+# One BLAS thread, set before NumPy loads (pytest imports this file before
+# any bench module) and inherited by the shard workers the parallel rows
+# fork.  With OpenBLAS's default of one thread per CPU, two workers on a
+# 2-CPU host ran four BLAS threads: the 2-worker sharded DTW join read
+# 0.55-0.77x serial, against 1.6-2.0x with one thread.
+assert "numpy" not in sys.modules, (
+    "NumPy was imported before benchmarks/conftest.py could pin one BLAS "
+    "thread; run the benchmarks in a pytest process of their own"
+)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import json
 from pathlib import Path
 

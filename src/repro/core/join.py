@@ -54,6 +54,7 @@ from repro.core.executor import (
     execute_clusters_sharded,
 )
 from repro.core.joiners import make_numeric_joiner, make_text_joiner, text_dp_weight
+from repro.core.pairs import ResultPairs
 from repro.core.pm_nlj import pm_nlj_join
 from repro.core.prediction import PredictionMatrix
 from repro.core.schedule import greedy_cluster_order
@@ -254,11 +255,15 @@ class IndexedDataset:
 class JoinResult:
     """Join output: the matching object-id pairs plus the cost breakdown.
 
-    With ``count_only=True`` the ``pairs`` list is empty while
-    ``num_pairs`` still reports the exact result cardinality.
+    ``pairs`` is a :class:`~repro.core.pairs.ResultPairs`: it reads like
+    a list of ``(int, int)`` tuples, in the executor's order, but holds
+    one read-only ``(n, 2)`` int64 array (``np.asarray(result.pairs)``,
+    no copy) and builds a tuple only when a pair is read.  With
+    ``count_only=True`` it is empty while ``num_pairs`` still reports
+    the exact result cardinality.
     """
 
-    pairs: List[Tuple[int, int]]
+    pairs: ResultPairs
     report: CostReport
     matrix: Optional[PredictionMatrix] = None
     clusters: Optional[List[Cluster]] = None
@@ -420,7 +425,7 @@ def join(
         schedule is partitioned into ``workers`` shard-local sets,
         worker processes join them against shared-memory dataset views,
         and the parent replays the full simulated I/O serially — the
-        result pair list, every simulated counter, and the Lemma audits
+        result pairs (in order), every simulated counter, and the Lemma audits
         are bit-identical to ``workers=1``.  See
         ``docs/execution_modes.md``.
     shard_strategy:

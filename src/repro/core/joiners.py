@@ -24,9 +24,10 @@ call returns one :class:`ClusterResult`: every accepted pair as one
 comparison and CPU arrays.  Entry ``k``'s rows and values equal joining
 that page pair on its own — the frozen per-page-pair kernels in
 ``tests/oracles/joiners.py`` — bit for bit, and one cascade adds the same
-semantic counters.  Pairs stay arrays until
-:meth:`~repro.core.executor.ExecutionOutcome.absorb` folds them into the
-join's result list.
+semantic counters.  Pairs stay arrays all the way to the caller:
+:class:`~repro.core.executor.ExecutionOutcome` concatenates the absorbed
+arrays once into the array behind the join's
+:class:`~repro.core.pairs.ResultPairs`.
 """
 
 from __future__ import annotations

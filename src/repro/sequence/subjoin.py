@@ -11,11 +11,12 @@ datasets and their MR/MRS indexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.core.join import IndexedDataset, join
+from repro.core.pairs import ResultPairs
 from repro.costmodel import CostModel
 from repro.distance.frequency import DNA_ALPHABET
 from repro.obs.recorder import Recorder
@@ -28,9 +29,15 @@ SequenceInput = Union[str, np.ndarray]
 
 @dataclass
 class SubsequenceJoinResult:
-    """Offset pairs plus the cost report of the underlying page join."""
+    """Offset pairs plus the cost report of the underlying page join.
 
-    offsets: List[Tuple[int, int]]
+    ``offsets`` is the page join's :class:`~repro.core.pairs.ResultPairs`:
+    ``(p, q)`` start offsets that read like a list of ``(int, int)``
+    tuples, over one read-only ``(n, 2)`` int64 array
+    (``np.asarray(result.offsets)``, no copy).
+    """
+
+    offsets: ResultPairs
     report: CostReport
     window_length: int
 

@@ -242,7 +242,11 @@ class JoinSession:
             return self._entry(dataset_id).describe()
 
     def evict(self, dataset_id: str) -> Dict[str, Any]:
-        """Drop a dataset and every cache entry that references it."""
+        """Drop a dataset and every cache entry that references it.
+
+        The memoised results it drops are freed after the session lock
+        is released (see :meth:`_drop_results`).
+        """
         with self._mutate:
             entry = self._entry(dataset_id)
             del self._datasets[dataset_id]
@@ -260,13 +264,15 @@ class JoinSession:
                     dropped_sketches += 1
             dropped_results = self._drop_results(dataset_id)
             self.count("serving.evictions")
-            return {
+            response = {
                 "id": dataset_id,
                 "fingerprint": entry.fingerprint,
                 "dropped_matrices": dropped_matrices,
                 "dropped_sketches": dropped_sketches,
-                "dropped_results": dropped_results,
+                "dropped_results": len(dropped_results),
             }
+        del dropped_results
+        return response
 
     # -- incremental append ---------------------------------------------------
 
@@ -278,7 +284,8 @@ class JoinSession:
         dataset, its incrementally-updated fingerprint, and matrices/
         sketches patched to the exact state a cold rebuild would produce.
         Memoised results over the dataset are dropped: no request can
-        hit them after the append.
+        hit them after the append.  They are freed after the session lock
+        is released (see :meth:`_drop_results`).
         """
         with self._mutate:
             entry = self._entry(dataset_id)
@@ -292,12 +299,12 @@ class JoinSession:
             entry.fingerprint = delta.fingerprint
             entry.appends += 1
             entry.objects_appended += delta.objects_added
-            self._drop_results(dataset_id)
+            dropped_results = self._drop_results(dataset_id)
             self.count("serving.appends")
             self.count("serving.pages_appended", len(delta.new_pages))
             self.count("serving.matrix_patches", matrices_patched)
             self.count("serving.sketch_patches", sketches_patched)
-            return {
+            response = {
                 "id": dataset_id,
                 "fingerprint": delta.fingerprint,
                 "old_fingerprint": delta.old_fingerprint,
@@ -309,6 +316,8 @@ class JoinSession:
                 "matrices_patched": matrices_patched,
                 "sketches_patched": sketches_patched,
             }
+        del dropped_results
+        return response
 
     def _patch_matrices(self, entry: ResidentDataset, delta) -> int:
         patched = 0
@@ -602,13 +611,16 @@ class JoinSession:
                     self._results.pop(next(iter(self._results)))
                 self._results[key] = _copy_payload(payload)
 
-    def _drop_results(self, dataset_id: str) -> int:
-        """Drop every memoised result over ``dataset_id``; their count."""
+    def _drop_results(self, dataset_id: str) -> List[Dict[str, Any]]:
+        """Remove every memoised result over ``dataset_id``; the payloads.
+
+        The caller holds the session lock and lets the payloads go only
+        after releasing it: freeing a large result's pairs takes
+        milliseconds, which every other mutation would wait out.
+        """
         with self._memo_lock:
             stale = [key for key in self._results if dataset_id in key[:2]]
-            for key in stale:
-                del self._results[key]
-        return len(stale)
+            return [self._results.pop(key) for key in stale]
 
     def subsequence_join(self, r_id: str, s_id: str, epsilon: float, **kwargs):
         """The sliding-window join (text/series datasets only)."""

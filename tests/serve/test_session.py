@@ -127,6 +127,29 @@ class TestResultMemo:
         assert grown["pairs"] == fresh.join("g", "g", epsilon=_MEMO_EPSILON)["pairs"]
 
     @pytest.mark.parametrize("mutation", ["append", "evict"])
+    def test_dropped_results_are_freed_outside_the_session_lock(self, mutation):
+        """Freeing a large memoised result takes milliseconds, so an
+        append or evict lets the payloads it drops go only after it has
+        released the session lock."""
+        sess = _session()
+        sess.register("g", _text_dataset())
+        _memoised(sess, "g")
+        lock_held = []
+
+        class Finaliser:
+            def __del__(self):
+                lock_held.append(sess._mutate._is_owned())
+
+        (key,) = sess._results
+        sess._results[key]["finaliser"] = Finaliser()
+        if mutation == "append":
+            sess.append("g", markov_dna(200, seed=5))
+        else:
+            sess.evict("g")
+        assert sess.stats()["result_memo_entries"] == 0
+        assert lock_held == [False]
+
+    @pytest.mark.parametrize("mutation", ["append", "evict"])
     def test_a_join_that_raced_a_mutation_is_not_memoised(self, monkeypatch, mutation):
         """An execution whose snapshots an append (or evict) replaced
         while it ran leaves no memo entry: none could ever be hit."""
