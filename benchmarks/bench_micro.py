@@ -476,14 +476,17 @@ def test_sharded_join_speedup(record_json):
 # mostly pays its scoring cost for nothing.
 
 
-def _prefilter_row(r, s, eps, buf, cost_model, cache, repeats):
+def _prefilter_row(r, s, eps, buf, cost_model, repeats):
+    from repro.serve.store import ResidentStore
     from repro.sketch.cascade import measured_recall
     from repro.sketch.config import PrefilterConfig
+
+    store = ResidentStore()
 
     def run(prefilter):
         return join(
             r, s, eps, method="sc", buffer_pages=buf, cost_model=cost_model,
-            matrix_cache=cache, prefilter=prefilter,
+            matrix_cache=store, prefilter=prefilter,
         )
 
     approx_config = PrefilterConfig(recall_target=0.99)
@@ -505,28 +508,25 @@ def _prefilter_row(r, s, eps, buf, cost_model, cache, repeats):
     }
 
 
-def test_prefilter_cascade(record_json, tmp_path):
+def test_prefilter_cascade(record_json):
     repeats = 1 if QUICK else 2
     genome = hchr18(0.005 if QUICK else 0.008, seed=0)
     genome_row = _prefilter_row(
-        genome, genome, GENOME_EPSILON, GENOME_BUFFER, GENOME_COST_MODEL,
-        tmp_path / "genome", repeats,
+        genome, genome, GENOME_EPSILON, GENOME_BUFFER, GENOME_COST_MODEL, repeats
     )
 
     r, s = lbeach_mcounty(0.3, seed=0)
-    spatial_row = _prefilter_row(
-        r, s, SPATIAL_EPSILON, SPATIAL_BUFFER, None, tmp_path / "spatial", repeats
-    )
+    spatial_row = _prefilter_row(r, s, SPATIAL_EPSILON, SPATIAL_BUFFER, None, repeats)
 
     lr, ls = landsat_pair(0.1, seed=0)
     landsat_row = _prefilter_row(
-        lr, ls, LANDSAT_EPSILON, 100, LANDSAT_COST_MODEL,
-        tmp_path / "landsat", repeats,
+        lr, ls, LANDSAT_EPSILON, 100, LANDSAT_COST_MODEL, repeats
     )
 
     record_json(
         "prefilter",
         {
+            "cpu_count": os.cpu_count(),
             "genome": {
                 "pages": int(genome.num_pages),
                 "window_length": 192,

@@ -42,7 +42,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from repro.core.pm_nlj import pm_nlj_join
 from repro.core.prediction import PredictionMatrix
 from repro.core.schedule import greedy_cluster_order
 from repro.core.square import square_clustering
-from repro.core.sweep import build_prediction_matrix, check_matrix_arguments
+from repro.core.sweep import SweepStats, build_prediction_matrix, check_matrix_arguments
 from repro.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.distance.dtw import DTWDistance
 from repro.distance.frequency import DNA_ALPHABET
@@ -74,7 +74,11 @@ from repro.sketch.config import PrefilterConfig, resolve_prefilter
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import SequencePagedDataset, VectorPagedDataset
+from repro.storage.persist import dataset_fingerprint, matrix_cache_key
 from repro.storage.stats import CostReport
+
+if TYPE_CHECKING:
+    from repro.serve.store import ResidentStore
 
 __all__ = ["IndexedDataset", "JoinResult", "join", "JOIN_METHODS"]
 
@@ -383,7 +387,7 @@ def join(
     count_only: bool = False,
     buffer_policy: str = "lru",
     workers: int = 1,
-    matrix_cache: "str | Path | None" = None,
+    matrix_cache: "Optional[ResidentStore]" = None,
     recorder: Optional[Recorder] = None,
     shard_strategy=None,
     prefilter: "None | str | PrefilterConfig" = None,
@@ -398,7 +402,8 @@ def join(
     infinite one on text), a ``max_filter_rounds`` that is not a
     non-negative int, ``buffer_pages`` or ``workers`` that is not a
     positive int, an unknown ``shard_strategy`` (on every method), or
-    sides that :func:`require_same_shape` rejects.
+    sides that :func:`require_same_shape` rejects, and ``TypeError`` for
+    a ``matrix_cache`` that is not a store.
 
     Parameters of note
     ------------------
@@ -435,18 +440,15 @@ def join(
         :class:`~repro.core.planner.ShardPlan` is used as given.  Any
         value other than ``None`` shards, even at ``workers=1``.
     matrix_cache:
-        Directory of the prediction-matrix cache.  When set, the matrix
-        is loaded from the cache if a build keyed by (both datasets'
-        structural fingerprints, ε, ``max_filter_rounds``) was saved
-        before — skipping the sweep entirely, with zero sweep operations
-        charged — and is saved there after a fresh build otherwise.
-        Competitor methods (which build no matrix) ignore it.  See
-        :func:`repro.storage.persist.invalidate_matrix_cache` to clear
-        entries.  Instead of a directory, an in-memory store object
-        implementing the persist protocol (``save_matrix``/``load_matrix``
-        etc. — see :class:`repro.serve.store.ResidentStore`) may be
-        passed; the serving layer uses this to serve matrices and
-        sketches straight from resident state.
+        A :class:`repro.serve.store.ResidentStore`, or ``None`` (the
+        default) to build every matrix.  With a store, the matrix is
+        loaded from it when a build keyed by (both datasets' page-box
+        fingerprints, ε, ``max_filter_rounds``) was saved before —
+        skipping the sweep entirely, with zero sweep operations charged —
+        and saved into it after a fresh build otherwise.  Competitor
+        methods (which build no matrix) ignore it.  The serving layer
+        passes its session's store; anything else that is not ``None``,
+        a directory path included, raises ``TypeError``.
     recorder:
         A :class:`repro.obs.Recorder` collecting span traces and metrics
         for this join (see :mod:`repro.obs`).  ``None`` (the default)
@@ -464,8 +466,9 @@ def join(
         collision mass falls under a calibrated budget, shrinking the
         work matrix before clustering; the measured recall contract is
         probabilistic and reported through ``prefilter.*`` counters.
-        Sketches are cached in ``matrix_cache`` (when set) alongside the
-        prediction matrix.
+        With a ``matrix_cache`` store, each side's sketches are loaded
+        from it (keyed by the dataset's id, fingerprint and the sketch
+        parameters) or built and saved into it.
     explain:
         When ``True``, assemble a :class:`~repro.obs.explain.JoinExplain`
         artifact — per-stage plan snapshots (matrix, prefilter, cluster
@@ -489,6 +492,14 @@ def join(
         raise ValueError(f"unknown join method {method!r}; expected one of {JOIN_METHODS}")
     check_matrix_arguments(epsilon, max_filter_rounds)
     _check_execution_arguments(buffer_pages, workers, shard_strategy)
+    if matrix_cache is not None:
+        from repro.serve.store import ResidentStore  # local: repro.serve imports join
+
+        if not isinstance(matrix_cache, ResidentStore):
+            raise TypeError(
+                "matrix_cache must be a repro.serve.ResidentStore or None, "
+                f"got {type(matrix_cache).__name__}"
+            )
     require_same_shape(r, s)
     if r.kind == "text" and np.isinf(epsilon):
         # The banded edit-distance DP takes int(epsilon) as its band.
@@ -571,7 +582,7 @@ def join(
         # host cost shows up in ``stage_seconds["prefilter"]``.
         with rec.span("join.prefilter") as pf_span:
             plan = plan_prefilter(
-                r, s, matrix, epsilon, pf_config, cache_dir=matrix_cache,
+                r, s, matrix, epsilon, pf_config, store=matrix_cache,
                 recorder=rec,
             )
             if plan.num_unmarked:
@@ -668,44 +679,33 @@ def _build_or_load_matrix(
     s: IndexedDataset,
     epsilon: float,
     max_filter_rounds: int,
-    matrix_cache: "str | Path | None",
+    store: "Optional[ResidentStore]",
     recorder: Recorder = NULL_RECORDER,
 ):
     """The prediction matrix plus its sweep stats and cache disposition.
 
-    A cache hit returns an all-zero ``SweepStats`` — no sweep ran, so no
-    sweep operations may be charged to the CPU cost model.  The cached
-    artefact is the raw build output; self-join triangle reduction is the
+    A store hit returns an all-zero ``SweepStats`` — no sweep ran, so no
+    sweep operations may be charged to the CPU cost model.  The stored
+    matrix is the raw build output; self-join triangle reduction is the
     caller's responsibility (so one entry serves self- and cross-joins).
     """
-    from repro.storage.persist import (
-        dataset_fingerprint,
-        load_matrix,
-        matrix_cache_key,
-        save_matrix,
-    )
-
-    if matrix_cache is None:
-        matrix, sweep_stats = build_prediction_matrix(
-            r.index, s.index, epsilon, max_filter_rounds=max_filter_rounds,
-            recorder=recorder,
+    key = None
+    if store is not None:
+        key = matrix_cache_key(
+            dataset_fingerprint(r), dataset_fingerprint(s), epsilon, max_filter_rounds
         )
-        return matrix, sweep_stats, "off"
-    key = matrix_cache_key(
-        dataset_fingerprint(r), dataset_fingerprint(s), epsilon, max_filter_rounds
-    )
-    matrix = load_matrix(matrix_cache, key)
-    if matrix is not None:
-        from repro.core.sweep import SweepStats
-
-        if recorder.enabled:
-            recorder.count("matrix.cache_hits")
-        return matrix, SweepStats(), "hit"
+        matrix = store.load_matrix(key)
+        if matrix is not None:
+            if recorder.enabled:
+                recorder.count("matrix.cache_hits")
+            return matrix, SweepStats(), "hit"
     matrix, sweep_stats = build_prediction_matrix(
         r.index, s.index, epsilon, max_filter_rounds=max_filter_rounds,
         recorder=recorder,
     )
-    save_matrix(matrix, matrix_cache, key)
+    if key is None:
+        return matrix, sweep_stats, "off"
+    store.save_matrix(matrix, key)
     return matrix, sweep_stats, "miss"
 
 

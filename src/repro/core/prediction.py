@@ -401,11 +401,7 @@ class PredictionMatrix:
         return dup
 
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Marked entries as ``(rows, cols)`` int64 arrays, row-major sorted.
-
-        The persistence format of the matrix cache: two flat coordinate
-        arrays, deterministic order, loadable with :meth:`from_coo`.
-        """
+        """Marked entries as ``(rows, cols)`` int64 arrays, row-major sorted."""
         rows = np.empty(self._count, dtype=np.int64)
         cols = np.empty(self._count, dtype=np.int64)
         at = 0
@@ -416,15 +412,6 @@ class PredictionMatrix:
             cols[at:stop] = row_cols
             at = stop
         return rows, cols
-
-    @classmethod
-    def from_coo(
-        cls, num_rows: int, num_cols: int, rows: np.ndarray, cols: np.ndarray
-    ) -> "PredictionMatrix":
-        """Rebuild a matrix from :meth:`to_coo` output."""
-        matrix = cls(num_rows, num_cols)
-        matrix.mark_many(rows, cols)
-        return matrix
 
     def csr_view(self) -> CSRWorkMatrix:
         """A :class:`CSRWorkMatrix` snapshot of the marked entries.

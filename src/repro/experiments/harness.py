@@ -55,7 +55,6 @@ def run_methods(
     buffer_pages: int,
     cost_model: Optional[CostModel] = None,
     seed: int = 0,
-    matrix_cache: "str | None" = None,
     recorder: Optional[Recorder] = None,
     prefilter=None,
     explain: bool = False,
@@ -63,11 +62,7 @@ def run_methods(
     """Run each method once; infeasible methods yield ``report=None``.
 
     All runs share the datasets but get a fresh simulated disk and buffer,
-    so their cost reports are independent and comparable.  With
-    ``matrix_cache`` set, the matrix-based methods share one cached
-    prediction matrix instead of rebuilding it per method — the first
-    method pays the sweep, the rest load (their ``matrix_seconds`` drop
-    to zero, which is the honest accounting: they ran no sweep).  A
+    so their cost reports are independent and comparable.  A
     ``recorder`` is shared by every method's join, so its trace carries
     one span tree per method run back to back.
 
@@ -95,7 +90,6 @@ def run_methods(
                 cost_model=cost_model,
                 seed=seed,
                 count_only=True,
-                matrix_cache=matrix_cache,
                 recorder=recorder,
                 prefilter=(
                     pf_config if method in ("sc", "rand-sc", "cc") else None
@@ -119,23 +113,16 @@ def sweep_buffer_sizes(
     buffer_sizes: Sequence[int],
     cost_model: Optional[CostModel] = None,
     seed: int = 0,
-    matrix_cache: "str | None" = None,
     recorder: Optional[Recorder] = None,
     prefilter=None,
     explain: bool = False,
 ) -> Dict[str, List[MethodRun]]:
-    """One :func:`run_methods` per buffer size, grouped per method.
-
-    The prediction matrix does not depend on the buffer size, so a
-    ``matrix_cache`` makes the whole sweep build it exactly once (and
-    the sketch cache makes any ``prefilter`` sketches build once too).
-    """
+    """One :func:`run_methods` per buffer size, grouped per method."""
     per_method: Dict[str, List[MethodRun]] = {method: [] for method in methods}
     for buffer_pages in buffer_sizes:
         runs = run_methods(
             r, s, epsilon, methods, buffer_pages, cost_model=cost_model, seed=seed,
-            matrix_cache=matrix_cache, recorder=recorder, prefilter=prefilter,
-            explain=explain,
+            recorder=recorder, prefilter=prefilter, explain=explain,
         )
         for method in methods:
             per_method[method].append(runs[method])

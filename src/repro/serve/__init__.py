@@ -13,8 +13,8 @@ instead:
     resident state incrementally instead of rebuilding it
     (:mod:`repro.serve.incremental`).
 :class:`~repro.serve.store.ResidentStore`
-    In-memory matrix/sketch store implementing the persist protocol, so
-    ``join(..., matrix_cache=store)`` serves straight from RAM.
+    The in-memory prediction-matrix and sketch cache, the one cache
+    ``join(..., matrix_cache=store)`` accepts.
 :class:`~repro.serve.admission.AdmissionController`
     Frame-lease admission control over a shared
     :class:`~repro.storage.buffer.BufferPool`: bounded in-flight

@@ -69,7 +69,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.incremental import append_to_dataset, patch_matrix
 from repro.serve.store import ResidentStore
 from repro.sketch.config import resolve_prefilter
-from repro.sketch.signatures import PageSketches, build_sketch_rows, sketch_params_fingerprint
+from repro.sketch.signatures import PageSketches, build_sketch_rows
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.persist import (
@@ -374,7 +374,9 @@ class JoinSession:
         patched = 0
         old_fp = entry.fingerprint
         for key, meta in list(self._sketch_meta.items()):
-            if meta["fingerprint"] != old_fp:
+            # A dataset with equal page boxes shares the fingerprint,
+            # never the sketches.
+            if meta["dataset_id"] != entry.dataset_id or meta["fingerprint"] != old_fp:
                 continue
             old = self.store.peek_sketches(key)
             if old is None:
@@ -395,10 +397,7 @@ class JoinSession:
             sketches = PageSketches(
                 kind=old.kind, signatures=signatures, counts=counts
             )
-            new_key = sketch_cache_key(
-                delta.fingerprint,
-                sketch_params_fingerprint(delta.dataset, config),
-            )
+            new_key = sketch_cache_key(delta.dataset, config)
             self.store.replace_sketches(key, new_key, sketches)
             new_meta = dict(meta, fingerprint=delta.fingerprint)
             del self._sketch_meta[key]
@@ -502,12 +501,8 @@ class JoinSession:
                 pf_config = resolve_prefilter(prefilter)
                 if pf_config is not None:
                     for entry, ds in ((entry_r, r_ds), (entry_s, s_ds)):
-                        skey = sketch_cache_key(
-                            entry.fingerprint,
-                            sketch_params_fingerprint(ds, pf_config),
-                        )
                         self._sketch_meta.setdefault(
-                            skey,
+                            sketch_cache_key(ds, pf_config),
                             {
                                 "dataset_id": entry.dataset_id,
                                 "fingerprint": entry.fingerprint,

@@ -1,20 +1,20 @@
-"""In-memory matrix/sketch store speaking the persist protocol.
+"""The in-memory prediction-matrix and sketch cache.
 
-:func:`repro.storage.persist.load_matrix` and friends duck-type their
-``directory`` argument: an object with the matching method is delegated
-to instead of hitting the filesystem.  :class:`ResidentStore` is that
-object for the serving layer — ``join(..., matrix_cache=store)`` then
-loads prediction matrices and sketches straight from resident memory,
-and saves fresh builds back into it, with zero disk traffic.
+:class:`ResidentStore` is the one cache :func:`repro.core.join.join`
+accepts: ``join(..., matrix_cache=store)`` loads prediction matrices and
+sketches from it under the keys of :mod:`repro.storage.persist`, and
+saves fresh builds back into it.  A :class:`~repro.serve.JoinSession`
+owns one for its resident datasets; batch callers may create and share
+their own.
 
 Copy discipline: the join **mutates** matrices it gets from the cache
 (self-join triangle reduction, prefilter unmarking), and keeps mutating
 the matrix it just saved.  The store therefore copies on *both* sides —
 ``save_matrix`` stores a private copy, ``load_matrix`` hands out a
 private copy — so the resident artefact always stays the raw build
-output, exactly like a file-backed cache entry.  Sketches are immutable
-once built (the cascade only reads them; the append path replaces whole
-entries), so they are stored and served by reference.
+output.  Sketches are immutable once built (the cascade only reads
+them; the append path replaces whole entries), so they are stored and
+served by reference.
 
 All entry points are lock-protected: the serving layer calls them from
 many request threads at once.
@@ -34,10 +34,9 @@ __all__ = ["ResidentStore"]
 class ResidentStore:
     """Thread-safe resident cache of prediction matrices and sketches.
 
-    Implements the persist protocol (``save_matrix``/``load_matrix``/
-    ``invalidate_matrix_cache`` and the sketch trio), plus direct
-    accessors the session's incremental-append path uses to patch
-    entries in place (:meth:`replace_matrix`, :meth:`replace_sketches`).
+    ``load_*``/``save_*`` serve the join; the direct accessors serve the
+    session's incremental-append path, which patches entries in place
+    (:meth:`replace_matrix`, :meth:`replace_sketches`).
     """
 
     def __init__(self) -> None:
@@ -49,7 +48,7 @@ class ResidentStore:
         self.sketch_hits = 0
         self.sketch_misses = 0
 
-    # -- persist protocol: matrices ------------------------------------------
+    # -- the join's loads and saves: matrices ---------------------------------
 
     def save_matrix(self, matrix: PredictionMatrix, key: str) -> None:
         with self._lock:
@@ -64,13 +63,7 @@ class ResidentStore:
             self.matrix_hits += 1
             return resident.copy()
 
-    def invalidate_matrix_cache(self) -> int:
-        with self._lock:
-            removed = len(self._matrices)
-            self._matrices.clear()
-            return removed
-
-    # -- persist protocol: sketches ------------------------------------------
+    # -- the join's loads and saves: sketches ---------------------------------
 
     def save_sketches(self, sketches: PageSketches, key: str) -> None:
         with self._lock:
@@ -84,12 +77,6 @@ class ResidentStore:
                 return None
             self.sketch_hits += 1
             return resident
-
-    def invalidate_sketch_cache(self) -> int:
-        with self._lock:
-            removed = len(self._sketches)
-            self._sketches.clear()
-            return removed
 
     # -- direct access (incremental-append patching) --------------------------
 

@@ -10,9 +10,10 @@ clustering:
 1. :func:`build_sketches` summarises each page of a dataset once —
    random-projection quantile signatures for vector pages and (PAA-domain)
    sequence windows, minhash signatures over n-gram sets for text pages
-   (:mod:`repro.sketch.signatures`).  Sketches are cacheable alongside
-   the prediction matrix, keyed by ``dataset_fingerprint`` plus the
-   sketch parameters (:func:`repro.storage.persist.save_sketches`).
+   (:mod:`repro.sketch.signatures`).  A join given a
+   :class:`~repro.serve.store.ResidentStore` caches them there next to
+   the prediction matrix, keyed by the dataset's id and fingerprint plus
+   the sketch parameters (:func:`repro.storage.persist.sketch_cache_key`).
 2. :func:`plan_prefilter` scores every marked cell with an estimated
    collision probability and selects cells to *unmark*, calibrated
    against ``recall_target`` — :mod:`repro.sketch.cascade`.

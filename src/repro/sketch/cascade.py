@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sketch.config import PrefilterConfig
-from repro.sketch.signatures import PageSketches, build_sketches, sketch_params_fingerprint
+from repro.sketch.signatures import PageSketches, build_sketches
+from repro.storage.persist import sketch_cache_key
 
 __all__ = [
     "PrefilterPlan",
@@ -262,20 +263,20 @@ def plan_prefilter(
     matrix,
     epsilon: float,
     config: PrefilterConfig,
-    cache_dir=None,
+    store=None,
     recorder: Recorder = NULL_RECORDER,
 ) -> PrefilterPlan:
     """Sketch both sides, score every marked cell, select cells to unmark.
 
-    ``cache_dir`` is the sketch-cache directory (usually the same
-    directory as the prediction-matrix cache); ``None`` always builds.
-    The matrix is **not** mutated here — the caller applies
-    ``unmark_many(plan.unmark_rows, plan.unmark_cols)`` so the span
-    accounting stays with ``join``.
+    ``store`` is the join's :class:`~repro.serve.store.ResidentStore`,
+    which caches the sketches next to the prediction matrix; ``None``
+    always builds.  The matrix is **not** mutated here — the caller
+    applies ``unmark_many(plan.unmark_rows, plan.unmark_cols)`` so the
+    span accounting stays with ``join``.
     """
-    r_sketches = _sketches_for(r, config, cache_dir, recorder)
+    r_sketches = _sketches_for(r, config, store, recorder)
     s_sketches = (
-        r_sketches if s is r else _sketches_for(s, config, cache_dir, recorder)
+        r_sketches if s is r else _sketches_for(s, config, store, recorder)
     )
     rows, cols = matrix.to_coo()
     eff_eps = epsilon if r.kind == "text" else effective_epsilon(r, epsilon)
@@ -308,21 +309,12 @@ def plan_prefilter(
     )
 
 
-def _sketches_for(dataset, config, cache_dir, recorder: Recorder) -> PageSketches:
-    """Load a dataset's sketches from the cache, or build (and save) them."""
+def _sketches_for(dataset, config, store, recorder: Recorder) -> PageSketches:
+    """Load a dataset's sketches from the store, or build (and save) them."""
     key = None
-    if cache_dir is not None:
-        from repro.storage.persist import (
-            dataset_fingerprint,
-            load_sketches,
-            save_sketches,
-            sketch_cache_key,
-        )
-
-        key = sketch_cache_key(
-            dataset_fingerprint(dataset), sketch_params_fingerprint(dataset, config)
-        )
-        cached = load_sketches(cache_dir, key)
+    if store is not None:
+        key = sketch_cache_key(dataset, config)
+        cached = store.load_sketches(key)
         if cached is not None:
             if recorder.enabled:
                 recorder.count("prefilter.sketch_cache_hits")
@@ -333,9 +325,7 @@ def _sketches_for(dataset, config, cache_dir, recorder: Recorder) -> PageSketche
     if recorder.enabled:
         recorder.count("prefilter.sketch_builds")
     if key is not None:
-        from repro.storage.persist import save_sketches
-
-        save_sketches(sketches, cache_dir, key)
+        store.save_sketches(sketches, key)
     return sketches
 
 

@@ -21,9 +21,12 @@ Two signature families cover the engine's three data kinds:
   share.
 
 Sketches depend only on the dataset's payload, its page layout, and the
-sketch parameters, so they are cached on disk next to the prediction
-matrix (:func:`repro.storage.persist.save_sketches`), keyed by
-``dataset_fingerprint`` plus :func:`sketch_params_fingerprint`.
+sketch parameters, so a :class:`~repro.serve.store.ResidentStore` caches
+them next to the prediction matrix under
+:func:`repro.storage.persist.sketch_cache_key`: the dataset's id and
+``dataset_fingerprint`` plus :func:`sketch_params_fingerprint`.  The
+fingerprint alone would not do: it covers page boxes and counts, not the
+payload.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ __all__ = [
     "build_sketches",
     "sketch_params_fingerprint",
 ]
-
-SKETCH_KINDS = ("quantile", "minhash")
 
 # FNV-1a's prime — the rolling gram hash's base.  uint64 arithmetic
 # wraps silently in numpy, which is exactly the modular behaviour the

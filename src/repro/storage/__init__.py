@@ -16,12 +16,9 @@ from repro.storage.page import (
 )
 from repro.storage.persist import (
     dataset_fingerprint,
-    invalidate_matrix_cache,
     load_dataset,
-    load_matrix,
     matrix_cache_key,
     save_dataset,
-    save_matrix,
 )
 from repro.storage.scheduler import plan_batch_read
 from repro.storage.stats import CostReport, IOStats
@@ -43,9 +40,6 @@ __all__ = [
     "load_dataset",
     "dataset_fingerprint",
     "matrix_cache_key",
-    "save_matrix",
-    "load_matrix",
-    "invalidate_matrix_cache",
     "AccessTrace",
     "TraceSummary",
 ]

@@ -56,3 +56,23 @@ def dna_dataset():
     return IndexedDataset.from_string(
         markov_dna(1500, seed=3), window_length=10, windows_per_page=32
     )
+
+
+@pytest.fixture
+def fingerprint_twins():
+    """Two vector datasets with equal fingerprints and different points.
+
+    A fingerprint covers page boxes and object counts, not every point:
+    moving an interior point of the first page to the middle of that
+    page's box keeps it.
+    """
+    twin = IndexedDataset.from_points(
+        np.random.default_rng(0).uniform(0, 1, (512, 2)), page_capacity=64
+    )
+    points = twin.paged.vectors.copy()
+    lo, hi = points[:64].min(axis=0), points[:64].max(axis=0)
+    inner = next(
+        i for i in range(64) if (points[i] > lo).all() and (points[i] < hi).all()
+    )
+    points[inner] = (lo + hi) / 2
+    return twin, IndexedDataset.from_points(points, page_capacity=64)

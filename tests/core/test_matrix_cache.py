@@ -1,8 +1,7 @@
-"""Prediction-matrix caching: keying, hits, invalidation, zero-sweep loads."""
+"""Prediction-matrix caching in a ResidentStore: keying, hits, zero-sweep loads."""
 
 import sys
 
-import numpy as np
 import pytest
 
 from repro.core.join import IndexedDataset, join
@@ -11,13 +10,8 @@ from repro.core.join import IndexedDataset, join
 # the submodule must be fetched from sys.modules for monkeypatching.
 join_mod = sys.modules["repro.core.join"]
 from repro.core.sweep import build_prediction_matrix
-from repro.storage.persist import (
-    dataset_fingerprint,
-    invalidate_matrix_cache,
-    load_matrix,
-    matrix_cache_key,
-    save_matrix,
-)
+from repro.serve.store import ResidentStore
+from repro.storage.persist import dataset_fingerprint, matrix_cache_key
 
 
 @pytest.fixture
@@ -52,122 +46,40 @@ class TestFingerprint:
 
 
 class TestSaveLoad:
-    def test_roundtrip_identical_matrix(self, tmp_path, datasets):
+    def test_roundtrip_identical_matrix(self, datasets):
         r, s = datasets
         matrix, _ = build_prediction_matrix(r.index, s.index, 0.1)
-        save_matrix(matrix, tmp_path, "k1")
-        restored = load_matrix(tmp_path, "k1")
+        store = ResidentStore()
+        store.save_matrix(matrix, "k1")
+        restored = store.load_matrix("k1")
         assert restored == matrix
         assert restored.num_marked == matrix.num_marked
 
-    def test_miss_returns_none(self, tmp_path):
-        assert load_matrix(tmp_path, "nothing") is None
+    def test_miss_returns_none(self):
+        assert ResidentStore().load_matrix("nothing") is None
 
-    def test_invalidate_single_and_all(self, tmp_path, datasets):
+    def test_loaded_matrix_is_a_private_copy(self, datasets):
+        """The join unmarks the matrix it saved and the ones it loads
+        (triangle cut, prefilter); neither may reach the stored entry."""
         r, s = datasets
         matrix, _ = build_prediction_matrix(r.index, s.index, 0.1)
-        save_matrix(matrix, tmp_path, "a")
-        save_matrix(matrix, tmp_path, "b")
-        assert invalidate_matrix_cache(tmp_path, "a") == 1
-        assert load_matrix(tmp_path, "a") is None
-        assert load_matrix(tmp_path, "b") is not None
-        assert invalidate_matrix_cache(tmp_path) == 1
-        assert load_matrix(tmp_path, "b") is None
-        assert invalidate_matrix_cache(tmp_path) == 0
-
-
-class TestAtomicity:
-    """Concurrent cache users (parallel pytest workers, simultaneous
-    figure runs) share one directory; writes must be atomic and corrupt
-    entries must degrade to misses, never errors."""
-
-    def _matrix(self, datasets):
-        r, s = datasets
-        matrix, _ = build_prediction_matrix(r.index, s.index, 0.1)
-        return matrix
-
-    def test_no_lingering_tmp_files(self, tmp_path, datasets):
-        matrix = self._matrix(datasets)
-        save_matrix(matrix, tmp_path, "k1")
-        leftovers = [p.name for p in tmp_path.iterdir() if p.name != "pm_k1.npz"]
-        assert leftovers == []
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path, datasets):
-        matrix = self._matrix(datasets)
-        target = save_matrix(matrix, tmp_path, "k1")
-        # Truncate to simulate a writer killed mid-write (pre-atomic-rename
-        # leftovers) or disk trouble.
-        target.write_bytes(target.read_bytes()[:20])
-        assert load_matrix(tmp_path, "k1") is None
-        # Garbage that is not even a zip header.
-        target.write_bytes(b"not a zip archive")
-        assert load_matrix(tmp_path, "k1") is None
-        # A rebuild replaces the bad entry.
-        save_matrix(matrix, tmp_path, "k1")
-        assert load_matrix(tmp_path, "k1") == matrix
-
-    def test_corrupt_entry_join_rebuilds_as_miss(self, tmp_path, datasets):
-        r, s = datasets
-        cold = join(r, s, 0.1, method="sc", buffer_pages=16, matrix_cache=tmp_path)
-        (entry,) = tmp_path.glob("pm_*.npz")
-        entry.write_bytes(b"\x00" * 64)
-        rebuilt = join(r, s, 0.1, method="sc", buffer_pages=16, matrix_cache=tmp_path)
-        assert rebuilt.report.extra["matrix_cache"] == "miss"
-        assert sorted(rebuilt.pairs) == sorted(cold.pairs)
-
-    def test_concurrent_writers_same_key(self, tmp_path, datasets):
-        """Racing writers on one key never expose a partial file."""
-        import multiprocessing
-
-        matrix = self._matrix(datasets)
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
-        procs = [
-            ctx.Process(target=_save_worker, args=(matrix, str(tmp_path), "shared"))
-            for _ in range(4)
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=60)
-            assert p.exitcode == 0
-        restored = load_matrix(tmp_path, "shared")
-        assert restored == matrix
-        leftovers = [
-            p.name for p in tmp_path.iterdir() if p.name != "pm_shared.npz"
-        ]
-        assert leftovers == []
-
-    def test_invalidate_tolerates_concurrent_unlink(self, tmp_path, datasets):
-        matrix = self._matrix(datasets)
-        target = save_matrix(matrix, tmp_path, "k1")
-        # Simulate another worker unlinking between glob/exists and unlink.
-        real_unlink = type(target).unlink
-
-        def racing_unlink(self, missing_ok=False):
-            real_unlink(self, missing_ok=True)  # the "other worker" wins
-            return real_unlink(self, missing_ok=missing_ok)
-
-        import unittest.mock as mock
-
-        with mock.patch.object(type(target), "unlink", racing_unlink):
-            assert invalidate_matrix_cache(tmp_path, "k1") == 1
-        assert load_matrix(tmp_path, "k1") is None
-
-
-def _save_worker(matrix, directory, key):
-    for _ in range(5):
-        save_matrix(matrix, directory, key)
+        reference = matrix.copy()
+        store = ResidentStore()
+        store.save_matrix(matrix, "k1")
+        matrix.keep_upper_triangle()
+        loaded = store.load_matrix("k1")
+        assert loaded is not matrix and loaded == reference
+        loaded.keep_upper_triangle()
+        assert store.load_matrix("k1") == reference
+        assert store.stats()["matrix_hits"] == 2
 
 
 class TestJoinWithCache:
-    def test_second_join_runs_zero_sweep_operations(
-        self, tmp_path, datasets, monkeypatch
-    ):
+    def test_second_join_runs_zero_sweep_operations(self, datasets, monkeypatch):
         """The acceptance contract: a cache hit skips the sweep entirely."""
         r, s = datasets
-        cold = join(r, s, 0.1, method="sc", buffer_pages=16, matrix_cache=tmp_path)
+        store = ResidentStore()
+        cold = join(r, s, 0.1, method="sc", buffer_pages=16, matrix_cache=store)
         assert cold.report.extra["matrix_cache"] == "miss"
         assert cold.report.extra["matrix_seconds"] > 0.0
 
@@ -175,11 +87,11 @@ class TestJoinWithCache:
             raise AssertionError("cache hit must not rebuild the prediction matrix")
 
         monkeypatch.setattr(join_mod, "build_prediction_matrix", bomb)
-        warm = join(r, s, 0.1, method="sc", buffer_pages=16, matrix_cache=tmp_path)
+        warm = join(r, s, 0.1, method="sc", buffer_pages=16, matrix_cache=store)
         assert warm.report.extra["matrix_cache"] == "hit"
         # Zero sweep operations => zero matrix CPU seconds charged.
         assert warm.report.extra["matrix_seconds"] == 0.0
-        assert sorted(warm.pairs) == sorted(cold.pairs)
+        assert warm.pairs == cold.pairs
         assert warm.report.extra["marked_entries"] == cold.report.extra["marked_entries"]
 
     def test_cache_off_by_default(self, datasets):
@@ -187,36 +99,37 @@ class TestJoinWithCache:
         result = join(r, s, 0.1, method="pm-nlj", buffer_pages=16)
         assert result.report.extra["matrix_cache"] == "off"
 
-    def test_self_join_triangle_applied_after_load(self, tmp_path, rng):
+    def test_self_join_triangle_applied_after_load(self, rng):
         pts = rng.random((120, 2))
         ds = IndexedDataset.from_points(pts, page_capacity=8)
-        cold = join(ds, ds, 0.05, method="sc", buffer_pages=16, matrix_cache=tmp_path)
-        warm = join(ds, ds, 0.05, method="sc", buffer_pages=16, matrix_cache=tmp_path)
+        store = ResidentStore()
+        cold = join(ds, ds, 0.05, method="sc", buffer_pages=16, matrix_cache=store)
+        warm = join(ds, ds, 0.05, method="sc", buffer_pages=16, matrix_cache=store)
         assert warm.report.extra["matrix_cache"] == "hit"
-        assert sorted(warm.pairs) == sorted(cold.pairs)
+        assert warm.pairs == cold.pairs
         assert warm.report.extra["marked_entries"] == cold.report.extra["marked_entries"]
+        # The stored entry is the untrimmed build: a cross join against an
+        # equal copy hits it and keeps both triangles.
+        copy = IndexedDataset.from_points(pts, page_capacity=8)
+        cross = join(ds, copy, 0.05, method="sc", buffer_pages=16, matrix_cache=store)
+        assert cross.report.extra["matrix_cache"] == "hit"
+        assert cross.report.extra["marked_entries"] > warm.report.extra["marked_entries"]
 
-    def test_invalidation_forces_rebuild(self, tmp_path, datasets):
+    def test_different_epsilon_misses(self, datasets):
         r, s = datasets
-        join(r, s, 0.1, method="pm-nlj", buffer_pages=16, matrix_cache=tmp_path)
-        assert invalidate_matrix_cache(tmp_path) == 1
-        rebuilt = join(r, s, 0.1, method="pm-nlj", buffer_pages=16, matrix_cache=tmp_path)
-        assert rebuilt.report.extra["matrix_cache"] == "miss"
-
-    def test_different_epsilon_misses(self, tmp_path, datasets):
-        r, s = datasets
-        join(r, s, 0.1, method="pm-nlj", buffer_pages=16, matrix_cache=tmp_path)
-        other = join(r, s, 0.12, method="pm-nlj", buffer_pages=16, matrix_cache=tmp_path)
+        store = ResidentStore()
+        join(r, s, 0.1, method="pm-nlj", buffer_pages=16, matrix_cache=store)
+        other = join(r, s, 0.12, method="pm-nlj", buffer_pages=16, matrix_cache=store)
         assert other.report.extra["matrix_cache"] == "miss"
 
-    def test_harness_shares_matrix_across_methods(self, tmp_path, datasets):
-        from repro.experiments.harness import run_methods
-
+    def test_directory_rejected_before_any_work(self, tmp_path, datasets, monkeypatch):
         r, s = datasets
-        runs = run_methods(
-            r, s, 0.1, ["pm-nlj", "sc"], buffer_pages=16,
-            matrix_cache=str(tmp_path),
-        )
-        assert runs["pm-nlj"].report.extra["matrix_cache"] == "miss"
-        assert runs["sc"].report.extra["matrix_cache"] == "hit"
-        assert runs["sc"].report.extra["matrix_seconds"] == 0.0
+
+        def bomb(*args, **kwargs):
+            raise AssertionError("a rejected cache must not build a matrix")
+
+        monkeypatch.setattr(join_mod, "build_prediction_matrix", bomb)
+        for cache in (str(tmp_path), tmp_path):
+            with pytest.raises(TypeError, match="ResidentStore"):
+                join(r, s, 0.1, method="sc", buffer_pages=16, matrix_cache=cache)
+        assert list(tmp_path.iterdir()) == []

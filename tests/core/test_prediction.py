@@ -264,8 +264,8 @@ class TestUnmarkMany:
     def test_to_coo_round_trip_after_unmark(self):
         m = self._matrix()
         m.unmark_many(np.asarray([0, 5]), np.asarray([1, 5]))
-        rows, cols = m.to_coo()
-        rebuilt = PredictionMatrix.from_coo(m.num_rows, m.num_cols, rows, cols)
+        rebuilt = PredictionMatrix(m.num_rows, m.num_cols)
+        rebuilt.mark_many(*m.to_coo())
         assert rebuilt == m
         assert rebuilt.num_marked == m.num_marked == 5
 

@@ -211,21 +211,17 @@ class TestResultMemo:
         assert all(key[2] == current for key in sess._results)
         assert sess.stats()["result_memo_entries"] <= 1
 
-    def test_datasets_with_equal_fingerprints_get_their_own_results(self):
+    def test_datasets_with_equal_fingerprints_get_their_own_results(
+        self, fingerprint_twins
+    ):
         """Fingerprints cover page boxes, not every point: moving a point
         inside its page's box keeps the fingerprint.  A join over the
         moved dataset must still return its own pairs, not the memoised
         result of its twin."""
-        rng = np.random.default_rng(0)
-        twin = IndexedDataset.from_points(rng.uniform(0, 1, (512, 2)), page_capacity=64)
-        points = twin.paged.vectors.copy()
-        lo, hi = points[:64].min(axis=0), points[:64].max(axis=0)
-        inner = next(
-            i for i in range(64) if (points[i] > lo).all() and (points[i] < hi).all()
+        twin, moved = fingerprint_twins
+        other = IndexedDataset.from_points(
+            np.random.default_rng(1).uniform(0, 1, (512, 2)), page_capacity=64
         )
-        points[inner] = (lo + hi) / 2
-        moved = IndexedDataset.from_points(points, page_capacity=64)
-        other = IndexedDataset.from_points(rng.uniform(0, 1, (512, 2)), page_capacity=64)
         sess = _session()
         for name, dataset in (("twin", twin), ("moved", moved), ("other", other)):
             sess.register(name, dataset)
@@ -390,6 +386,91 @@ class TestIncrementalAppend:
         result = sess.join("g", "g", epsilon=1.0)
         assert result["matrix_cache"] == "miss"
         self._assert_patched_equals_rebuilt(sess, "g", 1.0)
+
+
+def _prefilter_case(kind):
+    """A dataset, an append payload, ε and page capacity for one kind."""
+    rng = np.random.default_rng(7)
+    if kind == "vector":
+        dataset = IndexedDataset.from_points(rng.random((400, 6)), page_capacity=32)
+        return dataset, rng.random((90, 6)), 0.25, 32
+    if kind == "text":
+        return _text_dataset(), markov_dna(700, seed=9), 2.0, None
+    dataset = IndexedDataset.from_time_series(
+        rng.normal(size=600).cumsum(), window_length=16, windows_per_page=32,
+        dtw_band=2,
+    )
+    return dataset, rng.normal(size=140).cumsum(), 1.0, None
+
+
+def _prefilter_view(payload):
+    """The pairs and prefilter outcome counters of a join response."""
+    counters = payload["counters"]
+    return payload["pairs"], {
+        name: counters.get(name)
+        for name in ("prefilter.cells_scored", "prefilter.cells_unmarked",
+                     "prefilter.est_recall_ppm")
+    }
+
+
+class TestPrefilterPath:
+    """Sketch provenance, the append patch and evict on the session."""
+
+    @pytest.mark.parametrize("kind", ["vector", "text", "dtw"])
+    def test_append_patches_sketches_to_rebuilt_state(self, kind):
+        dataset, payload, epsilon, capacity = _prefilter_case(kind)
+        sess = _session()
+        sess.register("d", dataset, page_capacity=capacity)
+        cold = sess.join("d", "d", epsilon, prefilter="approximate")
+        assert cold["counters"]["prefilter.sketch_builds"] == 1
+        assert sess.append("d", payload)["sketches_patched"] == 1
+        served = sess.join("d", "d", epsilon, prefilter="approximate")
+        assert served["counters"]["prefilter.sketch_cache_hits"] == 1
+        assert "prefilter.sketch_builds" not in served["counters"]
+
+        fresh = _session()
+        fresh.register("d", rebuild_dataset(sess._datasets["d"].dataset))
+        reference = fresh.join("d", "d", epsilon, prefilter="approximate")
+        assert _prefilter_view(served) == _prefilter_view(reference)
+
+        assert sess.evict("d")["dropped_sketches"] == 1
+        assert sess.store.stats()["sketches"] == 0
+
+    def test_twin_with_equal_fingerprint_builds_its_own_sketches(
+        self, fingerprint_twins
+    ):
+        twin, moved = fingerprint_twins
+        sess = _session()
+        sess.register("twin", twin)
+        sess.register("moved", moved)
+        sess.join("twin", "twin", 0.05, prefilter="approximate")
+        served = sess.join("moved", "moved", 0.05, prefilter="approximate")
+        assert served["matrix_cache"] == "hit"
+        assert served["counters"]["prefilter.sketch_builds"] == 1
+        assert "prefilter.sketch_cache_hits" not in served["counters"]
+        fresh = _session()
+        fresh.register("moved", moved)
+        reference = fresh.join("moved", "moved", 0.05, prefilter="approximate")
+        assert _prefilter_view(served) == _prefilter_view(reference)
+        assert sess.stats()["store"]["sketches"] == 2
+
+    def test_append_patches_only_its_own_sketches(self, fingerprint_twins):
+        """Twins' sketch entries share a fingerprint: an append to one
+        must leave the other's entry alone."""
+        twin, moved = fingerprint_twins
+        sess = _session()
+        for name, dataset in (("twin", twin), ("moved", moved)):
+            sess.register(name, dataset, page_capacity=64)
+            sess.join(name, name, 0.05, prefilter="approximate")
+        grown = sess.append("twin", np.random.default_rng(3).uniform(0, 1, (70, 2)))
+        assert grown["sketches_patched"] == 1
+        for name in ("twin", "moved"):
+            served = sess.join(name, name, 0.05, prefilter="approximate")
+            assert served["counters"]["prefilter.sketch_cache_hits"] == 1
+            fresh = _session()
+            fresh.register(name, rebuild_dataset(sess._datasets[name].dataset))
+            reference = fresh.join(name, name, 0.05, prefilter="approximate")
+            assert _prefilter_view(served) == _prefilter_view(reference)
 
 
 class TestFingerprintChaining:
