@@ -1,41 +1,49 @@
 """Cluster execution: batched reads with cache reuse, in-memory joins.
 
-For each cluster in schedule order (Section 8):
+Execution has two independent halves (Sections 7–8 decide which pages
+are resident and when — the simulated I/O — not how the in-memory joins
+are batched):
 
-1. its pages are brought into the buffer with optimally scheduled reads —
-   pages retained from the previous cluster are reused, not re-read — and
-   pinned for the duration (:meth:`~repro.storage.buffer.BufferPool.pinned`);
-2. every marked entry of the cluster is joined entirely in memory (its two
-   pages are guaranteed resident because ``r + c <= B``) by one fused
-   cascade over the datasets' columnar page views
-   (:meth:`~repro.core.joiners.PagePairJoiner.join_cluster` — one filter
-   kernel call and one refine kernel call per cluster).
+1. **staging replay** — for each cluster in schedule order, its pages
+   are brought into the buffer with optimally scheduled reads — pages
+   retained from the previous cluster are reused, not re-read — and
+   pinned (:meth:`~repro.storage.buffer.BufferPool.pinned`), one fetch
+   per entry side is replayed, and the cluster's reads are audited
+   against Lemma 1/2;
+2. **one cascade** — every scheduled page pair is then joined entirely
+   in memory by one call,
+   :meth:`~repro.core.joiners.PagePairJoiner.join_cluster`, over the
+   entries of all clusters concatenated in schedule order.  Its result
+   lists each entry's pairs in entry order, so the pairs come out
+   cluster by cluster, as a join per cluster would list them.
 
-The joiner reads objects through the page views, never through the
-buffer pool, so step 1 is pure accounting: it also replays one fetch per
-entry side, the buffer hits a join of each page pair from the pool would
-score.  Where the joins run therefore never changes a simulated counter.
+The joiner reads objects through the datasets' columnar page views,
+never through the buffer pool, so step 1 is pure accounting: the
+replayed fetches score the buffer hits a join of each page pair from
+the pool would score.  Where and how the joins run therefore never
+changes a simulated counter.
 
 Parallel execution runs in worker *processes*
 (:func:`execute_clusters_sharded`), with the same results and
-accounting as the serial loop: the scheduled cluster list is
+accounting as the serial path: the scheduled cluster list is
 partitioned into shard-local sets
 (:func:`repro.core.planner.plan_shards`), the datasets' backing arrays
 are published once per join through shared memory
-(:mod:`repro.storage.shm`) and the workers of the process's warm pool
-(:func:`repro.core.sharding.shard_pool`) run the shards' cluster
-cascades against zero-copy views with their own recorders, while the
-parent replays the pool/disk accounting in full serial schedule order.
-Workers return each cluster's
-:class:`~repro.core.joiners.ClusterResult` — pair
+(:mod:`repro.storage.shm`) and each worker of the process's warm pool
+(:func:`repro.core.sharding.shard_pool`) runs one cascade over its
+shard's entries against zero-copy views with its own recorder, while
+the parent replays the staging of the whole schedule in serial order.
+Workers split their shard's
+:class:`~repro.core.joiners.ClusterResult` back into clusters — pair
 arrays, about 16 bytes per pair through the pipe — and the parent
 absorbs them in schedule order.  Counters, audits and the merged pairs
-are therefore bit-identical to serial; per-shard staging deltas
-are additionally attributed to ``executor.shard.<k>.*`` counters whose
-sums equal the serial totals exactly.  See ``docs/execution_modes.md``.
+are therefore bit-identical to serial, apart from the kernel invocation
+counts (one per cascade); per-shard staging deltas are additionally
+attributed to ``executor.shard.<k>.*`` counters whose sums equal the
+serial totals exactly.  See ``docs/execution_modes.md``.
 
 Both paths fold results through :meth:`ExecutionOutcome.absorb`, which
-keeps each cluster's pair array; :attr:`ExecutionOutcome.pairs`
+keeps each absorbed pair array; :attr:`ExecutionOutcome.pairs`
 concatenates them once into the one int64 array behind the
 :class:`~repro.core.pairs.ResultPairs` that ``JoinResult.pairs`` holds.
 No Python object is built per pair.
@@ -44,7 +52,7 @@ No Python object is built per pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,11 +89,15 @@ class ExecutionOutcome:
 
     @property
     def pairs(self) -> ResultPairs:
-        """Every absorbed pair, in absorb order, in one new array."""
+        """Every absorbed pair, in absorb order, in one array: a lone
+        absorbed block as it is (a serial join's one cascade), several
+        concatenated into a new one."""
+        if len(self._blocks) == 1:
+            return ResultPairs(self._blocks[0])
         return ResultPairs(np.concatenate([_NO_PAIRS, *self._blocks]))
 
     def absorb(self, result: ClusterResult) -> None:
-        """Fold one cluster's result into the running totals.
+        """Fold one ``join_cluster`` result into the running totals.
 
         Keeps its pair array for :attr:`pairs` to concatenate.
         ``cpu_seconds`` adds the per-entry floats one at a time, in entry
@@ -112,38 +124,31 @@ def execute_clusters(
 ) -> ExecutionOutcome:
     """Process clusters serially in the given order; returns the outcome.
 
+    Stages every cluster in schedule order (:func:`_replay_staging`),
+    then joins every scheduled page pair in one
+    ``joiner.join_cluster(entries)`` call, entries concatenated in
+    schedule order — one cascade per join.  Works with any joiner that
+    has that method; for process-level parallelism use
+    :func:`execute_clusters_sharded`.
+
     ``auditor`` overrides the Lemma auditor (the EXPLAIN layer passes a
     record-keeping one so per-cluster bound/observed rows survive the
     run); by default one is created whenever the recorder records.
-
     With a recording ``recorder``, each cluster is additionally audited
     against the paper's Lemma 1/2 read bounds: the disk-transfer delta
-    observed while staging and joining the cluster must not exceed
+    observed while staging the cluster must not exceed
     ``min(e + min(r, c), r + c)`` (see :class:`~repro.obs.audit.LemmaAuditor`).
-
-    Works with any joiner that has a ``join_cluster(entries)`` method;
-    for process-level parallelism use :func:`execute_clusters_sharded`.
 
     Raises ``ValueError`` if any cluster does not fit the pool's available
     frames (Lemma 2's precondition — clustering must have enforced it).
     """
-    pool.attach(r_dataset)
-    pool.attach(s_dataset)
     outcome = ExecutionOutcome()
-    r_id = r_dataset.dataset_id
-    s_id = s_dataset.dataset_id
-    if auditor is None and recorder.enabled:
-        auditor = LemmaAuditor(recorder)
-    disk_stats = pool.disk.stats
-    for index, cluster in enumerate(ordered_clusters):
-        transfers_before = disk_stats.transfers
-        with recorder.span("execute.cluster"):
-            _stage_cluster_pinned(cluster, pool, r_id, s_id, outcome)
-            outcome.absorb(joiner.join_cluster(cluster.entries))
-        if auditor is not None:
-            auditor.check_cluster(
-                cluster, disk_stats.transfers - transfers_before, index
-            )
+    _replay_staging(
+        ordered_clusters, pool, r_dataset, s_dataset, outcome, recorder, auditor
+    )
+    entries = [entry for cluster in ordered_clusters for entry in cluster.entries]
+    if entries:
+        outcome.absorb(joiner.join_cluster(entries))
     _count_executor_totals(recorder, outcome, len(ordered_clusters))
     return outcome
 
@@ -173,8 +178,9 @@ def execute_clusters_sharded(
     the parent replays **all** simulated I/O (staging, buffer hits,
     Lemma audits) serially in global schedule order while they compute,
     then absorbs the per-cluster pair arrays they return in schedule
-    order.  The outcome — pairs included — and every simulated
-    counter are bit-identical to :func:`execute_clusters`; per-shard
+    order.  Each worker runs one cascade over its shard's entries.  The
+    outcome — pairs included — and every simulated counter are
+    bit-identical to :func:`execute_clusters`; per-shard
     staging deltas are counted under ``executor.shard.<k>.pages_read``
     / ``.pages_reused`` (their sums equal the serial totals by
     construction — see
@@ -219,25 +225,16 @@ def execute_clusters_sharded(
     if explain is not None:
         explain.snapshot_shards(plan)
 
-    pool.attach(r_dataset)
-    pool.attach(s_dataset)
-    outcome = ExecutionOutcome()
-    r_id = r_dataset.dataset_id
-    s_id = s_dataset.dataset_id
     if not ordered_clusters:
-        _count_executor_totals(recorder, outcome, 0)
-        return outcome
+        return execute_clusters(
+            ordered_clusters, pool, r_dataset, s_dataset, joiner, recorder=recorder
+        )
 
+    outcome = ExecutionOutcome()
     start_method = resolve_start_method()
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
-    shard_of = plan.shard_of()
-    shard_reads = [0] * plan.num_shards
-    shard_reused = [0] * plan.num_shards
-    if auditor is None and recorder.enabled:
-        auditor = LemmaAuditor(recorder)
-    disk_stats = pool.disk.stats
     shard_payloads: List[Dict] = []
     with ShmArena() as arena:
         r_spec, s_spec = share_datasets(r_dataset, s_dataset, arena)
@@ -263,19 +260,10 @@ def execute_clusters_sharded(
             # replay, Lemma audits — in global schedule order: joiners
             # read data through columnar views, never the pool, so
             # accounting and computation commute.
-            for index, cluster in enumerate(ordered_clusters):
-                transfers_before = disk_stats.transfers
-                reads_before = outcome.pages_read
-                reused_before = outcome.pages_reused
-                with recorder.span("execute.cluster"):
-                    _stage_cluster_pinned(cluster, pool, r_id, s_id, outcome)
-                if auditor is not None:
-                    auditor.check_cluster(
-                        cluster, disk_stats.transfers - transfers_before, index
-                    )
-                shard = shard_of[index]
-                shard_reads[shard] += outcome.pages_read - reads_before
-                shard_reused[shard] += outcome.pages_reused - reused_before
+            staged = _replay_staging(
+                ordered_clusters, pool, r_dataset, s_dataset, outcome,
+                recorder, auditor,
+            )
             for future in futures:
                 shard_payloads.append(future.result())
         except BrokenProcessPool as exc:
@@ -293,6 +281,12 @@ def execute_clusters_sharded(
                 future.cancel()
             wait(futures)
 
+    shard_of = plan.shard_of()
+    shard_reads = [0] * plan.num_shards
+    shard_reused = [0] * plan.num_shards
+    for index, (reads, reused) in enumerate(staged):
+        shard_reads[shard_of[index]] += reads
+        shard_reused[shard_of[index]] += reused
     # Deterministic merge: worker recorders fold in shard order, results
     # absorb in global schedule order — the serial pairs exactly.  The
     # outcome keeps each pair array until ``pairs`` concatenates them.
@@ -339,27 +333,51 @@ def _count_executor_totals(
     recorder.count("executor.pages_reused", outcome.pages_reused)
 
 
-def _stage_cluster_pinned(
-    cluster: Cluster,
+def _replay_staging(
+    ordered_clusters: Sequence[Cluster],
     pool: BufferPool,
-    r_id,
-    s_id,
+    r_dataset: PagedDataset,
+    s_dataset: PagedDataset,
     outcome: ExecutionOutcome,
-) -> None:
-    """Batched, pin-scoped load of a cluster's page set, with reuse accounting.
+    recorder: Recorder,
+    auditor: Optional[LemmaAuditor],
+) -> List[Tuple[int, int]]:
+    """Stage every cluster in schedule order; returns each one's
+    ``(pages read, pages reused)``, also added to ``outcome``.
 
-    The pins are insurance against non-LRU victim choices (see
-    :meth:`~repro.storage.buffer.BufferPool.pinned`).  The per-entry fetch
-    replay that follows scores the buffer hits of reading each entry's
-    two pages from the pool: the joiner reads them through the columnar
-    page views instead, and the replay keeps hit counts and replacement
-    state what the paper's per-page-pair execution defines.
+    Per cluster, inside one ``execute.cluster`` span: a batched,
+    pin-scoped load of its page set with reuse accounting, then one
+    fetch per entry side.  The pins are insurance against non-LRU victim
+    choices (see :meth:`~repro.storage.buffer.BufferPool.pinned`).  The
+    fetch replay scores the buffer hits of reading each entry's two
+    pages from the pool: joiners read them through the columnar page
+    views instead, and the replay keeps hit counts and replacement state
+    what the paper's per-page-pair execution defines.  Each cluster's
+    disk-transfer delta is then audited against Lemma 1/2 (``auditor``,
+    or a new one when the recorder records).
     """
-    wanted = sorted(cluster.page_keys(r_id, s_id))
-    with pool.pinned(wanted) as staged:
-        outcome.pages_read += len(staged.missing)
-        outcome.pages_reused += len(wanted) - len(staged.missing)
-        for row, col in cluster.entries:
-            pool.fetch(r_id, row)
-            pool.fetch(s_id, col)
-
+    pool.attach(r_dataset)
+    pool.attach(s_dataset)
+    r_id = r_dataset.dataset_id
+    s_id = s_dataset.dataset_id
+    if auditor is None and recorder.enabled:
+        auditor = LemmaAuditor(recorder)
+    disk_stats = pool.disk.stats
+    staged: List[Tuple[int, int]] = []
+    for index, cluster in enumerate(ordered_clusters):
+        transfers_before = disk_stats.transfers
+        with recorder.span("execute.cluster"):
+            wanted = sorted(cluster.page_keys(r_id, s_id))
+            with pool.pinned(wanted) as pinned:
+                reads = len(pinned.missing)
+                for row, col in cluster.entries:
+                    pool.fetch(r_id, row)
+                    pool.fetch(s_id, col)
+        if auditor is not None:
+            auditor.check_cluster(
+                cluster, disk_stats.transfers - transfers_before, index
+            )
+        staged.append((reads, len(wanted) - reads))
+        outcome.pages_read += reads
+        outcome.pages_reused += len(wanted) - reads
+    return staged

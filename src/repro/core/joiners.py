@@ -14,17 +14,25 @@ Two kernels exist:
   The expensive DP is only charged for pairs that survive the filter.
 
 Every join method calls :meth:`~PagePairJoiner.join_cluster` with a set
-of marked page pairs — a scheduled cluster, or one outer page and its
-partners: the pairs are concatenated into one candidate block over the
+of marked page pairs — every scheduled page pair of a join (or of one
+shard), or one outer page and its partners.  The call stacks the
 datasets' columnar page views
-(:meth:`~repro.storage.page.PagedDataset.pages_view`), the whole block
-runs a single filter-and-refine cascade with a shared threshold, and the
-call returns one :class:`ClusterResult`: every accepted pair as one
+(:meth:`~repro.storage.page.PagedDataset.pages_view`), computes the
+per-object inputs (squared norms, Keogh envelopes, centres and radii,
+frequency counts) once, and runs a single filter-and-refine cascade with
+a shared threshold: the filter runs over sparse *panels* (one left page
+against its marked col pages), and the refine stages take the surviving
+candidates in fixed-size chunks as the panels produce them, so apart
+from the per-object inputs the cascade's transient memory is bounded by
+``_PANEL_CELLS`` and ``_CHUNK_BYTES``, not by the number of entries or
+candidates.  It
+returns one :class:`ClusterResult`: every accepted pair as one
 ``(k, 2)`` int64 array grouped by entry, plus per-entry count,
 comparison and CPU arrays.  Entry ``k``'s rows and values equal joining
 that page pair on its own — the frozen per-page-pair kernels in
-``tests/oracles/joiners.py`` — bit for bit, and one cascade adds the same
-semantic counters.  Pairs stay arrays all the way to the caller:
+``tests/oracles/joiners.py`` — bit for bit, whichever entries share the
+call, and one cascade adds the same semantic counters.  Pairs stay
+arrays all the way to the caller:
 :class:`~repro.core.executor.ExecutionOutcome` concatenates the absorbed
 arrays once into the array behind the join's
 :class:`~repro.core.pairs.ResultPairs`.
@@ -33,7 +41,9 @@ arrays once into the array behind the join's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -43,7 +53,7 @@ from repro.distance.vector import MinkowskiDistance
 from repro.kernels.backends import KERNELS
 from repro.kernels.dtw import dtw_batch, envelope_centres
 from repro.kernels.edit import edit_batch
-from repro.kernels.minkowski import _BLOCK_CELL_BUDGET, minkowski_refine
+from repro.kernels.minkowski import minkowski_refine
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.storage.page import PageBlock, PagedDataset, SequencePagedDataset
 
@@ -111,18 +121,60 @@ class ClusterResult:
         zeros = np.zeros(num_entries, dtype=np.int64)
         return cls.from_columns(none, none, zeros, zeros, zeros)
 
+    def split(self, sizes: Sequence[int]) -> List["ClusterResult"]:
+        """Consecutive groups of ``sizes`` entries, each its own result.
+
+        Every array of every part owns its memory (a shard worker ships
+        the parts after unmapping its shared segments).
+        """
+        entry_bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        pair_bounds = np.concatenate(([0], np.cumsum(self.counts)))[entry_bounds]
+        if not self.pairs.shape[0]:
+            pair_bounds[:] = 0
+        return [
+            ClusterResult(
+                self.pairs[p0:p1].copy(),
+                self.counts[e0:e1].copy(),
+                self.comparisons[e0:e1].copy(),
+                self.cpu[e0:e1].copy(),
+            )
+            for e0, e1, p0, p1 in zip(
+                entry_bounds[:-1], entry_bounds[1:], pair_bounds[:-1], pair_bounds[1:]
+            )
+        ]
+
 
 # ``(left_slice, panel_j) -> bool decisions``, see _ClusterBlock.filtered_cells.
 PanelFilter = Callable[[slice, np.ndarray], np.ndarray]
+# One candidate chunk: stacked left rows, stacked right rows and the
+# sorted position (see _ClusterBlock) of the entry owning each cell.
+Candidates = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# A panel covers one left page and a run of its marked col pages of at
+# most this many cells (plus one page pair); the page's further col
+# pages start the next panel.  It bounds the decision matrix and the
+# filter temporaries however many col pages a left page has marked, and
+# it keeps a panel under 2**16 entries, so a panel-local entry index
+# fits uint16 (which NumPy's stable sort orders by radix).
+_PANEL_CELLS = 1 << 16
+# The stages after the filter (diagonal drop, exact L_p refine, Hamming
+# test, DTW and edit DPs) take the candidates in chunks as the panels
+# produce them: as many candidates as gather this many bytes of objects,
+# both sides (see _chunk_pairs).  Their temporaries stay bounded however
+# many candidates a cascade's filter keeps.
+_CHUNK_BYTES = 1 << 19
 
 
 class _ClusterBlock:
-    """Stacked columnar geometry of one cluster's marked page pairs.
+    """Stacked columnar geometry of a set of marked page pairs.
 
     Builds the left/right :class:`~repro.storage.page.PageBlock` views
-    (one gather per side at most) plus the dense entry-rank lookup that
-    maps a stacked candidate ``(i, j)`` back to the cluster entry owning
-    it — or to nothing, for cells of unmarked page pairs.
+    (one gather per side at most) and lays the entries out sorted by
+    ``(row, col)``: entry ``order[p]`` sits at *position* ``p``, and the
+    cascade tags every candidate cell with its entry's position.  Panels
+    are runs of positions: one left page against a run of its marked col
+    pages (see ``_PANEL_CELLS``), so filter work is proportional to the
+    marked region and no array is sized by left pages × right pages.
     """
 
     def __init__(
@@ -132,145 +184,186 @@ class _ClusterBlock:
         s_dataset: PagedDataset,
         self_join: bool,
     ) -> None:
-        self.entries = list(entries)
-        rows = sorted({row for row, _ in self.entries})
-        cols = sorted({col for _, col in self.entries})
+        k = len(entries)
+        pages = np.array(entries, dtype=np.int64).reshape(k, 2)
+        rows, row_idx = np.unique(pages[:, 0], return_inverse=True)
+        cols, col_idx = np.unique(pages[:, 1], return_inverse=True)
         self.r_block: PageBlock = r_dataset.pages_view(rows)
         self.s_block: PageBlock = s_dataset.pages_view(cols)
-        row_pos = {page: i for i, page in enumerate(rows)}
-        col_pos = {page: i for i, page in enumerate(cols)}
-        k = len(self.entries)
-        self.entry_row_idx = np.fromiter(
-            (row_pos[row] for row, _ in self.entries), dtype=np.int64, count=k
-        )
-        self.entry_col_idx = np.fromiter(
-            (col_pos[col] for _, col in self.entries), dtype=np.int64, count=k
-        )
-        self._rank = np.full((len(rows), len(cols)), -1, dtype=np.int64)
-        self._rank[self.entry_row_idx, self.entry_col_idx] = np.arange(k)
-        # Per-entry object-pair counts — a numeric entry's `comparisons`.
-        self.cells = (
-            self.r_block.counts[self.entry_row_idx]
-            * self.s_block.counts[self.entry_col_idx]
-        )
-        self.diag_entry = np.fromiter(
-            (self_join and row == col for row, col in self.entries),
-            dtype=bool,
-            count=k,
-        )
+        self.num_entries = k
+        # Per-entry object-pair counts, in entry order — a numeric
+        # entry's `comparisons`.
+        self.cells = self.r_block.counts[row_idx] * self.s_block.counts[col_idx]
+        self.order = np.lexsort((col_idx, row_idx))
+        self._row = row_idx[self.order]
+        self._col = col_idx[self.order]
+        # Per position: the shifts that turn stacked rows into global ids,
+        # and whether the entry is a self join's diagonal page pair.
+        self._r_shift = (self.r_block.global_starts - self.r_block.starts)[self._row]
+        self._s_shift = (self.s_block.global_starts - self.s_block.starts)[self._col]
+        self._diagonal = (rows[self._row] == cols[self._col]) & self_join
+        self._has_diagonal = bool(self._diagonal.any())
+        # Kept survivors wait for the regroup as packed rows of stacked
+        # indices and positions, in the narrowest integer that holds them.
+        largest = max(self.r_block.total_objects, self.s_block.total_objects, k)
+        self._kept_dtype = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+        # Panel bounds: a new panel at each new left page, and wherever a
+        # left page's col run crosses a multiple of its column budget.
+        widths = self.s_block.counts[self._col]
+        new_row = np.ones(k, dtype=bool)
+        new_row[1:] = self._row[1:] != self._row[:-1]
+        before = np.cumsum(widths) - widths
+        run_start = np.maximum.accumulate(np.where(new_row, np.arange(k), 0))
+        budget = np.maximum(1, _PANEL_CELLS // self.r_block.counts[self._row])
+        part = (before - before[run_start]) // budget
+        new_panel = new_row | np.concatenate(([False], part[1:] != part[:-1]))
+        self._bounds = np.append(np.flatnonzero(new_panel), k)
 
-    @property
-    def num_entries(self) -> int:
-        return len(self.entries)
+    def by_entry(self, values: np.ndarray) -> np.ndarray:
+        """Per-position ``values`` rearranged into entry order."""
+        out = np.empty_like(values)
+        out[self.order] = values
+        return out
 
-    def marked_panels(
-        self,
-    ) -> List[Tuple[slice, np.ndarray, np.ndarray]]:
-        """Marked cells grouped by left page row, as contiguous panels.
+    def candidates(self, panel_filter: Optional[PanelFilter]) -> Iterator[Candidates]:
+        """Every panel's :meth:`filtered_cells`, panel by panel.
 
-        One panel per left page of the cluster: ``(left_slice, panel_j,
-        panel_rank)``, where ``left_slice`` selects the page's stacked
-        left objects, ``panel_j`` lists the stacked right objects of the
-        row's marked col pages (ascending), and ``panel_rank[c]`` is the
-        entry owning column ``panel_j[c]``.  A panel's cells are the
-        full ``left_slice × panel_j`` rectangle — cells of unmarked page
-        pairs never appear, so filter work over panels is proportional
-        to the marked region, while every elementwise pass stays a
-        contiguous broadcast over one left page.
+        The stream is sorted by position, and each entry's cells run
+        row-major — the order joining its page pair alone enumerates
+        them in.
         """
-        r_starts = self.r_block.starts
-        r_counts = self.r_block.counts
-        s_starts = self.s_block.starts
-        s_counts = self.s_block.counts
-        panels: List[Tuple[slice, np.ndarray, np.ndarray]] = []
-        for ri in range(self._rank.shape[0]):
-            row_rank = self._rank[ri]
-            cj = np.flatnonzero(row_rank >= 0)
-            if cj.size == 0:
-                continue
-            counts = s_counts[cj]
-            width = int(counts.sum())
-            panel_j = np.repeat(
-                s_starts[cj] - (np.cumsum(counts) - counts), counts
-            ) + np.arange(width, dtype=np.int64)
-            panel_rank = np.repeat(row_rank[cj], counts)
-            lo = int(r_starts[ri])
-            panels.append((slice(lo, lo + int(r_counts[ri])), panel_j, panel_rank))
-        return panels
+        for panel in range(self._bounds.shape[0] - 1):
+            yield self.filtered_cells(panel_filter, panel)
 
     def filtered_cells(
-        self,
-        panel_filter: Optional[PanelFilter] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked ``(cand_i, cand_j, rank)`` of marked cells, filtered.
+        self, panel_filter: Optional[PanelFilter], panel: int
+    ) -> Candidates:
+        """Stacked ``(cand_i, cand_j, pos)`` of one panel's cells, filtered.
 
-        ``panel_filter(left_slice, panel_j)`` returns a boolean
-        ``(len(left_slice), len(panel_j))`` decision matrix for one
-        panel; ``None`` keeps every marked cell.  Surviving cells are
-        emitted in stacked-row-major order — ascending stacked left row,
-        then the row's marked col objects ascending — so within one
-        entry they run row-major, the order a single page pair
-        enumerates its cells in, and ``_entry_sorted`` restores per-entry
-        grouping losslessly.
+        The panel's cells are the rectangle of its left page's stacked
+        rows (``left_slice``) × ``panel_j``, the stacked rows of its col
+        pages, ascending.  ``panel_filter(left_slice, panel_j)`` returns
+        the boolean ``(len(left_slice), len(panel_j))`` decision matrix;
+        ``None`` keeps every cell.  Surviving cells come out grouped by
+        entry in position order, each entry's row-major.
         """
-        i_parts: List[np.ndarray] = []
-        j_parts: List[np.ndarray] = []
-        rank_parts: List[np.ndarray] = []
-        for sl, panel_j, panel_rank in self.marked_panels():
-            reps = sl.stop - sl.start
-            if panel_filter is None:
-                width = panel_j.shape[0]
-                i_parts.append(
-                    np.repeat(
-                        np.arange(sl.start, sl.stop, dtype=np.int64), width
-                    )
-                )
-                j_parts.append(np.tile(panel_j, reps))
-                rank_parts.append(np.tile(panel_rank, reps))
-                continue
-            sel = panel_filter(sl, panel_j)
-            si, sj = np.nonzero(sel)
-            i_parts.append(si + sl.start)
-            j_parts.append(panel_j[sj])
-            rank_parts.append(panel_rank[sj])
-        if not i_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        return (
-            np.concatenate(i_parts),
-            np.concatenate(j_parts),
-            np.concatenate(rank_parts),
-        )
-
-    def marked_cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every object pair of every marked entry, stacked-row-major."""
-        return self.filtered_cells(None)
+        lo, hi = int(self._bounds[panel]), int(self._bounds[panel + 1])
+        row = self._row[lo]
+        start = int(self.r_block.starts[row])
+        rows = slice(start, start + int(self.r_block.counts[row]))
+        cols = self._col[lo:hi]
+        counts = self.s_block.counts[cols]
+        width = int(counts.sum())
+        panel_j = np.repeat(
+            self.s_block.starts[cols] - (np.cumsum(counts) - counts), counts
+        ) + np.arange(width, dtype=np.int64)
+        if panel_filter is None:
+            sel = np.ones((rows.stop - rows.start, width), dtype=bool)
+        else:
+            sel = panel_filter(rows, panel_j)
+        si, sj = np.divmod(np.flatnonzero(sel), width)
+        local = np.repeat(np.arange(hi - lo, dtype=np.uint16), counts)[sj]
+        if hi - lo > 1:
+            # Row-major over the panel interleaves its entries; a stable
+            # sort by panel-local entry keeps each entry's cells in order.
+            regroup = np.argsort(local, kind="stable")
+            si, sj, local = si[regroup], sj[regroup], local[regroup]
+        return si + start, panel_j[sj], local.astype(np.int64) + lo
 
     def drop_diagonal(
-        self,
-        cand_i: np.ndarray,
-        cand_j: np.ndarray,
-        rank: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, cand_i: np.ndarray, cand_j: np.ndarray, pos: np.ndarray
+    ) -> Candidates:
         """Self-join diagonal filter: on row == col entries keep ``a < b``.
 
         Global ids preserve local order within one page, so the page-local
         ``local_a < local_b`` test is exactly ``global_a < global_b``.
         """
-        if not self.diag_entry.any():
-            return cand_i, cand_j, rank
-        keep = ~self.diag_entry[rank] | (
-            self.r_block.globalise(cand_i) < self.s_block.globalise(cand_j)
+        if not self._has_diagonal:
+            return cand_i, cand_j, pos
+        keep = ~self._diagonal[pos] | (
+            cand_i + self._r_shift[pos] < cand_j + self._s_shift[pos]
         )
-        return cand_i[keep], cand_j[keep], rank[keep]
+        return cand_i[keep], cand_j[keep], pos[keep]
+
+    def keep(
+        self, cand_i: np.ndarray, cand_j: np.ndarray, pos: np.ndarray
+    ) -> np.ndarray:
+        """Survivor cells packed for :meth:`grouped_pairs`: one ``(3, n)``
+        array of the narrowest integer type that holds them."""
+        return np.array((cand_i, cand_j, pos), dtype=self._kept_dtype)
+
+    def grouped_pairs(
+        self, parts: Sequence[List[np.ndarray]], part_counts: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """Survivors as one ``(n, 2)`` global pair array grouped by entry.
+
+        ``parts[q]`` lists survivor chunks packed by :meth:`keep`, in
+        stream order (sorted by position), and ``part_counts[q][p]``
+        counts its survivors at position ``p``.  Entries come in entry
+        order; within an entry, part 0's rows come first, then part 1's,
+        each in stream order.  One scatter per chunk places the rows — no
+        sort over the survivors — and each chunk is dropped once placed.
+        """
+        sizes = self.by_entry(sum(part_counts))
+        before = (np.cumsum(sizes) - sizes)[self.order]
+        out = np.empty((int(sizes.sum()), 2), dtype=np.int64)
+        for chunks, counts in zip(parts, part_counts):
+            base = before - (np.cumsum(counts) - counts)
+            done = 0
+            chunks.reverse()
+            while chunks:
+                cand_i, cand_j, pos = chunks.pop()
+                dest = base[pos] + np.arange(done, done + pos.shape[0])
+                out[dest, 0] = self._r_shift[pos] + cand_i
+                out[dest, 1] = self._s_shift[pos] + cand_j
+                done += pos.shape[0]
+            before = before + counts
+        return out
 
 
-def _entry_sorted(
-    rank: np.ndarray, *columns: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """Stable sort by entry rank — groups rows per entry, keeps their order."""
-    order = np.argsort(rank, kind="stable")
-    return (rank[order],) + tuple(col[order] for col in columns)
+def _rechunk(parts: Iterable[Candidates], size: int) -> Iterator[Candidates]:
+    """The stream ``parts`` re-cut into chunks of ``size`` rows, in order.
+
+    Only the last chunk may be shorter.  At most ``size`` rows plus one
+    part are held at a time.
+    """
+    pending: List[Candidates] = []
+    count = 0
+    for part in parts:
+        if not part[0].shape[0]:
+            continue
+        pending.append(part)
+        count += part[0].shape[0]
+        if count < size:
+            continue
+        cols = _concat(pending)
+        lo = 0
+        while count - lo >= size:
+            yield tuple(col[lo : lo + size] for col in cols)
+            lo += size
+        pending = [tuple(col[lo:] for col in cols)] if lo < count else []
+        count -= lo
+    if pending:
+        yield _concat(pending)
+
+
+def _chunk_pairs(left: np.ndarray, right: np.ndarray) -> int:
+    """Candidates per post-filter chunk for these stacked objects."""
+    row_bytes = left.shape[1] * left.itemsize + right.shape[1] * right.itemsize
+    return max(1, _CHUNK_BYTES // max(1, row_bytes))
+
+
+def _concat(parts: Sequence[Candidates]) -> Candidates:
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _count_into(counts: np.ndarray, pos: np.ndarray) -> None:
+    """Add one to ``counts[p]`` for every ``p`` of the ascending ``pos``."""
+    if pos.shape[0]:
+        lo, hi = int(pos[0]), int(pos[-1]) + 1
+        counts[lo:hi] += np.bincount(pos - lo, minlength=hi - lo)
 
 
 def make_keogh_filter(
@@ -408,37 +501,60 @@ class NumericPagePairJoiner(PagePairJoiner):
             block = _ClusterBlock(
                 entries, self.r_dataset, self.s_dataset, self.self_join
             )
+            tally = {"candidates": 0, "accepted": 0}
             if isinstance(self.distance, MinkowskiDistance):
-                acc_i, acc_j, rank, extra = self._minkowski_cascade(block)
+                stream = self._minkowski_cascade(block, tally)
             else:
-                acc_i, acc_j, rank, extra = self._dtw_cascade(block)
-            acc_i, acc_j, rank = block.drop_diagonal(acc_i, acc_j, rank)
-            rank, acc_i, acc_j = _entry_sorted(rank, acc_i, acc_j)
-            g_r = block.r_block.globalise(acc_i)
-            g_s = block.s_block.globalise(acc_j)
+                stream = self._dtw_cascade(block, tally)
+            found = np.zeros(block.num_entries, dtype=np.int64)
+            kept: List[np.ndarray] = []
+            for chunk in stream:
+                chunk = block.drop_diagonal(*chunk)
+                _count_into(found, chunk[2])
+                if self.collect_pairs:
+                    kept.append(block.keep(*chunk))
+            pairs = (
+                block.grouped_pairs([kept], [found])
+                if self.collect_pairs
+                else np.empty((0, 2), dtype=np.int64)
+            )
             cpu = self.cost_model.cpu_cost(
                 block.cells, self.distance.comparison_weight
             )
-            result = ClusterResult.from_columns(
-                g_r, g_s, np.bincount(rank, minlength=block.num_entries),
-                block.cells, cpu, self.collect_pairs,
+            result = ClusterResult(
+                pairs, block.by_entry(found), block.cells,
+                np.asarray(cpu, dtype=np.float64),
             )
         if recorder.enabled:
+            tested = int(block.cells.sum())
             recorder.count("refine.page_pairs", block.num_entries)
-            recorder.count("refine.comparisons", int(block.cells.sum()))
-            recorder.count("refine.pairs_found", int(rank.shape[0]))
-            for name, value in extra:
-                recorder.count(name, value)
+            recorder.count("refine.comparisons", tested)
+            recorder.count("refine.pairs_found", int(found.sum()))
+            if isinstance(self.distance, MinkowskiDistance):
+                recorder.count("kernel.minkowski.invocations")
+                recorder.count("kernel.minkowski.pairs_tested", tested)
+                if self.distance.p == 2.0:
+                    recorder.count(
+                        "kernel.minkowski.gram_candidates", tally["candidates"]
+                    )
+                recorder.count("kernel.minkowski.accepted", tally["accepted"])
+            else:
+                recorder.count("kernel.dtw.pairs_tested", tested)
+                recorder.count("kernel.dtw.keogh_candidates", tally["candidates"])
+                if tally["candidates"]:
+                    recorder.count("kernel.dtw.invocations")
         return result
 
-    def _minkowski_cascade(self, block: _ClusterBlock):
-        """One Gram matmul (p = 2) or one gathered exact pass per cluster."""
+    def _minkowski_cascade(
+        self, block: _ClusterBlock, tally: Dict[str, int]
+    ) -> Iterator[Candidates]:
+        """Gram panels (p = 2; every marked cell otherwise), then the
+        exact refine chunk by chunk; yields the accepted cells."""
         eps = self.epsilon
         p = self.distance.p
         left = block.r_block.objects
         right = block.s_block.objects
-        recorder = self.recorder
-        extra: List[Tuple[str, int]] = []
+        panel_filter: Optional[PanelFilter] = None
         if p == 2.0:
             left_sq = np.einsum("id,id->i", left, left)
             right_sq = np.einsum("jd,jd->j", right, right)
@@ -449,50 +565,35 @@ class NumericPagePairJoiner(PagePairJoiner):
                     eps,
                 )
 
-            cand_i, cand_j, rank = block.filtered_cells(gram_filter)
-            gram_candidates = int(cand_i.shape[0])
+            panel_filter = gram_filter
+        for cand_i, cand_j, pos in _rechunk(
+            block.candidates(panel_filter), _chunk_pairs(left, right)
+        ):
             keep = minkowski_refine(left, right, cand_i, cand_j, eps, p)
-            if recorder.enabled:
-                recorder.count("kernel.minkowski.invocations")
-                extra = [
-                    ("kernel.minkowski.pairs_tested", int(block.cells.sum())),
-                    ("kernel.minkowski.gram_candidates", gram_candidates),
-                    ("kernel.minkowski.accepted", int(np.count_nonzero(keep))),
-                ]
-        else:
-            cand_i, cand_j, rank = block.marked_cells()
-            keep = minkowski_refine(left, right, cand_i, cand_j, eps, p)
-            if recorder.enabled:
-                recorder.count("kernel.minkowski.invocations")
-                extra = [
-                    ("kernel.minkowski.pairs_tested", int(block.cells.sum())),
-                    ("kernel.minkowski.accepted", int(np.count_nonzero(keep))),
-                ]
-        return cand_i[keep], cand_j[keep], rank[keep], extra
+            tally["candidates"] += cand_i.shape[0]
+            tally["accepted"] += int(np.count_nonzero(keep))
+            yield cand_i[keep], cand_j[keep], pos[keep]
 
-    def _dtw_cascade(self, block: _ClusterBlock):
-        """Bounded LB_Keogh panels, then one shared-abandon DP per cluster."""
+    def _dtw_cascade(
+        self, block: _ClusterBlock, tally: Dict[str, int]
+    ) -> Iterator[Candidates]:
+        """LB_Keogh panels, then the shared-abandon DP chunk by chunk;
+        yields the cells within ε."""
         eps = self.epsilon
         band = self.distance.band
         left = block.r_block.objects
         right = block.s_block.objects
-        recorder = self.recorder
-        cand_i, cand_j, rank = block.filtered_cells(
-            make_keogh_filter(left, right, band, eps)
-        )
-        extra: List[Tuple[str, int]] = []
-        if recorder.enabled:
-            extra = [
-                ("kernel.dtw.pairs_tested", int(block.cells.sum())),
-                ("kernel.dtw.keogh_candidates", int(cand_i.shape[0])),
-            ]
-        if cand_i.shape[0] == 0:
-            return cand_i, cand_j, rank, extra
-        dists = dtw_batch(
-            left[cand_i], right[cand_j], band, max_dist=eps, recorder=recorder
-        )
-        keep = dists <= eps
-        return cand_i[keep], cand_j[keep], rank[keep], extra
+        keogh_filter = make_keogh_filter(left, right, band, eps)
+        for cand_i, cand_j, pos in _rechunk(
+            block.candidates(keogh_filter), _chunk_pairs(left, right)
+        ):
+            tally["candidates"] += cand_i.shape[0]
+            dists = dtw_batch(
+                left[cand_i], right[cand_j], band, max_dist=eps,
+                recorder=self.recorder,
+            )
+            keep = dists <= eps
+            yield cand_i[keep], cand_j[keep], pos[keep]
 
 
 def make_numeric_joiner(
@@ -564,70 +665,67 @@ class TextPagePairJoiner(PagePairJoiner):
             block = _ClusterBlock(
                 entries, self.r_dataset, self.s_dataset, self.self_join
             )
-            n_entries = block.num_entries
-            # Frequency vectors of the stacked windows (global ids double
-            # as feature rows).
-            g_left = block.r_block.global_ids
-            g_right = block.s_block.global_ids
-            fr = self.r_features[g_left]
-            fs = self.s_features[g_right]
-
-            # Stage 1 — frequency-distance filter over the marked panels.
-            cand_i, cand_j, rank = block.filtered_cells(
-                make_fd_filter(fr, fs, epsilon, self.w)
-            )
-            cand_i, cand_j, rank = block.drop_diagonal(cand_i, cand_j, rank)
-            rank, cand_i, cand_j = _entry_sorted(rank, cand_i, cand_j)
-            fd_per_entry = np.bincount(rank, minlength=n_entries)
-
-            # Stage 2 — Hamming filter over the candidate block, then one
-            # shared-threshold banded DP for everything Hamming rejected.
+            k = block.num_entries
             W_left = block.r_block.objects
             W_right = block.s_block.objects
-            accepted = np.zeros(cand_i.shape[0], dtype=bool)
-            survived = np.zeros(cand_i.shape[0], dtype=bool)
-            dp_per_entry = np.zeros(n_entries, dtype=np.int64)
-            if cand_i.shape[0]:
-                ham_chunk = max(1, _BLOCK_CELL_BUDGET // max(1, self.w))
-                for lo in range(0, cand_i.shape[0], ham_chunk):
-                    hi = lo + ham_chunk
-                    hamming = np.count_nonzero(
-                        W_left[cand_i[lo:hi]] != W_right[cand_j[lo:hi]], axis=1
-                    )
-                    accepted[lo:hi] = hamming <= epsilon
-                if self.limit >= 2:
-                    rejected = ~accepted
-                    dp_per_entry = np.bincount(
-                        rank[rejected], minlength=n_entries
-                    )
-                    rej_idx = np.nonzero(rejected)[0]
-                    if rej_idx.size:
-                        dists = edit_batch(
-                            W_left[cand_i[rej_idx]],
-                            W_right[cand_j[rej_idx]],
-                            self.limit,
-                            recorder=recorder,
-                        )
-                        survived[rej_idx] = dists <= epsilon
-
-            # Scatter: per entry, Hamming-accepted pairs first (candidate
-            # order), then DP survivors (rejected order) — the order a
-            # single page pair appends them in.
-            final_mask = accepted | survived
-            idx = np.nonzero(final_mask)[0]
-            # Order key: entry first, accepted-before-survived second,
-            # candidate position third.  `rank` is already sorted, and a
-            # stable sort on (survived) within the entry segments gives
-            # exactly that.
-            order = np.lexsort(
-                (idx, survived[idx].astype(np.int8), rank[idx])
+            chunk_pairs = _chunk_pairs(W_left, W_right)
+            # Per position: frequency-filter candidates, DP runs, and the
+            # pairs Hamming accepted and the DP kept.
+            fd_runs, dp_runs, accepted, survived = (
+                np.zeros(k, dtype=np.int64) for _ in range(4)
             )
-            idx = idx[order]
-            out_rank = rank[idx]
-            g_r = block.r_block.globalise(cand_i[idx])
-            g_s = block.s_block.globalise(cand_j[idx])
+            accepted_chunks: List[np.ndarray] = []
+            survived_chunks: List[np.ndarray] = []
 
+            def hamming_rejects() -> Iterator[Candidates]:
+                # Stage 1 — frequency-distance filter over the panels
+                # (global ids double as feature rows), then the diagonal
+                # drop.  Stage 2 — Hamming filter; its rejects go on to
+                # the banded DP when ε ≥ 2.
+                fd_filter = make_fd_filter(
+                    self.r_features[block.r_block.global_ids],
+                    self.s_features[block.s_block.global_ids],
+                    epsilon, self.w,
+                )
+                stream = (
+                    block.drop_diagonal(*cells)
+                    for cells in block.candidates(fd_filter)
+                )
+                for cand_i, cand_j, pos in _rechunk(stream, chunk_pairs):
+                    _count_into(fd_runs, pos)
+                    differ = W_left[cand_i] != W_right[cand_j]
+                    ok = np.count_nonzero(differ, axis=1) <= epsilon
+                    _count_into(accepted, pos[ok])
+                    if self.collect_pairs:
+                        accepted_chunks.append(
+                            block.keep(cand_i[ok], cand_j[ok], pos[ok])
+                        )
+                    if self.limit >= 2:
+                        yield cand_i[~ok], cand_j[~ok], pos[~ok]
+
+            for cand_i, cand_j, pos in _rechunk(hamming_rejects(), chunk_pairs):
+                _count_into(dp_runs, pos)
+                dists = edit_batch(
+                    W_left[cand_i], W_right[cand_j], self.limit, recorder=recorder
+                )
+                ok = dists <= epsilon
+                _count_into(survived, pos[ok])
+                if self.collect_pairs:
+                    survived_chunks.append(block.keep(cand_i[ok], cand_j[ok], pos[ok]))
+
+            # Per entry, Hamming-accepted pairs first, then DP survivors,
+            # each in candidate order — the order a single page pair
+            # appends them in.
+            pairs = (
+                block.grouped_pairs(
+                    [accepted_chunks, survived_chunks], [accepted, survived]
+                )
+                if self.collect_pairs
+                else np.empty((0, 2), dtype=np.int64)
+            )
             cheap = block.cells
+            fd_per_entry = block.by_entry(fd_runs)
+            dp_per_entry = block.by_entry(dp_runs)
             comparisons = cheap + dp_per_entry
             model = self.cost_model
             cpu = (
@@ -635,16 +733,18 @@ class TextPagePairJoiner(PagePairJoiner):
                 + model.cpu_cost(fd_per_entry, float(self.w) / 8.0)
                 + model.cpu_cost(dp_per_entry, self.dp_weight)
             )
-            result = ClusterResult.from_columns(
-                g_r, g_s, np.bincount(out_rank, minlength=n_entries),
-                comparisons, cpu, self.collect_pairs,
+            found = block.by_entry(accepted + survived)
+            result = ClusterResult(
+                pairs, found, comparisons, np.asarray(cpu, dtype=np.float64)
             )
         if recorder.enabled:
-            recorder.count("refine.page_pairs", n_entries)
+            recorder.count("refine.page_pairs", k)
             recorder.count("refine.comparisons", int(comparisons.sum()))
-            recorder.count("refine.pairs_found", int(out_rank.shape[0]))
-            recorder.count("text.fd_candidates", int(cand_i.shape[0]))
-            recorder.count("text.dp_runs", int(dp_per_entry.sum()))
+            recorder.count("refine.pairs_found", int(found.sum()))
+            recorder.count("text.fd_candidates", int(fd_runs.sum()))
+            recorder.count("text.dp_runs", int(dp_runs.sum()))
+            if dp_runs.any():
+                recorder.count("kernel.edit.invocations")
         return result
 
 

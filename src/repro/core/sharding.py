@@ -12,15 +12,17 @@ entry lists), and submits them to the process's warm pool
 2. rebuilds the page-pair joiner with its **own recorder** (an
    :class:`~repro.obs.recorder.InMemoryRecorder` when the parent
    records, the null recorder otherwise);
-3. runs the joiner's cluster cascade over each assigned cluster, reading
-   objects through the columnar page views — never through a buffer
-   pool, which is exactly why all simulated I/O accounting can stay in
-   the parent;
-4. ships back one :class:`~repro.core.joiners.ClusterResult` per
-   cluster — pair, count, comparison and CPU arrays, each owning its
-   memory — plus the recorder's exported state for the parent's
-   deterministic merge.  The pipe carries about 16 bytes per result
-   pair; no list of Python tuples is pickled.
+3. runs one cascade (:meth:`~repro.core.joiners.PagePairJoiner.join_cluster`)
+   over the entries of all its clusters, concatenated in schedule
+   order, reading objects through the columnar page views — never
+   through a buffer pool, which is exactly why all simulated I/O
+   accounting can stay in the parent;
+4. splits that one :class:`~repro.core.joiners.ClusterResult` back into
+   clusters by their entry counts and ships one result per cluster —
+   pair, count, comparison and CPU arrays, each owning its memory —
+   plus the recorder's exported state for the parent's deterministic
+   merge.  The pipe carries about 16 bytes per result pair; no list of
+   Python tuples is pickled.
 
 Only the built-in joiners (:class:`~repro.core.joiners.NumericPagePairJoiner`,
 :class:`~repro.core.joiners.TextPagePairJoiner`) have a picklable recipe;
@@ -244,7 +246,7 @@ def share_datasets(r_dataset, s_dataset, arena: ShmArena):
 
 
 def run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: join every cluster of one shard.
+    """Worker entry point: join every cluster of one shard in one cascade.
 
     Returns ``{"shard_index", "results": {schedule_index: ClusterResult},
     "metrics": exported recorder state or None, "wall_seconds": float,
@@ -283,10 +285,13 @@ def _run_shard_attached(
     )
     recorder = InMemoryRecorder() if task["record"] else NULL_RECORDER
     joiner = _rebuild_joiner(task["joiner"], r_dataset, s_dataset, attachments, recorder)
-    results = {
-        schedule_index: joiner.join_cluster(entries)
-        for schedule_index, entries in task["clusters"]
-    }
+    clusters = task["clusters"]
+    entries = [entry for _, cluster in clusters for entry in cluster]
+    results: Dict[int, ClusterResult] = {}
+    if entries:
+        shard = joiner.join_cluster(entries)
+        parts = shard.split([len(cluster) for _, cluster in clusters])
+        results = {index: part for (index, _), part in zip(clusters, parts)}
     metrics = recorder.export_state() if task["record"] else None
     return results, metrics
 

@@ -166,6 +166,8 @@ class DTWDistance:
             recorder.count("kernel.dtw.keogh_candidates", int(cand_i.size))
         if cand_i.size == 0:
             return []
+        if recorder.enabled:
+            recorder.count("kernel.dtw.invocations")
         dists = dtw_batch(
             left_arr[cand_i], right_arr[cand_k], self.band, max_dist=epsilon,
             recorder=recorder,

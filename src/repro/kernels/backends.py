@@ -1,6 +1,6 @@
 """The panel kernels the joiners' mega-batch cascades call.
 
-A cluster's cascade runs its filters over *panels* — one left page's
+A join cascade runs its filters over *panels* — one left page's
 objects against the gathered objects of the page's marked col pages
 (see :class:`repro.core.joiners._ClusterBlock`).  :class:`KernelBackend`
 gives the three panel kernels one entry point each, which the joiners

@@ -47,8 +47,10 @@ __all__ = [
 # ~16 MiB of working set — safely inside cache-friendly territory.
 _CHUNK_PAIRS = 4096
 _LB_CHUNK_ROWS = 512
-# Gathered LB_Keogh bounds its (cells, w) gap temporary by elements.
-_LB_CELL_BUDGET = 1 << 22
+# Gathered LB_Keogh bounds its (rows, cols, w) gap temporaries by
+# elements: 512 KiB of float64 each, small next to a join cascade's
+# per-object envelopes.
+_LB_CELL_BUDGET = 1 << 16
 
 
 def batch_envelopes(windows: np.ndarray, band: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -204,7 +206,6 @@ def dtw_batch(
         )
         abandoned += retired
     if recorder.enabled:
-        recorder.count("kernel.dtw.invocations")
         recorder.count("kernel.dtw.pairs", int(a_arr.shape[0]))
         recorder.count("kernel.dtw.abandoned", abandoned)
     return out

@@ -74,7 +74,6 @@ def edit_batch(
         )
         abandoned += retired
     if recorder.enabled:
-        recorder.count("kernel.edit.invocations")
         recorder.count("kernel.edit.pairs", int(a_arr.shape[0]))
         recorder.count("kernel.edit.abandoned", abandoned)
     return out

@@ -41,7 +41,8 @@ class LemmaAuditor:
     """Checks each executed cluster's observed reads against the bounds.
 
     Feed it one :meth:`check_cluster` call per executed cluster with the
-    disk-transfer delta observed while staging and joining that cluster.
+    disk-transfer delta observed while staging that cluster (its joins
+    read no pages through the pool).
     Results land on the recorder:
 
     - ``lemma.clusters_audited`` — clusters checked,

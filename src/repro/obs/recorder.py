@@ -49,13 +49,20 @@ __all__ = [
     "SERVING_COUNTER_PREFIXES",
 ]
 
-# Counter-name prefixes that exist only under process-sharded execution
-# (per-shard I/O attribution and shard bookkeeping — see
-# ``repro.core.executor.execute_clusters_sharded``).  They describe *how*
-# the work was dispatched, never *what* was computed: equivalence checks
-# between the serial and sharded paths must drop counters with these
-# prefixes and require everything else to match exactly.
-SHARDING_VARIANT_COUNTER_PREFIXES = ("executor.shard",)
+# Counter-name prefixes that differ between serial and process-sharded
+# execution: per-shard I/O attribution and shard bookkeeping (see
+# ``repro.core.executor.execute_clusters_sharded``), and the kernel
+# invocation counts, one per ``join_cluster`` cascade — one per join
+# when serial, one per shard when sharded.  They describe *how* the work
+# was dispatched, never *what* was computed: equivalence checks between
+# the serial and sharded paths must drop counters with these prefixes
+# and require everything else to match exactly.
+SHARDING_VARIANT_COUNTER_PREFIXES = (
+    "executor.shard",
+    "kernel.minkowski.invocations",
+    "kernel.dtw.invocations",
+    "kernel.edit.invocations",
+)
 
 # Counter-name prefix that exists only with the EXPLAIN layer enabled
 # (``join(..., explain=True)`` — signed reconciliation residuals, see

@@ -44,8 +44,8 @@ def _fresh_dataset_id(prefix: str) -> str:
 class PageBlock:
     """Columnar view over a set of pages: stacked objects plus offsets.
 
-    The cluster executor stages whole page sets; this is their zero-copy
-    (or single-gather) in-memory form.  ``objects`` stacks every object of
+    A join cascade stacks the pages of its entries; this is their
+    zero-copy (or single-gather) in-memory form.  ``objects`` stacks every object of
     the requested pages in page order; the offset arrays say where each
     page starts, so joiners address objects by ``(page, local)`` without
     materialising per-page payload lists:
@@ -69,15 +69,6 @@ class PageBlock:
     @property
     def total_objects(self) -> int:
         return self.objects.shape[0]
-
-    def page_index_of(self, stacked: np.ndarray) -> np.ndarray:
-        """Block-local page index (into ``page_nos``) of stacked rows."""
-        return np.searchsorted(self.starts, stacked, side="right") - 1
-
-    def globalise(self, stacked: np.ndarray) -> np.ndarray:
-        """Dataset-global object ids of stacked rows."""
-        page_idx = self.page_index_of(stacked)
-        return self.global_starts[page_idx] + (stacked - self.starts[page_idx])
 
     @property
     def global_ids(self) -> np.ndarray:

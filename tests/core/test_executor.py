@@ -24,6 +24,18 @@ def datasets():
 counting_joiner = EchoJoiner(comparisons=4, cpu=0.001)
 
 
+class SpyJoiner(EchoJoiner):
+    """An echo joiner that records the entries of every call."""
+
+    def __init__(self) -> None:
+        super().__init__(comparisons=4, cpu=0.001)
+        self.calls = []
+
+    def join_cluster(self, entries):
+        self.calls.append(list(entries))
+        return super().join_cluster(entries)
+
+
 class TestExecution:
     def test_joins_every_entry(self, disk, datasets):
         r, s = datasets
@@ -78,3 +90,18 @@ class TestExecution:
         outcome = execute_clusters([], pool, r, s, counting_joiner)
         assert outcome.pairs == []
         assert disk.stats.transfers == 0
+
+    def test_one_cascade_per_schedule(self, disk, datasets):
+        """Every scheduled page pair joins in one call, in schedule order."""
+        r, s = datasets
+        spy = SpyJoiner()
+        clusters = [
+            Cluster(0, ((5, 5), (6, 5))),
+            Cluster(1, ((0, 0), (0, 1), (1, 0))),
+        ]
+        outcome = execute_clusters(clusters, BufferPool(disk, capacity=6), r, s, spy)
+        assert spy.calls == [[(5, 5), (6, 5), (0, 0), (0, 1), (1, 0)]]
+        assert list(outcome.pairs) == [(5, 5), (6, 5), (0, 0), (0, 1), (1, 0)]
+        spy.calls.clear()
+        execute_clusters([], BufferPool(disk, capacity=6), r, s, spy)
+        assert spy.calls == []

@@ -135,3 +135,61 @@ class TestTextJoiner:
     def test_dp_weight_scales(self):
         assert text_dp_weight(500, 5) > text_dp_weight(50, 5)
         assert text_dp_weight(100, 5) > text_dp_weight(100, 1)
+
+
+class TestCascadeMemory:
+    """One cascade's transient memory is bounded by the joiner's chunk and
+    panel constants, not by how many candidates its filter keeps.
+
+    NumPy reports its allocations to ``tracemalloc``, so the peaks repeat
+    exactly.  The entry set is the genome figure's self join schedule (ε =
+    1): its frequency filter keeps over 100k candidates before the
+    diagonal drop.
+    """
+
+    TRANSIENT_LIMIT = 4 << 20  # bytes beyond the result's own arrays
+
+    @pytest.fixture(scope="class")
+    def genome(self):
+        from repro.core.join import IndexedDataset, join
+        from repro.datasets import markov_dna
+
+        g = IndexedDataset.from_string(
+            markov_dna(12676, seed=0, repeat_share=0.10),
+            window_length=192, windows_per_page=64,
+        )
+        schedule = join(g, g, 1, method="sc", buffer_pages=16, keep_details=True)
+        return g, [entry for cluster in schedule.clusters for entry in cluster.entries]
+
+    @staticmethod
+    def _transient(joiner, entries):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = joiner.join_cluster(entries)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        owned = (result.pairs, result.counts, result.comparisons, result.cpu)
+        return peak - sum(array.nbytes for array in owned)
+
+    def test_transient_bounded_by_constants(self, genome, model):
+        from repro.obs import InMemoryRecorder
+
+        g, entries = genome
+        rec = InMemoryRecorder()
+        make_text_joiner(
+            g.paged, g.paged, g.features, g.features, 1, model, False, recorder=rec
+        ).join_cluster(entries)
+        candidates = rec.metrics_snapshot()["counters"]["text.fd_candidates"]
+        assert candidates >= 100_000, "calibration: a filter that keeps many cells"
+
+        joiner = make_text_joiner(
+            g.paged, g.paged, g.features, g.features, 1, model, True
+        )
+        half = self._transient(joiner, entries[::2])
+        full = self._transient(joiner, entries)
+        assert full < self.TRANSIENT_LIMIT
+        assert full < 1.5 * half

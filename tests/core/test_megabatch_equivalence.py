@@ -2,7 +2,9 @@
 
 Every join method joins page pairs through
 :meth:`~repro.core.joiners.PagePairJoiner.join_cluster`.  For any set of
-distinct entries, diagonal ones included, entry ``k`` of the returned
+distinct entries, diagonal ones included — random ones, and every
+marked entry of a real SC schedule in schedule order, the set one serial
+join's cascade takes — entry ``k`` of the returned
 cluster result — its rows of the pair array, its count, comparisons and
 modeled CPU — must equal the frozen per-page-pair oracle
 (``tests/oracles/joiners.py``) on ``(row_k, col_k)`` bit for bit, pairs
@@ -76,6 +78,15 @@ def _entry_sets(r, s, epsilon, self_join, seed, size=24):
         picks = list(dict.fromkeys((int(a), int(b)) for a, b in picks))
         sets.append([picks[k] for k in rng.permutation(len(picks))])
     return sets
+
+
+def _schedule_entries(r, s, epsilon):
+    """Every marked entry of a real SC schedule, in schedule order — the
+    entry set one cascade joins per serial join."""
+    result = join(r, s, epsilon, method="sc", buffer_pages=10, keep_details=True)
+    entries = [entry for cluster in result.clusters for entry in cluster.entries]
+    assert len(entries) == result.report.extra["marked_entries"]
+    return entries
 
 
 def _assert_conforms(make_joiner, entries):
@@ -159,7 +170,9 @@ class TestVectorConformance:
             )
 
         found = 0
-        for entries in _entry_sets(r, s, epsilon, self_join, seed=7):
+        entry_sets = _entry_sets(r, s, epsilon, self_join, seed=7)
+        entry_sets.append(_schedule_entries(r, s, epsilon))
+        for entries in entry_sets:
             found += sum(res[1] for res in _assert_conforms(make, entries))
         assert found > 0, "calibration: the entry sets should hold results"
 
@@ -183,7 +196,9 @@ class TestSequenceConformance:
             )
 
         found = 0
-        for entries in _entry_sets(r, s, epsilon, self_join, seed=5):
+        entry_sets = _entry_sets(r, s, epsilon, self_join, seed=5)
+        entry_sets.append(_schedule_entries(r, s, epsilon))
+        for entries in entry_sets:
             found += sum(res[1] for res in _assert_conforms(make, entries))
         assert found > 0, "calibration: the entry sets should hold results"
 
@@ -203,7 +218,9 @@ class TestSequenceConformance:
             )
 
         found = 0
-        for entries in _entry_sets(r, s, epsilon, self_join, seed=epsilon):
+        entry_sets = _entry_sets(r, s, epsilon, self_join, seed=epsilon)
+        entry_sets.append(_schedule_entries(r, s, epsilon))
+        for entries in entry_sets:
             found += sum(res[1] for res in _assert_conforms(make, entries))
         assert found > 0, "calibration: the entry sets should hold results"
 

@@ -31,18 +31,10 @@ class TestVectorPagesView:
         assert block.counts.tolist() == [4, 4, 4]
         assert block.global_starts.tolist() == [0, 8, 20]
 
-    def test_stacked_to_page_and_global_mapping(self, vec_dataset):
-        block = vec_dataset.pages_view([0, 2, 5])
-        stacked = np.array([0, 3, 4, 7, 8, 11])
-        assert block.page_index_of(stacked).tolist() == [0, 0, 1, 1, 2, 2]
-        assert block.globalise(stacked).tolist() == [0, 3, 8, 11, 20, 23]
-
     def test_global_ids_cover_all_rows(self, vec_dataset):
         block = vec_dataset.pages_view([0, 2, 5])
         expected = [0, 1, 2, 3, 8, 9, 10, 11, 20, 21, 22, 23]
         assert block.global_ids.tolist() == expected
-        everything = np.arange(block.total_objects)
-        assert np.array_equal(block.globalise(everything), block.global_ids)
 
     def test_ragged_last_page(self, vectors):
         dataset = VectorPagedDataset(vectors, objects_per_page=8, dataset_id="v2")
