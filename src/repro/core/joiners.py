@@ -18,16 +18,16 @@ of marked page pairs — every scheduled page pair of a join (or of one
 shard), or one outer page and its partners.  The call stacks the
 datasets' columnar page views
 (:meth:`~repro.storage.page.PagedDataset.pages_view`), computes the
-per-object inputs (squared norms, Keogh envelopes, centres and radii,
-frequency counts) once, and runs a single filter-and-refine cascade with
-a shared threshold: the filter runs over sparse *panels* (one left page
-against its marked col pages), and the refine stages take the surviving
-candidates in fixed-size chunks as the panels produce them, so apart
-from the per-object inputs the cascade's transient memory is bounded by
-``_PANEL_CELLS`` and ``_CHUNK_BYTES``, not by the number of entries or
-candidates.  It
-returns one :class:`ClusterResult`: every accepted pair as one
-``(k, 2)`` int64 array grouped by entry, plus per-entry count,
+per-object inputs (squared norms, both sides' Keogh envelopes, centres
+and radii, frequency counts) once, and runs a single filter-and-refine
+cascade with a shared threshold: the filter runs over sparse *panels*
+(one left page against its marked col pages), and the refine stages
+take the surviving candidates in fixed-size chunks as the panels
+produce them, so apart from the per-object inputs the cascade's
+transient memory is bounded by ``_PANEL_CELLS`` and ``_CHUNK_BYTES``,
+not by the number of entries or candidates.  It returns one
+:class:`ClusterResult`: every accepted pair as one ``(k, 2)`` int64
+array grouped by entry, plus per-entry count,
 comparison and CPU arrays.  Entry ``k``'s rows and values equal joining
 that page pair on its own — the frozen per-page-pair kernels in
 ``tests/oracles/joiners.py`` — bit for bit, whichever entries share the
@@ -51,7 +51,9 @@ from repro.costmodel import CostModel
 from repro.distance.dtw import DTWDistance
 from repro.distance.vector import MinkowskiDistance
 from repro.kernels.backends import KERNELS
-from repro.kernels.dtw import dtw_batch, envelope_centres
+from repro.kernels.dtw import (
+    dtw_batch, envelope_centres, lb_keogh_gathered, lb_keogh_limit,
+)
 from repro.kernels.edit import edit_batch
 from repro.kernels.minkowski import minkowski_refine
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -369,47 +371,90 @@ def _count_into(counts: np.ndarray, pos: np.ndarray) -> None:
 def make_keogh_filter(
     left: np.ndarray, right: np.ndarray, band: int, epsilon: float
 ) -> PanelFilter:
-    """Panel filter deciding ``LB_Keogh(left[i], envelope(right[j])) <= ε``.
+    """Panel filter deciding LB_Keogh in both directions.
 
-    Two stages per panel.  One Gram product tests the centre–radius
-    bound ``‖q − c_j‖ ≤ ε + ‖r_j‖``, which every cell with
-    ``LB_Keogh ≤ ε`` passes (:func:`repro.kernels.dtw.envelope_centres`
-    has the proof and the rounding margin); then LB_Keogh runs on the
-    panel columns where at least one row passed — or on every column
-    when the squared norms overflow.  The decisions equal
-    ``lb_keogh_panel(...) <= ε`` over the whole panel, cell for cell.
-    Envelopes, centres and norms are computed once, for every stacked
-    right window.
+    A cell ``(i, j)`` passes when ``LB_Keogh(left[i], envelope(right[j]))``
+    and ``LB_Keogh(right[j], envelope(left[i]))`` are both within
+    :func:`~repro.kernels.dtw.lb_keogh_limit` — ε widened just enough
+    that no pair whose computed DTW is within ε fails on rounding.
+    Four stages per panel, each on what the one before kept:
+
+    1. the forward centre–radius bound ``‖left[i] − c_j‖ ≤ λ + ‖r_j‖``,
+       one Gram product against the right envelopes' centres;
+    2. the reverse bound ``‖right[j] − c_i‖ ≤ λ + ‖r_i‖`` on the
+       columns the forward bound passed;
+    3. forward LB_Keogh (``lb_keogh_panel``) on the columns where some
+       cell passed both bounds;
+    4. reverse LB_Keogh (``lb_keogh_gathered``) on the cells forward
+       LB_Keogh kept.
+
+    The bounds keep every cell LB_Keogh keeps
+    (:func:`repro.kernels.dtw.envelope_centres` has the proof and the
+    rounding margins); a bound is skipped when its squared norms
+    overflow.  The decisions equal both ``lb_keogh_block`` directions
+    ``<= λ`` over the whole panel, cell for cell.  Envelopes, centres
+    and norms are computed once, for every stacked window of each side.
     """
-    lowers, uppers = KERNELS.batch_envelopes(right, band)
-    centres, radii = envelope_centres(lowers, uppers)
-    reach = epsilon + radii
+    limit = lb_keogh_limit(epsilon, left.shape[1])
+    right_lowers, right_uppers = KERNELS.batch_envelopes(right, band)
+    left_lowers, left_uppers = KERNELS.batch_envelopes(left, band)
+    right_centres, right_radii = envelope_centres(right_lowers, right_uppers)
+    left_centres, left_radii = envelope_centres(left_lowers, left_uppers)
+    right_reach = limit + right_radii
+    left_reach = limit + left_radii
     # Squared norms near the top of the float range (window values past
-    # ~1e150) overflow the Gram form into inf − inf; LB_Keogh, which
-    # squares only gaps, then runs on every column.
+    # ~1e150) overflow the Gram form into inf − inf; each direction's
+    # bound is then skipped, and LB_Keogh, which squares only gaps,
+    # decides.
     with np.errstate(over="ignore"):
         left_sq = np.einsum("iw,iw->i", left, left)
-        centre_sq = np.einsum("jw,jw->j", centres, centres)
-        bounded = np.isfinite(
-            4.0 * (left_sq.max(initial=0.0) + centre_sq.max(initial=0.0))
+        right_sq = np.einsum("jw,jw->j", right, right)
+        right_centre_sq = np.einsum("jw,jw->j", right_centres, right_centres)
+        left_centre_sq = np.einsum("iw,iw->i", left_centres, left_centres)
+        forward_bounded = np.isfinite(
+            4.0 * (left_sq.max(initial=0.0) + right_centre_sq.max(initial=0.0))
+        )
+        reverse_bounded = np.isfinite(
+            4.0 * (right_sq.max(initial=0.0) + left_centre_sq.max(initial=0.0))
         )
 
     def keogh_filter(sl: slice, panel_j: np.ndarray) -> np.ndarray:
         rows = left[sl]
-        if bounded:
+        out = np.zeros((rows.shape[0], panel_j.shape[0]), dtype=bool)
+        cols = np.arange(panel_j.shape[0])
+        near: Optional[np.ndarray] = None
+        if forward_bounded:
             near = KERNELS.euclidean_gram_panel(
-                rows, centres[panel_j], left_sq[sl], centre_sq[panel_j],
-                reach[panel_j],
+                rows, right_centres[panel_j], left_sq[sl],
+                right_centre_sq[panel_j], right_reach[panel_j],
             )
             cols = np.flatnonzero(near.any(axis=0))
-        else:
-            cols = np.arange(panel_j.shape[0])
-        out = np.zeros((rows.shape[0], panel_j.shape[0]), dtype=bool)
-        if cols.size:
+            near = near[:, cols]
+        if reverse_bounded and cols.size:
             pc = panel_j[cols]
-            out[:, cols] = (
-                KERNELS.lb_keogh_panel(rows, lowers[pc], uppers[pc]) <= epsilon
-            )
+            back = KERNELS.euclidean_gram_panel(
+                right[pc], left_centres[sl], right_sq[pc], left_centre_sq[sl],
+                left_reach[sl],
+            ).T
+            near = back if near is None else near & back
+            hit = near.any(axis=0)
+            cols, near = cols[hit], near[:, hit]
+        if not cols.size:
+            return out
+        pc = panel_j[cols]
+        kept = (
+            KERNELS.lb_keogh_panel(rows, right_lowers[pc], right_uppers[pc]) <= limit
+        )
+        if near is not None:
+            # A cell a bound rejected fails LB_Keogh too; keep it out of
+            # the gather.
+            kept &= near
+        ci, cj = np.nonzero(kept)
+        kept[ci, cj] = (
+            lb_keogh_gathered(right, left_lowers, left_uppers, pc[cj], ci + sl.start)
+            <= limit
+        )
+        out[:, cols] = kept
         return out
 
     return keogh_filter
@@ -577,8 +622,9 @@ class NumericPagePairJoiner(PagePairJoiner):
     def _dtw_cascade(
         self, block: _ClusterBlock, tally: Dict[str, int]
     ) -> Iterator[Candidates]:
-        """LB_Keogh panels, then the shared-abandon DP chunk by chunk;
-        yields the cells within ε."""
+        """Two-way LB_Keogh panels (:func:`make_keogh_filter`), then the
+        shared-abandon DP on the survivors in full ``_CHUNK_BYTES``
+        chunks; yields the cells within ε."""
         eps = self.epsilon
         band = self.distance.band
         left = block.r_block.objects

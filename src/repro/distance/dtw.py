@@ -24,7 +24,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.geometry import Rect
-from repro.kernels.dtw import batch_envelopes, dtw_batch, lb_keogh_block
+from repro.kernels.dtw import (
+    batch_envelopes, dtw_batch, lb_keogh_block, lb_keogh_limit,
+)
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = ["dtw_distance", "envelope", "envelope_box", "DTWDistance"]
@@ -84,20 +86,14 @@ def dtw_distance(
 def envelope(values: np.ndarray, band: int) -> Tuple[np.ndarray, np.ndarray]:
     """Keogh envelope: running min/max of ``values`` over ``±band``.
 
-    Returns ``(lower, upper)`` arrays of the same length.  Vectorised via
-    a stride trick over a padded copy.
+    Returns ``(lower, upper)`` arrays of the same length; one row of
+    :func:`repro.kernels.dtw.batch_envelopes`.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("envelope expects a 1-d array")
-    if band < 0:
-        raise ValueError(f"band must be non-negative, got {band}")
-    if band == 0:
-        return arr.copy(), arr.copy()
-    padded_lo = np.pad(arr, band, mode="edge")
-    window = 2 * band + 1
-    view = np.lib.stride_tricks.sliding_window_view(padded_lo, window)
-    return view.min(axis=1), view.max(axis=1)
+    lower, upper = batch_envelopes(arr[None, :], band)
+    return lower[0], upper[0]
 
 
 def envelope_box(box: Rect, band: int) -> Rect:
@@ -146,19 +142,25 @@ class DTWDistance:
     ) -> List[Tuple[int, int]]:
         """Envelope-filtered exact DTW join of two window arrays.
 
-        Cheap stage: LB_Keogh — per-position gap of each left window
-        against the right windows' band envelopes, computed over whole
-        window blocks at once.  Survivors go through the batched banded
-        DP (:func:`repro.kernels.dtw.dtw_batch`) in one call with
+        Cheap stage: LB_Keogh in both directions — each left window
+        against the right windows' band envelopes and each right window
+        against the left windows' — over whole window blocks at once.  A
+        pair passes when both bounds are within
+        :func:`repro.kernels.dtw.lb_keogh_limit`, ε plus a rounding
+        slack.  Survivors go through the batched banded DP
+        (:func:`repro.kernels.dtw.dtw_batch`) in one call with
         ``epsilon`` as the shared early-abandon threshold.
         """
         if epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
         left_arr = np.atleast_2d(np.asarray(left, dtype=np.float64))
         right_arr = np.atleast_2d(np.asarray(right, dtype=np.float64))
-        lowers, uppers = batch_envelopes(right_arr, self.band)
-        keogh = lb_keogh_block(left_arr, lowers, uppers)
-        cand_i, cand_k = np.nonzero(keogh <= epsilon)
+        limit = lb_keogh_limit(epsilon, left_arr.shape[1])
+        right_lowers, right_uppers = batch_envelopes(right_arr, self.band)
+        left_lowers, left_uppers = batch_envelopes(left_arr, self.band)
+        forward = lb_keogh_block(left_arr, right_lowers, right_uppers)
+        reverse = lb_keogh_block(right_arr, left_lowers, left_uppers).T
+        cand_i, cand_k = np.nonzero((forward <= limit) & (reverse <= limit))
         if recorder.enabled:
             recorder.count(
                 "kernel.dtw.pairs_tested", left_arr.shape[0] * right_arr.shape[0]

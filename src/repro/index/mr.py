@@ -26,6 +26,7 @@ import numpy as np
 from repro.geometry import BoxArray
 from repro.index._grouping import page_boxes
 from repro.index.node import PageIndex
+from repro.kernels.dtw import batch_envelopes
 from repro.storage.page import SequencePagedDataset
 
 __all__ = ["MRIndex"]
@@ -77,17 +78,20 @@ class MRIndex:
 
         ``features`` holds one row per window, starting at a page
         boundary.  With ``dtw_band`` set, each box is widened by the
-        Sakoe-Chiba band envelope so the sweep's L∞ box test lower-bounds
-        banded DTW (see :func:`repro.distance.dtw.envelope_box` for the
-        soundness argument).  Appends box a series' changed tail here too.
+        Sakoe-Chiba band envelope — the band's running minimum of its
+        lower corner and maximum of its upper corner, one
+        :func:`~repro.kernels.dtw.batch_envelopes` call each for all
+        boxes — so the sweep's L∞ box test lower-bounds banded DTW (see
+        :func:`repro.distance.dtw.envelope_box` for the soundness
+        argument).  Appends box a series' changed tail here too.
         """
         starts = np.arange(0, len(features), windows_per_page)
         boxes = page_boxes(features, starts)
         if dtw_band is None:
             return boxes
-        from repro.distance.dtw import envelope_box
-
-        return BoxArray.from_rects([envelope_box(box, dtw_band) for box in boxes])
+        lowers, _ = batch_envelopes(boxes.lo, dtw_band)
+        _, uppers = batch_envelopes(boxes.hi, dtw_band)
+        return BoxArray(lowers, uppers, validate=False)
 
     # -- feature computation -------------------------------------------------
 

@@ -15,14 +15,21 @@ trace wraps by name:
     The Gram-matrix ε-filter of a left block against a right panel,
     with one threshold or one per panel column.
 
-The DTW cascade (:func:`repro.core.joiners.make_keogh_filter`) calls
-two of them per panel: ``euclidean_gram_panel`` against the envelope
-centres with per-column thresholds ``ε + ‖r_j‖`` — a conservative
-centre–radius bound on LB_Keogh, derived next to
+The DTW cascade (:func:`repro.core.joiners.make_keogh_filter`) keeps a
+pair only if LB_Keogh holds in both directions, and calls two of them
+per panel: ``euclidean_gram_panel`` twice — left windows against the
+right envelopes' centres, then the surviving right windows against the
+left envelopes' centres, each with per-envelope thresholds
+``λ + ‖r‖`` (λ is ε plus a rounding slack,
+:func:`repro.kernels.dtw.lb_keogh_limit`), a conservative centre–radius
+bound on LB_Keogh derived next to
 :func:`repro.kernels.dtw.envelope_centres` — and then
-``lb_keogh_panel`` on the columns where some row passed it.  The text
-cascade's frequency-distance filter needs no panel kernel: it is exact
-integer arithmetic (:func:`repro.core.joiners.make_fd_filter`).
+``lb_keogh_panel`` on the columns where some cell passed both.  The
+reverse LB_Keogh of the cells it kept is a gathered per-cell kernel,
+:func:`repro.kernels.dtw.lb_keogh_gathered`, which the cascade calls
+directly.  The text cascade's frequency-distance filter needs no panel
+kernel: it is exact integer arithmetic
+(:func:`repro.core.joiners.make_fd_filter`).
 
 The refinement DPs behind ``dtw_batch`` / ``edit_batch`` are the
 anti-diagonal kernels of :mod:`repro.kernels.wavefront`; their

@@ -14,16 +14,22 @@ same float64 operations in the same order: ``gap² + min(prev[j],
 prev[j−1], cur[j−1])``, a final ``sqrt``, and the ``max_dist + 1``
 sentinel on abandon.
 
-Ahead of the DP, the join cascade filters window pairs in two stages.
-LB_Keogh needs a ``(rows, cols, w)`` gap tensor per panel; most cells
-fail it by a wide margin, so a cheaper bound runs first.  With envelope
-centre ``c = (L + U)/2`` and radius ``r = (U − L)/2``, Minkowski's
-inequality gives ``LB_Keogh(q) ≥ ‖q − c‖₂ − ‖r‖₂`` (see
-:func:`envelope_centres`), and ``‖q − c‖₂ ≤ ε + ‖r‖₂`` is one Gram
-product per panel — the L2 join's
-:func:`repro.kernels.minkowski.euclidean_gram_panel` with a per-column
-threshold.  :func:`lb_keogh_panel` then runs only on the panel columns
-where some row passes that bound.
+Ahead of the DP, the join cascade keeps a window pair only if LB_Keogh
+holds in both directions: the left window against the right window's
+envelope, and the right window against the left window's.  LB_Keogh is
+not symmetric, and each direction rejects pairs the other keeps; both
+are compared with :func:`lb_keogh_limit`, ε widened by a rounding
+slack, so no pair within ε is lost to rounding.  LB_Keogh needs a
+``(rows, cols, w)`` gap tensor per panel; most cells fail it by a wide
+margin, so a cheaper bound runs first.  With envelope centre
+``c = (L + U)/2`` and radius ``r = (U − L)/2``, Minkowski's inequality
+gives ``LB_Keogh(q) ≥ ‖q − c‖₂ − ‖r‖₂`` (see :func:`envelope_centres`),
+and ``‖q − c‖₂ ≤ λ + ‖r‖₂`` is one Gram product per panel — the L2
+join's :func:`repro.kernels.minkowski.euclidean_gram_panel` with a
+per-column threshold — in each direction.  :func:`lb_keogh_panel` then
+runs only on the panel columns where some cell passed both bounds, and
+:func:`lb_keogh_gathered` computes the reverse LB_Keogh only for the
+cells the forward one kept.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ __all__ = [
     "batch_envelopes",
     "envelope_centres",
     "lb_keogh_block",
+    "lb_keogh_gathered",
+    "lb_keogh_limit",
     "lb_keogh_panel",
     "dtw_batch",
 ]
@@ -47,53 +55,98 @@ __all__ = [
 # ~16 MiB of working set — safely inside cache-friendly territory.
 _CHUNK_PAIRS = 4096
 _LB_CHUNK_ROWS = 512
-# Gathered LB_Keogh bounds its (rows, cols, w) gap temporaries by
-# elements: 512 KiB of float64 each, small next to a join cascade's
-# per-object envelopes.
+# Gathered LB_Keogh bounds its (rows, cols, w) or (cells, w) gap
+# temporaries by elements: 512 KiB of float64 each, small next to a join
+# cascade's per-object envelopes.
 _LB_CELL_BUDGET = 1 << 16
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def batch_envelopes(windows: np.ndarray, band: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Keogh envelopes of every row of ``windows`` in one strided pass.
+    """Keogh envelopes of every row of ``windows``: the running min and
+    max over positions ``±band``, clipped to the window.
 
-    Equivalent to calling :func:`repro.distance.dtw.envelope` per row;
-    rows are edge-padded independently so values match exactly.
+    Works on a transposed copy, one row per position, so each of the
+    ``2·band`` shifts is one ``np.minimum`` and one ``np.maximum`` over
+    contiguous blocks.  Min and max are exact, so every value equals the
+    minimum or maximum of its band's samples.
     """
     arr = np.atleast_2d(np.asarray(windows, dtype=np.float64))
     if band < 0:
         raise ValueError(f"band must be non-negative, got {band}")
     if band == 0:
         return arr.copy(), arr.copy()
-    padded = np.pad(arr, ((0, 0), (band, band)), mode="edge")
-    view = np.lib.stride_tricks.sliding_window_view(padded, 2 * band + 1, axis=1)
-    return view.min(axis=2), view.max(axis=2)
+    values = np.ascontiguousarray(arr.T)
+    lower, upper = values.copy(), values.copy()
+    for shift in range(1, min(band, values.shape[0] - 1) + 1):
+        np.minimum(lower[shift:], values[:-shift], out=lower[shift:])
+        np.minimum(lower[:-shift], values[shift:], out=lower[:-shift])
+        np.maximum(upper[shift:], values[:-shift], out=upper[shift:])
+        np.maximum(upper[:-shift], values[shift:], out=upper[:-shift])
+    # Each transposed copy is dropped as soon as it is laid back out.
+    del values
+    lower = np.ascontiguousarray(lower.T)
+    upper = np.ascontiguousarray(upper.T)
+    return lower, upper
 
 
+# Rounding margins, to first order in u = 2⁻⁵³, for values whose squares
+# neither overflow nor underflow.
+#
+# The decision limit.  The cascade keeps a pair when its computed
+# LB_Keogh, in each direction, is ≤ λ = ε·(1 + (2w + 8)u)
+# (lb_keogh_limit).  LB_Keogh sums its squared gaps pairwise, the DP
+# adds each path's terms one after another, so the computed bound can
+# exceed the computed DTW: at band 0, where both sum the same squares,
+# it did by one ulp for 6–28% of random pairs with w from 13 to 100.
+# λ keeps every pair whose computed DTW is ≤ ε:
+#   (a) the DP's value is a running sum along one band path of at most
+#       2w − 1 cells, each a rounded gap squared, so the computed DTW
+#       is ≥ (1 − (w + 2)u) times the exact DTW;
+#   (b) the exact LB_Keogh is ≤ the exact DTW in both directions (the
+#       band is symmetric, so DTW(q, c) = DTW(c, q));
+#   (c) a computed LB_Keogh — w rounded gaps, squared, summed in any
+#       order and rooted — is ≤ (1 + (w/2 + 2)u) times its exact value.
+# A pair within ε thus has computed LB_Keogh ≤ ε·(1 + (1.5w + 4)u) in
+# each direction, while 1 + (2w + 8)u is exact in float64 and the
+# product with ε rounds by at most u: λ ≥ ε·(1 + (2w + 7)u).
+#
 # The centre–radius bound.  Per coordinate the Keogh gap of q against
 # (L, U) is g_i = max(L_i − q_i, q_i − U_i, 0) = max(|q_i − c_i| − r_i, 0),
 # so |q_i − c_i| ≤ g_i + r_i, and Minkowski's inequality gives
 # ‖q − c‖ ≤ ‖g‖ + ‖r‖ = LB_Keogh(q) + ‖r‖.  Every window with
-# LB_Keogh ≤ ε therefore has ‖q‖² + ‖c‖² − 2 q·c ≤ (ε + ‖r‖)².
+# LB_Keogh ≤ λ therefore has ‖q‖² + ‖c‖² − 2 q·c ≤ (λ + ‖r‖)².  The
+# forward bound tests it for left windows q against right envelopes,
+# the reverse bound for right windows against left envelopes.
 #
-# Rounding margin.  The Gram stage keeps a cell when the computed
-# ‖q‖² + ‖c‖² − 2 q·c is ≤ (ε + ‖r‖)² + 2⁻³⁰·(‖q‖² + ‖c‖²), the same
+# The Gram margin.  Each Gram stage keeps a cell when the computed
+# ‖q‖² + ‖c‖² − 2 q·c is ≤ (λ + ‖r‖)² + 2⁻³⁰·(‖q‖² + ‖c‖²), the same
 # _GRAM_SLACK margin as the L2 filter; it must keep every cell whose
-# *computed* LB_Keogh is ≤ ε.  With u = 2⁻⁵³ and B = ‖q‖² + ‖c‖², to
-# first order in u:
-#   (a) the computed Gram value is within 2(w + 2)·u·B of ‖q − c‖²
+# *computed* LB_Keogh is ≤ λ.  With B = ‖q‖² + ‖c‖²:
+#   (d) the computed Gram value is within 2(w + 2)·u·B of ‖q − c‖²
 #       (the error _GRAM_SLACK already absorbs);
-#   (b) the rounded centre moves ‖q − c‖² by at most 3u·B;
-#   (c) the computed LB_Keogh, ‖r‖ and (ε + ‖r‖)² are each within a
-#       relative (2w + 10)·u of their exact values, so a cell whose
-#       computed LB_Keogh is ≤ ε has an exact ‖q − c‖² that exceeds
-#       the computed threshold by at most (4w + 19)·u·(ε + ‖r‖)²;
-#   (d) that only matters near the threshold, where
-#       ‖q − c‖ ≥ (ε + ‖r‖)/2 and hence (ε + ‖r‖)² ≤ 4‖q − c‖² ≤ 8B —
+#   (e) the rounded centre moves ‖q − c‖² by at most 3u·B;
+#   (f) the computed LB_Keogh, ‖r‖ and (λ + ‖r‖)² are each within a
+#       relative (2w + 10)u of their exact values, so a cell whose
+#       computed LB_Keogh is ≤ λ has an exact ‖q − c‖² that exceeds
+#       the computed threshold by at most (4w + 19)·u·(λ + ‖r‖)²;
+#   (g) that only matters near the threshold, where
+#       ‖q − c‖ ≥ (λ + ‖r‖)/2 and hence (λ + ‖r‖)² ≤ 4‖q − c‖² ≤ 8B —
 #       a cell below half the threshold passes with room to spare.
-# The total, under (34w + 160)·u·B, stays below 2⁻³⁰·B for windows up
-# to ~2·10⁵ samples.  Without the margin, windows built at the bound's
-# equality case (q = c ± (r + t·r/‖r‖), ε = t nudged by ulps) are
-# wrongly rejected in roughly half of the cases.
+# The total, under (34w + 160)·u·B, stays below 2⁻³⁰·B = 2²³·u·B for
+# windows of up to 246,000 samples.  λ enters only through (f), which
+# holds for any threshold, so the margin covers the slack-widened
+# limit as it covered ε.  Without the margin, windows built at the
+# bound's equality case (q = c ± (r + t·r/‖r‖), λ = t nudged by ulps)
+# are wrongly rejected in roughly half of the cases.
+
+
+def lb_keogh_limit(epsilon: float, window_length: int) -> float:
+    """The value a computed LB_Keogh is compared with: ``ε`` widened by
+    ``(2w + 8)`` units of roundoff, so that every pair whose computed
+    DTW is within ``ε`` passes in both directions (the derivation is
+    above this function)."""
+    return epsilon * (1.0 + (2 * window_length + 8) * _UNIT_ROUNDOFF)
 
 
 def envelope_centres(
@@ -101,9 +154,9 @@ def envelope_centres(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Centres ``(L + U)/2`` and radius norms ``‖(U − L)/2‖₂`` of envelopes.
 
-    One row each per envelope row.  ``LB_Keogh(q) ≤ ε`` implies
-    ``‖q − centre‖₂ ≤ ε + radius``, the bound the cascade tests with one
-    Gram product per panel ahead of :func:`lb_keogh_panel`.
+    One row each per envelope row.  ``LB_Keogh(q) ≤ λ`` implies
+    ``‖q − centre‖₂ ≤ λ + radius``, the bound the cascade tests with one
+    Gram product per panel and direction ahead of :func:`lb_keogh_panel`.
     """
     centres = 0.5 * (lowers + uppers)
     half_widths = 0.5 * (uppers - lowers)
@@ -164,6 +217,37 @@ def lb_keogh_panel(
         np.maximum(gap, 0.0, out=gap)
         np.multiply(gap, gap, out=gap)
         out[:, lo:hi] = np.sqrt(np.sum(gap, axis=2))
+    return out
+
+
+def lb_keogh_gathered(
+    queries: np.ndarray,
+    lowers: np.ndarray,
+    uppers: np.ndarray,
+    query_idx: np.ndarray,
+    envelope_idx: np.ndarray,
+) -> np.ndarray:
+    """LB_Keogh of ``queries[query_idx[k]]`` against envelope
+    ``envelope_idx[k]``, one value per listed cell.
+
+    The cascade's reverse bound: the cells are the ones the forward
+    LB_Keogh kept, scattered over a panel, so they are gathered rather
+    than laid out as a block.  The cells are taken in chunks whose
+    ``(cells, w)`` temporaries hold at most ``_LB_CELL_BUDGET`` elements.
+    Per cell the operations are :func:`lb_keogh_panel`'s, so the bounds
+    are bit-identical to :func:`lb_keogh_block`'s.
+    """
+    out = np.empty(query_idx.shape[0])
+    chunk = max(1, _LB_CELL_BUDGET // max(1, queries.shape[1]))
+    for lo in range(0, query_idx.shape[0], chunk):
+        q = queries[query_idx[lo : lo + chunk]]
+        env = envelope_idx[lo : lo + chunk]
+        gap = lowers[env]
+        np.subtract(gap, q, out=gap)
+        np.maximum(gap, np.subtract(q, uppers[env], out=q), out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        np.multiply(gap, gap, out=gap)
+        out[lo : lo + chunk] = np.sqrt(np.sum(gap, axis=1))
     return out
 
 

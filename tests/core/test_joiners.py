@@ -142,9 +142,11 @@ class TestCascadeMemory:
     panel constants, not by how many candidates its filter keeps.
 
     NumPy reports its allocations to ``tracemalloc``, so the peaks repeat
-    exactly.  The entry set is the genome figure's self join schedule (ε =
-    1): its frequency filter keeps over 100k candidates before the
-    diagonal drop.
+    exactly.  The text entry set is the genome figure's self join
+    schedule (ε = 1): its frequency filter keeps over 100k candidates
+    before the diagonal drop.  The DTW one pairs every page of two ±1
+    series whose forward LB_Keogh keeps over 100k cells, nearly all of
+    which the reverse bound then gathers and rejects.
     """
 
     TRANSIENT_LIMIT = 4 << 20  # bytes beyond the result's own arrays
@@ -188,6 +190,65 @@ class TestCascadeMemory:
 
         joiner = make_text_joiner(
             g.paged, g.paged, g.features, g.features, 1, model, True
+        )
+        half = self._transient(joiner, entries[::2])
+        full = self._transient(joiner, entries)
+        assert full < self.TRANSIENT_LIMIT
+        assert full < 1.5 * half
+
+    @pytest.fixture(scope="class")
+    def signs(self):
+        from repro.core.join import IndexedDataset
+
+        rng = np.random.default_rng(0)
+        left = rng.choice([-1.0, 1.0], size=415)
+        right = rng.choice([-1.0, 1.0], size=415)
+        # Every right window gets two spikes: inside its own envelope,
+        # 0.6 outside every left window's, so only the reverse bound
+        # rejects the pair.
+        right[::8] = 1.6
+        r, s = (
+            IndexedDataset.from_time_series(
+                values, window_length=16, windows_per_page=32, dtw_band=4
+            )
+            for values in (left, right)
+        )
+        entries = [(i, j) for i in range(r.num_pages) for j in range(s.num_pages)]
+        return r, s, entries
+
+    def test_reverse_gather_bounded_by_constants(self, signs, model, monkeypatch):
+        import repro.core.joiners as joiners_mod
+        from repro.distance.dtw import DTWDistance
+        from repro.kernels.backends import KernelBackend
+        from repro.kernels.dtw import lb_keogh_limit
+
+        r, s, entries = signs
+        epsilon = 0.5
+        limit = lb_keogh_limit(epsilon, 16)
+        forward, gathered = [], []
+        panel, gather = KernelBackend.lb_keogh_panel, joiners_mod.lb_keogh_gathered
+
+        def counting_panel(self, *args):
+            bounds = panel(self, *args)
+            forward.append(int(np.count_nonzero(bounds <= limit)))
+            return bounds
+
+        def counting_gather(*args):
+            gathered.append(args[3].shape[0])
+            return gather(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(KernelBackend, "lb_keogh_panel", counting_panel)
+            patch.setattr(joiners_mod, "lb_keogh_gathered", counting_gather)
+            calibration = make_numeric_joiner(
+                r.paged, s.paged, DTWDistance(4), epsilon, model, False
+            ).join_cluster(entries)
+        assert sum(forward) >= 100_000, "calibration: forward LB_Keogh keeps many"
+        assert sum(gathered) >= 100_000, "calibration: the reverse gather sees them"
+        assert calibration.counts.sum() == 0
+
+        joiner = make_numeric_joiner(
+            r.paged, s.paged, DTWDistance(4), epsilon, model, False
         )
         half = self._transient(joiner, entries[::2])
         full = self._transient(joiner, entries)

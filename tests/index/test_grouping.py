@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.datasets import markov_dna
-from repro.distance.dtw import envelope_box
 from repro.distance.frequency import frequency_vector
-from repro.geometry import BoxArray, Rect
+from repro.geometry import BoxArray
 from repro.index._grouping import build_contiguous_hierarchy, page_boxes
 from repro.index.mr import MRIndex
 from repro.index.mrs import MRSIndex
 from repro.index.node import PageIndex
 from repro.storage.page import SequencePagedDataset
+from tests.oracles.kernels import sliding_envelopes
 
 
 def boxes(n):
@@ -96,10 +96,11 @@ class TestIndexLeafBoxes:
         assert len(leaf) == dataset.num_pages
         for page_no, box in enumerate(leaf):
             windows = dataset.page_objects(page_no)
-            expected = Rect(windows.min(axis=0), windows.max(axis=0))
+            lo, hi = windows.min(axis=0), windows.max(axis=0)
             if band is not None:
-                expected = envelope_box(expected, band)
-            assert_same_box(box, expected.lo, expected.hi)
+                lo = sliding_envelopes(lo, band)[0][0]
+                hi = sliding_envelopes(hi, band)[1][0]
+            assert_same_box(box, lo, hi)
 
     def test_mrs(self):
         dataset = SequencePagedDataset(

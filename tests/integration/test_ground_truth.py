@@ -15,7 +15,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.join import JOIN_METHODS, IndexedDataset, join
 from repro.datasets import markov_dna
+from repro.kernels.dtw import lb_keogh_block
 from tests.oracles.brute_force import dtw_pairs, edit_pairs, vector_pairs
+from tests.oracles.kernels import _dtw_chunk
 
 POINT_ONLY = ("ekdb", "zorder")
 SEQUENCE_METHODS = [m for m in JOIN_METHODS if m not in POINT_ONLY]
@@ -51,6 +53,21 @@ def _dtw_case(values, other, window, band, epsilon):
     return r, s, epsilon, 10, truth
 
 
+def _boundary_window(values, other, window):
+    """The first window ``k`` whose band-0 LB_Keogh against window ``k``
+    of ``other`` is computed above their computed DTW, and that DTW.
+    The DP keeps the pair at ε = that DTW."""
+    left = sliding_window_view(values, window)
+    right = sliding_window_view(other, window)
+    for k in range(left.shape[0]):
+        pair = left[k : k + 1], right[k : k + 1]
+        (dtw,), _ = _dtw_chunk(*pair, 0, None)
+        (kept,), _ = _dtw_chunk(*pair, 0, dtw)
+        if lb_keogh_block(pair[0], pair[1], pair[1])[0, 0] > dtw and kept <= dtw:
+            return k, float(dtw)
+    raise AssertionError("calibration: no window on LB_Keogh's rounding edge")
+
+
 @lru_cache(maxsize=None)
 def case(name):
     """``(r, s, epsilon, buffer_pages, oracle pairs)`` of one input."""
@@ -77,6 +94,13 @@ def case(name):
         walk = np.cumsum(rng.normal(size=260))
         other = walk[40:230] + rng.normal(scale=0.05, size=190)
         return _dtw_case(walk, other, 10, band, 0.8)
+    if name == "dtw-band0-boundary-cross":
+        # ε is the computed DTW of a window pair whose computed LB_Keogh
+        # is one ulp above it: LB_Keogh sums its squares pairwise, the DP
+        # one after another.  The pair is within ε and must be found.
+        walk = np.cumsum(rng.normal(size=200))
+        other = walk + rng.normal(scale=0.05, size=200)
+        return _dtw_case(walk, other, 16, 0, _boundary_window(walk, other, 16)[1])
     if name == "dtw-constant-self-eps0":
         # Every window identical: zero envelope radius at ε = 0.
         return _dtw_case(np.full(150, 3.25), None, 8, 2, 0.0)
@@ -101,7 +125,7 @@ def case(name):
 VECTOR_CASES = ["l2-cross", "l2-self", "l1-cross", "linf-cross",
                 "l2-eps0-duplicates", "l2-single-page"]
 SEQUENCE_CASES = ["dtw-cross", "dtw-band0-cross", "dtw-wide-band-cross",
-                  "dtw-constant-self-eps0", "text-self-eps0", "text-self-eps1",
+                  "dtw-band0-boundary-cross", "dtw-constant-self-eps0", "text-self-eps0", "text-self-eps1",
                   "text-self-eps1.5", "text-self-eps2", "text-one-symbol-self",
                   "text-ego-window"]
 CASES = [(c, m) for c in VECTOR_CASES for m in JOIN_METHODS] + [
@@ -126,3 +150,12 @@ def test_single_page_case_has_one_page():
 
 def test_ego_case_holds_the_once_missed_pair():
     assert (639, 640) in case("text-ego-window")[4]
+
+
+def test_dtw_boundary_case_holds_a_pair_past_lb_keogh():
+    """The boundary case's ε is below the computed LB_Keogh of a pair the
+    oracle keeps, so comparing LB_Keogh with ε itself would drop it."""
+    r, s, epsilon, _buffer, truth = case("dtw-band0-boundary-cross")
+    k, dtw = _boundary_window(r.paged.sequence, s.paged.sequence, 16)
+    assert dtw == epsilon
+    assert (k, k) in truth

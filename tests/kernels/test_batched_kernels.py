@@ -33,9 +33,19 @@ from repro.kernels import (
     minkowski_pairwise,
 )
 from repro.kernels.backends import KernelBackend
-from repro.kernels.dtw import envelope_centres, lb_keogh_panel
+from repro.kernels.dtw import (
+    envelope_centres,
+    lb_keogh_gathered,
+    lb_keogh_limit,
+    lb_keogh_panel,
+)
 from repro.kernels.minkowski import euclidean_gram_panel
-from tests.oracles.kernels import _dtw_chunk, _edit_chunk, fd_filter_float
+from tests.oracles.kernels import (
+    _dtw_chunk,
+    _edit_chunk,
+    fd_filter_float,
+    sliding_envelopes,
+)
 
 # The chunk kernels dtw_batch / edit_batch run: the shipped wavefront
 # DPs, and the row-by-row oracle they are checked against — so the
@@ -139,15 +149,20 @@ class TestDtwBatch:
             dtw_batch(np.zeros((1, 0)), np.zeros((1, 0)), band=1)
         assert dtw_batch(np.zeros((0, 3)), np.zeros((0, 3)), band=1).shape == (0,)
 
-    @given(window_pair_blocks(), st.integers(min_value=0, max_value=5))
-    @settings(max_examples=40, deadline=None)
+    @given(window_pair_blocks(), st.integers(min_value=0, max_value=14))
+    @settings(max_examples=60, deadline=None)
     def test_batch_envelopes_match_per_row(self, block, band):
+        """Shifted min/max passes equal the sliding-window reduction over
+        edge-padded rows, for the block and for each row on its own."""
         windows, _ = block
         lowers, uppers = batch_envelopes(windows, band)
+        expected_lowers, expected_uppers = sliding_envelopes(windows, band)
+        assert np.array_equal(lowers, expected_lowers)
+        assert np.array_equal(uppers, expected_uppers)
         for k in range(windows.shape[0]):
             lo, hi = envelope(windows[k], band)
-            assert np.array_equal(lowers[k], lo)
-            assert np.array_equal(uppers[k], hi)
+            assert np.array_equal(lo, expected_lowers[k])
+            assert np.array_equal(hi, expected_uppers[k])
 
 
 class TestEditBatch:
@@ -302,59 +317,87 @@ def _nudge(value, ulps):
     return float(value)
 
 
+def _on_bound(windows, band, t, rng):
+    """One window per row of ``windows`` on the centre–radius bound's
+    equality case against that row's envelope (centre ``c``, radius
+    ``r``): ``q = c ± (r + t·r/‖r‖)`` — or ``c + t·d`` for a unit ``d``
+    when ``r = 0`` — so ``LB_Keogh(q) = t`` and ``‖q − c‖ = ‖r‖ + t``
+    both hold with equality."""
+    lowers, uppers = batch_envelopes(windows, band)
+    centres, radii = envelope_centres(lowers, uppers)
+    out = []
+    for c, lo, hi, norm in zip(centres, lowers, uppers, radii):
+        if norm > 0:
+            half = 0.5 * (hi - lo)
+            offset = half + t * half / norm
+        else:
+            direction = rng.normal(size=c.shape[0])
+            offset = t * direction / np.linalg.norm(direction)
+        out.append(c + rng.choice([-1.0, 1.0], size=c.shape[0]) * offset)
+    return np.vstack(out)
+
+
+def two_way_keogh(left, right, band):
+    """Forward and reverse LB_Keogh of every cell, ``(len(left), len(right))``."""
+    right_lowers, right_uppers = batch_envelopes(right, band)
+    left_lowers, left_uppers = batch_envelopes(left, band)
+    forward = lb_keogh_block(left, right_lowers, right_uppers)
+    reverse = lb_keogh_block(right, left_lowers, left_uppers).T
+    return forward, reverse
+
+
 @st.composite
 def keogh_boundary_panels(draw):
-    """Left windows on the centre–radius bound's equality case, plus others.
+    """Windows on the centre–radius bounds' equality cases, plus others.
 
-    For each right window's envelope (centre ``c``, radius ``r``) one
-    left window is ``q = c ± (r + t·r/‖r‖)`` — or ``c + t·d`` for a unit
-    ``d`` when ``r = 0`` — where ``LB_Keogh(q) = t`` and
-    ``‖q − c‖ = ‖r‖ + t`` both hold with equality.  ε is one such
-    window's computed LB_Keogh moved by a few ulps either way.
+    Left windows sit on the forward bound's equality case against the
+    right windows' envelopes, and right windows on the reverse bound's
+    against some left windows' envelopes (roles swapped).  ε is chosen
+    so that the decision limit ``lb_keogh_limit(ε, w)`` lands a few
+    ulps either side of one such cell's computed LB_Keogh.
     """
     w = draw(st.integers(min_value=1, max_value=130))
     band = draw(st.sampled_from([0, 1, w // 2, w + draw(st.integers(0, 3))]))
     level = draw(st.floats(min_value=1e-3, max_value=1e4))
     step = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]))  # 0: constant windows
     n_right = draw(st.integers(min_value=1, max_value=5))
+    n_base = draw(st.integers(min_value=1, max_value=3))
     n_other = draw(st.integers(min_value=0, max_value=4))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
 
     def walks(n):
         return level * (1.0 + step * rng.normal(size=(n, w)).cumsum(axis=1))
 
-    right = walks(n_right)
-    lowers, uppers = batch_envelopes(right, band)
-    centres, radii = envelope_centres(lowers, uppers)
     t = level * max(step, 1e-3) * draw(st.floats(min_value=0.0, max_value=3.0))
-    on_bound = []
-    for c, lo, hi, norm in zip(centres, lowers, uppers, radii):
-        if norm > 0:
-            half = 0.5 * (hi - lo)
-            offset = half + t * half / norm
-        else:
-            direction = rng.normal(size=w)
-            offset = t * direction / np.linalg.norm(direction)
-        on_bound.append(c + rng.choice([-1.0, 1.0], size=w) * offset)
-    left = np.vstack(on_bound + [walks(n_other)])
-    target = draw(st.integers(min_value=0, max_value=n_right - 1))
-    exact = lb_keogh_block(left[target : target + 1], lowers, uppers)[0, target]
-    epsilon = _nudge(exact, draw(st.integers(min_value=-3, max_value=3)))
+    base_right = walks(n_right)
+    base_left = walks(n_base)
+    left = np.vstack([_on_bound(base_right, band, t, rng), walks(n_other), base_left])
+    right = np.vstack([base_right, _on_bound(base_left, band, t, rng)])
+    forward, reverse = two_way_keogh(left, right, band)
+    if draw(st.booleans()):  # a forward equality cell
+        target = draw(st.integers(min_value=0, max_value=n_right - 1))
+        exact = forward[target, target]
+    else:  # a reverse one
+        target = draw(st.integers(min_value=0, max_value=n_base - 1))
+        exact = reverse[n_right + n_other + target, n_right + target]
+    scale = lb_keogh_limit(1.0, w)
+    epsilon = _nudge(exact / scale, draw(st.integers(min_value=-3, max_value=3)))
     return left, right, band, epsilon
 
 
 class TestKeoghPanelFilter:
-    """The bounded LB_Keogh filter decides exactly as full LB_Keogh does."""
+    """The bounded filter decides exactly as LB_Keogh in both directions,
+    each compared with the decision limit ``lb_keogh_limit(ε, w)``."""
 
     @given(keogh_boundary_panels())
     @settings(max_examples=300, deadline=None)
     def test_decisions_equal_lb_keogh(self, panel):
         left, right, band, epsilon = panel
-        lowers, uppers = batch_envelopes(right, band)
-        exact = lb_keogh_block(left, lowers, uppers)
+        limit = lb_keogh_limit(epsilon, left.shape[1])
+        forward, reverse = two_way_keogh(left, right, band)
         keogh_filter = make_keogh_filter(left, right, band, epsilon)
         decisions = keogh_filter(slice(0, left.shape[0]), np.arange(right.shape[0]))
-        assert np.array_equal(decisions, exact <= epsilon)
+        assert np.array_equal(decisions, (forward <= limit) & (reverse <= limit))
 
     @given(keogh_boundary_panels())
     @settings(max_examples=60, deadline=None)
@@ -365,19 +408,93 @@ class TestKeoghPanelFilter:
             lb_keogh_panel(left, lowers, uppers), lb_keogh_block(left, lowers, uppers)
         )
 
+    @given(keogh_boundary_panels())
+    @settings(max_examples=60, deadline=None)
+    def test_gathered_bounds_bitwise_equal_block(self, panel):
+        left, right, band, _ = panel
+        lowers, uppers = batch_envelopes(left, band)
+        rows, cols = np.indices((right.shape[0], left.shape[0]))
+        gathered = lb_keogh_gathered(right, lowers, uppers, rows.ravel(), cols.ravel())
+        assert np.array_equal(
+            gathered.reshape(rows.shape), lb_keogh_block(right, lowers, uppers)
+        )
+
+    def test_gathered_bounds_chunk_at_the_cell_budget(self, rng, monkeypatch):
+        left = rng.normal(size=(9, 16)).cumsum(axis=1)
+        right = rng.normal(size=(40, 16)).cumsum(axis=1)
+        lowers, uppers = batch_envelopes(left, 3)
+        rows, cols = np.indices((40, 9))
+        whole = lb_keogh_gathered(right, lowers, uppers, rows.ravel(), cols.ravel())
+        monkeypatch.setattr(kdtw, "_LB_CELL_BUDGET", 16 * 7)  # chunks of 7 cells
+        chunked = lb_keogh_gathered(right, lowers, uppers, rows.ravel(), cols.ravel())
+        assert np.array_equal(whole, chunked)
+        assert np.array_equal(whole.reshape(40, 9), lb_keogh_block(right, lowers, uppers))
+
+    @staticmethod
+    def _past_the_gram_range(left, right, monkeypatch):
+        """The filter's decisions over the whole panel, the two-way
+        LB_Keogh decisions they must equal, and how many Gram products
+        ran.  ε is the median two-way bound of the first 12 × 30 cells."""
+        grams = []
+        original = KernelBackend.euclidean_gram_panel
+
+        def counting(self, *args):
+            grams.append(args[0].shape[0])
+            return original(self, *args)
+
+        monkeypatch.setattr(KernelBackend, "euclidean_gram_panel", counting)
+        with np.errstate(over="ignore"):  # far pairs' LB_Keogh is inf
+            forward, reverse = two_way_keogh(left, right, 2)
+            epsilon = float(np.median(np.maximum(forward, reverse)[:12, :30]))
+            limit = lb_keogh_limit(epsilon, left.shape[1])
+            keogh_filter = make_keogh_filter(left, right, 2, epsilon)
+            decisions = keogh_filter(
+                slice(0, left.shape[0]), np.arange(right.shape[0])
+            )
+        return decisions, (forward <= limit) & (reverse <= limit), grams
+
     @pytest.mark.parametrize("scale", [1e150, 1e152, 1e153])
-    def test_values_past_the_gram_range(self, rng, scale):
-        """Where squared norms overflow, decisions still equal LB_Keogh's."""
+    def test_values_past_the_gram_range(self, rng, scale, monkeypatch):
+        """Huge values on both sides: where squared norms overflow, both
+        directions' guards skip their Gram bounds, and the decisions still
+        equal LB_Keogh's in both directions."""
         right = (10.0 + rng.normal(size=(30, 10)).cumsum(axis=1)) * scale
         left = right[:12] + rng.normal(scale=0.05, size=(12, 10)) * scale
-        lowers, uppers = batch_envelopes(right, 2)
-        with np.errstate(over="ignore"):  # far pairs' LB_Keogh is inf
-            exact = lb_keogh_block(left, lowers, uppers)
-            epsilon = float(np.median(exact))
-            keogh_filter = make_keogh_filter(left, right, 2, epsilon)
-            decisions = keogh_filter(slice(0, 12), np.arange(30))
+        decisions, expected, grams = self._past_the_gram_range(
+            left, right, monkeypatch
+        )
         assert decisions.any()
-        assert np.array_equal(decisions, exact <= epsilon)
+        assert np.array_equal(decisions, expected)
+        if scale != 1e152:  # 1e152 sits at the guards' edge
+            assert bool(grams) == (scale == 1e150)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("scale", [1e150, 1e152, 1e153])
+    def test_huge_values_on_one_side(self, rng, side, scale, monkeypatch):
+        """Three huge windows on one side, beside windows of ordinary size.
+
+        Huge left windows reach the forward guard through their squared
+        norms and the reverse guard through their envelope centres';
+        huge right windows the other way round.  The decisions equal
+        LB_Keogh's in both directions, and no huge window passes.
+        """
+        right = 10.0 + rng.normal(size=(30, 10)).cumsum(axis=1)
+        left = right[:12] + rng.normal(scale=0.05, size=(12, 10))
+        huge = (10.0 + rng.normal(size=(3, 10)).cumsum(axis=1)) * scale
+        if side == "left":
+            left = np.vstack([left, huge])
+        else:
+            right = np.vstack([right, huge])
+        decisions, expected, grams = self._past_the_gram_range(
+            left, right, monkeypatch
+        )
+        assert decisions.any()
+        assert not decisions[12:].any() and not decisions[:, 30:].any()
+        assert np.array_equal(decisions, expected)
+        if scale == 1e150:
+            assert grams, "the Gram bounds run below the overflow range"
+        elif scale == 1e153:
+            assert not grams, "both guards trip once squared norms overflow"
 
     def test_lb_keogh_skips_columns_the_bound_rejects(self, rng, monkeypatch):
         widths = []

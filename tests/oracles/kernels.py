@@ -11,7 +11,10 @@ micro-bench times the wavefront kernels against them.
 
 :func:`fd_filter_float` is the text cascade's frequency-distance filter
 in the float form it had before the integer kernel
-(:func:`repro.core.joiners.make_fd_filter`) replaced it.
+(:func:`repro.core.joiners.make_fd_filter`) replaced it, and
+:func:`sliding_envelopes` computes Keogh envelopes the way
+:func:`repro.kernels.dtw.batch_envelopes` did before its shifted min/max
+passes: a strided reduction over an edge-padded copy.
 """
 
 from __future__ import annotations
@@ -126,3 +129,14 @@ def fd_filter_float(
     """
     diff = right_features[None, :, :] - left_features[:, None, :]
     return np.abs(diff).sum(axis=2) * 0.5 <= epsilon
+
+
+def sliding_envelopes(windows: np.ndarray, band: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Keogh envelopes of every row: min and max over a sliding window
+    view of the rows, each edge-padded by ``band`` samples."""
+    arr = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+    if band == 0:
+        return arr.copy(), arr.copy()
+    padded = np.pad(arr, ((0, 0), (band, band)), mode="edge")
+    view = np.lib.stride_tricks.sliding_window_view(padded, 2 * band + 1, axis=1)
+    return view.min(axis=2), view.max(axis=2)
