@@ -244,7 +244,8 @@ def test_wavefront_kernel_speedup(record_json):
 
 
 def test_minkowski_gram_filter_speedup(record_json):
-    """Gram prefilter + gathered refine vs the difference-tensor reference."""
+    """Gram decisions (exact refine of their rounding band only) vs the
+    difference-tensor reference."""
     rng = np.random.default_rng(2)
     # Quick mode keeps the full workload (shrinking n changes the
     # matmul-vs-broadcast balance and makes the recorded speedup
@@ -273,6 +274,7 @@ def test_minkowski_gram_filter_speedup(record_json):
     record_json(
         "minkowski_gram_filter",
         {
+            "cpu_count": os.cpu_count(),
             "points": n,
             "dim": d,
             "epsilon": eps,

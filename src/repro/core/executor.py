@@ -347,12 +347,15 @@ def _replay_staging(
 
     Per cluster, inside one ``execute.cluster`` span: a batched,
     pin-scoped load of its page set with reuse accounting, then one
-    fetch per entry side.  The pins are insurance against non-LRU victim
-    choices (see :meth:`~repro.storage.buffer.BufferPool.pinned`).  The
-    fetch replay scores the buffer hits of reading each entry's two
-    pages from the pool: joiners read them through the columnar page
-    views instead, and the replay keeps hit counts and replacement state
-    what the paper's per-page-pair execution defines.  Each cluster's
+    fetch per entry side, replayed in one
+    :meth:`~repro.storage.buffer.BufferPool.replay_hits` call — every
+    one hits, as the pins keep the page set buffered.  The pins are
+    insurance against non-LRU victim choices (see
+    :meth:`~repro.storage.buffer.BufferPool.pinned`).  The replay scores
+    the buffer hits of reading each entry's two pages from the pool:
+    joiners read them through the columnar page views instead, and the
+    replay keeps hit counts and replacement state what the paper's
+    per-page-pair execution defines.  Each cluster's
     disk-transfer delta is then audited against Lemma 1/2 (``auditor``,
     or a new one when the recorder records).
     """
@@ -370,9 +373,13 @@ def _replay_staging(
             wanted = sorted(cluster.page_keys(r_id, s_id))
             with pool.pinned(wanted) as pinned:
                 reads = len(pinned.missing)
-                for row, col in cluster.entries:
-                    pool.fetch(r_id, row)
-                    pool.fetch(s_id, col)
+                pool.replay_hits(
+                    [
+                        key
+                        for row, col in cluster.entries
+                        for key in ((r_id, row), (s_id, col))
+                    ]
+                )
         if auditor is not None:
             auditor.check_cluster(
                 cluster, disk_stats.transfers - transfers_before, index

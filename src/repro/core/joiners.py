@@ -23,7 +23,9 @@ and radii, frequency counts) once, and runs a single filter-and-refine
 cascade with a shared threshold: the filter runs over sparse *panels*
 (one left page against its marked col pages), and the refine stages
 take the surviving candidates in fixed-size chunks as the panels
-produce them, so apart from the per-object inputs the cascade's
+produce them.  An L2 join's panels decide their cells outright, save
+the few inside the Gram form's rounding band, so its cascade has no
+refine stage.  Apart from the per-object inputs the cascade's
 transient memory is bounded by ``_PANEL_CELLS`` and ``_CHUNK_BYTES``,
 not by the number of entries or candidates.  It returns one
 :class:`ClusterResult`: every accepted pair as one ``(k, 2)`` int64
@@ -55,7 +57,9 @@ from repro.kernels.dtw import (
     dtw_batch, envelope_centres, lb_keogh_gathered, lb_keogh_limit,
 )
 from repro.kernels.edit import edit_batch
-from repro.kernels.minkowski import minkowski_refine
+from repro.kernels.minkowski import (
+    euclidean_norms, euclidean_panel_decisions, minkowski_refine,
+)
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.storage.page import PageBlock, PagedDataset, SequencePagedDataset
 
@@ -159,8 +163,8 @@ Candidates = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # it keeps a panel under 2**16 entries, so a panel-local entry index
 # fits uint16 (which NumPy's stable sort orders by radix).
 _PANEL_CELLS = 1 << 16
-# The stages after the filter (diagonal drop, exact L_p refine, Hamming
-# test, DTW and edit DPs) take the candidates in chunks as the panels
+# The stages after the filter (diagonal drop, exact L_p refine for p ≠ 2,
+# Hamming test, DTW and edit DPs) take the candidates in chunks as the panels
 # produce them: as many candidates as gather this many bytes of objects,
 # both sides (see _chunk_pairs).  Their temporaries stay bounded however
 # many candidates a cascade's filter keeps.
@@ -593,27 +597,33 @@ class NumericPagePairJoiner(PagePairJoiner):
     def _minkowski_cascade(
         self, block: _ClusterBlock, tally: Dict[str, int]
     ) -> Iterator[Candidates]:
-        """Gram panels (p = 2; every marked cell otherwise), then the
-        exact refine chunk by chunk; yields the accepted cells."""
+        """Yields the accepted cells.  For p = 2 the panels decide them
+        (:func:`~repro.kernels.minkowski.euclidean_panel_decisions`: the
+        Gram value decides every cell outside its rounding band, and
+        only band cells take the exact difference form); otherwise, or
+        where the Gram form overflows, every marked cell goes through
+        the exact refine, chunk by chunk."""
         eps = self.epsilon
         p = self.distance.p
         left = block.r_block.objects
         right = block.s_block.objects
-        panel_filter: Optional[PanelFilter] = None
-        if p == 2.0:
-            left_sq = np.einsum("id,id->i", left, left)
-            right_sq = np.einsum("jd,jd->j", right, right)
+        size = _chunk_pairs(left, right)
+        norms = euclidean_norms(left, right, eps) if p == 2.0 else None
+        if norms is not None:
+            left_sq, right_sq = norms
 
-            def gram_filter(sl: slice, panel_j: np.ndarray) -> np.ndarray:
-                return KERNELS.euclidean_gram_panel(
-                    left[sl], right[panel_j], left_sq[sl], right_sq[panel_j],
-                    eps,
+            def decide(sl: slice, panel_j: np.ndarray) -> np.ndarray:
+                decisions, kept = euclidean_panel_decisions(
+                    left[sl], right[panel_j], left_sq[sl], right_sq[panel_j], eps
                 )
+                tally["candidates"] += kept
+                return decisions
 
-            panel_filter = gram_filter
-        for cand_i, cand_j, pos in _rechunk(
-            block.candidates(panel_filter), _chunk_pairs(left, right)
-        ):
+            for chunk in _rechunk(block.candidates(decide), size):
+                tally["accepted"] += chunk[0].shape[0]
+                yield chunk
+            return
+        for cand_i, cand_j, pos in _rechunk(block.candidates(None), size):
             keep = minkowski_refine(left, right, cand_i, cand_j, eps, p)
             tally["candidates"] += cand_i.shape[0]
             tally["accepted"] += int(np.count_nonzero(keep))

@@ -104,8 +104,7 @@ def _pinned_side_join(
                 pool.disk.read(stream_id, page)
                 outcome.pages_read += 1
             partners = matrix.row_cols(page) if pin_cols else matrix.col_rows(page)
-            for partner in partners:
-                pool.fetch(pinned_id, partner)
+            pool.replay_hits([(pinned_id, partner) for partner in partners])
             outcome.absorb(joiner.join_cluster(_entries(page, partners, pin_cols)))
 
 

@@ -1,10 +1,11 @@
 """Minkowski (L_p) distances over float vectors.
 
 These serve point data, spatial data and time-series windows (Table 1 of
-the paper).  Pairwise evaluation routes through the batched kernel layer
-(:mod:`repro.kernels.minkowski`): a Gram-matrix prefilter plus exact
-refine for p = 2, chunked difference tensors otherwise, so a page-pair
-join never materialises more than a bounded temporary.
+the paper).  Threshold tests route through the batched kernel layer
+(:mod:`repro.kernels.minkowski`): for p = 2 the Gram form decides every
+pair outside its rounding band and the exact difference form decides
+the band, and other orders evaluate chunked difference tensors, so a
+page-pair join never materialises more than a bounded temporary.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.minkowski import minkowski_pairs, minkowski_pairwise
+from repro.kernels.minkowski import minkowski_pairs
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = [
@@ -51,17 +52,6 @@ class MinkowskiDistance:
             return float(diff.max(initial=0.0))
         return float(np.sum(diff**self.p) ** (1.0 / self.p))
 
-    def pairwise(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Full ``(len(left), len(right))`` distance matrix.
-
-        For p = 2 this runs the Gram-matrix form (one matmul, no
-        ``(n, m, d)`` temporary); other orders chunk the difference
-        tensor to ``_CHUNK_ROWS`` left rows at a time.  Threshold tests
-        should use :meth:`pairs_within`, which refines the Gram filter's
-        candidates exactly.
-        """
-        return minkowski_pairwise(left, right, self.p, chunk_rows=_CHUNK_ROWS)
-
     def pairs_within(
         self,
         left: np.ndarray,
@@ -71,9 +61,10 @@ class MinkowskiDistance:
     ) -> List[Tuple[int, int]]:
         if epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-        # The kernel's Gram prefilter never decides acceptance: every
-        # candidate is re-evaluated with the exact difference form, so
-        # epsilon = 0 joins still see identical points at distance zero.
+        # The kernel accepts exactly the pairs the difference form
+        # accepts: the Gram form decides only cells clear of its rounding
+        # band, so epsilon = 0 joins still see identical points at
+        # distance zero.
         return minkowski_pairs(
             left, right, epsilon, self.p, chunk_rows=_CHUNK_ROWS, recorder=recorder
         )

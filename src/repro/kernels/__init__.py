@@ -13,8 +13,8 @@ computed, never *which* numbers.
 Modules
 -------
 ``minkowski``
-    Gram-matrix prefilter + exact gathered refine for L_p joins; chunked
-    full pairwise matrices.
+    Gram-matrix L2 decisions with an exact gathered refine of their
+    rounding band; exact difference-form decisions for every L_p.
 ``dtw``
     Block Keogh envelopes, LB_Keogh over whole window blocks, and a
     batched banded DP with shared early abandon.
@@ -31,7 +31,7 @@ Modules
 from repro.kernels.backends import KernelBackend
 from repro.kernels.dtw import batch_envelopes, dtw_batch, lb_keogh_block
 from repro.kernels.edit import edit_batch, encode_strings
-from repro.kernels.minkowski import minkowski_pairs, minkowski_pairwise
+from repro.kernels.minkowski import minkowski_pairs
 
 __all__ = [
     "batch_envelopes",
@@ -40,6 +40,5 @@ __all__ = [
     "edit_batch",
     "encode_strings",
     "minkowski_pairs",
-    "minkowski_pairwise",
     "KernelBackend",
 ]

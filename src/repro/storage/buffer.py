@@ -8,6 +8,12 @@ also offers :meth:`load_batch`, which reads a page set in optimal
 the cluster executor uses to realise cache reuse between consecutive
 clusters (Section 8).
 
+The pool models residency only: its frames hold page keys, not
+payloads.  :meth:`fetch` builds a page's objects from its dataset at the
+call, for the baselines that read them, and :meth:`replay_hits`
+accounts a run of fetches of buffered pages in one call — the executor's
+staging replay, whose joins read columnar page views instead.
+
 The pool is single-process state.  Sharded execution
 (:func:`repro.core.executor.execute_clusters_sharded`) keeps **all**
 pool traffic in the parent: worker processes read page payloads straight
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +77,8 @@ class BufferPool:
         self.policy = policy
         self.recorder = recorder if recorder is not None else disk.recorder
         self._datasets: Dict[Hashable, PagedDataset] = {}
-        self._frames: "OrderedDict[PageKey, np.ndarray]" = OrderedDict()
+        # Buffered page keys in replacement order; frames hold no payloads.
+        self._frames: "OrderedDict[PageKey, None]" = OrderedDict()
         self._reserved = 0
         # Pin reference counts: pinned pages are never chosen as eviction
         # victims while any scope holds them (see :meth:`pinned`).
@@ -161,7 +168,11 @@ class BufferPool:
     # -- page access ----------------------------------------------------------
 
     def fetch(self, dataset_id: Hashable, page_no: int) -> np.ndarray:
-        """Return a page's objects, reading from disk on a miss."""
+        """Return a page's objects, reading from disk on a miss.
+
+        Frames hold no payloads: the objects are built by the dataset's
+        ``page_objects`` at each call, hit or miss.
+        """
         key = (dataset_id, page_no)
         if key in self._frames:
             if self.policy != "fifo":
@@ -169,15 +180,38 @@ class BufferPool:
             self.disk.stats.buffer_hits += 1
             if self.recorder.enabled:
                 self.recorder.count("buffer.hits")
-            return self._frames[key]
+            return self._datasets[dataset_id].page_objects(page_no)
         if self.recorder.enabled:
             self.recorder.count("buffer.misses")
         dataset = self._dataset(dataset_id)
         self.disk.read(dataset_id, page_no)
-        payload = dataset.page_objects(page_no)
         self._evict_to(self.available - 1)
-        self._frames[key] = payload
-        return payload
+        self._frames[key] = None
+        return dataset.page_objects(page_no)
+
+    def replay_hits(self, keys: Sequence[PageKey]) -> None:
+        """Account a run of fetches of resident pages in one call.
+
+        Leaves the pool, ``disk.stats.buffer_hits`` and the
+        ``buffer.hits`` counter exactly as ``for key in keys:
+        self.fetch(*key)`` leaves them when every key is buffered: one
+        hit per key, and unless the policy is FIFO each distinct key
+        moves to the most-recently-used end in order of its last access
+        in ``keys``.  Raises ``KeyError`` (and changes nothing) if a key
+        is not buffered — a caller replays only pages it has pinned.
+        """
+        # Distinct keys, latest access first.
+        latest_first = dict.fromkeys(reversed(keys))
+        if not latest_first.keys() <= self._frames.keys():
+            absent = next(key for key in latest_first if key not in self._frames)
+            raise KeyError(f"page {absent!r} is not buffered")
+        if self.policy != "fifo":
+            for key in reversed(latest_first):
+                self._frames.move_to_end(key)
+        if keys:
+            self.disk.stats.buffer_hits += len(keys)
+            if self.recorder.enabled:
+                self.recorder.count("buffer.hits", len(keys))
 
     def load_batch(self, pages: Iterable[PageKey]) -> List[PageKey]:
         """Bring a page set into the buffer with optimally scheduled reads.
@@ -210,10 +244,10 @@ class BufferPool:
                 self.recorder.count("buffer.misses", len(missing))
         for key in plan_batch_read(self.disk, missing):
             dataset_id, page_no = key
-            dataset = self._dataset(dataset_id)
+            self._dataset(dataset_id)  # KeyError for an unattached dataset
             self.disk.read(dataset_id, page_no)
             self._evict_to(self.available - 1)
-            self._frames[key] = dataset.page_objects(page_no)
+            self._frames[key] = None
         return missing
 
     def pinned(self, pages: Iterable[PageKey]) -> "PinnedBatch":

@@ -34,25 +34,6 @@ class TestScalar:
             MinkowskiDistance(float("nan"))
 
 
-class TestPairwise:
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, float("inf")])
-    def test_matches_scalar(self, p, rng):
-        left = rng.normal(size=(7, 4))
-        right = rng.normal(size=(5, 4))
-        d = MinkowskiDistance(p)
-        matrix = d.pairwise(left, right)
-        for i in range(7):
-            for j in range(5):
-                assert matrix[i, j] == pytest.approx(d.distance(left[i], right[j]))
-
-    def test_euclidean_fast_path_is_stable(self, rng):
-        # The dot-product trick must not produce NaN on identical points.
-        pts = rng.normal(size=(6, 3))
-        matrix = EuclideanDistance().pairwise(pts, pts)
-        assert np.all(np.isfinite(matrix))
-        assert np.allclose(np.diag(matrix), 0.0, atol=1e-9)
-
-
 class TestPairsWithin:
     def test_brute_force_agreement(self, rng):
         left = rng.random((30, 3))

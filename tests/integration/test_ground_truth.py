@@ -86,6 +86,13 @@ def case(name):
                             0.0, 2.0, False)
     if name == "l2-single-page":
         return _vector_case(_clustered(rng, 12), _clustered(rng, 150), 0.06, 2.0, False)
+    if name == "l2-huge-cross":
+        # Coordinates near 1e155: squared norms overflow, so the Gram form
+        # decides nothing and every marked pair takes the difference form.
+        pts = rng.random((300, 3))
+        noisy = pts * (1.0 + rng.normal(scale=0.01, size=pts.shape))
+        with np.errstate(over="ignore"):  # far pairs' squares are inf
+            return _vector_case(pts * 1e155, noisy * 1e155, 0.05e155, 2.0, False)
     if name in ("dtw-cross", "dtw-band0-cross", "dtw-wide-band-cross"):
         # Band 0: no warping, the envelope is the window itself, and the
         # centre–radius bound is the Euclidean distance.  A band past the
@@ -123,7 +130,7 @@ def case(name):
 
 
 VECTOR_CASES = ["l2-cross", "l2-self", "l1-cross", "linf-cross",
-                "l2-eps0-duplicates", "l2-single-page"]
+                "l2-eps0-duplicates", "l2-single-page", "l2-huge-cross"]
 SEQUENCE_CASES = ["dtw-cross", "dtw-band0-cross", "dtw-wide-band-cross",
                   "dtw-band0-boundary-cross", "dtw-constant-self-eps0", "text-self-eps0", "text-self-eps1",
                   "text-self-eps1.5", "text-self-eps2", "text-one-symbol-self",

@@ -30,7 +30,6 @@ from repro.kernels import (
     encode_strings,
     lb_keogh_block,
     minkowski_pairs,
-    minkowski_pairwise,
 )
 from repro.kernels.backends import KernelBackend
 from repro.kernels.dtw import (
@@ -244,26 +243,6 @@ class TestMinkowskiKernel:
             if d.distance(pts[i], pts[j]) <= eps
         }
         assert set(minkowski_pairs(pts, pts, eps, 2.0)) == expected
-
-    @pytest.mark.parametrize("p", [1.0, 2.0, float("inf")])
-    def test_pairwise_matches_scalar(self, p, rng):
-        left = rng.normal(size=(9, 4))
-        right = rng.normal(size=(7, 4))
-        matrix = minkowski_pairwise(left, right, p)
-        d = MinkowskiDistance(p)
-        for i in range(9):
-            for j in range(7):
-                assert matrix[i, j] == pytest.approx(d.distance(left[i], right[j]))
-
-    def test_pairwise_gram_never_materialises_tensor(self, rng):
-        # Shape check only: a (4000, 3000) matrix is fine, the
-        # (4000, 3000, d) tensor would not be.  Runtime being sane is
-        # the real assertion; tracemalloc-level checks live in the bench.
-        left = rng.normal(size=(4000, 8))
-        right = rng.normal(size=(3000, 8))
-        matrix = minkowski_pairwise(left, right, 2.0)
-        assert matrix.shape == (4000, 3000)
-        assert np.all(np.isfinite(matrix))
 
 
 class TestAdaptersRouteThroughKernels:

@@ -15,11 +15,19 @@ in the float form it had before the integer kernel
 :func:`sliding_envelopes` computes Keogh envelopes the way
 :func:`repro.kernels.dtw.batch_envelopes` did before its shifted min/max
 passes: a strided reduction over an edge-padded copy.
+
+:func:`euclidean_chunk_pairs` is the L2 filter-then-refine the Minkowski
+kernel ran before its Gram values decided the cells outside their
+rounding band (:func:`repro.kernels.minkowski.euclidean_panel_decisions`):
+the Gram filter keeps candidates, and the exact difference form
+re-evaluates every one.  :func:`euclidean_pairs` runs it over left
+chunks with the kernel's counters, as ``MinkowskiDistance.pairs_within``
+did for p = 2.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -140,3 +148,59 @@ def sliding_envelopes(windows: np.ndarray, band: int) -> Tuple[np.ndarray, np.nd
     padded = np.pad(arr, ((0, 0), (band, band)), mode="edge")
     view = np.lib.stride_tricks.sliding_window_view(padded, 2 * band + 1, axis=1)
     return view.min(axis=2), view.max(axis=2)
+
+
+# The Gram filter's relative slack and the refine's gather size, as the
+# filter-then-refine kernel had them.
+_GRAM_SLACK = 2.0**-30
+_CHUNK_PAIRS = 8192
+
+
+def euclidean_chunk_pairs(
+    chunk: np.ndarray,
+    right: np.ndarray,
+    right_sq: np.ndarray,
+    epsilon: float,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Gram filter + exact refine for one left chunk.
+
+    Returns ``(rows, cols, candidates)`` where ``candidates`` is how
+    many pairs survived the Gram prefilter into the exact refine.
+    """
+    chunk_sq = np.einsum("id,id->i", chunk, chunk)
+    gram_sq = chunk_sq[:, None] + right_sq[None, :] - 2.0 * (chunk @ right.T)
+    margin = _GRAM_SLACK * (chunk_sq[:, None] + right_sq[None, :])
+    cand_rows, cand_cols = np.nonzero(gram_sq <= epsilon * epsilon + margin)
+    if cand_rows.size == 0:
+        return cand_rows, cand_cols, 0
+    keep = np.empty(cand_rows.size, dtype=bool)
+    for lo in range(0, cand_rows.size, _CHUNK_PAIRS):
+        hi = lo + _CHUNK_PAIRS
+        diff = chunk[cand_rows[lo:hi]] - right[cand_cols[lo:hi]]
+        keep[lo:hi] = np.sqrt(np.sum(diff * diff, axis=1)) <= epsilon
+    return cand_rows[keep], cand_cols[keep], int(cand_rows.size)
+
+
+def euclidean_pairs(
+    left: np.ndarray, right: np.ndarray, epsilon: float, recorder, chunk_rows=1024
+) -> List[Tuple[int, int]]:
+    """Every ``(i, j)`` within ``epsilon`` under L2, row-major, through
+    :func:`euclidean_chunk_pairs` one ``chunk_rows`` left chunk at a
+    time, counting what ``MinkowskiDistance.pairs_within`` counted."""
+    left = np.atleast_2d(np.asarray(left, dtype=np.float64))
+    right = np.atleast_2d(np.asarray(right, dtype=np.float64))
+    right_sq = np.einsum("jd,jd->j", right, right)
+    pairs: List[Tuple[int, int]] = []
+    candidates = 0
+    for start in range(0, left.shape[0], chunk_rows):
+        rows, cols, cand = euclidean_chunk_pairs(
+            left[start : start + chunk_rows], right, right_sq, epsilon
+        )
+        candidates += cand
+        pairs.extend(zip((rows + start).tolist(), cols.tolist()))
+    if recorder.enabled:
+        recorder.count("kernel.minkowski.invocations")
+        recorder.count("kernel.minkowski.pairs_tested", left.shape[0] * right.shape[0])
+        recorder.count("kernel.minkowski.gram_candidates", candidates)
+        recorder.count("kernel.minkowski.accepted", len(pairs))
+    return pairs
