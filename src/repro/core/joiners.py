@@ -21,15 +21,17 @@ datasets' columnar page views
 per-object inputs (squared norms, both sides' Keogh envelopes, centres
 and radii, frequency counts) once, and runs a single filter-and-refine
 cascade with a shared threshold: the filter runs over sparse *panels*
-(one left page against its marked col pages), and the refine stages
-take the surviving candidates in fixed-size chunks as the panels
-produce them.  An L2 join's panels decide their cells outright, save
-the few inside the Gram form's rounding band, so its cascade has no
-refine stage.  Apart from the per-object inputs the cascade's
-transient memory is bounded by ``_PANEL_CELLS`` and ``_CHUNK_BYTES``,
-not by the number of entries or candidates.  It returns one
-:class:`ClusterResult`: every accepted pair as one ``(k, 2)`` int64
-array grouped by entry, plus per-entry count,
+(one left page against a run of its marked col pages, all of one
+size), reads each panel's decisions in entry-blocked order so the
+survivors come out grouped by entry without a sort, and the refine
+stages take the surviving candidates in fixed-size chunks as the panels
+produce them.  An L2 join's panels decide their cells outright with one
+BLAS product each, save the few inside the Gram form's rounding band,
+so its cascade has no refine stage.  Apart from the per-object inputs
+the cascade's transient memory is bounded by ``_PANEL_CELLS`` and
+``_CHUNK_BYTES``, not by the number of entries or candidates.  It
+returns one :class:`ClusterResult`: every accepted pair as one
+``(k, 2)`` int64 array grouped by entry, plus per-entry count,
 comparison and CPU arrays.  Entry ``k``'s rows and values equal joining
 that page pair on its own — the frozen per-page-pair kernels in
 ``tests/oracles/joiners.py`` — bit for bit, whichever entries share the
@@ -58,7 +60,7 @@ from repro.kernels.dtw import (
 )
 from repro.kernels.edit import edit_batch
 from repro.kernels.minkowski import (
-    euclidean_norms, euclidean_panel_decisions, minkowski_refine,
+    euclidean_augmented, euclidean_panel_decisions, minkowski_refine,
 )
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.storage.page import PageBlock, PagedDataset, SequencePagedDataset
@@ -150,18 +152,25 @@ class ClusterResult:
         ]
 
 
-# ``(left_slice, panel_j) -> bool decisions``, see _ClusterBlock.filtered_cells.
-PanelFilter = Callable[[slice, np.ndarray], np.ndarray]
+# ``(left_slice, panel_j) -> bool decisions``: a row-major
+# ``(len(left_slice), len(panel_j))`` matrix (make_keogh_filter,
+# make_fd_filter).
+CellFilter = Callable[[slice, np.ndarray], np.ndarray]
+# ``(left_slice, panel_j, k) -> bool decisions`` in entry-blocked
+# order, see _ClusterBlock.filtered_cells.
+PanelFilter = Callable[[slice, np.ndarray, int], np.ndarray]
 # One candidate chunk: stacked left rows, stacked right rows and the
 # sorted position (see _ClusterBlock) of the entry owning each cell.
 Candidates = Tuple[np.ndarray, np.ndarray, np.ndarray]
+# One global (r_id, s_id) pair as a single 16-byte item, for scattering
+# whole rows of an (n, 2) int64 array.
+_PAIR_ITEM = np.dtype((np.void, 16))
 
 # A panel covers one left page and a run of its marked col pages of at
 # most this many cells (plus one page pair); the page's further col
-# pages start the next panel.  It bounds the decision matrix and the
-# filter temporaries however many col pages a left page has marked, and
-# it keeps a panel under 2**16 entries, so a panel-local entry index
-# fits uint16 (which NumPy's stable sort orders by radix).
+# pages start the next panel, and so does a col page of another size.
+# It bounds the decision array and the filter temporaries however many
+# col pages a left page has marked.
 _PANEL_CELLS = 1 << 16
 # The stages after the filter (diagonal drop, exact L_p refine for p ≠ 2,
 # Hamming test, DTW and edit DPs) take the candidates in chunks as the panels
@@ -181,6 +190,11 @@ class _ClusterBlock:
     are runs of positions: one left page against a run of its marked col
     pages (see ``_PANEL_CELLS``), so filter work is proportional to the
     marked region and no array is sized by left pages × right pages.
+    Every panel is *uniform* — its ``k`` col pages hold ``c`` objects
+    each (a panel ends where the col page size changes, which in
+    practice isolates each dataset's short last page) — so its
+    ``(n, k·c)`` cells read as ``(k, n, c)``: entry-blocked order, the
+    order the cascade's stream needs, with no regrouping sort.
     """
 
     def __init__(
@@ -203,18 +217,22 @@ class _ClusterBlock:
         self.order = np.lexsort((col_idx, row_idx))
         self._row = row_idx[self.order]
         self._col = col_idx[self.order]
-        # Per position: the shifts that turn stacked rows into global ids,
-        # and whether the entry is a self join's diagonal page pair.
-        self._r_shift = (self.r_block.global_starts - self.r_block.starts)[self._row]
-        self._s_shift = (self.s_block.global_starts - self.s_block.starts)[self._col]
+        # Per position: the (r, s) shifts that turn stacked rows into
+        # global ids, and whether the entry is a self join's diagonal
+        # page pair.
+        self._shifts = np.column_stack((
+            (self.r_block.global_starts - self.r_block.starts)[self._row],
+            (self.s_block.global_starts - self.s_block.starts)[self._col],
+        ))
         self._diagonal = (rows[self._row] == cols[self._col]) & self_join
         self._has_diagonal = bool(self._diagonal.any())
-        # Kept survivors wait for the regroup as packed rows of stacked
+        # Kept survivors wait for grouped_pairs as packed rows of stacked
         # indices and positions, in the narrowest integer that holds them.
         largest = max(self.r_block.total_objects, self.s_block.total_objects, k)
         self._kept_dtype = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
-        # Panel bounds: a new panel at each new left page, and wherever a
-        # left page's col run crosses a multiple of its column budget.
+        # Panel bounds: a new panel at each new left page, wherever a
+        # left page's col run crosses a multiple of its column budget,
+        # and wherever the col page size changes.
         widths = self.s_block.counts[self._col]
         new_row = np.ones(k, dtype=bool)
         new_row[1:] = self._row[1:] != self._row[:-1]
@@ -222,7 +240,8 @@ class _ClusterBlock:
         run_start = np.maximum.accumulate(np.where(new_row, np.arange(k), 0))
         budget = np.maximum(1, _PANEL_CELLS // self.r_block.counts[self._row])
         part = (before - before[run_start]) // budget
-        new_panel = new_row | np.concatenate(([False], part[1:] != part[:-1]))
+        new_panel = new_row.copy()
+        new_panel[1:] |= (part[1:] != part[:-1]) | (widths[1:] != widths[:-1])
         self._bounds = np.append(np.flatnonzero(new_panel), k)
 
     def by_entry(self, values: np.ndarray) -> np.ndarray:
@@ -246,35 +265,40 @@ class _ClusterBlock:
     ) -> Candidates:
         """Stacked ``(cand_i, cand_j, pos)`` of one panel's cells, filtered.
 
-        The panel's cells are the rectangle of its left page's stacked
-        rows (``left_slice``) × ``panel_j``, the stacked rows of its col
-        pages, ascending.  ``panel_filter(left_slice, panel_j)`` returns
-        the boolean ``(len(left_slice), len(panel_j))`` decision matrix;
-        ``None`` keeps every cell.  Surviving cells come out grouped by
-        entry in position order, each entry's row-major.
+        The panel's cells are the rectangle of its left page's ``n``
+        stacked rows (``left_slice``) × ``panel_j``, the stacked rows of
+        its ``k`` col pages of ``c`` objects each, ascending.
+        ``panel_filter(left_slice, panel_j, k)`` returns the boolean
+        decisions in entry-blocked order, shaped ``(k, n, c)``: cell
+        ``[e, i, j]`` pairs row ``i`` with object ``j`` of the panel's
+        ``e``-th col page.  One ``flatnonzero`` over them lists the
+        surviving cells grouped by entry in position order, each entry's
+        row-major, and two scalar ``divmod`` calls decode them; ``None``
+        keeps every cell, enumerated in the same order.
         """
         lo, hi = int(self._bounds[panel]), int(self._bounds[panel + 1])
         row = self._row[lo]
         start = int(self.r_block.starts[row])
-        rows = slice(start, start + int(self.r_block.counts[row]))
-        cols = self._col[lo:hi]
-        counts = self.s_block.counts[cols]
-        width = int(counts.sum())
-        panel_j = np.repeat(
-            self.s_block.starts[cols] - (np.cumsum(counts) - counts), counts
-        ) + np.arange(width, dtype=np.int64)
+        n = int(self.r_block.counts[row])
+        k, c = hi - lo, int(self.s_block.counts[self._col[lo]])
+        col_starts = self.s_block.starts[self._col[lo:hi]]
         if panel_filter is None:
-            sel = np.ones((rows.stop - rows.start, width), dtype=bool)
-        else:
-            sel = panel_filter(rows, panel_j)
-        si, sj = np.divmod(np.flatnonzero(sel), width)
-        local = np.repeat(np.arange(hi - lo, dtype=np.uint16), counts)[sj]
-        if hi - lo > 1:
-            # Row-major over the panel interleaves its entries; a stable
-            # sort by panel-local entry keeps each entry's cells in order.
-            regroup = np.argsort(local, kind="stable")
-            si, sj, local = si[regroup], sj[regroup], local[regroup]
-        return si + start, panel_j[sj], local.astype(np.int64) + lo
+            shape = (k, n, c)
+            rows = np.arange(start, start + n)[:, None]
+            cols = (col_starts[:, None] + np.arange(c))[:, None, :]
+            return (
+                np.broadcast_to(rows, shape).ravel(),
+                np.broadcast_to(cols, shape).ravel(),
+                np.repeat(np.arange(lo, hi), n * c),
+            )
+        panel_j = (col_starts[:, None] + np.arange(c)).ravel()
+        kept = np.flatnonzero(panel_filter(slice(start, start + n), panel_j, k))
+        entry, rest = np.divmod(kept, n * c)
+        cand_i, cand_j = np.divmod(rest, c)
+        cand_i += start
+        cand_j += col_starts[entry]
+        entry += lo
+        return cand_i, cand_j, entry
 
     def drop_diagonal(
         self, cand_i: np.ndarray, cand_j: np.ndarray, pos: np.ndarray
@@ -286,9 +310,8 @@ class _ClusterBlock:
         """
         if not self._has_diagonal:
             return cand_i, cand_j, pos
-        keep = ~self._diagonal[pos] | (
-            cand_i + self._r_shift[pos] < cand_j + self._s_shift[pos]
-        )
+        shift = self._shifts[pos]
+        keep = ~self._diagonal[pos] | (cand_i + shift[:, 0] < cand_j + shift[:, 1])
         return cand_i[keep], cand_j[keep], pos[keep]
 
     def keep(
@@ -308,20 +331,25 @@ class _ClusterBlock:
         counts its survivors at position ``p``.  Entries come in entry
         order; within an entry, part 0's rows come first, then part 1's,
         each in stream order.  One scatter per chunk places the rows — no
-        sort over the survivors — and each chunk is dropped once placed.
+        sort over the survivors — and each chunk is dropped once placed:
+        the chunk's global pairs are built in one contiguous buffer and
+        moved as 16-byte items.
         """
         sizes = self.by_entry(sum(part_counts))
         before = (np.cumsum(sizes) - sizes)[self.order]
         out = np.empty((int(sizes.sum()), 2), dtype=np.int64)
+        items = out.view(_PAIR_ITEM).reshape(-1)
         for chunks, counts in zip(parts, part_counts):
             base = before - (np.cumsum(counts) - counts)
             done = 0
             chunks.reverse()
             while chunks:
                 cand_i, cand_j, pos = chunks.pop()
-                dest = base[pos] + np.arange(done, done + pos.shape[0])
-                out[dest, 0] = self._r_shift[pos] + cand_i
-                out[dest, 1] = self._s_shift[pos] + cand_j
+                dest = np.take(base, pos) + np.arange(done, done + pos.shape[0])
+                rows = np.take(self._shifts, pos, axis=0)
+                rows[:, 0] += cand_i
+                rows[:, 1] += cand_j
+                items[dest] = rows.view(_PAIR_ITEM).reshape(-1)
                 done += pos.shape[0]
             before = before + counts
         return out
@@ -365,6 +393,18 @@ def _concat(parts: Sequence[Candidates]) -> Candidates:
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
+def _read_blocked(cell_filter: CellFilter) -> PanelFilter:
+    """``cell_filter``'s row-major ``(n, k·c)`` decisions as a panel
+    filter: the ``(k, n, c)`` transposed view of them, which the panel's
+    ``flatnonzero`` copies once."""
+
+    def panel_filter(rows: slice, panel_j: np.ndarray, groups: int) -> np.ndarray:
+        decisions = cell_filter(rows, panel_j)
+        return decisions.reshape(decisions.shape[0], groups, -1).transpose(1, 0, 2)
+
+    return panel_filter
+
+
 def _count_into(counts: np.ndarray, pos: np.ndarray) -> None:
     """Add one to ``counts[p]`` for every ``p`` of the ascending ``pos``."""
     if pos.shape[0]:
@@ -374,8 +414,8 @@ def _count_into(counts: np.ndarray, pos: np.ndarray) -> None:
 
 def make_keogh_filter(
     left: np.ndarray, right: np.ndarray, band: int, epsilon: float
-) -> PanelFilter:
-    """Panel filter deciding LB_Keogh in both directions.
+) -> CellFilter:
+    """Cell filter deciding LB_Keogh in both directions.
 
     A cell ``(i, j)`` passes when ``LB_Keogh(left[i], envelope(right[j]))``
     and ``LB_Keogh(right[j], envelope(left[i]))`` are both within
@@ -469,8 +509,8 @@ def make_fd_filter(
     right_features: np.ndarray,
     epsilon: float,
     window_length: int,
-) -> PanelFilter:
-    """Panel filter deciding ``FD(left[i], right[j]) <= ε`` in integers.
+) -> CellFilter:
+    """Cell filter deciding ``FD(left[i], right[j]) <= ε`` in integers.
 
     Frequency vectors are exact symbol counts, and every window's counts
     sum to ``window_length`` on both sides, so FD is exactly half their
@@ -598,23 +638,24 @@ class NumericPagePairJoiner(PagePairJoiner):
         self, block: _ClusterBlock, tally: Dict[str, int]
     ) -> Iterator[Candidates]:
         """Yields the accepted cells.  For p = 2 the panels decide them
-        (:func:`~repro.kernels.minkowski.euclidean_panel_decisions`: the
-        Gram value decides every cell outside its rounding band, and
-        only band cells take the exact difference form); otherwise, or
-        where the Gram form overflows, every marked cell goes through
-        the exact refine, chunk by chunk."""
+        (:func:`~repro.kernels.minkowski.euclidean_panel_decisions`: one
+        BLAS product of the augmented rows per panel, whose Gram values
+        decide every cell outside their rounding band, and only band
+        cells take the exact difference form); otherwise, or where the
+        Gram form overflows, every marked cell goes through the exact
+        refine, chunk by chunk."""
         eps = self.epsilon
         p = self.distance.p
         left = block.r_block.objects
         right = block.s_block.objects
         size = _chunk_pairs(left, right)
-        norms = euclidean_norms(left, right, eps) if p == 2.0 else None
-        if norms is not None:
-            left_sq, right_sq = norms
+        augmented = euclidean_augmented(left, right, eps) if p == 2.0 else None
+        if augmented is not None:
+            left_aug, right_aug = augmented
 
-            def decide(sl: slice, panel_j: np.ndarray) -> np.ndarray:
+            def decide(sl: slice, panel_j: np.ndarray, groups: int) -> np.ndarray:
                 decisions, kept = euclidean_panel_decisions(
-                    left[sl], right[panel_j], left_sq[sl], right_sq[panel_j], eps
+                    left_aug[sl], right_aug[panel_j], eps, groups
                 )
                 tally["candidates"] += kept
                 return decisions
@@ -639,7 +680,7 @@ class NumericPagePairJoiner(PagePairJoiner):
         band = self.distance.band
         left = block.r_block.objects
         right = block.s_block.objects
-        keogh_filter = make_keogh_filter(left, right, band, eps)
+        keogh_filter = _read_blocked(make_keogh_filter(left, right, band, eps))
         for cand_i, cand_j, pos in _rechunk(
             block.candidates(keogh_filter), _chunk_pairs(left, right)
         ):
@@ -738,11 +779,11 @@ class TextPagePairJoiner(PagePairJoiner):
                 # (global ids double as feature rows), then the diagonal
                 # drop.  Stage 2 — Hamming filter; its rejects go on to
                 # the banded DP when ε ≥ 2.
-                fd_filter = make_fd_filter(
+                fd_filter = _read_blocked(make_fd_filter(
                     self.r_features[block.r_block.global_ids],
                     self.s_features[block.s_block.global_ids],
                     epsilon, self.w,
-                )
+                ))
                 stream = (
                     block.drop_diagonal(*cells)
                     for cells in block.candidates(fd_filter)

@@ -28,10 +28,10 @@ bound on LB_Keogh derived next to
 reverse LB_Keogh of the cells it kept is a gathered per-cell kernel,
 :func:`repro.kernels.dtw.lb_keogh_gathered`, which the cascade calls
 directly.  The L2 cascade calls its panel kernel directly too:
-:func:`repro.kernels.minkowski.euclidean_panel_decisions` computes the
-same Gram values as ``euclidean_gram_panel`` and decides each cell
-outright or, inside the Gram form's rounding band, with the exact
-difference form.  The text cascade's frequency-distance filter needs no
+:func:`repro.kernels.minkowski.euclidean_panel_decisions` computes a
+panel's Gram values as one product of norm-augmented rows and decides
+each cell outright or, inside the Gram form's rounding band, with the
+exact difference form.  The text cascade's frequency-distance filter needs no
 panel kernel: it is exact integer arithmetic
 (:func:`repro.core.joiners.make_fd_filter`).
 

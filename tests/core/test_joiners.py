@@ -254,3 +254,133 @@ class TestCascadeMemory:
         full = self._transient(joiner, entries)
         assert full < self.TRANSIENT_LIMIT
         assert full < 1.5 * half
+
+
+class TestClusterBlockPanels:
+    """Panels are uniform (their col pages hold one object count), and
+    ``filtered_cells`` emits exactly the cells, in exactly the order, that
+    the row-major read plus stable regroup of ``tests/oracles`` emits —
+    for the L2 decision kernel, the DTW and frequency-distance filters
+    and the unfiltered panel."""
+
+    W = 8  # object width; also the DTW window and the text window length
+
+    @classmethod
+    def _inputs(cls, name):
+        """``(r, s, self_join, entries)``; entries in random order."""
+        rng = np.random.default_rng(sum(map(ord, name)))
+        if name == "short-last-pages":
+            r = VectorPagedDataset(rng.random((16 * 6 + 5, cls.W)), objects_per_page=16)
+            s = VectorPagedDataset(rng.random((16 * 5 + 11, cls.W)), objects_per_page=16)
+            entries = [(a, b) for a in range(r.num_pages) for b in range(s.num_pages)]
+            self_join = False
+        elif name == "self-join":
+            r = s = VectorPagedDataset(rng.random((16 * 7 + 9, cls.W)), objects_per_page=16)
+            entries = [(a, b) for a in range(r.num_pages) for b in range(s.num_pages)
+                       if abs(a - b) <= 3]
+            self_join = True
+        else:  # "long-run": one left page's marked run crosses _PANEL_CELLS
+            r = VectorPagedDataset(rng.random((64 * 2 + 7, cls.W)), objects_per_page=64)
+            s = VectorPagedDataset(rng.random((64 * 40 + 13, cls.W)), objects_per_page=64)
+            entries = [(0, b) for b in range(s.num_pages)]
+            entries += [(a, b) for a in (1, 2) for b in range(0, s.num_pages, 3)]
+            self_join = False
+        entries = [entries[k] for k in rng.permutation(len(entries))]
+        return r, s, self_join, entries
+
+    @classmethod
+    def _filters(cls, kind, left, right, left_ids, right_ids):
+        """``(panel filter for filtered_cells, row-major oracle decisions
+        (start, n, panel_j) -> bool)``."""
+        from repro.core.joiners import _read_blocked, make_fd_filter, make_keogh_filter
+        from repro.kernels.minkowski import (
+            euclidean_augmented, euclidean_panel_decisions, minkowski_refine,
+        )
+
+        if kind == "l2":
+            eps = 0.5
+            left_aug, right_aug = euclidean_augmented(left, right, eps)
+
+            def decide(rows, panel_j, groups):
+                return euclidean_panel_decisions(
+                    left_aug[rows], right_aug[panel_j], eps, groups
+                )[0]
+
+            def truth(start, n, panel_j):
+                i = np.repeat(np.arange(start, start + n), panel_j.shape[0])
+                j = np.tile(panel_j, n)
+                return minkowski_refine(left, right, i, j, eps, 2.0).reshape(n, -1)
+
+            return decide, truth
+        if kind == "dtw":
+            cell_filter = make_keogh_filter(left, right, 2, 0.45)
+        elif kind == "fd":
+            counts = np.random.default_rng(7).multinomial(
+                cls.W, [0.25] * 4, size=max(left_ids.max(), right_ids.max()) + 1
+            )
+            cell_filter = make_fd_filter(counts[left_ids], counts[right_ids], 1, cls.W)
+        else:
+            return None, lambda start, n, panel_j: np.ones((n, panel_j.shape[0]), bool)
+        return _read_blocked(cell_filter), (
+            lambda start, n, panel_j: cell_filter(slice(start, start + n), panel_j)
+        )
+
+    @staticmethod
+    def _panels(block):
+        """Per panel: ``(lo, hi, start, n, col page counts, panel_j)``,
+        ``panel_j`` built page by page."""
+        bounds = block._bounds
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            row = block._row[lo]
+            assert (block._row[lo:hi] == row).all()
+            cols = block._col[lo:hi]
+            counts = block.s_block.counts[cols]
+            panel_j = np.concatenate([
+                np.arange(start, start + count)
+                for start, count in zip(block.s_block.starts[cols], counts)
+            ])
+            yield (lo, hi, int(block.r_block.starts[row]),
+                   int(block.r_block.counts[row]), counts, panel_j)
+
+    @pytest.mark.parametrize("name", ["short-last-pages", "self-join", "long-run"])
+    def test_no_panel_mixes_col_page_sizes(self, name):
+        from repro.core.joiners import _PANEL_CELLS, _ClusterBlock
+
+        r, s, self_join, entries = self._inputs(name)
+        block = _ClusterBlock(entries, r, s, self_join)
+        sizes_cut = 0
+        for lo, hi, _start, n, counts, _panel_j in self._panels(block):
+            assert (counts == counts[0]).all(), (lo, hi)
+            assert n * counts[:-1].sum() < _PANEL_CELLS
+            nxt = hi < block.num_entries and block._row[hi] == block._row[lo]
+            if nxt and block.s_block.counts[block._col[hi]] != counts[0]:
+                sizes_cut += 1
+        assert sizes_cut > 0, "calibration: some panel ends at a size change"
+        if name == "long-run":
+            first = block._bounds[block._bounds < block._bounds.max()]
+            assert (block._row[first] == block._row[0]).sum() >= 3
+
+    @pytest.mark.parametrize("kind", ["l2", "dtw", "fd", "none"])
+    @pytest.mark.parametrize("name", ["short-last-pages", "self-join", "long-run"])
+    def test_filtered_cells_equal_the_regroup(self, name, kind):
+        from repro.core.joiners import _ClusterBlock
+        from tests.oracles.joiners import regrouped_cells
+
+        r, s, self_join, entries = self._inputs(name)
+        block = _ClusterBlock(entries, r, s, self_join)
+        left, right = block.r_block.objects, block.s_block.objects
+        panel_filter, truth = self._filters(
+            kind, left, right, block.r_block.global_ids, block.s_block.global_ids
+        )
+        kept = 0
+        for panel, (lo, _hi, start, n, counts, panel_j) in enumerate(
+            self._panels(block)
+        ):
+            got = block.filtered_cells(panel_filter, panel)
+            want = regrouped_cells(truth(start, n, panel_j), start, panel_j, counts, lo)
+            for got_col, want_col in zip(got, want):
+                assert got_col.dtype == np.int64
+                assert np.array_equal(got_col, want_col), (name, kind, panel)
+            kept += got[0].shape[0]
+        total = int(block.cells.sum())
+        assert kept > 0 and (kind == "none" or kept < total), "calibration"

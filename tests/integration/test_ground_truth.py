@@ -93,6 +93,14 @@ def case(name):
         noisy = pts * (1.0 + rng.normal(scale=0.01, size=pts.shape))
         with np.errstate(over="ignore"):  # far pairs' squares are inf
             return _vector_case(pts * 1e155, noisy * 1e155, 0.05e155, 2.0, False)
+    if name == "l2-tiny-cross":
+        # Coordinates near 1e-160: squared norms are subnormal, so the
+        # Gram form decides nothing and every marked pair takes the
+        # difference form.  At ε = 0 a pair joins where every squared
+        # difference underflows to 0.
+        pts = rng.random((300, 3)) * 1e-160
+        moved = pts + rng.normal(scale=1e-163, size=pts.shape)
+        return _vector_case(pts, moved, 0.0, 2.0, False, buffer_pages=8)
     if name in ("dtw-cross", "dtw-band0-cross", "dtw-wide-band-cross"):
         # Band 0: no warping, the envelope is the window itself, and the
         # centre–radius bound is the Euclidean distance.  A band past the
@@ -130,7 +138,8 @@ def case(name):
 
 
 VECTOR_CASES = ["l2-cross", "l2-self", "l1-cross", "linf-cross",
-                "l2-eps0-duplicates", "l2-single-page", "l2-huge-cross"]
+                "l2-eps0-duplicates", "l2-single-page", "l2-huge-cross",
+                "l2-tiny-cross"]
 SEQUENCE_CASES = ["dtw-cross", "dtw-band0-cross", "dtw-wide-band-cross",
                   "dtw-band0-boundary-cross", "dtw-constant-self-eps0", "text-self-eps0", "text-self-eps1",
                   "text-self-eps1.5", "text-self-eps2", "text-one-symbol-self",

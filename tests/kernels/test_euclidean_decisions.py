@@ -1,14 +1,21 @@
 """The L2 decision kernel decides every cell as the difference form does.
 
-:func:`repro.kernels.minkowski.euclidean_panel_decisions` rejects a cell
-where the Gram filter rejects it, accepts it outright where the Gram
-value plus its rounding margin sits below ``ε²·(1 − 2s)``, and runs the
-exact difference form (:func:`~repro.kernels.minkowski.minkowski_refine`)
-on the band in between.  Its decisions must equal ``minkowski_refine``'s
-on every cell — at both limits, at ε = 0, far from the origin and across
-column chunks — and where squared norms overflow the Gram form decides
-nothing, so the L2 routines fall back to the difference form.
+:func:`repro.kernels.minkowski.euclidean_panel_decisions` computes each
+cell's Gram value as one entry of the product of the augmented rows
+``[l, ‖l‖², 1]·[−2r, 1, ‖r‖²]``, rejects the cell where that value
+exceeds ``ε²`` plus the panel's margin ``s·(max ‖l‖² + max ‖r‖²)``,
+accepts it outright where the value plus the margin sits below
+``ε²·(1 − 2s)``, and runs the exact difference form
+(:func:`~repro.kernels.minkowski.minkowski_refine`) on the band in
+between.  Its decisions must equal ``minkowski_refine``'s on every cell
+— at both limits, at ε = 0, far from the origin and across product
+blocks — and where squared norms overflow, or a panel's are so small
+that its products are subnormal, the Gram form decides nothing, so the
+L2 routines fall back to the difference form.  The rounding bound the
+margin rests on is checked against exact rational arithmetic.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,14 +27,16 @@ from repro.core.joiners import make_numeric_joiner
 from repro.costmodel import CostModel
 from repro.distance.vector import MinkowskiDistance
 from repro.kernels.minkowski import (
-    euclidean_norms,
+    euclidean_augmented,
     euclidean_panel_decisions,
     minkowski_pair_arrays,
     minkowski_refine,
 )
 from repro.storage.page import VectorPagedDataset
+from tests.oracles.brute_force import vector_pairs
 
 SLACK = kmink._GRAM_SLACK
+UNIT = 2.0**-53
 
 
 def _ulps(a, b):
@@ -43,13 +52,13 @@ def _nudge(value, ulps):
 
 
 def _gram_and_margin(left, right):
-    """The Gram values and margins the kernel computes for one panel."""
-    left_sq, right_sq = euclidean_norms(left, right, 0.0)
-    gram = left @ right.T
-    gram *= -2.0
-    base = left_sq[:, None] + right_sq[None, :]
-    gram += base
-    return gram, base * SLACK
+    """The Gram values and the margin the kernel computes for one panel:
+    one product of the augmented rows, and ``s`` times the sum of the
+    largest squared norms on each side."""
+    left_aug, right_aug = euclidean_augmented(left, right, 0.0)
+    d = left.shape[1]
+    margin = SLACK * (left_aug[:, d].max() + right_aug[:, d + 1].max())
+    return left_aug @ right_aug.T, margin
 
 
 def _reject_limit(epsilon, margin):
@@ -87,9 +96,13 @@ def _refined(left, right, epsilon):
     return keep.reshape(rows.shape)
 
 
-def _decide(left, right, epsilon):
-    left_sq, right_sq = euclidean_norms(left, right, epsilon)
-    return euclidean_panel_decisions(left, right, left_sq, right_sq, epsilon)
+def _decide(left, right, epsilon, groups=1):
+    """The kernel's decisions as a row-major ``(n, m)`` matrix, and its
+    kept count."""
+    left_aug, right_aug = euclidean_augmented(left, right, epsilon)
+    decisions, kept = euclidean_panel_decisions(left_aug, right_aug, epsilon, groups)
+    assert decisions.shape == (groups, left.shape[0], right.shape[0] // groups)
+    return decisions.transpose(1, 0, 2).reshape(left.shape[0], -1), kept
 
 
 @st.composite
@@ -117,13 +130,11 @@ def boundary_panels(draw):
     gram, margin = _gram_and_margin(left, right)
     # The reject limit is at least the margin: far from the origin it
     # can sit above a near pair's Gram value for every ε.
-    if draw(st.booleans()) and gram[i, j] > margin[i, j]:
+    if draw(st.booleans()) and gram[i, j] > margin:
         limit, value = _reject_limit, gram[i, j]
     else:
-        limit, value = _accept_limit, gram[i, j] + margin[i, j]
-    epsilon, off = _epsilon_at(
-        limit, value, margin[i, j], draw(st.integers(-3, 3))
-    )
+        limit, value = _accept_limit, gram[i, j] + margin
+    epsilon, off = _epsilon_at(limit, value, margin, draw(st.integers(-3, 3)))
     return left, right, epsilon, off
 
 
@@ -145,7 +156,7 @@ class TestDecisionsEqualTheDifferenceForm:
         left = rng.normal(size=(40, 3))
         right = left + rng.normal(scale=1e-3, size=(40, 3))
         gram, margin = _gram_and_margin(left, right)
-        epsilon, off = _epsilon_at(_reject_limit, gram[3, 3], margin[3, 3], -1)
+        epsilon, off = _epsilon_at(_reject_limit, gram[3, 3], margin, -1)
         assert -3 <= off <= 0  # the Gram filter keeps cell (3, 3)
         decisions, kept = _decide(left, right, epsilon)
         refined = _refined(left, right, epsilon)
@@ -196,17 +207,50 @@ class TestDecisionsEqualTheDifferenceForm:
         assert kept > 0 and sum(band_cells) == 0
         assert np.array_equal(decisions, _refined(left, right, 0.3))
 
-    @pytest.mark.parametrize("chunk_cols", [1, 3, 7])
-    def test_column_chunks(self, rng, monkeypatch, chunk_cols):
+    @staticmethod
+    def _chunked(rng, monkeypatch, groups, budget):
+        """Decisions and kept counts of one 9 × 21 panel in ``groups``
+        column groups, in one product block and in blocks of at most
+        ``budget`` cells."""
         left = rng.normal(size=(9, 5))
         right = np.vstack([left + rng.normal(scale=0.3, size=(9, 5)),
-                           rng.normal(size=(20, 5))])
-        whole, whole_kept = _decide(left, right, 1.2)
-        monkeypatch.setattr(kmink, "_BLOCK_CELL_BUDGET", 9 * chunk_cols)
-        chunked, chunked_kept = _decide(left, right, 1.2)
-        assert np.array_equal(chunked, _refined(left, right, 1.2))
+                           rng.normal(size=(12, 5))])
+        whole = _decide(left, right, 1.2, groups)
+        monkeypatch.setattr(kmink, "_BLOCK_CELL_BUDGET", budget)
+        chunked = _decide(left, right, 1.2, groups)
+        return whole, chunked, _refined(left, right, 1.2)
+
+    @pytest.mark.parametrize("chunk_cols", [1, 3, 7])
+    def test_column_chunks(self, rng, monkeypatch, chunk_cols):
+        """Groups of ``chunk_cols`` columns, one group per product block."""
+        (whole, whole_kept), (chunked, chunked_kept), refined = self._chunked(
+            rng, monkeypatch, 21 // chunk_cols, 9 * chunk_cols
+        )
+        assert np.array_equal(chunked, refined)
         assert np.array_equal(chunked, whole)
         assert chunked_kept == whole_kept
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 4])
+    def test_row_chunks(self, rng, monkeypatch, chunk_rows):
+        """A group wider than the budget goes a run of rows at a time."""
+        (whole, whole_kept), (chunked, chunked_kept), refined = self._chunked(
+            rng, monkeypatch, 1, 21 * chunk_rows
+        )
+        assert np.array_equal(chunked, refined)
+        assert np.array_equal(chunked, whole)
+        assert chunked_kept == whole_kept
+
+    def test_entry_blocked_order(self, rng):
+        """Cell ``[g, i, j]`` of ``groups`` column groups of ``c`` is row
+        ``i`` against column ``g·c + j`` of the panel."""
+        left = rng.random((6, 2))
+        right = rng.random((15, 2))
+        left_aug, right_aug = euclidean_augmented(left, right, 0.4)
+        decisions, _ = euclidean_panel_decisions(left_aug, right_aug, 0.4, 3)
+        refined = _refined(left, right, 0.4)
+        assert refined.any() and not refined.all()
+        for g in range(3):
+            assert np.array_equal(decisions[g], refined[:, 5 * g : 5 * g + 5])
 
     def test_no_outright_accepts_past_the_dimension_cap(self, rng, monkeypatch):
         band_cells = []
@@ -311,3 +355,124 @@ class TestPastTheGramRange:
         assert np.array_equal(arrays, expected)
         assert np.array_equal(cascade, expected)
         assert not panels
+
+
+def _exact_square(values):
+    return sum(Fraction(v) * Fraction(v) for v in values)
+
+
+class TestGramRounding:
+    """The bounds the derivation next to ``_GRAM_SLACK`` rests on, checked
+    against exact rational arithmetic on the kernel's own values."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 60])
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 30.0, 1e6])
+    def test_gram_error_within_the_margin(self, d, offset):
+        rng = np.random.default_rng(d * 1000 + int(offset))
+        left = offset + rng.normal(size=(5, d))
+        # Near pairs (cancellation) and far ones.
+        right = np.vstack([left + rng.normal(scale=1e-3, size=(5, d)),
+                           offset + rng.normal(size=(3, d))])
+        gram, margin = _gram_and_margin(left, right)
+        slack = Fraction(SLACK)
+        for i in range(left.shape[0]):
+            for j in range(right.shape[0]):
+                exact_d = sum(
+                    (Fraction(a) - Fraction(b)) ** 2 for a, b in zip(left[i], right[j])
+                )
+                b = _exact_square(left[i]) + _exact_square(right[j])
+                error = abs(Fraction(gram[i, j]) - exact_d)
+                # (a): |G − D| ≤ (3d + 3)·u·B·(1 + 2⁻³¹) ≤ 0.376·m, and
+                # the margin covers every cell: m ≥ s·B·(1 − 2⁻³²).
+                assert error <= (3 * d + 3) * Fraction(UNIT) * b * (1 + Fraction(2) ** -31)
+                assert Fraction(margin) >= slack * b * (1 - Fraction(2) ** -32)
+                assert error <= Fraction(0.376) * Fraction(margin)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_accept_bound_is_the_accept_test(self, seed):
+        """``G <= _accept_bound(m, T)`` holds exactly where
+        ``fl(G + m) <= T`` does."""
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            limit = float(rng.random() * 10.0 ** rng.integers(-12, 12))
+            margin = float(rng.random() * 10.0 ** rng.integers(-20, 14))
+            bound = kmink._accept_bound(margin, limit)
+            assert bound + margin <= limit
+            assert np.nextafter(bound, np.inf) + margin > limit
+
+
+class TestSubnormalProducts:
+    """Where a panel's squared norms are so small that its products are
+    subnormal (their absolute error, up to 2⁻¹⁰⁷⁵, would outgrow a
+    margin that underflows), the Gram value decides nothing for the
+    panel: every cell takes the difference form, which the pair
+    arrays, the cascade and the kernel must all agree with."""
+
+    @staticmethod
+    def _all_routes(left, right, epsilon):
+        rows, cols = minkowski_pair_arrays(left, right, epsilon, 2.0)
+        arrays = np.zeros((left.shape[0], right.shape[0]), dtype=bool)
+        arrays[rows, cols] = True
+        decisions, kept = _decide(left, right, epsilon)
+        return arrays, _cascade_decisions(left, right, epsilon), decisions, kept
+
+    @pytest.mark.parametrize("epsilon", [0.0, 3e-163])
+    def test_tiny_values_on_both_sides(self, rng, epsilon):
+        left = rng.random((20, 3)) * 1e-160
+        right = left + rng.normal(scale=1e-163, size=left.shape)
+        expected = _refined(left, right, epsilon)
+        assert expected.any() and not expected.all()
+        arrays, cascade, decisions, kept = self._all_routes(left, right, epsilon)
+        assert kept == decisions.size  # the Gram value decided nothing
+        assert np.array_equal(decisions, expected)
+        assert np.array_equal(arrays, expected)
+        assert np.array_equal(cascade, expected)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("epsilon", [0.0, 3e-163, 0.4])
+    def test_tiny_values_on_one_side(self, rng, side, epsilon):
+        """The other side's normal points keep the panel's margin
+        normal, so the Gram value decides, and its margin keeps every
+        tiny pair for the difference form."""
+        tiny = rng.random((12, 3)) * 1e-160
+        other = np.vstack([tiny + rng.normal(scale=1e-163, size=tiny.shape),
+                           rng.random((10, 3))])
+        left, right = (tiny, other) if side == "left" else (other, tiny)
+        expected = _refined(left, right, epsilon)
+        assert expected.any()
+        arrays, cascade, decisions, kept = self._all_routes(left, right, epsilon)
+        assert kept < decisions.size  # the Gram value rejected cells
+        assert np.array_equal(decisions, expected)
+        assert np.array_equal(arrays, expected)
+        assert np.array_equal(cascade, expected)
+
+
+class TestDifferenceFormMemory:
+    """For p ≠ 2 the pair arrays evaluate the difference form a block of
+    at most ``_BLOCK_CELL_BUDGET`` elements at a time: beyond the chunk's
+    boolean decisions and the result, the peak stays under a module
+    constant however wide the right side is.  NumPy reports its
+    allocations to ``tracemalloc``."""
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+    @pytest.mark.parametrize("width", [250, 3000])
+    def test_peak_bounded_by_the_block_budget(self, rng, p, width):
+        import tracemalloc
+
+        left = rng.random((1024, 16))
+        right = rng.random((width, 16))
+        epsilon = {1.0: 3.0, 3.0: 0.75, np.inf: 0.3}[p]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows, cols = minkowski_pair_arrays(left, right, epsilon, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rows.shape[0] > 0, "calibration: some pairs join"
+        decisions = left.shape[0] * width  # one chunk's booleans
+        owned = decisions + 2 * (rows.nbytes + cols.nbytes)
+        assert peak - owned < 3 * 8 * kmink._BLOCK_CELL_BUDGET
+        # Same pairs, same row-major order as the whole difference tensor.
+        truth = vector_pairs(left, right, epsilon, p, False)
+        assert list(zip(rows.tolist(), cols.tolist())) == sorted(truth)

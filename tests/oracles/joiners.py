@@ -15,7 +15,9 @@ into page results for that comparison, and :func:`packed` goes the
 other way.
 
 The module also holds the two stand-in joiners executor tests use:
-:class:`NoopJoiner` and :class:`EchoJoiner`.
+:class:`NoopJoiner` and :class:`EchoJoiner`, and :func:`regrouped_cells`,
+the order a cascade panel listed its surviving cells in before
+``_ClusterBlock.filtered_cells`` read them in entry-blocked order.
 """
 
 from __future__ import annotations
@@ -97,6 +99,30 @@ class EchoJoiner(PagePairJoiner):
             rows[:, 0], rows[:, 1], np.ones(k, dtype=np.int64),
             np.full(k, self.comparisons), np.full(k, self.cpu),
         )
+
+
+def regrouped_cells(
+    decisions: np.ndarray,
+    start: int,
+    panel_j: np.ndarray,
+    counts: np.ndarray,
+    lo: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A panel's surviving cells as ``(cand_i, cand_j, pos)``, listed
+    row-major over its ``(n, Σ counts)`` decision matrix and then
+    regrouped by a stable sort on the panel-local entry.
+
+    ``start`` is the left page's first stacked row, ``panel_j`` the
+    panel's stacked right rows, ``counts`` the objects of each of its col
+    pages (of any sizes) and ``lo`` the position of its first entry.
+    """
+    width = int(counts.sum())
+    si, sj = np.divmod(np.flatnonzero(decisions), width)
+    local = np.repeat(np.arange(counts.shape[0], dtype=np.uint16), counts)[sj]
+    if counts.shape[0] > 1:
+        regroup = np.argsort(local, kind="stable")
+        si, sj, local = si[regroup], sj[regroup], local[regroup]
+    return si + start, panel_j[sj], local.astype(np.int64) + lo
 
 
 def page_pair(joiner, row: int, col: int) -> PageResult:
