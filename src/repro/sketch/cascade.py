@@ -37,8 +37,11 @@ __all__ = [
     "measured_recall",
 ]
 
-# Bounds the (chunk, K, Q, Q) broadcast temporary of quantile scoring.
-_SCORE_CELL_BUDGET = 1 << 22
+# Sizes a quantile scoring chunk: its ``(chunk · K, Q)`` float64 rows
+# take at most this many bytes, so the chunk's targets, counts, gathered
+# quantile points and CDF values stay in cache.  Every cell is scored
+# independently, so the chunk size changes no value.
+_SCORE_CELL_BUDGET = 1 << 18
 
 
 @dataclass
@@ -129,27 +132,35 @@ def _rowwise_cdf(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     between quantile points is what keeps the estimator informative when
     the query window is narrower than the quantile spacing — a step CDF
     would quantise every window to multiples of ``1/Q``.
+
+    A target with ``idx`` of its row's points strictly below it reads 0
+    when ``idx == 0`` and 1 when ``idx == Q``.  Otherwise it lies in
+    ``(q[idx − 1], q[idx]]``, a segment of positive length, so its
+    fraction along the segment lies in ``[0, 1]`` with no clipping and
+    no division by zero.
     """
-    m, num_q = q.shape
+    num_q = q.shape[1]
     if num_q == 1:
         return (t >= q).astype(np.float64)
-    # One flat searchsorted over per-row shifted copies: the shift is
-    # wider than any value span, so each target lands inside its row.
-    lo_v = min(float(q.min()), float(t.min()))
-    hi_v = max(float(q.max()), float(t.max()))
-    width = (hi_v - lo_v) * 2.0 + 1.0
-    shift = np.arange(m, dtype=np.float64)[:, None] * width
-    idx = np.searchsorted((q + shift).ravel(), (t + shift).ravel()).reshape(
-        m, -1
-    ) - np.arange(m)[:, None] * num_q
-    idx_c = np.clip(idx, 1, num_q - 1)
-    left = np.take_along_axis(q, idx_c - 1, axis=1)
-    right = np.take_along_axis(q, idx_c, axis=1)
-    denom = right - left
-    frac = np.where(denom > 0, (t - left) / np.where(denom > 0, denom, 1.0), 1.0)
-    cdf = (idx_c - 1 + np.clip(frac, 0.0, 1.0)) / (num_q - 1)
-    cdf[idx <= 0] = 0.0
-    return np.clip(cdf, 0.0, 1.0)
+    # One comparison pass per quantile point counts each target's row
+    # points strictly below it — searchsorted's left position, exactly.
+    idx = np.zeros(t.shape, dtype=np.min_scalar_type(num_q))
+    below = np.empty(t.shape, dtype=bool)
+    for j in range(num_q):
+        np.less(q[:, j, None], t, out=below)
+        idx += below
+    cdf = (idx == num_q).astype(np.float64)
+    inner = np.flatnonzero((idx > 0) & (idx < num_q))
+    k = idx.ravel()[inner]
+    # Flat position in ``q`` of each inner target's right point.
+    right_at = inner // t.shape[1] * num_q + k
+    flat_q = q.ravel()
+    left = flat_q[right_at - 1]
+    right = flat_q[right_at]
+    cdf.ravel()[inner] = ((k - 1) + (t.ravel()[inner] - left) / (right - left)) / (
+        num_q - 1
+    )
+    return cdf
 
 
 def _window_fraction(qa: np.ndarray, qb: np.ndarray, eff_eps: float) -> np.ndarray:

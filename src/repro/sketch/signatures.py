@@ -48,6 +48,10 @@ __all__ = [
 # hash wants.
 _GRAM_BASE = np.uint64(1099511628211)
 
+# Bounds one chunk of the minhash build: its ``(pages, span, K)``
+# array of permuted grams holds at most this many uint64 values.
+_MINHASH_CHUNK_VALUES = 1 << 15
+
 
 @dataclass
 class PageSketches:
@@ -111,11 +115,13 @@ def build_sketches(dataset, config) -> PageSketches:
 def build_sketch_rows(dataset, config, pages) -> "tuple[np.ndarray, np.ndarray]":
     """Signature rows and object counts for ``pages`` of ``dataset``.
 
-    Every page is sketched independently through the same per-page code
-    path :func:`build_sketches` uses, so the rows produced for a subset of
-    pages (the incremental-append path) are **bitwise identical** to the
-    corresponding rows of a from-scratch full build — no BLAS-blocking or
-    reduction-order differences can creep in between the two.
+    A page's row depends only on that page: each page is projected by
+    its own product, quantiles and minima are taken per page (batched
+    over pages of one size, or over a chunk of padded gram spans), and
+    a minimum ignores order.  So the rows produced for a subset of pages
+    (the incremental-append path) are **bitwise identical** to the
+    corresponding rows of a from-scratch full build — no BLAS-blocking
+    or reduction-order differences can creep in between the two.
     """
     page_list = np.asarray(list(pages), dtype=np.int64)
     if dataset.kind == "text":
@@ -178,16 +184,21 @@ def _quantile_rows(
     dirs = _unit_directions(rng, config.num_hashes, objects.shape[1])
     lo, hi = _page_bounds(dataset)
     qs = np.linspace(0.0, 1.0, config.num_quantiles)
+    sizes = hi[pages] - lo[pages]
     signatures = np.empty(
         (pages.shape[0], config.num_hashes, config.num_quantiles), dtype=np.float64
     )
-    for row, p in enumerate(pages):
-        # Project per page — a page's rows see the same multiply/add order
-        # whether sketched alone or as part of a full build.
-        proj = objects[lo[p] : hi[p]] @ dirs.T  # (n_p, K)
-        # (Q, K) quantiles of the page's projections, stored as (K, Q).
-        signatures[row] = np.quantile(proj, qs, axis=0).T
-    return signatures, (hi[pages] - lo[pages]).astype(np.int64)
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        proj = np.empty((rows.shape[0], size, config.num_hashes), dtype=np.float64)
+        for i, p in enumerate(pages[rows]):
+            # Project per page — a page's rows see the same multiply/add
+            # order whether sketched alone or as part of a full build.
+            proj[i] = objects[lo[p] : hi[p]] @ dirs.T
+        # (Q, pages, K) quantiles of every page of this size, stored as
+        # (pages, K, Q); each page's column is reduced on its own.
+        signatures[rows] = np.quantile(proj, qs, axis=1).transpose(1, 2, 0)
+    return signatures, sizes.astype(np.int64)
 
 
 # -- minhash signatures (text pages) ------------------------------------------
@@ -218,18 +229,30 @@ def _minhash_rows(
     # Odd multipliers keep the affine maps bijective on Z/2^64.
     mult = rng.integers(0, np.iinfo(np.uint64).max, size=k, dtype=np.uint64) | np.uint64(1)
     add = rng.integers(0, np.iinfo(np.uint64).max, size=k, dtype=np.uint64)
+    lo, hi = _page_bounds(dataset)
+    ws, we = lo[pages], hi[pages]
+    counts = (we - ws).astype(np.int64)
     signatures = np.empty((pages.shape[0], k), dtype=np.uint64)
-    counts = np.empty(pages.shape[0], dtype=np.int64)
-    for row, p in enumerate(pages):
-        ws, we = paged.window_range(p)
-        counts[row] = we - ws
-        # The page's windows cover symbols [ws, we - 1 + w); its grams
-        # start anywhere in that span that still fits a full gram.
-        gs = ws
-        ge = min(we + w - n, num_grams)
-        # Hash the page's gram span from its own code slice: uint64
-        # arithmetic is exact, so the rows match a whole-sequence build.
-        grams = _gram_hashes(codes[gs : ge + n - 1], n)
-        permuted = grams[:, None] * mult[None, :] + add[None, :]  # (G_p, K)
-        signatures[row] = permuted.min(axis=0)
+    if pages.shape[0] == 0:
+        return signatures, counts
+    # A page's windows cover symbols [ws, we - 1 + w); its grams start
+    # anywhere in that span that still fits a full gram, so in [ws, ge).
+    ge = np.minimum(we + w - n, num_grams)
+    # Hash every needed gram once.  uint64 arithmetic is exact and a
+    # minimum ignores order, so each row matches a page-by-page build.
+    base = int(ws.min())
+    grams = _gram_hashes(codes[base : int(ge.max()) + n - 1], n)
+    gs, ge = ws - base, ge - base
+    width = int((ge - gs).max())
+    offsets = np.arange(width)
+    step = max(1, _MINHASH_CHUNK_VALUES // (width * k))
+    for first in range(0, pages.shape[0], step):
+        # Each page's gram span, padded to ``width`` by repeating its last
+        # gram (which leaves its minimum unchanged), then permuted.  Only
+        # the pages' own grams are permuted, never the gaps between the
+        # pages of a scattered subset.
+        at = np.minimum(
+            gs[first : first + step, None] + offsets, ge[first : first + step, None] - 1
+        )
+        signatures[first : first + step] = (grams[at][..., None] * mult + add).min(axis=1)
     return signatures, counts

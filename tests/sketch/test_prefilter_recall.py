@@ -28,6 +28,8 @@ from repro.experiments.figures import (
     lbeach_mcounty,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TARGET = 0.99
 
 

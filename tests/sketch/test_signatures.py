@@ -1,7 +1,10 @@
-"""Page-sketch construction: shapes, determinism, estimator sanity, and
-the configuration surface (``PrefilterConfig`` / ``resolve_prefilter``)."""
+"""Page-sketch construction: shapes, determinism, estimator sanity, the
+subset (append-path) rows against a full build and the per-page oracle,
+and the configuration surface (``PrefilterConfig`` / ``resolve_prefilter``)."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +14,13 @@ from repro.datasets import markov_dna
 from repro.sketch.config import PrefilterConfig, resolve_prefilter
 from repro.sketch.signatures import (
     PageSketches,
+    build_sketch_rows,
     build_sketches,
     sketch_params_fingerprint,
 )
+from tests.oracles.sketch import minhash_rows, quantile_rows
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture
@@ -27,6 +34,16 @@ def series_dataset():
     walk = np.cumsum(rng.normal(size=800))
     return IndexedDataset.from_time_series(
         walk, window_length=32, windows_per_page=32
+    )
+
+
+@pytest.fixture
+def dtw_dataset():
+    # 769 windows: 24 full pages and a last page holding one window.
+    rng = np.random.default_rng(3)
+    walk = np.cumsum(rng.normal(size=800))
+    return IndexedDataset.from_time_series(
+        walk, window_length=32, windows_per_page=32, dtw_band=3
     )
 
 
@@ -102,6 +119,72 @@ class TestMinhashSketches:
         sk_b = build_sketches(b, PrefilterConfig())
         agreement = (sk_a.signatures[0] == sk_b.signatures[0]).mean()
         assert agreement < 0.5
+
+
+class TestRowsMatchFullBuild:
+    """``build_sketch_rows`` on a page subset (the append path) returns the
+    full build's rows bit for bit, and both equal the per-page oracle."""
+
+    @pytest.mark.parametrize("name", ["vector", "dtw", "text"])
+    def test_subset_rows_equal_full_build(
+        self, name, vector_dataset, dtw_dataset, text_dataset
+    ):
+        dataset = {"vector": vector_dataset, "dtw": dtw_dataset, "text": text_dataset}[name]
+        config = PrefilterConfig(num_hashes=5, num_quantiles=9, minhash_hashes=12)
+        full = build_sketches(dataset, config)
+        last = dataset.num_pages - 1
+        for subset in ([last], [0, last], [last - 1, last], [3, 1, last, 2], []):
+            rows, counts = build_sketch_rows(dataset, config, subset)
+            np.testing.assert_array_equal(rows, full.signatures[subset])
+            np.testing.assert_array_equal(counts, full.counts[subset])
+
+    @pytest.mark.parametrize("name", ["vector", "series", "dtw", "text"])
+    def test_equal_per_page_oracle(
+        self, name, vector_dataset, series_dataset, dtw_dataset, text_dataset
+    ):
+        dataset = {
+            "vector": vector_dataset,
+            "series": series_dataset,
+            "dtw": dtw_dataset,
+            "text": text_dataset,
+        }[name]
+        config = PrefilterConfig()
+        oracle = minhash_rows if dataset.kind == "text" else quantile_rows
+        pages = range(dataset.num_pages)
+        full = build_sketches(dataset, config)
+        signatures, counts = oracle(dataset, config, pages)
+        np.testing.assert_array_equal(full.signatures, signatures)
+        np.testing.assert_array_equal(full.counts, counts)
+
+    def test_minhash_chunks_do_not_change_rows(self, text_dataset, monkeypatch):
+        import repro.sketch.signatures as signatures_module
+
+        config = PrefilterConfig()
+        whole = build_sketches(text_dataset, config).signatures
+        # One page per chunk: every chunk permutes its own span.
+        monkeypatch.setattr(signatures_module, "_MINHASH_CHUNK_VALUES", 1)
+        np.testing.assert_array_equal(
+            build_sketches(text_dataset, config).signatures, whole
+        )
+
+    def test_minhash_scattered_subset_permutes_no_gap(self):
+        # The first and last pages of a long sequence: permuting every
+        # gram between them would take K · 8 bytes per symbol.
+        dataset = IndexedDataset.from_string(
+            markov_dna(100_000, seed=2), window_length=48, windows_per_page=32
+        )
+        config = PrefilterConfig()
+        subset = [0, dataset.num_pages - 1]
+        tracemalloc.start()
+        try:
+            rows, _ = build_sketch_rows(dataset, config, subset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000 * 8 * config.minhash_hashes / 2
+        np.testing.assert_array_equal(
+            rows, minhash_rows(dataset, config, subset)[0]
+        )
 
 
 class TestParamsFingerprint:

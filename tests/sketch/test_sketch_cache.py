@@ -11,6 +11,8 @@ from repro.sketch.config import PrefilterConfig
 from repro.sketch.signatures import build_sketches
 from repro.storage.persist import dataset_fingerprint, sketch_cache_key
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture
 def dataset(rng):
