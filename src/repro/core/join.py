@@ -53,12 +53,14 @@ from repro.core.executor import (
     execute_clusters,
     execute_clusters_sharded,
 )
-from repro.core.joiners import make_numeric_joiner, make_text_joiner, text_dp_weight
+from repro.core.joiners import (
+    NumericPagePairJoiner, TextPagePairJoiner, text_dp_weight,
+)
 from repro.core.pairs import ResultPairs
 from repro.core.pm_nlj import pm_nlj_join
 from repro.core.prediction import PredictionMatrix
 from repro.core.schedule import greedy_cluster_order
-from repro.core.square import square_clustering
+from repro.core.square import check_target_aspect, square_clustering
 from repro.core.sweep import SweepStats, build_prediction_matrix, check_matrix_arguments
 from repro.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.distance.dtw import DTWDistance
@@ -96,7 +98,7 @@ class IndexedDataset:
     kind: str  # "vector", "series" or "text"
     paged: "VectorPagedDataset | SequencePagedDataset"
     index: PageIndex
-    # Any JoinDistance (Minkowski or DTW); None for text (edit distance is
+    # A MinkowskiDistance or DTWDistance; None for text (edit distance is
     # wired through the frequency-filtered text joiner).
     distance: object = None
     features: Optional[np.ndarray] = None
@@ -401,9 +403,10 @@ def join(
     any work for an unknown method, a negative or NaN ``epsilon`` (or an
     infinite one on text), a ``max_filter_rounds`` that is not a
     non-negative int, ``buffer_pages`` or ``workers`` that is not a
-    positive int, an unknown ``shard_strategy`` (on every method), or
-    sides that :func:`require_same_shape` rejects, and ``TypeError`` for
-    a ``matrix_cache`` that is not a store.
+    positive int, an unknown ``shard_strategy`` or an
+    ``sc_target_aspect`` that is not a positive finite number (both on
+    every method), or sides that :func:`require_same_shape` rejects, and
+    ``TypeError`` for a ``matrix_cache`` that is not a store.
 
     Parameters of note
     ------------------
@@ -492,6 +495,7 @@ def join(
         raise ValueError(f"unknown join method {method!r}; expected one of {JOIN_METHODS}")
     check_matrix_arguments(epsilon, max_filter_rounds)
     _check_execution_arguments(buffer_pages, workers, shard_strategy)
+    check_target_aspect(sc_target_aspect, "sc_target_aspect")
     if matrix_cache is not None:
         from repro.serve.store import ResidentStore  # local: repro.serve imports join
 
@@ -713,12 +717,12 @@ def _make_joiner(r, s, epsilon, model, self_join, collect_pairs,
                  recorder: Recorder = NULL_RECORDER):
     if r.kind == "text":
         assert r.features is not None and s.features is not None
-        return make_text_joiner(
+        return TextPagePairJoiner(
             r.paged, s.paged, r.features, s.features, epsilon, model, self_join,
             collect_pairs=collect_pairs, recorder=recorder,
         )
     assert r.distance is not None
-    return make_numeric_joiner(
+    return NumericPagePairJoiner(
         r.paged, s.paged, r.distance, epsilon, model, self_join,
         collect_pairs=collect_pairs, recorder=recorder,
     )

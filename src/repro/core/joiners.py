@@ -67,8 +67,6 @@ from repro.storage.page import PageBlock, PagedDataset, SequencePagedDataset
 
 __all__ = [
     "ClusterResult",
-    "make_numeric_joiner",
-    "make_text_joiner",
     "make_keogh_filter",
     "make_fd_filter",
     "text_dp_weight",
@@ -435,9 +433,11 @@ def make_keogh_filter(
     The bounds keep every cell LB_Keogh keeps
     (:func:`repro.kernels.dtw.envelope_centres` has the proof and the
     rounding margins); a bound is skipped when its squared norms
-    overflow.  The decisions equal both ``lb_keogh_block`` directions
-    ``<= λ`` over the whole panel, cell for cell.  Envelopes, centres
-    and norms are computed once, for every stacked window of each side.
+    overflow.  The decisions equal LB_Keogh ``<= λ`` in both directions
+    over the whole panel, cell for cell (the block form frozen in
+    ``tests/oracles/kernels.py`` is the oracle).
+    Envelopes, centres and norms are computed once, for every stacked
+    window of each side.
     """
     limit = lb_keogh_limit(epsilon, left.shape[1])
     right_lowers, right_uppers = KERNELS.batch_envelopes(right, band)
@@ -693,29 +693,6 @@ class NumericPagePairJoiner(PagePairJoiner):
             yield cand_i[keep], cand_j[keep], pos[keep]
 
 
-def make_numeric_joiner(
-    r_dataset: PagedDataset,
-    s_dataset: PagedDataset,
-    distance: "MinkowskiDistance | DTWDistance",
-    epsilon: float,
-    cost_model: CostModel,
-    self_join: bool,
-    collect_pairs: bool = True,
-    recorder: Recorder = NULL_RECORDER,
-) -> NumericPagePairJoiner:
-    """Joiner for vector pages (point, spatial, time-series windows)."""
-    return NumericPagePairJoiner(
-        r_dataset,
-        s_dataset,
-        distance,
-        epsilon,
-        cost_model,
-        self_join,
-        collect_pairs=collect_pairs,
-        recorder=recorder,
-    )
-
-
 def text_dp_weight(window_length: int, epsilon: float) -> float:
     """CPU weight of one banded edit-distance run at threshold ``epsilon``."""
     band = max(1, int(epsilon))
@@ -843,29 +820,3 @@ class TextPagePairJoiner(PagePairJoiner):
             if dp_runs.any():
                 recorder.count("kernel.edit.invocations")
         return result
-
-
-def make_text_joiner(
-    r_dataset: SequencePagedDataset,
-    s_dataset: SequencePagedDataset,
-    r_features: np.ndarray,
-    s_features: np.ndarray,
-    epsilon: float,
-    cost_model: CostModel,
-    self_join: bool,
-    collect_pairs: bool = True,
-    recorder: Recorder = NULL_RECORDER,
-) -> TextPagePairJoiner:
-    """Joiner for string windows: frequency filter, then banded DP."""
-    return TextPagePairJoiner(
-        r_dataset,
-        s_dataset,
-        r_features,
-        s_features,
-        epsilon,
-        cost_model,
-        self_join,
-        collect_pairs=collect_pairs,
-        recorder=recorder,
-    )
-

@@ -23,9 +23,9 @@ Entry = Tuple[int, int]
 class CSRWorkMatrix:
     """Dual CSR/CSC array view of a marked-entry snapshot, with removal.
 
-    The clustering passes (SC/CC) consume a *working copy* of the
-    prediction matrix: they repeatedly slice rows/columns and remove the
-    entries they assign to clusters.  The dict-of-sets representation
+    Cost clustering (CC) consumes a *working copy* of the prediction
+    matrix: it repeatedly slices rows/columns and removes the entries it
+    assigns to clusters.  The dict-of-sets representation
     makes every ``row_cols``/``col_rows`` call a sorted-list rebuild;
     this view stores the same entries once, in two static sorted orders,
     and models removal with an alive-mask — so slicing is an array view
@@ -40,9 +40,8 @@ class CSRWorkMatrix:
     ``row_indptr``
         CSR: entries of ``row`` are ids ``row_indptr[row]:row_indptr[row+1]``,
         ascending by column.
-    ``csc_entries`` / ``col_indptr``
-        CSC: ``csc_entries[col_indptr[col]:col_indptr[col+1]]`` are the
-        ids of ``col``'s entries, ascending by row.
+    ``csc_entries``
+        CSC: the entry ids sorted by ``(col, row)``.
     ``alive``
         Boolean by entry id; killed entries stay in the arrays but are
         masked out of every query.
@@ -70,8 +69,6 @@ class CSRWorkMatrix:
         np.cumsum(counts, out=self.row_indptr[1:])
         self.csc_entries = np.lexsort((rows, cols))
         col_counts = np.bincount(cols, minlength=num_cols)
-        self.col_indptr = np.zeros(num_cols + 1, dtype=np.int64)
-        np.cumsum(col_counts, out=self.col_indptr[1:])
         self.alive = np.ones(rows.size, dtype=bool)
         self.live_count = int(rows.size)
         self.row_live = counts.astype(np.int64)
@@ -99,29 +96,6 @@ class CSRWorkMatrix:
     def live_cols(self) -> np.ndarray:
         """Sorted columns that still have a live entry."""
         return np.nonzero(self.col_live > 0)[0]
-
-    def row_entry_ids(self, row: int) -> np.ndarray:
-        """Live entry ids of ``row``, ascending by column."""
-        ids = self.csr_row_ids(row)
-        return ids[self.alive[ids]]
-
-    def col_entry_ids(self, col: int) -> np.ndarray:
-        """Live entry ids of ``col``, ascending by row."""
-        ids = self.csc_col_ids(col)
-        return ids[self.alive[ids]]
-
-    def csr_row_ids(self, row: int) -> np.ndarray:
-        """All entry ids of ``row`` (live or not), ascending by column."""
-        start, stop = self.row_indptr[row], self.row_indptr[row + 1]
-        return np.arange(start, stop, dtype=np.int64)
-
-    def csc_col_ids(self, col: int) -> np.ndarray:
-        """All entry ids of ``col`` (live or not), ascending by row."""
-        return self.csc_entries[self.col_indptr[col] : self.col_indptr[col + 1]]
-
-    def live_entry_ids(self) -> np.ndarray:
-        """Live entry ids in row-major order."""
-        return np.nonzero(self.alive)[0]
 
     def compacted(self) -> "CSRWorkMatrix":
         """A fresh view holding only the live entries.
@@ -417,8 +391,8 @@ class PredictionMatrix:
         """A :class:`CSRWorkMatrix` snapshot of the marked entries.
 
         The view is independent of this matrix: killing entries in the
-        view does not unmark them here (clustering consumes the view the
-        way it used to consume a :meth:`copy`).
+        view does not unmark them here (CC consumes the view the way it
+        used to consume a :meth:`copy`).
         """
         rows, cols = self.to_coo()
         return CSRWorkMatrix(self.num_rows, self.num_cols, rows, cols)

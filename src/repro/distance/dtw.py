@@ -10,26 +10,21 @@ distance:
 * :func:`dtw_distance` — banded DTW between equal-length windows, with
   early abandon against a threshold;
 * :func:`envelope` — per-position running min/max over the band, the
-  Keogh envelope;
-* :func:`envelope_box` — widening a page MBR by the band envelope.  If
-  two windows are within DTW distance ε, their envelope-widened page
-  boxes are within L∞ distance ε (see :func:`envelope_box` for the
-  argument), so the plane sweep's extended-box test stays complete.
+  Keogh envelope.  The MR-index widens its DTW page boxes by the same
+  running min/max, so the plane sweep's extended-box test stays
+  complete (:meth:`repro.index.mr.MRIndex.window_boxes` has the
+  argument).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry import Rect
-from repro.kernels.dtw import (
-    batch_envelopes, dtw_batch, lb_keogh_block, lb_keogh_limit,
-)
-from repro.obs.recorder import NULL_RECORDER, Recorder
+from repro.kernels.dtw import batch_envelopes
 
-__all__ = ["dtw_distance", "envelope", "envelope_box", "DTWDistance"]
+__all__ = ["dtw_distance", "envelope", "DTWDistance"]
 
 
 def dtw_distance(
@@ -96,29 +91,10 @@ def envelope(values: np.ndarray, band: int) -> Tuple[np.ndarray, np.ndarray]:
     return lower[0], upper[0]
 
 
-def envelope_box(box: Rect, band: int) -> Rect:
-    """Widen a page MBR by the band envelope (per-dimension running min/max).
-
-    Soundness: a DTW path matches every position ``i`` of one window to
-    some position ``j`` of the other with ``|i − j| <= band``, and the DTW
-    distance is at least the largest per-position gap along the path.  A
-    window inside ``box`` therefore has, at each position ``i``, some
-    band-neighbour value inside ``[min_j box.lo[j], max_j box.hi[j]]`` —
-    which is exactly this widened box.  Hence
-    ``DTW(x, y) >= L∞-mindist(envelope_box(A, band), envelope_box(B, band))``
-    for windows ``x ∈ A``, ``y ∈ B``, and the sweep's ε/2-extension test
-    remains complete for DTW joins.
-    """
-    lo, hi = box.lo, box.hi
-    lo_env, _ = envelope(lo, band)
-    _, hi_env = envelope(hi, band)
-    return Rect(lo_env, hi_env)
-
-
 class DTWDistance:
-    """Banded DTW as a :class:`~repro.distance.base.JoinDistance`.
-
-    The per-comparison weight reflects the ``O(w · band)`` DP cells.
+    """Banded DTW as a join's distance: the band, the exact distance of
+    one pair, and a per-comparison weight that reflects the
+    ``O(w · band)`` DP cells.
     """
 
     def __init__(self, band: int) -> None:
@@ -132,50 +108,6 @@ class DTWDistance:
 
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
         return dtw_distance(a, b, self.band)
-
-    def pairs_within(
-        self,
-        left: np.ndarray,
-        right: np.ndarray,
-        epsilon: float,
-        recorder: Recorder = NULL_RECORDER,
-    ) -> List[Tuple[int, int]]:
-        """Envelope-filtered exact DTW join of two window arrays.
-
-        Cheap stage: LB_Keogh in both directions — each left window
-        against the right windows' band envelopes and each right window
-        against the left windows' — over whole window blocks at once.  A
-        pair passes when both bounds are within
-        :func:`repro.kernels.dtw.lb_keogh_limit`, ε plus a rounding
-        slack.  Survivors go through the batched banded DP
-        (:func:`repro.kernels.dtw.dtw_batch`) in one call with
-        ``epsilon`` as the shared early-abandon threshold.
-        """
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-        left_arr = np.atleast_2d(np.asarray(left, dtype=np.float64))
-        right_arr = np.atleast_2d(np.asarray(right, dtype=np.float64))
-        limit = lb_keogh_limit(epsilon, left_arr.shape[1])
-        right_lowers, right_uppers = batch_envelopes(right_arr, self.band)
-        left_lowers, left_uppers = batch_envelopes(left_arr, self.band)
-        forward = lb_keogh_block(left_arr, right_lowers, right_uppers)
-        reverse = lb_keogh_block(right_arr, left_lowers, left_uppers).T
-        cand_i, cand_k = np.nonzero((forward <= limit) & (reverse <= limit))
-        if recorder.enabled:
-            recorder.count(
-                "kernel.dtw.pairs_tested", left_arr.shape[0] * right_arr.shape[0]
-            )
-            recorder.count("kernel.dtw.keogh_candidates", int(cand_i.size))
-        if cand_i.size == 0:
-            return []
-        if recorder.enabled:
-            recorder.count("kernel.dtw.invocations")
-        dists = dtw_batch(
-            left_arr[cand_i], right_arr[cand_k], self.band, max_dist=epsilon,
-            recorder=recorder,
-        )
-        keep = dists <= epsilon
-        return list(zip(cand_i[keep].tolist(), cand_k[keep].tolist()))
 
     def __repr__(self) -> str:
         return f"DTWDistance(band={self.band})"

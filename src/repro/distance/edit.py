@@ -9,13 +9,7 @@ essential, since window pairs are the CPU bottleneck for sequence joins.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
-
-from repro.kernels.edit import edit_batch, encode_strings
-
-__all__ = ["edit_distance", "EditDistance"]
+__all__ = ["edit_distance"]
 
 
 def edit_distance(s: str, t: str, max_dist: float | None = None) -> float:
@@ -67,59 +61,3 @@ def edit_distance(s: str, t: str, max_dist: float | None = None) -> float:
     if max_dist is not None and result > max_dist:
         return max_dist + 1.0
     return result
-
-
-class EditDistance:
-    """Edit distance as a :class:`~repro.distance.base.JoinDistance`.
-
-    ``window_length`` is only used to scale the CPU comparison weight —
-    a banded DP touches about ``window_length * (2k + 3)`` cells, which we
-    approximate with the band for the distances this measure will see.
-    """
-
-    def __init__(self, window_length: int, band: int | None = None) -> None:
-        if window_length <= 0:
-            raise ValueError(f"window_length must be positive, got {window_length}")
-        self.window_length = window_length
-        self.band = band
-
-    @property
-    def comparison_weight(self) -> float:
-        band = self.band if self.band is not None else self.window_length
-        return float(self.window_length * (2 * band + 3))
-
-    def distance(self, a: str, b: str) -> float:
-        return edit_distance(a, b, max_dist=self.band)
-
-    def pairs_within(
-        self,
-        left: Sequence[str],
-        right: Sequence[str],
-        epsilon: float,
-    ) -> List[Tuple[int, int]]:
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-        limit = int(epsilon)
-        if not left or not right:
-            return []
-        widths = {len(s) for s in left} | {len(t) for t in right}
-        if len(widths) == 1:
-            # Window joins: equal-length strings, one batched DP call over
-            # the whole cross product with a shared abandon threshold.
-            left_codes = encode_strings(list(left))
-            right_codes = encode_strings(list(right))
-            cand_i, cand_j = np.divmod(
-                np.arange(len(left) * len(right)), len(right)
-            )
-            dists = edit_batch(left_codes[cand_i], right_codes[cand_j], limit)
-            keep = dists <= epsilon
-            return list(zip(cand_i[keep].tolist(), cand_j[keep].tolist()))
-        pairs: List[Tuple[int, int]] = []
-        for i, s in enumerate(left):
-            for j, t in enumerate(right):
-                if edit_distance(s, t, max_dist=limit) <= epsilon:
-                    pairs.append((i, j))
-        return pairs
-
-    def __repr__(self) -> str:
-        return f"EditDistance(window_length={self.window_length}, band={self.band})"

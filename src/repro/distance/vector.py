@@ -1,21 +1,17 @@
 """Minkowski (L_p) distances over float vectors.
 
 These serve point data, spatial data and time-series windows (Table 1 of
-the paper).  Threshold tests route through the batched kernel layer
-(:mod:`repro.kernels.minkowski`): for p = 2 the Gram form decides every
-pair outside its rounding band and the exact difference form decides
-the band, and other orders evaluate chunked difference tensors, so a
-page-pair join never materialises more than a bounded temporary.
+the paper).  A join's threshold tests run in the batched kernel layer
+(:mod:`repro.kernels.minkowski`), called by the join cascade and by the
+EGO, Z-order and ε-kdB baselines; the classes here name the order ``p``
+and evaluate one pair exactly.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-
-from repro.kernels.minkowski import minkowski_pairs
-from repro.obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = [
     "MinkowskiDistance",
@@ -23,8 +19,6 @@ __all__ = [
     "ManhattanDistance",
     "ChebyshevDistance",
 ]
-
-_CHUNK_ROWS = 1024
 
 
 class MinkowskiDistance:
@@ -51,23 +45,6 @@ class MinkowskiDistance:
         if np.isinf(self.p):
             return float(diff.max(initial=0.0))
         return float(np.sum(diff**self.p) ** (1.0 / self.p))
-
-    def pairs_within(
-        self,
-        left: np.ndarray,
-        right: np.ndarray,
-        epsilon: float,
-        recorder: Recorder = NULL_RECORDER,
-    ) -> List[Tuple[int, int]]:
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-        # The kernel accepts exactly the pairs the difference form
-        # accepts: the Gram form decides only cells clear of its rounding
-        # band, so epsilon = 0 joins still see identical points at
-        # distance zero.
-        return minkowski_pairs(
-            left, right, epsilon, self.p, chunk_rows=_CHUNK_ROWS, recorder=recorder
-        )
 
     def __repr__(self) -> str:
         return f"MinkowskiDistance(p={self.p})"

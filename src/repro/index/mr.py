@@ -81,9 +81,19 @@ class MRIndex:
         Sakoe-Chiba band envelope — the band's running minimum of its
         lower corner and maximum of its upper corner, one
         :func:`~repro.kernels.dtw.batch_envelopes` call each for all
-        boxes — so the sweep's L∞ box test lower-bounds banded DTW (see
-        :func:`repro.distance.dtw.envelope_box` for the soundness
-        argument).  Appends box a series' changed tail here too.
+        boxes — so the sweep's L∞ box test lower-bounds banded DTW.
+        Appends box a series' changed tail here too.
+
+        Soundness: a DTW path matches every position ``i`` of one window
+        to some position ``j`` of the other with ``|i − j| <= band``, and
+        the DTW distance is at least the largest per-position gap along
+        the path.  A window inside a page's box therefore has, at each
+        position ``i``, some band-neighbour value inside
+        ``[min_j lo[j], max_j hi[j]]`` over ``|i − j| <= band`` — which
+        is exactly the widened box.  Hence ``DTW(x, y)`` is at least the
+        L∞ minimum distance between the widened boxes of the pages
+        holding ``x`` and ``y``, and the sweep's ε/2-extension test
+        remains complete for DTW joins.
         """
         starts = np.arange(0, len(features), windows_per_page)
         boxes = page_boxes(features, starts)

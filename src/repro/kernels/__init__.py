@@ -13,11 +13,13 @@ computed, never *which* numbers.
 Modules
 -------
 ``minkowski``
-    Gram-matrix L2 decisions with an exact gathered refine of their
-    rounding band; exact difference-form decisions for every L_p.
+    Gram-matrix L2 panel decisions with an exact gathered refine of
+    their rounding band; exact difference-form decisions for every L_p;
+    ``minkowski_pair_arrays``, every pair of two object blocks within ε
+    (the EGO and ε-kdB page joins).
 ``dtw``
-    Block Keogh envelopes, LB_Keogh over whole window blocks, and a
-    batched banded DP with shared early abandon.
+    Block Keogh envelopes, LB_Keogh over cascade panels and gathered
+    cells, and a batched banded DP with shared early abandon.
 ``edit``
     Batched banded Levenshtein DP over byte-encoded window pairs.
 ``wavefront``
@@ -29,16 +31,15 @@ Modules
 """
 
 from repro.kernels.backends import KernelBackend
-from repro.kernels.dtw import batch_envelopes, dtw_batch, lb_keogh_block
+from repro.kernels.dtw import batch_envelopes, dtw_batch
 from repro.kernels.edit import edit_batch, encode_strings
-from repro.kernels.minkowski import minkowski_pairs
+from repro.kernels.minkowski import minkowski_pair_arrays
 
 __all__ = [
     "batch_envelopes",
     "dtw_batch",
-    "lb_keogh_block",
     "edit_batch",
     "encode_strings",
-    "minkowski_pairs",
+    "minkowski_pair_arrays",
     "KernelBackend",
 ]

@@ -44,7 +44,6 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 __all__ = [
     "batch_envelopes",
     "envelope_centres",
-    "lb_keogh_block",
     "lb_keogh_gathered",
     "lb_keogh_limit",
     "lb_keogh_panel",
@@ -54,7 +53,6 @@ __all__ = [
 # DP state is (pairs, w+1) float64 per buffer; 4096 pairs at w = 512 is
 # ~16 MiB of working set — safely inside cache-friendly territory.
 _CHUNK_PAIRS = 4096
-_LB_CHUNK_ROWS = 512
 # Gathered LB_Keogh bounds its (rows, cols, w) or (cells, w) gap
 # temporaries by elements: 512 KiB of float64 each, small next to a join
 # cascade's per-object envelopes.
@@ -164,29 +162,6 @@ def envelope_centres(
     return centres, radii
 
 
-def lb_keogh_block(
-    left: np.ndarray,
-    lowers: np.ndarray,
-    uppers: np.ndarray,
-    chunk_rows: int = _LB_CHUNK_ROWS,
-) -> np.ndarray:
-    """LB_Keogh of every left window against every enveloped right window.
-
-    Returns the ``(len(left), len(lowers))`` lower-bound matrix; the gap
-    tensor is chunked over left rows so the temporary stays bounded.
-    """
-    left_arr = np.atleast_2d(np.asarray(left, dtype=np.float64))
-    out = np.empty((left_arr.shape[0], lowers.shape[0]))
-    for start in range(0, left_arr.shape[0], chunk_rows):
-        chunk = left_arr[start : start + chunk_rows]
-        gap = np.maximum(
-            np.maximum(lowers[None, :, :] - chunk[:, None, :], 0.0),
-            np.maximum(chunk[:, None, :] - uppers[None, :, :], 0.0),
-        )
-        out[start : start + chunk.shape[0]] = np.sqrt(np.sum(gap * gap, axis=2))
-    return out
-
-
 def lb_keogh_panel(
     left_rows: np.ndarray,
     lowers: np.ndarray,
@@ -194,16 +169,16 @@ def lb_keogh_panel(
 ) -> np.ndarray:
     """LB_Keogh of a left block against a gathered envelope panel.
 
-    The mega-batch form of :func:`lb_keogh_block`: ``left_rows`` is one
-    left page's windows and ``lowers``/``uppers`` the gathered envelopes
-    of the right windows that passed the centre–radius bound, so the
-    gap tensor covers those columns only.  The panel is chunked along
-    its columns to keep the ``(rows, chunk, w)`` temporary
-    cell-budgeted.  Per cell the squared gaps equal
-    :func:`lb_keogh_block`'s — ``max(L − q, q − U, 0)`` is its nested
-    maximum regrouped, and any signed zero squares to ``+0`` — and run
-    through the same contiguous-axis pairwise summation, so the bounds
-    are bit-identical.
+    ``left_rows`` is one left page's windows and ``lowers``/``uppers``
+    the gathered envelopes of the right windows that passed the
+    centre–radius bound, so the gap tensor covers those columns only.
+    The panel is chunked along its columns to keep the
+    ``(rows, chunk, w)`` temporary cell-budgeted.  Per cell the squared
+    gaps equal those of the block form frozen in
+    ``tests/oracles/kernels.py`` — ``max(L − q, q − U, 0)`` is its
+    nested maximum regrouped, and any signed zero squares to ``+0`` —
+    and run through the same contiguous-axis pairwise summation, so the
+    bounds are bit-identical.
     """
     left_arr = np.atleast_2d(np.asarray(left_rows, dtype=np.float64))
     w = max(1, left_arr.shape[1])
@@ -235,7 +210,7 @@ def lb_keogh_gathered(
     than laid out as a block.  The cells are taken in chunks whose
     ``(cells, w)`` temporaries hold at most ``_LB_CELL_BUDGET`` elements.
     Per cell the operations are :func:`lb_keogh_panel`'s, so the bounds
-    are bit-identical to :func:`lb_keogh_block`'s.
+    are bit-identical to the block form's.
     """
     out = np.empty(query_idx.shape[0])
     chunk = max(1, _LB_CELL_BUDGET // max(1, queries.shape[1]))

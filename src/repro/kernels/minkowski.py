@@ -37,7 +37,6 @@ import numpy as np
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
 __all__ = [
-    "minkowski_pairs",
     "minkowski_pair_arrays",
     "euclidean_augmented",
     "euclidean_gram_panel",
@@ -107,22 +106,6 @@ _GRAM_SLACK = 2.0**-30
 _GRAM_MIN_MARGIN = 2.0**-1022
 _GRAM_ACCEPT_MAX_DIM = 1 << 20
 _GRAM_ACCEPT_MIN_EPS_SQ = 2.0**-960
-
-
-def minkowski_pairs(
-    left: np.ndarray,
-    right: np.ndarray,
-    epsilon: float,
-    p: float,
-    chunk_rows: int = _DEFAULT_CHUNK_ROWS,
-    recorder: Recorder = NULL_RECORDER,
-) -> List[Tuple[int, int]]:
-    """All ``(i, j)`` with ``||left[i] - right[j]||_p <= epsilon``.
-
-    :func:`minkowski_pair_arrays` as a list of index tuples.
-    """
-    rows, cols = minkowski_pair_arrays(left, right, epsilon, p, chunk_rows, recorder)
-    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def minkowski_pair_arrays(

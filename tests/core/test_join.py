@@ -174,6 +174,20 @@ class TestJoinValidation:
                 join(r, s, 0.1, method=method, buffer_pages=buffer_pages, recorder=rec)
             assert rec.spans == []
 
+    @pytest.mark.parametrize(
+        "aspect", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+    )
+    def test_sc_target_aspect_checked_before_any_work(self, vector_pair, aspect):
+        """NaN and inf used to fail after the matrix build, in round()."""
+        r, s = vector_pair
+        for method in JOIN_METHODS:
+            rec = InMemoryRecorder()
+            with pytest.raises(
+                ValueError, match="sc_target_aspect must be a positive finite number"
+            ):
+                join(r, s, 0.1, method=method, sc_target_aspect=aspect, recorder=rec)
+            assert rec.spans == []
+
     @pytest.mark.parametrize("strategy", ["bogus", "chunk", 1, True])
     def test_shard_strategy_checked_on_every_method(self, vector_pair, strategy):
         r, s = vector_pair

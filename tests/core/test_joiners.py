@@ -5,8 +5,7 @@ import pytest
 
 from repro.core.joiners import (
     NumericPagePairJoiner,
-    make_numeric_joiner,
-    make_text_joiner,
+    TextPagePairJoiner,
     text_dp_weight,
 )
 from repro.costmodel import CostModel
@@ -37,7 +36,7 @@ class TestNumericJoiner:
 
     def test_finds_exact_pairs(self, pair, model):
         r, s = pair
-        joiner = make_numeric_joiner(r, s, EuclideanDistance(), 0.3, model, False)
+        joiner = NumericPagePairJoiner(r, s, EuclideanDistance(), 0.3, model, False)
         pairs, count, comparisons, cpu = join_one(joiner, 1, 2)
         assert count == len(pairs)
         assert comparisons == 25
@@ -48,14 +47,14 @@ class TestNumericJoiner:
 
     def test_global_ids_offset_by_page(self, pair, model):
         r, s = pair
-        joiner = make_numeric_joiner(r, s, EuclideanDistance(), 10.0, model, False)
+        joiner = NumericPagePairJoiner(r, s, EuclideanDistance(), 10.0, model, False)
         pairs, _count, _cmp, _cpu = join_one(joiner, 2, 1)
         assert {gid_r for gid_r, _ in pairs} == set(range(10, 15))
         assert {gid_s for _, gid_s in pairs} == set(range(5, 10))
 
     def test_self_join_diagonal_strict_upper(self, pair, model):
         r, _ = pair
-        joiner = make_numeric_joiner(r, r, EuclideanDistance(), 10.0, model, True)
+        joiner = NumericPagePairJoiner(r, r, EuclideanDistance(), 10.0, model, True)
         pairs, count, _cmp, _cpu = join_one(joiner, 0, 0)
         assert count == 10  # C(5, 2) pairs, no self matches
         for a, b in pairs:
@@ -63,7 +62,7 @@ class TestNumericJoiner:
 
     def test_count_only_mode(self, pair, model):
         r, s = pair
-        joiner = make_numeric_joiner(
+        joiner = NumericPagePairJoiner(
             r, s, EuclideanDistance(), 10.0, model, False, collect_pairs=False
         )
         pairs, count, _cmp, _cpu = join_one(joiner, 0, 0)
@@ -74,8 +73,8 @@ class TestNumericJoiner:
         class HammingLike:
             comparison_weight = 1.0
 
-            def pairs_within(self, left, right, epsilon):
-                return []
+            def distance(self, a, b):
+                return float(np.count_nonzero(np.asarray(a) != np.asarray(b)))
 
         r, s = pair
         with pytest.raises(ValueError, match="MinkowskiDistance or DTWDistance"):
@@ -95,7 +94,7 @@ class TestTextJoiner:
     def test_matches_brute_force(self, dataset, model):
         ds, features = dataset
         epsilon = 1
-        joiner = make_text_joiner(ds, ds, features, features, epsilon, model, False)
+        joiner = TextPagePairJoiner(ds, ds, features, features, epsilon, model, False)
         for page_r, page_s in [(0, 5), (3, 3), (7, 20)]:
             pairs, count, _cmp, _cpu = join_one(joiner, page_r, page_s)
             expected = set()
@@ -112,7 +111,7 @@ class TestTextJoiner:
     def test_brute_force_epsilon_two(self, dataset, model):
         """eps >= 2 exercises the DP fallback behind the Hamming filter."""
         ds, features = dataset
-        joiner = make_text_joiner(ds, ds, features, features, 2, model, False)
+        joiner = TextPagePairJoiner(ds, ds, features, features, 2, model, False)
         page_r, page_s = 1, 9
         pairs, _count, _cmp, _cpu = join_one(joiner, page_r, page_s)
         text = ds.sequence
@@ -127,7 +126,7 @@ class TestTextJoiner:
 
     def test_self_join_diagonal(self, dataset, model):
         ds, features = dataset
-        joiner = make_text_joiner(ds, ds, features, features, 1, model, True)
+        joiner = TextPagePairJoiner(ds, ds, features, features, 1, model, True)
         pairs, _count, _cmp, _cpu = join_one(joiner, 2, 2)
         for p, q in pairs:
             assert p < q
@@ -182,13 +181,13 @@ class TestCascadeMemory:
 
         g, entries = genome
         rec = InMemoryRecorder()
-        make_text_joiner(
+        TextPagePairJoiner(
             g.paged, g.paged, g.features, g.features, 1, model, False, recorder=rec
         ).join_cluster(entries)
         candidates = rec.metrics_snapshot()["counters"]["text.fd_candidates"]
         assert candidates >= 100_000, "calibration: a filter that keeps many cells"
 
-        joiner = make_text_joiner(
+        joiner = TextPagePairJoiner(
             g.paged, g.paged, g.features, g.features, 1, model, True
         )
         half = self._transient(joiner, entries[::2])
@@ -240,14 +239,14 @@ class TestCascadeMemory:
         with monkeypatch.context() as patch:
             patch.setattr(KernelBackend, "lb_keogh_panel", counting_panel)
             patch.setattr(joiners_mod, "lb_keogh_gathered", counting_gather)
-            calibration = make_numeric_joiner(
+            calibration = NumericPagePairJoiner(
                 r.paged, s.paged, DTWDistance(4), epsilon, model, False
             ).join_cluster(entries)
         assert sum(forward) >= 100_000, "calibration: forward LB_Keogh keeps many"
         assert sum(gathered) >= 100_000, "calibration: the reverse gather sees them"
         assert calibration.counts.sum() == 0
 
-        joiner = make_numeric_joiner(
+        joiner = NumericPagePairJoiner(
             r.paged, s.paged, DTWDistance(4), epsilon, model, False
         )
         half = self._transient(joiner, entries[::2])

@@ -194,6 +194,19 @@ class TestMarkedSetCaching:
         assert m.marked_cols() == [1, 5]
 
 
+def row_ids(work, row):
+    """Live entry ids of ``row`` through the CSR offsets, ascending by column."""
+    ids = np.arange(work.row_indptr[row], work.row_indptr[row + 1])
+    return ids[work.alive[ids]]
+
+
+def col_ids(work, col):
+    """Live entry ids of ``col`` through the CSC keys, ascending by row."""
+    lo, hi = work.csc_keys.searchsorted([col * work.num_rows, (col + 1) * work.num_rows])
+    ids = work.csc_entries[lo:hi]
+    return ids[work.alive[ids]]
+
+
 class TestCSRWorkMatrix:
     @pytest.fixture
     def work(self):
@@ -208,27 +221,27 @@ class TestCSRWorkMatrix:
         assert work.live_cols().tolist() == [0, 1, 3, 4]
         # CSR slices ascend by column, CSC slices ascend by row, and both
         # views address the same entry ids.
-        assert work.entry_cols[work.row_entry_ids(0)].tolist() == [1, 3]
-        assert work.entry_rows[work.col_entry_ids(1)].tolist() == [0, 2]
-        assert work.col_entry_ids(2).size == 0
+        assert work.entry_cols[row_ids(work, 0)].tolist() == [1, 3]
+        assert work.entry_rows[col_ids(work, 1)].tolist() == [0, 2]
+        assert col_ids(work, 2).size == 0
 
     def test_kill_updates_every_view(self, work):
-        work.kill(work.col_entry_ids(1))  # entries (0, 1) and (2, 1)
+        work.kill(col_ids(work, 1))  # entries (0, 1) and (2, 1)
         assert work.num_marked == 4
         assert 1 not in work.live_cols().tolist()
         assert work.live_rows().tolist() == [0, 1, 2, 3]  # rows keep other entries
-        assert work.entry_cols[work.row_entry_ids(0)].tolist() == [3]
-        work.kill(work.row_entry_ids(2))  # (2, 4) — row 2 goes dark
+        assert work.entry_cols[row_ids(work, 0)].tolist() == [3]
+        work.kill(row_ids(work, 2))  # (2, 4) — row 2 goes dark
         assert work.live_rows().tolist() == [0, 1, 3]
         assert work.live_cols().tolist() == [0, 3]
-        assert work.live_entry_ids().size == work.num_marked == 3
+        assert np.flatnonzero(work.alive).size == work.num_marked == 3
 
     def test_view_is_independent_of_matrix(self):
         m = PredictionMatrix(3, 3)
         m.mark(0, 0)
         m.mark(2, 2)
         work = m.csr_view()
-        work.kill(work.live_entry_ids())
+        work.kill(np.flatnonzero(work.alive))
         assert work.num_marked == 0
         assert m.num_marked == 2
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.join import IndexedDataset, join
-from repro.core.joiners import make_numeric_joiner, make_text_joiner
+from repro.core.joiners import NumericPagePairJoiner, TextPagePairJoiner
 from repro.core.pairs import ResultPairs
 from repro.core.sharding import shutdown_shard_pools
 from repro.costmodel import DEFAULT_COST_MODEL
@@ -83,7 +83,7 @@ def _check_sequence(pairs, expected):
 class TestJoinResults:
     def test_point_join_pairs(self, points, point_join):
         r, s = points
-        joiner = make_numeric_joiner(
+        joiner = NumericPagePairJoiner(
             r.paged, s.paged, r.distance, EPSILON, DEFAULT_COST_MODEL, False
         )
         expected = _schedule_order(joiner, point_join.clusters)
@@ -102,7 +102,7 @@ class TestJoinResults:
         dna = markov_dna(3000, seed=4)
         ds = IndexedDataset.from_string(dna, window_length=48, windows_per_page=64)
         planned = join(ds, ds, 2, buffer_pages=24, keep_details=True)
-        joiner = make_text_joiner(
+        joiner = TextPagePairJoiner(
             ds.paged, ds.paged, ds.features, ds.features, 2,
             DEFAULT_COST_MODEL, True,
         )

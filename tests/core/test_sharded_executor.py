@@ -208,7 +208,7 @@ class TestShardTransport:
         pair array per cluster and no Python tuples of pairs; absorbed in
         schedule order they are the serial join's pairs list."""
         from repro.core.executor import ExecutionOutcome
-        from repro.core.joiners import ClusterResult, make_numeric_joiner
+        from repro.core.joiners import ClusterResult, NumericPagePairJoiner
         from repro.core.sharding import build_shard_task, run_shard, share_datasets
         from repro.storage.shm import ShmArena
 
@@ -219,7 +219,7 @@ class TestShardTransport:
             r, s, 0.06, buffer_pages=12, cost_model=cost_model, keep_details=True
         )
         assert serial.num_pairs >= 10_000, "calibration: a large result"
-        joiner = make_numeric_joiner(
+        joiner = NumericPagePairJoiner(
             r.paged, s.paged, r.distance, 0.06, cost_model, False
         )
         with ShmArena() as arena:
@@ -409,13 +409,13 @@ class TestFailureModes:
         running (here: a cluster larger than the buffer), every task of
         the join is cancelled or finished before its segments are
         unlinked, so none reaches the next join."""
-        from repro.core.joiners import make_numeric_joiner
+        from repro.core.joiners import NumericPagePairJoiner
         from repro.storage.disk import SimulatedDisk
 
         r, s = spatial
         serial = join(r, s, 0.05, buffer_pages=10, keep_details=True)
         clusters = serial.clusters
-        joiner = make_numeric_joiner(r.paged, s.paged, r.distance, 0.05, cost_model, False)
+        joiner = NumericPagePairJoiner(r.paged, s.paged, r.distance, 0.05, cost_model, False)
         submitted = []
 
         class RecordingPool:

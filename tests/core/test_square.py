@@ -93,8 +93,12 @@ class TestEdgeCases:
             square_clustering(PredictionMatrix(2, 2), buffer_pages=1)
 
     def test_rejects_bad_aspect(self):
-        with pytest.raises(ValueError):
-            square_clustering(PredictionMatrix(2, 2), buffer_pages=4, target_aspect=0)
+        """NaN and inf used to reach round() and fail there."""
+        matrix = PredictionMatrix(3, 3)
+        matrix.mark(1, 1)
+        for aspect in (0, -0.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="target_aspect must be a positive finite"):
+                square_clustering(matrix, buffer_pages=4, target_aspect=aspect)
 
     def test_empty_matrix(self):
         clusters, stats = square_clustering(PredictionMatrix(5, 5), buffer_pages=4)

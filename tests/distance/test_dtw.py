@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.distance.dtw import DTWDistance, dtw_distance, envelope, envelope_box
+from repro.distance.dtw import DTWDistance, dtw_distance, envelope
 from repro.geometry import Rect
+from repro.index.mr import MRIndex
+from tests.oracles.kernels import dtw_pairs_within
 
 
 def brute_dtw(a, b, band):
@@ -97,7 +99,7 @@ class TestEnvelopeBoxSoundness:
     def test_envelope_box_widens(self, rng):
         lo = rng.normal(size=8)
         box = Rect(lo, lo + 1.0)
-        widened = envelope_box(box, 2)
+        widened = MRIndex.window_boxes(np.stack([lo, lo + 1.0]), 2, dtw_band=2).rect(0)
         assert np.all(widened.lo <= box.lo) and np.all(box.hi <= widened.hi)
 
     def test_box_test_lower_bounds_dtw(self, rng):
@@ -106,8 +108,8 @@ class TestEnvelopeBoxSoundness:
         for _ in range(40):
             group_a = rng.normal(size=(4, 10))
             group_b = rng.normal(size=(4, 10))
-            box_a = envelope_box(Rect(group_a.min(0), group_a.max(0)), band)
-            box_b = envelope_box(Rect(group_b.min(0), group_b.max(0)), band)
+            box_a = MRIndex.window_boxes(group_a, 4, dtw_band=band).rect(0)
+            box_b = MRIndex.window_boxes(group_b, 4, dtw_band=band).rect(0)
             box_gap = box_a.min_dist(box_b, p=float("inf"))
             true_min = min(
                 dtw_distance(a, b, band) for a in group_a for b in group_b
@@ -116,8 +118,10 @@ class TestEnvelopeBoxSoundness:
 
 
 class TestDTWJoinDistance:
+    """The frozen page-pair DTW join (two-way LB_Keogh, then the batched
+    DP), the join oracle's DTW path, against brute force."""
+
     def test_pairs_within_matches_brute(self, rng):
-        d = DTWDistance(band=2)
         left = rng.normal(size=(10, 8))
         right = rng.normal(size=(8, 8))
         eps = 1.5
@@ -127,15 +131,14 @@ class TestDTWJoinDistance:
             for j in range(8)
             if brute_dtw(left[i], right[j], 2) <= eps
         }
-        assert set(d.pairs_within(left, right, eps)) == expected
+        assert set(dtw_pairs_within(2, left, right, eps)) == expected
 
     def test_keogh_filter_never_loses(self, rng):
         """The envelope pre-filter must be a true lower bound."""
-        d = DTWDistance(band=3)
         left = rng.normal(size=(6, 12))
         right = rng.normal(size=(6, 12))
         for eps in (0.5, 2.0, 4.0):
-            got = set(d.pairs_within(left, right, eps))
+            got = set(dtw_pairs_within(3, left, right, eps))
             expected = {
                 (i, j)
                 for i in range(6)
@@ -147,8 +150,6 @@ class TestDTWJoinDistance:
     def test_validation(self):
         with pytest.raises(ValueError):
             DTWDistance(band=-1)
-        with pytest.raises(ValueError):
-            DTWDistance(band=1).pairs_within(np.zeros((1, 4)), np.zeros((1, 4)), -1)
 
 
 class TestDTWThroughJoinAPI:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distance.edit import EditDistance, edit_distance
+from repro.distance.edit import edit_distance
 
 
 def brute_levenshtein(s: str, t: str) -> int:
@@ -69,26 +69,3 @@ class TestBandedEarlyAbandon:
                 assert (banded <= limit) == (true <= limit)
                 if true <= limit:
                     assert banded == true
-
-
-class TestEditDistanceJoinAdapter:
-    def test_pairs_within(self):
-        d = EditDistance(window_length=4)
-        left = ["ACGT", "AAAA"]
-        right = ["ACGA", "TTTT", "AAAT"]
-        pairs = set(d.pairs_within(left, right, epsilon=1))
-        assert pairs == {(0, 0), (1, 2)}
-
-    def test_weight_grows_with_window(self):
-        assert (
-            EditDistance(window_length=100).comparison_weight
-            > EditDistance(window_length=10).comparison_weight
-        )
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            EditDistance(window_length=0)
-
-    def test_rejects_negative_epsilon(self):
-        with pytest.raises(ValueError):
-            EditDistance(window_length=4).pairs_within(["A"], ["A"], -1)

@@ -1,4 +1,4 @@
-"""Unit tests for Minkowski distances."""
+"""Unit tests for Minkowski distances and the block pair kernel."""
 
 import math
 
@@ -11,6 +11,13 @@ from repro.distance.vector import (
     ManhattanDistance,
     MinkowskiDistance,
 )
+from repro.kernels.minkowski import minkowski_pair_arrays
+
+
+def pairs_within(left, right, epsilon, p=2.0, **kwargs):
+    """``minkowski_pair_arrays`` as a set of ``(i, j)`` tuples."""
+    rows, cols = minkowski_pair_arrays(left, right, epsilon, p, **kwargs)
+    return set(zip(rows.tolist(), cols.tolist()))
 
 
 class TestScalar:
@@ -45,32 +52,21 @@ class TestPairsWithin:
             for j in range(25)
             if d.distance(left[i], right[j]) <= 0.4
         }
-        assert set(d.pairs_within(left, right, 0.4)) == expected
+        assert pairs_within(left, right, 0.4) == expected
 
     def test_chunking_boundary(self, rng):
-        # Force multiple chunks through the module's chunk size.
-        import repro.distance.vector as vec
-
-        old = vec._CHUNK_ROWS
-        vec._CHUNK_ROWS = 8
-        try:
-            left = rng.random((20, 2))
-            right = rng.random((10, 2))
-            d = EuclideanDistance()
-            chunked = set(d.pairs_within(left, right, 0.3))
-        finally:
-            vec._CHUNK_ROWS = old
-        unchunked = set(d.pairs_within(left, right, 0.3))
-        assert chunked == unchunked
-
-    def test_rejects_negative_epsilon(self):
-        with pytest.raises(ValueError):
-            EuclideanDistance().pairs_within(np.zeros((1, 2)), np.zeros((1, 2)), -0.1)
+        # Force multiple chunks through the kernel's chunk size.
+        left = rng.random((20, 2))
+        right = rng.random((10, 2))
+        chunked = minkowski_pair_arrays(left, right, 0.3, 2.0, chunk_rows=8)
+        unchunked = minkowski_pair_arrays(left, right, 0.3, 2.0)
+        assert chunked[0].size > 0
+        assert np.array_equal(chunked[0], unchunked[0])
+        assert np.array_equal(chunked[1], unchunked[1])
 
     def test_zero_epsilon_exact_matches(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        pairs = EuclideanDistance().pairs_within(pts, pts.copy(), 0.0)
-        assert set(pairs) == {(0, 0), (1, 1)}
+        assert pairs_within(pts, pts.copy(), 0.0) == {(0, 0), (1, 1)}
 
     def test_comparison_weight_is_unit(self):
         assert EuclideanDistance().comparison_weight == 1.0

@@ -40,10 +40,10 @@ class TestLossyPredictorIsObservable:
 
         disk = SimulatedDisk()
         pool = BufferPool(disk, 8)
-        from repro.core.joiners import make_numeric_joiner
+        from repro.core.joiners import NumericPagePairJoiner
         from repro.costmodel import DEFAULT_COST_MODEL
 
-        joiner = make_numeric_joiner(
+        joiner = NumericPagePairJoiner(
             r.paged, s.paged, r.distance, 0.05, DEFAULT_COST_MODEL, False
         )
         outcome = pm_nlj_join(matrix, pool, r.paged, s.paged, joiner)

@@ -15,9 +15,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.join import JOIN_METHODS, IndexedDataset, join
 from repro.datasets import markov_dna
-from repro.kernels.dtw import lb_keogh_block
 from tests.oracles.brute_force import dtw_pairs, edit_pairs, vector_pairs
-from tests.oracles.kernels import _dtw_chunk
+from tests.oracles.kernels import _dtw_chunk, lb_keogh_block
 
 POINT_ONLY = ("ekdb", "zorder")
 SEQUENCE_METHODS = [m for m in JOIN_METHODS if m not in POINT_ONLY]

@@ -4,7 +4,7 @@ The kernel layer's contract (ISSUE 1 tentpole) is that batching changes
 *when* numbers are computed, never *which* numbers: ``dtw_batch`` /
 ``edit_batch`` return exactly what per-pair ``dtw_distance`` /
 ``edit_distance`` calls return (early-abandon sentinels included), and
-``minkowski_pairs`` accepts exactly the pairs the difference-tensor
+``minkowski_pair_arrays`` accepts exactly the pairs the difference-tensor
 reference accepts.
 """
 
@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 import repro.kernels.dtw as kdtw
 import repro.kernels.edit as kedit
 from repro.core.joiners import make_fd_filter, make_keogh_filter
-from repro.distance.dtw import DTWDistance, dtw_distance, envelope
-from repro.distance.edit import EditDistance, edit_distance
+from repro.distance.dtw import dtw_distance, envelope
+from repro.distance.edit import edit_distance
 from repro.distance.frequency import frequency_distance
 from repro.distance.vector import MinkowskiDistance
 from repro.kernels import (
@@ -28,8 +28,7 @@ from repro.kernels import (
     dtw_batch,
     edit_batch,
     encode_strings,
-    lb_keogh_block,
-    minkowski_pairs,
+    minkowski_pair_arrays,
 )
 from repro.kernels.backends import KernelBackend
 from repro.kernels.dtw import (
@@ -42,7 +41,9 @@ from repro.kernels.minkowski import euclidean_gram_panel
 from tests.oracles.kernels import (
     _dtw_chunk,
     _edit_chunk,
+    dtw_pairs_within,
     fd_filter_float,
+    lb_keogh_block,
     sliding_envelopes,
 )
 
@@ -207,6 +208,12 @@ class TestEditBatch:
             encode_strings(["AB", "ABC"])
 
 
+def pairs_of(left, right, epsilon, p):
+    """``minkowski_pair_arrays`` as a list of ``(i, j)`` tuples."""
+    rows, cols = minkowski_pair_arrays(left, right, epsilon, p)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 class TestMinkowskiKernel:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, float("inf")])
     def test_pairs_match_brute_force(self, p, rng):
@@ -220,11 +227,11 @@ class TestMinkowskiKernel:
                 for j in range(30)
                 if d.distance(left[i], right[j]) <= eps
             }
-            assert set(minkowski_pairs(left, right, eps, p)) == expected
+            assert set(pairs_of(left, right, eps, p)) == expected
 
     def test_gram_filter_keeps_identical_points_at_zero_epsilon(self, rng):
         pts = rng.normal(size=(50, 8)) * 1e3
-        pairs = set(minkowski_pairs(pts, pts.copy(), 0.0, 2.0))
+        pairs = set(pairs_of(pts, pts.copy(), 0.0, 2.0))
         assert pairs == {(i, i) for i in range(50)}
 
     @given(
@@ -242,14 +249,14 @@ class TestMinkowskiKernel:
             for j in range(n)
             if d.distance(pts[i], pts[j]) <= eps
         }
-        assert set(minkowski_pairs(pts, pts, eps, 2.0)) == expected
+        assert set(pairs_of(pts, pts, eps, 2.0)) == expected
 
 
 class TestAdaptersRouteThroughKernels:
-    """The distance classes' pairs_within must equal scalar brute force."""
+    """The frozen page-pair DTW join — two-way LB_Keogh blocks, then
+    ``dtw_batch`` — must equal scalar brute force."""
 
     def test_dtw_adapter(self, rng):
-        d = DTWDistance(band=2)
         left = rng.normal(size=(12, 8))
         right = rng.normal(size=(9, 8))
         for eps in (0.5, 1.5, 3.0):
@@ -259,33 +266,7 @@ class TestAdaptersRouteThroughKernels:
                 for j in range(9)
                 if dtw_distance(left[i], right[j], 2) <= eps
             }
-            assert set(d.pairs_within(left, right, eps)) == expected
-
-    def test_edit_adapter_equal_lengths(self):
-        d = EditDistance(window_length=6)
-        left = ["ACGTAC", "TTTTTT", "ACGTTT"]
-        right = ["ACGTAC", "TTTTAA", "CCCCCC", "ACGATT"]
-        for eps in (0, 1, 2, 3):
-            expected = {
-                (i, j)
-                for i, s in enumerate(left)
-                for j, t in enumerate(right)
-                if edit_distance(s, t, max_dist=eps) <= eps
-            }
-            assert set(d.pairs_within(left, right, eps)) == expected
-
-    def test_edit_adapter_ragged_fallback(self):
-        d = EditDistance(window_length=4)
-        left = ["ACG", "ACGT"]
-        right = ["ACGT", "AC"]
-        pairs = set(d.pairs_within(left, right, 1))
-        expected = {
-            (i, j)
-            for i, s in enumerate(left)
-            for j, t in enumerate(right)
-            if edit_distance(s, t, max_dist=1) <= 1
-        }
-        assert pairs == expected
+            assert set(dtw_pairs_within(2, left, right, eps)) == expected
 
 
 def _nudge(value, ulps):

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels.minkowski as kmink
-from repro.core.joiners import make_numeric_joiner
+from repro.core.joiners import NumericPagePairJoiner
 from repro.costmodel import CostModel
 from repro.distance.vector import MinkowskiDistance
 from repro.kernels.minkowski import (
@@ -274,7 +274,7 @@ def _cascade_decisions(left, right, epsilon):
     """Every cell's decision from the L2 join cascade over all page pairs."""
     r = VectorPagedDataset(left, objects_per_page=4, dataset_id="r")
     s = VectorPagedDataset(right, objects_per_page=4, dataset_id="s")
-    joiner = make_numeric_joiner(
+    joiner = NumericPagePairJoiner(
         r, s, MinkowskiDistance(2.0), epsilon, CostModel(), self_join=False
     )
     entries = [(a, b) for a in range(r.num_pages) for b in range(s.num_pages)]

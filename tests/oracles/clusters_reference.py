@@ -2,15 +2,16 @@
 
 These are the pre-vectorisation implementations of SC (Section 7.1), CC
 (Section 7.2) and the sharing-graph scheduler (Section 8), frozen
-verbatim.  They are **not** used by the join path — ``repro.core.square``,
+verbatim.  They are **not** used by the join path —
+``repro.core.square`` sweeps per-column dicts of live rows, and
 ``repro.core.costcluster`` and ``repro.core.schedule`` run the CSR
-work-matrix pipeline — but they serve two purposes (the same contract the
-block sweep has with ``sweep_reference``):
+work-matrix pipeline — but they serve two purposes (the same contract
+the block sweep has with ``sweep_reference``):
 
-* the equivalence suite checks that the vectorised pipeline produces
+* the equivalence suite checks that the shipped pipeline produces
   bit-identical cluster assignments, growth order, stats counters and
-  greedy schedules on random matrices;
-* the clustering micro-benchmark measures the vectorised pipeline's
+  greedy schedules on random matrices, SC on landsat's matrix shape too;
+* the clustering micro-benchmark measures the shipped pipeline's
   speedup against these implementations, honestly, on the same inputs.
 """
 

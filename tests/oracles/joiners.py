@@ -29,8 +29,9 @@ import numpy as np
 from repro.core.joiners import ClusterResult, PagePairJoiner, TextPagePairJoiner
 from repro.distance.vector import MinkowskiDistance
 from repro.kernels.edit import edit_batch
+from repro.kernels.minkowski import minkowski_pair_arrays
 from repro.storage.page import PagedDataset
-from tests.oracles.kernels import euclidean_pairs
+from tests.oracles.kernels import dtw_pairs_within, euclidean_pairs
 
 # (pairs collected, total pair count, comparisons, cpu seconds).  With
 # collect_pairs=False the list stays empty but the count is exact.
@@ -151,13 +152,18 @@ def numeric_page_pair(self, row: int, col: int, r_payload, s_payload) -> PageRes
     left = np.asarray(r_payload)
     right = np.asarray(s_payload)
     with recorder.span("execute.refine"):
-        if isinstance(self.distance, MinkowskiDistance) and self.distance.p == 2.0:
+        if not isinstance(self.distance, MinkowskiDistance):
+            local = dtw_pairs_within(
+                self.distance.band, left, right, self.epsilon, recorder
+            )
+        elif self.distance.p == 2.0:
             # Filter-then-refine, independent of the Gram decision kernel.
             local = euclidean_pairs(left, right, self.epsilon, recorder)
         else:
-            local = self.distance.pairs_within(
-                left, right, self.epsilon, recorder=recorder
+            rows, cols = minkowski_pair_arrays(
+                left, right, self.epsilon, self.distance.p, recorder=recorder
             )
+            local = list(zip(rows.tolist(), cols.tolist()))
         comparisons = left.shape[0] * right.shape[0]
         cpu = self.cost_model.cpu_cost(comparisons, self.distance.comparison_weight)
         if self.self_join and row == col:

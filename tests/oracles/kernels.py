@@ -21,8 +21,16 @@ kernel ran before its Gram values decided the cells outside their
 rounding band (:func:`repro.kernels.minkowski.euclidean_panel_decisions`):
 the Gram filter keeps candidates, and the exact difference form
 re-evaluates every one.  :func:`euclidean_pairs` runs it over left
-chunks with the kernel's counters, as ``MinkowskiDistance.pairs_within``
-did for p = 2.
+chunks with the kernel's counters, as the L2 distance class's page-pair
+join did.
+
+:func:`lb_keogh_block` is LB_Keogh of every window of one block against
+every envelope of another, the block form that
+:func:`repro.kernels.dtw.lb_keogh_panel` and
+:func:`repro.kernels.dtw.lb_keogh_gathered` must equal bit for bit, and
+:func:`dtw_pairs_within` is the page-pair DTW join the DTW distance
+class shipped before the join cascade became the only one: two-way
+LB_Keogh over whole blocks, then one batched DP, with its counters.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
+
+from repro.kernels.dtw import batch_envelopes, dtw_batch, lb_keogh_limit
+from repro.obs.recorder import NULL_RECORDER, Recorder
 
 
 def _dtw_chunk(
@@ -186,7 +197,7 @@ def euclidean_pairs(
 ) -> List[Tuple[int, int]]:
     """Every ``(i, j)`` within ``epsilon`` under L2, row-major, through
     :func:`euclidean_chunk_pairs` one ``chunk_rows`` left chunk at a
-    time, counting what ``MinkowskiDistance.pairs_within`` counted."""
+    time, counting what the L2 distance class's page-pair join counted."""
     left = np.atleast_2d(np.asarray(left, dtype=np.float64))
     right = np.atleast_2d(np.asarray(right, dtype=np.float64))
     right_sq = np.einsum("jd,jd->j", right, right)
@@ -204,3 +215,74 @@ def euclidean_pairs(
         recorder.count("kernel.minkowski.gram_candidates", candidates)
         recorder.count("kernel.minkowski.accepted", len(pairs))
     return pairs
+
+
+_LB_CHUNK_ROWS = 512
+
+
+def lb_keogh_block(
+    left: np.ndarray,
+    lowers: np.ndarray,
+    uppers: np.ndarray,
+    chunk_rows: int = _LB_CHUNK_ROWS,
+) -> np.ndarray:
+    """LB_Keogh of every left window against every enveloped right window.
+
+    Returns the ``(len(left), len(lowers))`` lower-bound matrix; the gap
+    tensor is chunked over left rows so the temporary stays bounded.
+    """
+    left_arr = np.atleast_2d(np.asarray(left, dtype=np.float64))
+    out = np.empty((left_arr.shape[0], lowers.shape[0]))
+    for start in range(0, left_arr.shape[0], chunk_rows):
+        chunk = left_arr[start : start + chunk_rows]
+        gap = np.maximum(
+            np.maximum(lowers[None, :, :] - chunk[:, None, :], 0.0),
+            np.maximum(chunk[:, None, :] - uppers[None, :, :], 0.0),
+        )
+        out[start : start + chunk.shape[0]] = np.sqrt(np.sum(gap * gap, axis=2))
+    return out
+
+
+def dtw_pairs_within(
+    band: int,
+    left: np.ndarray,
+    right: np.ndarray,
+    epsilon: float,
+    recorder: Recorder = NULL_RECORDER,
+) -> List[Tuple[int, int]]:
+    """Envelope-filtered exact DTW join of two window arrays.
+
+    Cheap stage: LB_Keogh in both directions — each left window
+    against the right windows' band envelopes and each right window
+    against the left windows' — over whole window blocks at once.  A
+    pair passes when both bounds are within
+    :func:`repro.kernels.dtw.lb_keogh_limit`, ε plus a rounding
+    slack.  Survivors go through the batched banded DP
+    (:func:`repro.kernels.dtw.dtw_batch`) in one call with
+    ``epsilon`` as the shared early-abandon threshold.
+    """
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    left_arr = np.atleast_2d(np.asarray(left, dtype=np.float64))
+    right_arr = np.atleast_2d(np.asarray(right, dtype=np.float64))
+    limit = lb_keogh_limit(epsilon, left_arr.shape[1])
+    right_lowers, right_uppers = batch_envelopes(right_arr, band)
+    left_lowers, left_uppers = batch_envelopes(left_arr, band)
+    forward = lb_keogh_block(left_arr, right_lowers, right_uppers)
+    reverse = lb_keogh_block(right_arr, left_lowers, left_uppers).T
+    cand_i, cand_k = np.nonzero((forward <= limit) & (reverse <= limit))
+    if recorder.enabled:
+        recorder.count(
+            "kernel.dtw.pairs_tested", left_arr.shape[0] * right_arr.shape[0]
+        )
+        recorder.count("kernel.dtw.keogh_candidates", int(cand_i.size))
+    if cand_i.size == 0:
+        return []
+    if recorder.enabled:
+        recorder.count("kernel.dtw.invocations")
+    dists = dtw_batch(
+        left_arr[cand_i], right_arr[cand_k], band, max_dist=epsilon,
+        recorder=recorder,
+    )
+    keep = dists <= epsilon
+    return list(zip(cand_i[keep].tolist(), cand_k[keep].tolist()))

@@ -1,13 +1,13 @@
-"""Vectorized clustering pipeline vs. the frozen scalar reference.
+"""The shipped clustering pipeline vs. the frozen scalar reference.
 
-The CSR work-matrix implementations of SC, CC and the sharing-graph
-scheduler must be *bit-identical* to the reference implementations in
-``tests/oracles/clusters_reference.py``: same cluster assignments in the
-same growth order, same stats counters, same sharing-graph weights and
-same greedy schedules — on random matrices of varying shape, density,
-buffer size and aspect ratio, and on the degenerate single-row /
-single-column shapes where the column sweep and the rectangle growth hit
-their boundary branches.
+SC's per-column sweep and the CSR work-matrix implementations of CC and
+the sharing-graph scheduler must be *bit-identical* to the reference
+implementations in ``tests/oracles/clusters_reference.py``: same
+cluster assignments in the same growth order, same stats counters, same
+sharing-graph weights and same greedy schedules — on random matrices of
+varying shape, density, buffer size and aspect ratio, and on the
+degenerate single-row / single-column shapes where the column sweep and
+the rectangle growth hit their boundary branches.
 """
 
 import numpy as np
@@ -94,6 +94,20 @@ class TestSquareClusteringEquivalence:
         want, want_stats = square_clustering_reference(
             matrix, 9, target_aspect=target_aspect
         )
+        assert_clusters_identical(got, want)
+        assert got_stats == want_stats
+
+    @pytest.mark.parametrize(
+        "num_rows,num_cols,density,buffer_pages",
+        [
+            (128, 128, 1.0, 64),  # full density, large clusters
+            (538, 538, 0.05, 100),  # landsat's matrix shape and buffer
+        ],
+    )
+    def test_large_clusters(self, rng, num_rows, num_cols, density, buffer_pages):
+        matrix = random_matrix(rng, num_rows, num_cols, density)
+        got, got_stats = square_clustering(matrix, buffer_pages)
+        want, want_stats = square_clustering_reference(matrix, buffer_pages)
         assert_clusters_identical(got, want)
         assert got_stats == want_stats
 

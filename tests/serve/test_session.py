@@ -10,10 +10,10 @@ import pytest
 from repro.core.join import IndexedDataset
 from repro.core.sweep import build_prediction_matrix
 from repro.datasets import markov_dna
-from repro.distance.dtw import envelope_box
 from repro.distance.frequency import frequency_vector
 from repro.errors import ConfigError
 from repro.geometry import Rect
+from repro.index.mr import MRIndex
 from repro.serve import JoinSession
 from repro.serve.incremental import append_to_dataset, rebuild_dataset
 from repro.storage.persist import FingerprintChain, matrix_cache_key
@@ -570,7 +570,7 @@ class TestAppendDeltas:
                 objects = np.stack([frequency_vector(window) for window in objects])
             expected = Rect(objects.min(axis=0), objects.max(axis=0))
             if kind == "dtw":
-                expected = envelope_box(expected, 3)
+                expected = MRIndex.window_boxes(objects, len(objects), dtw_band=3).rect(0)
             assert np.array_equal(box.lo, expected.lo)
             assert np.array_equal(box.hi, expected.hi)
 
